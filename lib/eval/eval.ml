@@ -350,29 +350,30 @@ end
    build exactly as the boxed engine amortizes its join index inside
    [Fact_set]. Small sets skip the cache: their build is cheaper than
    the eviction pressure they would put on the million-fact entries
-   (containment probes churn through thousands of tiny targets). *)
+   (containment probes churn through thousands of tiny targets). The
+   size is only taken on a miss: [Fact_set.cardinal] walks the whole
+   set, which on a cached instance costs more than a point query. *)
 let prepared_cache_max = 4
 let prepared_cache_min_facts = 4096
 let prepared_cache : (Fact_set.t * Prepared.t) list ref = ref []
 let prepared_lock = Mutex.create ()
 
 let prepared_for fs =
-  if Fact_set.cardinal fs < prepared_cache_min_facts then Prepared.make fs
-  else
-    Mutex.protect prepared_lock (fun () ->
-        match List.find_opt (fun (k, _) -> k == fs) !prepared_cache with
-        | Some (_, p) ->
-            prepared_cache :=
-              (fs, p) :: List.filter (fun (k, _) -> k != fs) !prepared_cache;
-            p
-        | None ->
-            let p = Prepared.make fs in
+  Mutex.protect prepared_lock (fun () ->
+      match List.find_opt (fun (k, _) -> k == fs) !prepared_cache with
+      | Some (_, p) ->
+          prepared_cache :=
+            (fs, p) :: List.filter (fun (k, _) -> k != fs) !prepared_cache;
+          p
+      | None ->
+          let p = Prepared.make fs in
+          if Fact_set.cardinal fs >= prepared_cache_min_facts then
             prepared_cache :=
               (fs, p)
               :: List.filteri
                    (fun i _ -> i < prepared_cache_max - 1)
                    !prepared_cache;
-            p)
+          p)
 
 (* ------------------------------------------------------------------ *)
 (* The leapfrog join                                                   *)
@@ -808,25 +809,26 @@ end
 (* Containment probe registration                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* Plan-time engine selection for boolean existence probes: below this
-   target size the sorted-view build costs more than the whole
-   register-machine search (containment targets are query bodies of a
-   few dozen atoms), so the plan delegates; at or above it the leapfrog
-   join runs. Either engine decides the same verdict. *)
+(* Engine selection for boolean existence probes, decided on the target
+   size before anything is compiled: below the cutoff the sorted-view
+   build and the plan cost more than the whole register-machine search
+   (containment targets are query bodies of a few dozen atoms), so the
+   probe declines and the containment solver runs its own search; at or
+   above it the leapfrog join runs. Either engine decides the same
+   verdict. *)
 let probe_leapfrog_min = 64
 
-let () =
-  Eval_hook.register (fun ~init ~flexible ~pattern ~target ->
-      if not (Eval_hook.eval_enabled ()) then None
-      else
-        let p = compile_pieces ~init ~flexible ~free:[] pattern in
-        match p.p_compiled with
-        | None -> None
-        | Some c ->
-            if Fact_set.cardinal target < probe_leapfrog_min then
-              Some (Homomorphism.exists (legacy_problem p target))
-            else
-              let tuples, _ =
-                run_compiled ~limit:1 c (prepared_for target)
-              in
-              Some (tuples <> []))
+let containment_probe ?(force_leapfrog = false) () : Eval_hook.probe =
+ fun ~init ~flexible ~pattern ~target ->
+  if
+    (not (Eval_hook.eval_enabled ()))
+    || ((not force_leapfrog) && Fact_set.cardinal target < probe_leapfrog_min)
+  then None
+  else
+    match compile_body ~init ~flexible ~out:[] pattern with
+    | None -> None
+    | Some c ->
+        let tuples, _ = run_compiled ~limit:1 c (prepared_for target) in
+        Some (tuples <> [])
+
+let () = Eval_hook.register (containment_probe ())

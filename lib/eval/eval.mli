@@ -16,9 +16,13 @@
     the codebase: {!Match} hosts the order-pinned trigger enumeration
     the chase engine uses (delegating to the register-machine engine —
     trigger {e order} names fresh nulls, so it must stay bit-identical),
-    and at module initialization an existence probe is registered in
-    {!Eval_hook} for the containment solver. The legacy boxed paths
-    remain reachable only through the {!set_eval} A/B toggle. *)
+    and at module initialization {!containment_probe} is registered in
+    {!Eval_hook} for the containment solver: it looks at the target size
+    first and declines targets below {!probe_leapfrog_min} facts without
+    compiling anything, so the solver's own register-machine search
+    decides them; larger targets run a compiled leapfrog plan. The
+    legacy boxed paths remain reachable only through the {!set_eval}
+    A/B toggle. *)
 
 open Logic
 
@@ -151,6 +155,21 @@ module Match : sig
       new ingredient, in the exact order the sequential engine fires
       them (no duplicates across parts). *)
 end
+
+(** {1 Containment probe} *)
+
+val probe_leapfrog_min : int
+(** Target size, in facts, from which the containment probe runs the
+    leapfrog join; below it the probe declines. *)
+
+val containment_probe : ?force_leapfrog:bool -> unit -> Eval_hook.probe
+(** The probe registered in {!Eval_hook} at initialization. A target
+    with fewer than {!probe_leapfrog_min} facts, a pattern the join
+    cannot represent, or {!set_eval} off answer [None] before any plan
+    is compiled; otherwise the verdict is the leapfrog join's.
+    [~force_leapfrog:true] drops the size test, for measuring the
+    leapfrog arm on small targets ([set_eval false] measures the
+    register machine's). *)
 
 (** {1 Instrumentation}
 

@@ -20,8 +20,8 @@ let hom_problem ~from ~into ~extra_ok =
 
 (* A/B switch over the solver-side accelerations: the
    fingerprint prescreen ([Cq.hom_feasible]), the component
-   decomposition of the pattern, and the connectivity tie-break in the
-   search plan. Off restores the monolithic engine verbatim. *)
+   decomposition of the pattern. Off restores the monolithic engine
+   verbatim. *)
 let decomp_on = Atomic.make true
 let set_decomposition b = Atomic.set decomp_on b
 let decomposition_enabled () = Atomic.get decomp_on
@@ -40,36 +40,6 @@ let reset_solver_stats () =
 
 exception Found
 
-(* Static connectivity weights for the seed-selection tie-break: an
-   atom scores the total occurrence count (over the whole pattern) of
-   the existential variables it binds, so at equal bound counts the
-   search extends through the most shared variables first. *)
-let connectivity_tie_break ~free atoms =
-  let occ : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      List.iter
-        (fun (t : Term.t) ->
-          if Term.is_var t && not (Term.Set.mem t free) then
-            Hashtbl.replace occ t.Term.id
-              (1 + Option.value ~default:0 (Hashtbl.find_opt occ t.Term.id)))
-        (Atom.args a))
-    atoms;
-  let weights : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun a ->
-      let w =
-        List.fold_left
-          (fun acc (t : Term.t) ->
-            if Term.is_var t && not (Term.Set.mem t free) then
-              acc + Option.value ~default:0 (Hashtbl.find_opt occ t.Term.id)
-            else acc)
-          0 (Atom.args a)
-      in
-      Hashtbl.replace weights (Atom.hash a) w)
-    atoms;
-  fun a -> Option.value ~default:0 (Hashtbl.find_opt weights (Atom.hash a))
-
 (* Solve the containment homomorphism [from -> into] one connected
    component of [from]'s body at a time: components share no bindable
    variable (answer variables are pre-bound, constants and functional
@@ -79,12 +49,12 @@ let connectivity_tie_break ~free atoms =
 let exists_decomposed ~from ~into ~init =
   let flexible = Cq.var_set from in
   let target = Cq.as_fact_set into in
-  let free = Term.Set.of_list (Cq.free from) in
   let exists_component atoms =
     (* The plan layer (lib/eval) registers an existence probe at link
-       time; it answers with its own engine selection, or declines
-       ([None]) problems it cannot compile — then, and in programs that
-       never link the plan layer, the in-library search runs. *)
+       time; it answers large targets with its leapfrog join and
+       declines ([None]) small targets and problems it cannot compile —
+       then, and in programs that never link the plan layer, the
+       in-library search runs. *)
     let planned =
       if Eval_hook.eval_enabled () then
         match Eval_hook.probe () with
@@ -95,9 +65,8 @@ let exists_decomposed ~from ~into ~init =
     match planned with
     | Some verdict -> verdict
     | None -> (
-        let tie_break = connectivity_tie_break ~free atoms in
         try
-          Homomorphism.iter_multi ~init ~tie_break ~flexible
+          Homomorphism.iter_multi ~init ~flexible
             ~pattern:(List.map (fun a -> (a, target)) atoms)
             ~domain_bindings:[]
             (fun _ -> raise Found);
@@ -274,10 +243,8 @@ let isomorphic q1 q2 =
         Term.Map.empty (Cq.free q1) (Cq.free q2)
     in
     let target = Cq.as_fact_set q2 in
-    let free = Term.Set.of_list (Cq.free q1) in
-    let tie_break = connectivity_tie_break ~free (Cq.atoms q1) in
     (try
-       Homomorphism.iter_multi ~init ~tie_break ~injective:true
+       Homomorphism.iter_multi ~init ~injective:true
          ~flexible:(Cq.var_set q1)
          ~pattern:(List.map (fun a -> (a, target)) (Cq.atoms q1))
          ~domain_bindings:[]

@@ -15,9 +15,10 @@ val implies : Cq.t -> Cq.t -> bool
     homomorphism search is prescreened by the fingerprint battery of
     {!Cq.hom_feasible}, decomposed into the connected components of the
     pattern's Gaifman graph (solved independently, smallest first, with
-    early exit on the first failing component) and seeded with a
-    connectivity-driven tie-break in the compiled search plan. The
-    verdict is identical either way. *)
+    early exit on the first failing component), and each component goes
+    to the plan layer's probe ({!Eval_hook}) or, for targets it
+    declines, to the register-machine search. The verdict is identical
+    either way. *)
 
 val implies_memo : Cq.t -> Cq.t -> bool
 (** [implies] with the verdict memoized under the pair of canonical query
@@ -66,9 +67,8 @@ val memoization_enabled : unit -> bool
 
 val set_decomposition : bool -> unit
 (** A/B switch over the solver-side accelerations of {!implies}: the
-    fingerprint prescreen, the Gaifman-component decomposition of the
-    pattern and the connectivity tie-break in the search plan.
-    [set_decomposition false] restores the monolithic PR 2 solver
+    fingerprint prescreen and the Gaifman-component decomposition of the
+    pattern. [set_decomposition false] restores the monolithic solver
     verbatim. Defaults to [true]. Verdicts are identical either way —
     the property the differential suite checks. *)
 

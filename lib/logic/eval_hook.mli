@@ -26,8 +26,9 @@ type probe =
   bool option
 (** A boolean existence probe: is there a homomorphism of [pattern] into
     [target] extending [init] on the [flexible] terms? [None] means the
-    plan layer declines the problem (e.g. a pattern argument it cannot
-    compile) and the caller must use its legacy engine. *)
+    plan layer declines the problem (a target too small to repay a
+    plan, or a pattern argument it cannot compile) and the caller must
+    use its own engine. *)
 
 val register : probe -> unit
 (** Install the plan layer's probe (last registration wins). *)

@@ -65,8 +65,8 @@ let reset_counters () =
    compiled engine deliberately does not support) and as the boxed arm of
    the arena A/B toggle. The compiled engine below must enumerate
    homomorphisms in {e exactly} this engine's order. *)
-let iter_multi_boxed ~init ~image_ok ~prefer ~tie_break ~injective ~flexible
-    ~pattern ~domain_bindings f =
+let iter_multi_boxed ~init ~image_ok ~prefer ~injective ~flexible ~pattern
+    ~domain_bindings f =
   (* Per-search-node match plan: the flexibility of each argument
      position and the current assignment are fixed while the candidates
      of one atom are scanned, so they are resolved once into an array of
@@ -160,25 +160,13 @@ let iter_multi_boxed ~init ~image_ok ~prefer ~tie_break ~injective ~flexible
     match remaining with
     | [] -> bind_domain assignment used domain_bindings
     | ((a0, _) as e0) :: others ->
-        (* Most-bound-first seed selection; [tie_break] (higher first)
-           settles ties — the containment solver feeds it static
-           connectivity weights so that, at equal bound counts, the
-           atom most entangled with the rest of the pattern is matched
-           next. It permutes the enumeration order, never the verdict. *)
-        let tb =
-          match tie_break with None -> fun _ -> 0 | Some f -> f
-        in
-        let (best_atom, best_target), _, _ =
+        (* Most-bound-first seed selection, first maximum on ties. *)
+        let (best_atom, best_target), _ =
           List.fold_left
-            (fun ((_, bn, bt) as best) ((a, _) as cur) ->
+            (fun ((_, bn) as best) ((a, _) as cur) ->
               let n = bound_count assignment a in
-              if n > bn then (cur, n, tb a)
-              else if n = bn then begin
-                let t = tb a in
-                if t > bt then (cur, n, t) else best
-              end
-              else best)
-            (e0, bound_count assignment a0, tb a0)
+              if n > bn then (cur, n) else best)
+            (e0, bound_count assignment a0)
             others
         in
         let plan = compile_plan assignment best_atom in
@@ -279,14 +267,14 @@ let iter_multi_boxed ~init ~image_ok ~prefer ~tie_break ~injective ~flexible
 
    Order contract: this engine enumerates homomorphisms in {e exactly}
    the boxed engine's order. The dynamic most-bound-first seed selection
-   (first maximum, [tie_break] higher-first on ties) is replicated over
-   an [alive] mask in original pattern order; candidate rows arrive in
+   (first maximum) is replicated over an [alive] mask in original
+   pattern order; candidate rows arrive in
    the canonical per-layer order whatever seed constraint the index
    picks, because every position is re-checked here (see
    [Fact_set.iter_join_candidates]). The QCheck differentials pin this
    equivalence against the boxed engine on random theories. *)
-let iter_multi_compiled ~init ~image_ok ~tie_break ~injective ~flexible
-    ~pattern ~domain_bindings f =
+let iter_multi_compiled ~init ~image_ok ~injective ~flexible ~pattern
+    ~domain_bindings f =
   (* -- compile: registers, slot arrays, pools ---------------------- *)
   let reg_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let reg_vars = ref [] in
@@ -314,11 +302,6 @@ let iter_multi_compiled ~init ~image_ok ~tie_break ~injective ~flexible
             if Term.Set.mem t flexible then -(reg_for t) - 1 else t.Term.id)
           a.Atom.args)
       patoms
-  in
-  let tb_arr =
-    match tie_break with
-    | None -> Array.make (max 1 m) 0
-    | Some tb -> Array.map tb patoms
   in
   let dentries = Array.of_list domain_bindings in
   let nd = Array.length dentries in
@@ -412,9 +395,9 @@ let iter_multi_compiled ~init ~image_ok ~tie_break ~injective ~flexible
     if remaining_n = 0 then bind_domain 0
     else begin
       incr nodes;
-      (* Most-bound-first seed: first maximum in pattern order, ties to
-         the higher [tie_break] — the boxed fold, over the alive mask. *)
-      let best = ref (-1) and bn = ref (-1) and bt = ref min_int in
+      (* Most-bound-first seed: first maximum in pattern order — the
+         boxed fold, over the alive mask. *)
+      let best = ref (-1) and bn = ref (-1) in
       for j = 0 to m - 1 do
         if alive.(j) then begin
           let sl = slots.(j) in
@@ -423,10 +406,9 @@ let iter_multi_compiled ~init ~image_ok ~tie_break ~injective ~flexible
             let c = Array.unsafe_get sl pos in
             if c >= 0 || Array.unsafe_get reg_val (-c - 1) >= 0 then incr n
           done;
-          if !n > !bn || (!n = !bn && tb_arr.(j) > !bt) then begin
+          if !n > !bn then begin
             best := j;
-            bn := !n;
-            bt := tb_arr.(j)
+            bn := !n
           end
         end
       done;
@@ -521,15 +503,14 @@ let iter_multi_compiled ~init ~image_ok ~tie_break ~injective ~flexible
   end
 
 let iter_multi ?(init = Term.Map.empty) ?(image_ok = default_image_ok)
-    ?prefer ?tie_break ?(injective = false) ~flexible ~pattern
-    ~domain_bindings f =
+    ?prefer ?(injective = false) ~flexible ~pattern ~domain_bindings f =
   match prefer with
   | None when Fact_set.arena_enabled () ->
-      iter_multi_compiled ~init ~image_ok ~tie_break ~injective ~flexible
-        ~pattern ~domain_bindings f
+      iter_multi_compiled ~init ~image_ok ~injective ~flexible ~pattern
+        ~domain_bindings f
   | _ ->
-      iter_multi_boxed ~init ~image_ok ~prefer ~tie_break ~injective ~flexible
-        ~pattern ~domain_bindings f
+      iter_multi_boxed ~init ~image_ok ~prefer ~injective ~flexible ~pattern
+        ~domain_bindings f
 
 let iter p f =
   let pool =

@@ -1,5 +1,18 @@
 open Logic
 
+(* The marking-independent half of [is_properly_marked], computed once
+   per body in [make] and shared by every marking of it ([remark]):
+   reduce emits four markings of one body and [all_markings] up to 2^k. *)
+type analysis = {
+  cycles : Term.Set.t;  (* variables on a directed cycle: must be marked *)
+  agree : Term.t list list;
+      (* sources of >= 2 same-level in-edges into one variable: their
+         markings must agree *)
+  must_mark : Term.t list;
+      (* K > 2: variables whose in-levels are not at most two adjacent
+         ones, so no chase-invented term can match them *)
+}
+
 type t = {
   levels : Symbol.t array;
   free : (Term.t * Term.t) list;
@@ -7,6 +20,7 @@ type t = {
   marked : Term.Set.t;
   mutable tagged : Cq.t option option;
       (* cached [tagged_cq]; [None] = not yet computed *)
+  analysis : analysis;  (* shared by the markings of one body *)
 }
 
 let marked_tag = Symbol.make "MARKED?" ~arity:1
@@ -28,63 +42,6 @@ let dedup_terms l =
       (Term.Set.empty, []) l
   in
   List.rev rev
-
-let make ~levels ~free ~marked atoms =
-  if Array.length levels < 2 then
-    invalid_arg "Marked_query.make: need at least two levels";
-  let atoms = Atom.Set.elements (Atom.Set.of_list atoms) in
-  List.iter
-    (fun a ->
-      (match level_index levels (Atom.rel a) with
-      | Some _ -> ()
-      | None ->
-          invalid_arg
-            (Fmt.str "Marked_query.make: atom %a outside the level signature"
-               Atom.pp a));
-      if Atom.arity a <> 2 then
-        invalid_arg "Marked_query.make: level relations must be binary";
-      List.iter
-        (fun t ->
-          if not (Term.is_var t) then
-            invalid_arg "Marked_query.make: only variables allowed")
-        (Atom.args a))
-    atoms;
-  let var_set = Term.Set.of_list (List.concat_map Atom.vars atoms) in
-  List.iter
-    (fun (_orig, rep) ->
-      if not (Term.Set.mem rep marked) then
-        invalid_arg "Marked_query.make: answer representative must be marked";
-      if atoms <> [] && not (Term.Set.mem rep var_set) then
-        invalid_arg
-          "Marked_query.make: answer representative must occur in the body")
-    free;
-  let rep_set = Term.Set.of_list (List.map snd free) in
-  if not (Term.Set.subset marked (Term.Set.union var_set rep_set)) then
-    invalid_arg "Marked_query.make: marked variables must occur in the query";
-  { levels; free; atoms; marked; tagged = None }
-
-let of_cq ~levels q ~marked =
-  let marked =
-    Term.Set.union marked (Term.Set.of_list (Cq.free q))
-  in
-  make ~levels
-    ~free:(List.map (fun v -> (v, v)) (Cq.free q))
-    ~marked (Cq.atoms q)
-
-let vars q = dedup_terms (List.map snd q.free @ List.concat_map Atom.vars q.atoms)
-
-let level_of q a =
-  match level_index q.levels (Atom.rel a) with
-  | Some i -> i
-  | None -> invalid_arg "Marked_query.level_of: atom outside signature"
-
-let atoms_at_level q i =
-  List.filter (fun a -> level_of q a = i) q.atoms
-
-let is_totally_marked q =
-  List.for_all (fun v -> Term.Set.mem v q.marked) (vars q)
-
-let is_trivial q = q.atoms = []
 
 (* Variables lying on a directed cycle: SCCs of size >= 2 or self-loops
    (Tarjan). *)
@@ -155,61 +112,137 @@ let cycle_vars atoms =
     verts;
   !result
 
+let analyze levels atoms =
+  let groups = Hashtbl.create 16 in
+  let in_levels = Hashtbl.create 16 in
+  List.iter
+    (fun a ->
+      let l = Option.get (level_index levels (Atom.rel a)) in
+      let tgt = Atom.arg a 1 in
+      let key = (l, Term.hash tgt) in
+      let prev = Option.value ~default:[] (Hashtbl.find_opt groups key) in
+      Hashtbl.replace groups key (Atom.arg a 0 :: prev);
+      let ls =
+        Option.value ~default:(tgt, []) (Hashtbl.find_opt in_levels tgt.Term.id)
+      in
+      if not (List.mem l (snd ls)) then
+        Hashtbl.replace in_levels tgt.Term.id (tgt, l :: snd ls))
+    atoms;
+  let agree =
+    Hashtbl.fold
+      (fun _ sources acc ->
+        match sources with _ :: _ :: _ -> sources :: acc | _ -> acc)
+      groups []
+  in
+  let must_mark =
+    if Array.length levels = 2 then []
+    else
+      Hashtbl.fold
+        (fun _ (tgt, ls) acc ->
+          match List.sort Int.compare ls with
+          | [] | [ _ ] -> acc
+          | [ a; b ] when b = a + 1 -> acc
+          | _ -> tgt :: acc)
+        in_levels []
+  in
+  { cycles = cycle_vars atoms; agree; must_mark }
+
+let check_marking ~free ~var_set marked =
+  List.iter
+    (fun (_orig, rep) ->
+      if not (Term.Set.mem rep marked) then
+        invalid_arg "Marked_query.make: answer representative must be marked")
+    free;
+  let rep_set = Term.Set.of_list (List.map snd free) in
+  if not (Term.Set.subset marked (Term.Set.union var_set rep_set)) then
+    invalid_arg "Marked_query.make: marked variables must occur in the query"
+
+let make ~levels ~free ~marked atoms =
+  if Array.length levels < 2 then
+    invalid_arg "Marked_query.make: need at least two levels";
+  let atoms = Atom.Set.elements (Atom.Set.of_list atoms) in
+  List.iter
+    (fun a ->
+      (match level_index levels (Atom.rel a) with
+      | Some _ -> ()
+      | None ->
+          invalid_arg
+            (Fmt.str "Marked_query.make: atom %a outside the level signature"
+               Atom.pp a));
+      if Atom.arity a <> 2 then
+        invalid_arg "Marked_query.make: level relations must be binary";
+      List.iter
+        (fun t ->
+          if not (Term.is_var t) then
+            invalid_arg "Marked_query.make: only variables allowed")
+        (Atom.args a))
+    atoms;
+  let var_set = Term.Set.of_list (List.concat_map Atom.vars atoms) in
+  List.iter
+    (fun (_orig, rep) ->
+      if atoms <> [] && not (Term.Set.mem rep var_set) then
+        invalid_arg
+          "Marked_query.make: answer representative must occur in the body")
+    free;
+  check_marking ~free ~var_set marked;
+  {
+    levels;
+    free;
+    atoms;
+    marked;
+    tagged = None;
+    analysis = analyze levels atoms;
+  }
+
+let remark q ~marked =
+  check_marking ~free:q.free
+    ~var_set:(Term.Set.of_list (List.concat_map Atom.vars q.atoms))
+    marked;
+  { q with marked; tagged = None }
+
+let of_cq ~levels q ~marked =
+  let marked =
+    Term.Set.union marked (Term.Set.of_list (Cq.free q))
+  in
+  make ~levels
+    ~free:(List.map (fun v -> (v, v)) (Cq.free q))
+    ~marked (Cq.atoms q)
+
+let vars q = dedup_terms (List.map snd q.free @ List.concat_map Atom.vars q.atoms)
+
+let level_of q a =
+  match level_index q.levels (Atom.rel a) with
+  | Some i -> i
+  | None -> invalid_arg "Marked_query.level_of: atom outside signature"
+
+let atoms_at_level q i =
+  List.filter (fun a -> level_of q a = i) q.atoms
+
+let is_totally_marked q =
+  List.for_all (fun v -> Term.Set.mem v q.marked) (vars q)
+
+let is_trivial q = q.atoms = []
+
 let is_properly_marked q =
+  let an = q.analysis in
   let marked v = Term.Set.mem v q.marked in
-  let cond_i =
-    List.for_all
-      (fun a -> (not (marked (Atom.arg a 1))) || marked (Atom.arg a 0))
-      q.atoms
-  in
-  let cond_ii = Term.Set.for_all marked (cycle_vars q.atoms) in
-  let cond_iii =
-    (* Group in-edges by (level, target): source markings must agree. *)
-    let groups = Hashtbl.create 16 in
-    List.iter
-      (fun a ->
-        let key = (level_of q a, Term.hash (Atom.arg a 1)) in
-        let prev = Option.value ~default:[] (Hashtbl.find_opt groups key) in
-        Hashtbl.replace groups key (Atom.arg a 0 :: prev))
-      q.atoms;
-    Hashtbl.fold
-      (fun _ sources ok ->
-        ok
-        &&
-        match sources with
-        | [] -> true
-        | s :: rest -> List.for_all (fun s' -> marked s' = marked s) rest)
-      groups true
-  in
-  let cond_iv =
-    Array.length q.levels = 2
-    ||
-    (* In-levels of each unmarked variable: at most two, adjacent. *)
-    let in_levels = Hashtbl.create 16 in
-    List.iter
-      (fun a ->
-        let tgt = Atom.arg a 1 in
-        if not (marked tgt) then begin
-          let prev =
-            Option.value ~default:[]
-              (Hashtbl.find_opt in_levels (Term.hash tgt))
-          in
-          let l = level_of q a in
-          if not (List.mem l prev) then
-            Hashtbl.replace in_levels (Term.hash tgt) (l :: prev)
-        end)
-      q.atoms;
-    Hashtbl.fold
-      (fun _ ls ok ->
-        ok
-        &&
-        match List.sort Int.compare ls with
-        | [] | [ _ ] -> true
-        | [ a; b ] -> b = a + 1
-        | _ -> false)
-      in_levels true
-  in
-  cond_i && cond_ii && cond_iii && cond_iv
+  (* (i) an edge into a marked variable starts at a marked variable *)
+  List.for_all
+    (fun a -> (not (marked (Atom.arg a 1))) || marked (Atom.arg a 0))
+    q.atoms
+  (* (ii) cycles are marked *)
+  && Term.Set.for_all marked an.cycles
+  (* (iii) same-level in-edges into one variable agree on their sources *)
+  && List.for_all
+       (function
+         | s :: rest ->
+             let m = marked s in
+             List.for_all (fun s' -> marked s' = m) rest
+         | [] -> true)
+       an.agree
+  (* (iv) K > 2: in-levels of an unmarked variable are at most two,
+     adjacent *)
+  && List.for_all marked an.must_mark
 
 let is_live q =
   is_properly_marked q && (not (is_totally_marked q)) && not (is_trivial q)
@@ -224,9 +257,10 @@ let all_markings ~levels q =
         let smaller = subsets rest in
         smaller @ List.map (Term.Set.add v) smaller
   in
+  let base = make ~levels ~free ~marked:base_marked (Cq.atoms q) in
   List.filter_map
     (fun extra ->
-      let m = make ~levels ~free ~marked:(Term.Set.union base_marked extra) (Cq.atoms q) in
+      let m = remark base ~marked:(Term.Set.union base_marked extra) in
       if is_properly_marked m then Some m else None)
     (subsets optional)
 

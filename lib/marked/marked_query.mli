@@ -14,6 +14,12 @@
 
 open Logic
 
+type analysis
+(** The marking-independent analysis of a body for {!is_properly_marked}
+    (directed cycles, same-level in-edge groups, in-level patterns),
+    computed by {!make} and shared by every marking made with
+    {!remark}. *)
+
 type t = private {
   levels : Symbol.t array;
       (** [levels.(i)] is [I_{i+1}]; length [K >= 2]. *)
@@ -23,6 +29,7 @@ type t = private {
   marked : Term.Set.t;  (** contains every representative of [free] *)
   mutable tagged : Cq.t option option;
       (** cached [tagged_cq]; [None] until first computed *)
+  analysis : analysis;
 }
 
 val make :
@@ -34,6 +41,11 @@ val make :
 (** Validates: atoms binary over [levels], representatives marked and (when
     atoms are non-empty) occurring in the atoms, marked set within the
     variables. *)
+
+val remark : t -> marked:Term.Set.t -> t
+(** [remark q ~marked]: [q]'s body under another marking, validated as
+    {!make} does. It shares [q]'s body analysis instead of recomputing
+    it. *)
 
 val of_cq : levels:Symbol.t array -> Cq.t -> marked:Term.Set.t -> t
 val vars : t -> Term.t list

@@ -101,13 +101,19 @@ let apply q _x classification =
              (fun a -> not (Atom.equal a red || Atom.equal a green))
              q.Marked_query.atoms
       in
-      let base = q.Marked_query.marked in
-      List.map
-        (fun extra ->
-          remake q ~atoms
-            ~marked:(Term.Set.union base (Term.Set.of_list extra))
-            ~free:q.Marked_query.free)
-        [ []; [ x1 ]; [ x1; x2 ]; [ x2 ] ]
+      (* Four markings of one body: they share its proper-marking
+         analysis. *)
+      let plain =
+        remake q ~atoms ~marked:q.Marked_query.marked ~free:q.Marked_query.free
+      in
+      plain
+      :: List.map
+           (fun extra ->
+             Marked_query.remark plain
+               ~marked:
+                 (Term.Set.union plain.Marked_query.marked
+                    (Term.Set.of_list extra)))
+           [ [ x1 ]; [ x1; x2 ]; [ x2 ] ]
 
 let step q =
   match maximal_var q with

@@ -65,10 +65,11 @@ module Store = struct
     end
 
   (* The per-query work a pool worker can do ahead of the coordinator's
-     sequential store pass: the fingerprint key (an uncached string
-     render) plus the canonical id the bucket's iso probes start from.
-     Pure apart from per-query caches — distinct queries share no
-     mutable state, so workers never race. *)
+     sequential store pass: the fingerprint key (the tagged CQ's 1-WL
+     color refinement, hashed and mixed with the atom count) plus the
+     canonical id the bucket's iso probes start from. Both are filled
+     into caches on the query's own tagged CQ — distinct queries share
+     no mutable state, so workers never race. *)
   let warm q =
     let k = key q in
     (match Marked_query.tagged_cq q with
@@ -216,11 +217,11 @@ let run_from ?pool ?guard ?(max_steps = 200_000) ?(record_ranks = false)
     else None
   in
   (* Batch classification: at pool size 1 this is exactly the
-     sequential [filter_map classify_new]; with workers, the uncached
-     fingerprint keys and canonical ids (the dominant per-result cost)
-     are computed in parallel first and the store pass consumes them in
-     the original order — same store contents, same enqueue order, so
-     the rewriting is bit-identical at any [-j]. *)
+     sequential [filter_map classify_new]; with workers, each result's
+     WL fingerprint key and canonical id (computed once per query, then
+     cached) are filled in parallel first and the store pass consumes
+     them in the original order — same store contents, same enqueue
+     order, so the rewriting is bit-identical at any [-j]. *)
   let classify_many mqs =
     let plural = match mqs with _ :: _ :: _ -> true | _ -> false in
     if Parallel.Pool.effective_size pool <= 1 || not plural then

@@ -180,6 +180,26 @@ let test_containment_probe_via_hook () =
         (with_eval true (fun () -> Containment.implies a b)))
     [ (q1, q2); (q2, q1); (q1, q1) ]
 
+let test_probe_selects_by_target_size () =
+  (* The probe looks at the target before compiling: a target below
+     [probe_leapfrog_min] facts runs no leapfrog plan, one at the cutoff
+     runs exactly one. *)
+  let path n =
+    let v i = Term.var (Printf.sprintf "q%d" i) in
+    Cq.make ~free:[ v 0 ]
+      (List.init n (fun i -> Atom.make Theories.Zoo.e2 [ v i; v (i + 1) ]))
+  in
+  let plans_for target =
+    Eval.reset_counters ();
+    Alcotest.(check bool) "contained" true
+      (Containment.implies target (path 3));
+    (Eval.counters ()).Eval.plans
+  in
+  Alcotest.(check int) "small target: no plan" 0
+    (plans_for (path (Eval.probe_leapfrog_min - 1)));
+  Alcotest.(check int) "target at the cutoff: one plan" 1
+    (plans_for (path Eval.probe_leapfrog_min))
+
 let test_counters_move () =
   Eval.reset_counters ();
   let er = Theories.Instances.erdos_renyi Theories.Zoo.e2 ~seed:19 ~nodes:30
@@ -238,6 +258,8 @@ let () =
         [
           Alcotest.test_case "containment probe" `Quick
             test_containment_probe_via_hook;
+          Alcotest.test_case "probe engine by target size" `Quick
+            test_probe_selects_by_target_size;
           Alcotest.test_case "counters" `Quick test_counters_move;
           Alcotest.test_case "match rounds" `Quick test_match_trigger_rounds;
         ] );

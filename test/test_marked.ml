@@ -47,6 +47,146 @@ let test_proper_marking_conditions () =
   Alcotest.(check bool) "(iii) violated" false
     (Marked.Marked_query.is_properly_marked bad_iii)
 
+(* Naive oracle for Observation 50: every condition recomputed from the
+   query alone, with no analysis shared between markings of one body.
+   Returns the four conditions so callers can see which one decided. *)
+let naive_cycle_vars atoms =
+  (* A variable lies on a directed cycle iff it reaches itself. *)
+  let succs x =
+    List.filter_map
+      (fun a -> if Term.equal (Atom.arg a 0) x then Some (Atom.arg a 1) else None)
+      atoms
+  in
+  let reaches_itself x =
+    let rec go seen = function
+      | [] -> false
+      | y :: rest ->
+          Term.equal y x
+          || (if Term.Set.mem y seen then go seen rest
+              else go (Term.Set.add y seen) (succs y @ rest))
+    in
+    go Term.Set.empty (succs x)
+  in
+  Term.Set.of_list
+    (List.filter reaches_itself (List.concat_map Atom.vars atoms))
+
+let naive_conditions q =
+  let open Marked.Marked_query in
+  let marked x = Term.Set.mem x q.marked in
+  let level a = level_of q a in
+  let cond_i =
+    List.for_all
+      (fun a -> (not (marked (Atom.arg a 1))) || marked (Atom.arg a 0))
+      q.atoms
+  in
+  let cond_ii = Term.Set.for_all marked (naive_cycle_vars q.atoms) in
+  let cond_iii =
+    List.for_all
+      (fun a ->
+        List.for_all
+          (fun b ->
+            level a <> level b
+            || (not (Term.equal (Atom.arg a 1) (Atom.arg b 1)))
+            || marked (Atom.arg a 0) = marked (Atom.arg b 0))
+          q.atoms)
+      q.atoms
+  in
+  let cond_iv =
+    Array.length q.levels = 2
+    || List.for_all
+         (fun a ->
+           let tgt = Atom.arg a 1 in
+           marked tgt
+           ||
+           let ls =
+             List.sort_uniq Int.compare
+               (List.filter_map
+                  (fun b ->
+                    if Term.equal (Atom.arg b 1) tgt then Some (level b)
+                    else None)
+                  q.atoms)
+           in
+           match ls with [] | [ _ ] -> true | [ l; l' ] -> l' = l + 1 | _ -> false)
+         q.atoms
+  in
+  (cond_i, cond_ii, cond_iii, cond_iv)
+
+let test_proper_marking_matches_oracle () =
+  (* The shared per-body analysis must agree with the oracle on S_0 and
+     on every query the operations generate: phi_R^4 under T_d (all four
+     reduce markings), phi_{I_2}^3 under T_d^2, and under T_d^3 a query
+     whose variable w has I_3 and I_1 in-edges, so that condition (iv)
+     alone rejects some of its markings. (The process on phi_{I_k}^n
+     only ever touches two adjacent levels.) *)
+  let iv_only = ref 0 and reduce_results = ref 0 and checked = ref 0 in
+  let check q =
+    incr checked;
+    let i, ii, iii, iv = naive_conditions q in
+    if i && ii && iii && not iv then incr iv_only;
+    let expected = i && ii && iii && iv in
+    if Marked.Marked_query.is_properly_marked q <> expected then
+      Alcotest.failf "proper marking of %a: oracle says %b"
+        Marked.Marked_query.pp q expected
+  in
+  let on_step ~before:_ ~classification ~results =
+    (match classification with
+    | Marked.Operations.Reduce _ ->
+        reduce_results := !reduce_results + List.length results
+    | _ -> ());
+    List.iter check results
+  in
+  let run levels phi rewrite =
+    (* S_0 before the proper-marking filter: every subset of the
+       existential variables, marked on top of the answer variables *)
+    let rec subsets = function
+      | [] -> [ [] ]
+      | x :: rest ->
+          let smaller = subsets rest in
+          smaller @ List.map (fun s -> x :: s) smaller
+    in
+    let free = Cq.free phi in
+    let base =
+      Marked.Marked_query.make ~levels
+        ~free:(List.map (fun x -> (x, x)) free)
+        ~marked:(Term.Set.of_list free) (Cq.atoms phi)
+    in
+    let s0 =
+      List.map
+        (fun extra ->
+          Marked.Marked_query.remark base
+            ~marked:(Term.Set.of_list (free @ extra)))
+        (subsets (Cq.exist_vars phi))
+    in
+    List.iter check s0;
+    Alcotest.(check int) "all_markings = proper part of S_0"
+      (List.length (List.filter Marked.Marked_query.is_properly_marked s0))
+      (List.length (Marked.Marked_query.all_markings ~levels phi));
+    let res = rewrite ~on_step phi in
+    Alcotest.(check bool) "complete" true res.Marked.Process.complete
+  in
+  let _, _, phi_r4 = Theories.Zoo.phi_r 4 in
+  run levels phi_r4 (fun ~on_step q -> Marked.Process.rewrite_td ~on_step q);
+  let tdk kk =
+    Array.init kk (fun i -> Symbol.make (Printf.sprintf "I%d" (i + 1)) ~arity:2)
+  in
+  let _, _, phi_i23 = Theories.Zoo.phi_i 2 3 in
+  run (tdk 2) phi_i23 (fun ~on_step q ->
+      Marked.Process.rewrite_tdk ~on_step 2 q);
+  let lv3 = tdk 3 in
+  let x = v "x" and y = v "y" and u = v "u" and w = v "w" in
+  let three_level =
+    Cq.make ~free:[ x; y ]
+      [
+        atom lv3.(2) [ x; u ]; atom lv3.(2) [ u; w ];
+        atom lv3.(1) [ y; u ]; atom lv3.(0) [ y; w ];
+      ]
+  in
+  run lv3 three_level (fun ~on_step q ->
+      Marked.Process.rewrite_tdk ~on_step 3 q);
+  Alcotest.(check bool) "reduce markings checked" true (!reduce_results > 0);
+  Alcotest.(check bool) "condition (iv) decided some query" true (!iv_only > 0);
+  Alcotest.(check bool) "thousands of queries checked" true (!checked > 1000)
+
 let test_all_markings_phi1 () =
   let _, _, phi1 = Theories.Zoo.phi_r 1 in
   let markings = Marked.Marked_query.all_markings ~levels phi1 in
@@ -577,6 +717,8 @@ let () =
           Alcotest.test_case "observation 50 conditions" `Quick
             test_proper_marking_conditions;
           Alcotest.test_case "S_0 of phi_R^1" `Quick test_all_markings_phi1;
+          Alcotest.test_case "shared analysis = naive oracle" `Quick
+            test_proper_marking_matches_oracle;
         ] );
       ( "operations",
         [

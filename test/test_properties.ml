@@ -395,27 +395,32 @@ let naive_rewrite ~max_steps theory q =
 let prop_kernel_rewriting_matches_naive_reference =
   (* The kernel-based saturation (both the size-1 pool's one-pop rounds
      and the -j4 batch-synchronous sweeps) must land on a UCQ equivalent
-     to the naive queue/add_minimal reference whenever both complete. *)
+     to the naive queue/add_minimal reference whenever both complete.
+     The kernel runs first: when neither run completes there is nothing
+     to compare, and the reference is not built (it has no size cap, so
+     on such inputs it can spend minutes in containment checks). *)
   QCheck.Test.make ~count
     ~name:"kernel rewriting = naive queue/add_minimal reference (j1, j4)"
     QCheck.(pair theory_arb query_arb)
     (fun (trules, qatoms) ->
       let theory = decode_theory trules in
       let q = decode_query qatoms in
+      let complete =
+        List.filter_map
+          (fun pool ->
+            let r =
+              Rewriting.Rewrite.rewrite ?pool ~budget:rewrite_budget theory q
+            in
+            match r.Rewriting.Rewrite.outcome with
+            | Rewriting.Rewrite.Complete -> Some r.Rewriting.Rewrite.ucq
+            | _ -> None)
+          [ None; Some pool4 ]
+      in
+      complete = []
+      ||
       match naive_rewrite ~max_steps:150 theory q with
       | None -> true
-      | Some reference ->
-          List.for_all
-            (fun pool ->
-              let r =
-                Rewriting.Rewrite.rewrite ?pool ~budget:rewrite_budget theory
-                  q
-              in
-              match r.Rewriting.Rewrite.outcome with
-              | Rewriting.Rewrite.Complete ->
-                  Ucq.equivalent reference r.Rewriting.Rewrite.ucq
-              | _ -> true)
-            [ None; Some pool4 ])
+      | Some reference -> List.for_all (Ucq.equivalent reference) complete)
 
 (* ------------------------------------------------------------------ *)
 (* Subsumption index & decomposed containment vs the reference engines *)
@@ -477,9 +482,9 @@ let prop_indexed_store_matches_reference =
       && same (incremental false) (incremental true))
 
 let prop_decomposed_implies_matches_monolithic =
-  (* Gaifman-component decomposition (plus the fingerprint prescreen and
-     the connectivity-driven seed ordering) must agree with the
-     monolithic PR 2 solver on every verdict, in both directions. *)
+  (* Gaifman-component decomposition (plus the fingerprint prescreen)
+     must agree with the monolithic solver on every verdict, in both
+     directions. *)
   QCheck.Test.make ~count
     ~name:"Containment.implies: decomposed = monolithic, both directions"
     QCheck.(pair cq_arb cq_arb)
@@ -744,6 +749,161 @@ let prop_eval_zoo_certain_answers_agree =
               a.Portfolio.Strategy.tuples
           else true)
         [ None; Some pool4 ])
+
+(* ------------------------------------------------------------------ *)
+(* Containment across the probe's engine cutoff                        *)
+(* ------------------------------------------------------------------ *)
+
+(* Naive homomorphism existence: pattern atoms bound one at a time by
+   scanning the whole target, preferring an atom that shares a bound
+   variable (so connected patterns never enumerate cross products). *)
+let naive_hom_exists ~init pattern target =
+  let bound m t = Term.Map.mem t m in
+  let rec extend m xs ys =
+    match (xs, ys) with
+    | [], [] -> Some m
+    | x :: xs, y :: ys -> (
+        match Term.Map.find_opt x m with
+        | Some y' -> if Term.equal y y' then extend m xs ys else None
+        | None -> extend (Term.Map.add x y m) xs ys)
+    | _ -> None
+  in
+  let rec go m = function
+    | [] -> true
+    | pending ->
+        let a =
+          match
+            List.find_opt (fun a -> List.exists (bound m) (Atom.args a)) pending
+          with
+          | Some a -> a
+          | None -> List.hd pending
+        in
+        let rest = List.filter (fun b -> b != a) pending in
+        List.exists
+          (fun b ->
+            Symbol.equal (Atom.rel a) (Atom.rel b)
+            &&
+            match extend m (Atom.args a) (Atom.args b) with
+            | Some m' -> go m' rest
+            | None -> false)
+          target
+  in
+  go init pattern
+
+(* [implies target pattern]: a homomorphism pattern -> target fixing the
+   answer variables positionally. *)
+let naive_implies target pattern =
+  List.length (Cq.free target) = List.length (Cq.free pattern)
+  &&
+  let init =
+    List.fold_left2
+      (fun m v w -> Term.Map.add v w m)
+      Term.Map.empty (Cq.free pattern) (Cq.free target)
+  in
+  naive_hom_exists ~init (Cq.atoms pattern) (Cq.atoms target)
+
+(* A target body of 46-90 atoms (straddling the probe's 64-fact cutoff):
+   a path over random E/R edges or a width-w grid prefix (E along, R
+   across), with node variables folded modulo a period of at least 45
+   (repeated variables close long cycles without merging atoms), plus an
+   optional self-loop. The pattern is a connected walk through the
+   target, renamed apart — so it embeds — and then perturbed (a flipped
+   relation, a merged pair of variables, an extra edge), which is what
+   makes a good share of the verdicts negative. Both sides have one
+   answer variable or none. *)
+let containment_pair_gen =
+  QCheck.Gen.(
+    let* n = 46 -- 89 in
+    let* width = oneofl [ 0; 3; 4; 6 ] in
+    let* period = oneof [ return max_int; 45 -- 120 ] in
+    let* loop = bool in
+    let* rels = list_repeat n bool in
+    let* walk = list_size (1 -- 7) (int_bound 1_000) in
+    let* perturb = int_bound 3 in
+    let* pick = pair (int_bound 1_000) (int_bound 1_000) in
+    let* with_free = bool in
+    let node i = Term.var (Printf.sprintf "t%d" (i mod period)) in
+    let rel b = if b then e else r in
+    let edges =
+      List.mapi
+        (fun k b ->
+          if width = 0 then Atom.make (rel b) [ node k; node (k + 1) ]
+          else
+            (* grid prefix: cell k/2, rightward edge on even k, downward
+               on odd k *)
+            let cell = k / 2 in
+            if k mod 2 = 0 then Atom.make e [ node cell; node (cell + 1) ]
+            else Atom.make r [ node cell; node (cell + width) ])
+        rels
+      @ if loop then [ Atom.make r [ node 0; node 0 ] ] else []
+    in
+    let target_atoms = Array.of_list edges in
+    let shares a b =
+      List.exists (fun t -> List.exists (Term.equal t) (Atom.args b)) (Atom.args a)
+    in
+    let chosen =
+      List.fold_left
+        (fun acc step ->
+          let linked =
+            List.filter
+              (fun b -> List.exists (shares b) acc)
+              (Array.to_list target_atoms)
+          in
+          List.nth linked (step mod List.length linked) :: acc)
+        [ target_atoms.(List.hd walk mod Array.length target_atoms) ]
+        (List.tl walk)
+    in
+    let rename =
+      let tbl = Hashtbl.create 16 in
+      fun (t : Term.t) ->
+        match Hashtbl.find_opt tbl t.Term.id with
+        | Some u -> u
+        | None ->
+            let u = Term.var (Printf.sprintf "p%d" (Hashtbl.length tbl)) in
+            Hashtbl.add tbl t.Term.id u;
+            u
+    in
+    let start = Atom.arg (List.hd (List.rev chosen)) 0 in
+    let pattern = List.map (Atom.map_args rename) (List.rev chosen) in
+    let pvars = List.sort_uniq Term.compare (List.concat_map Atom.vars pattern) in
+    let pv i = List.nth pvars (i mod List.length pvars) in
+    let x = pv (fst pick) and y = pv (snd pick) in
+    let merge t = if perturb = 2 && Term.equal t y then x else t in
+    let pattern =
+      match perturb with
+      | 1 ->
+          (* flip the relation of one atom *)
+          List.mapi
+            (fun i a ->
+              if i = fst pick mod List.length pattern then
+                Atom.make
+                  (if Symbol.equal (Atom.rel a) e then r else e)
+                  (Atom.args a)
+              else a)
+            pattern
+      | 2 -> List.map (Atom.map_args merge) pattern
+      | 3 -> Atom.make e [ x; y ] :: pattern
+      | _ -> pattern
+    in
+    let free t = if with_free then [ t ] else [] in
+    return
+      ( Cq.make ~free:(free start) edges,
+        Cq.make ~free:(free (merge (rename start))) pattern ))
+
+let prop_containment_across_cutoff seed =
+  QCheck.Test.make ~count
+    ~name:
+      (Printf.sprintf
+         "Containment.implies on 40-90-atom targets = set_eval false = naive \
+          (seed %d)"
+         seed)
+    (QCheck.make
+       ~print:(fun (t, p) -> Fmt.str "target %a@.pattern %a" Cq.pp t Cq.pp p)
+       containment_pair_gen)
+    (fun (target, pattern) ->
+      let on = with_eval true (fun () -> Containment.implies target pattern) in
+      let off = with_eval false (fun () -> Containment.implies target pattern) in
+      on = off && on = naive_implies target pattern)
 
 (* ------------------------------------------------------------------ *)
 (* The pool primitives themselves                                      *)
@@ -1027,6 +1187,13 @@ let () =
             prop_eval_ucq_matches_boxed;
             prop_eval_zoo_certain_answers_agree;
           ] );
+      ( "containment",
+        List.map
+          (fun seed ->
+            QCheck_alcotest.to_alcotest
+              ~rand:(Random.State.make [| seed |])
+              (prop_containment_across_cutoff seed))
+          [ 1; 7; 42 ] );
       ( "pool",
         [ QCheck_alcotest.to_alcotest prop_pool_primitives ] );
       ( "faults",
