@@ -44,32 +44,12 @@ check-faults: build
 	  test $$? -eq 2 || exit 1; \
 	done
 
-# Saturation-kernel gate: the kernel unit tests, the differential
+# Saturation-kernel gate: the kernel unit tests, then the differential
 # property suite (kernel-based chase/rewriting vs the naive references,
-# -j1..-j4, fault seeds), then the ix and rw bench experiments re-run in
-# smoke sizing at -j1 and -j4 and compared against the recorded
-# snapshots — aggregate wall-clock drift beyond DRIFT_TOL (default 5%)
-# fails. A first run on a fresh checkout seeds the snapshots; run `make
-# bench-smoke` on the baseline commit to compare across commits.
-DRIFT_TOL ?= 0.05
-check-kernel: build | $(SNAPSHOTS)
+# -j1..-j4, fault seeds).
+check-kernel: build
 	dune exec test/test_guard.exe
 	FRONTIER_QCHECK_COUNT=50 dune exec test/test_properties.exe
-	for j in 1 4; do \
-	  echo "== bench drift gate, -j $$j =="; \
-	  FRONTIER_JOBS=$$j FRONTIER_BENCH_SMOKE=1 \
-	    FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-kernel-ix.json \
-	    dune exec bench/main.exe -- ix || exit 1; \
-	  FRONTIER_JOBS=$$j FRONTIER_BENCH_SMOKE=1 \
-	    FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-kernel-rw.json \
-	    dune exec bench/main.exe -- rw || exit 1; \
-	  python3 tools/bench_drift.py $(SNAPSHOTS)/bench-smoke.json \
-	    $(SNAPSHOTS)/bench-kernel-ix.json \
-	    --tolerance $(DRIFT_TOL) || exit 1; \
-	  python3 tools/bench_drift.py $(SNAPSHOTS)/bench-smoke-rw.json \
-	    $(SNAPSHOTS)/bench-kernel-rw.json \
-	    --tolerance $(DRIFT_TOL) || exit 1; \
-	done
 
 # Sharded-scheduler gate (mirrored by the CI shard job): the pool unit
 # suite (shard slicing, steal paths, dead-worker rescue, the [exists]
@@ -101,47 +81,25 @@ check-shard: build | $(SNAPSHOTS)
 	  $(SNAPSHOTS)/bench-shard-check.json \
 	  --tolerance $(SHARD_DRIFT_TOL)
 
-# Flat-arena gate (mirrored by the CI arena job): the arena unit suite
-# (interning, span decoding, posting intersections), the arena-vs-boxed
-# differential properties, then the arena A/B experiment in smoke sizing
-# — which itself exits nonzero if any boxed/arena stage comparison or
-# cost-gate criterion fails — drift-gated against the recorded smoke
-# snapshot. The committed BENCH_arena.json is the full-size run; the
-# smoke check writes bench-arena-check.json so it never clobbers it.
-ARENA_DRIFT_TOL ?= 0.25
-check-arena: build | $(SNAPSHOTS)
+# Flat-arena gate: the arena unit suite (interning, span decoding,
+# posting intersections), then the differential properties (the
+# register machine and the chase against the naive references).
+check-arena: build
 	dune exec test/test_arena.exe
 	FRONTIER_QCHECK_COUNT=25 dune exec test/test_properties.exe
-	FRONTIER_BENCH_SMOKE=1 \
-	  FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-arena-check.json \
-	  dune exec bench/main.exe -- arena
-	python3 tools/bench_drift.py $(SNAPSHOTS)/bench-smoke-arena.json \
-	  $(SNAPSHOTS)/bench-arena-check.json \
-	  --tolerance $(ARENA_DRIFT_TOL)
 
-# Plan-layer gate (mirrored by the CI eval job): the eval unit suite
-# (plan compilation, leapfrog-vs-reference answers, guard salvage, the
+# Plan-layer gate: the eval unit suite (plan compilation, answers
+# against the Cq reference, the fallback plan, guard salvage, the
 # containment probe), the eval differential properties (leapfrog =
-# boxed = Cq.answers on random and seeded instances; rewrite-then-
-# evaluate = chase-then-query across the zoo at -j1/-j4), a CLI smoke
-# of `frontier answer` on a generated grid, then the eval A/B
-# experiment in smoke sizing — which itself exits nonzero on any
-# answer mismatch — drift-gated against the recorded smoke snapshot.
-# The committed BENCH_eval.json is the full-size run; the smoke check
-# writes bench-eval-check.json so it never clobbers it.
-EVAL_DRIFT_TOL ?= 0.25
-check-eval: build | $(SNAPSHOTS)
+# naive enumerator = Cq.answers on random and seeded instances;
+# rewrite-then-evaluate = chase-then-query across the zoo at -j1/-j4),
+# then a CLI smoke of `frontier answer` on a generated grid.
+check-eval: build
 	dune exec test/test_eval.exe
 	FRONTIER_QCHECK_COUNT=25 dune exec test/test_properties.exe -- test eval
 	dune exec bin/frontier_cli.exe -- answer \
 	  -t 'E(x,y) -> exists z. E(y,z)' -q '(x,y) :- E(x,z), E(z,y)' \
 	  --gen grid --gen-size 60 --compare --stats
-	FRONTIER_BENCH_SMOKE=1 \
-	  FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-eval-check.json \
-	  dune exec bench/main.exe -- eval
-	python3 tools/bench_drift.py $(SNAPSHOTS)/bench-smoke-eval.json \
-	  $(SNAPSHOTS)/bench-eval-check.json \
-	  --tolerance $(EVAL_DRIFT_TOL)
 
 # Portfolio gate (mirrored by the CI portfolio job): the checker /
 # selector / minimizer / repro unit suites, the zoo classification
@@ -174,29 +132,12 @@ check-resume: build
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
 
-# Quick A/B passes on reduced workloads; each experiment emits a JSON
-# snapshot (counters + timings) suitable for archiving as a CI artifact:
-#   ix     incremental fact-set indexing + containment memoization
-#   rw     subsumption-indexed UCQ store + decomposed containment solver
-#   shard  sharded work-stealing pool, -j1 vs -j4 differential
-#   arena  flat-arena + compiled joins vs boxed, cost-gated -j4
-#   eval   leapfrog plan layer vs boxed enumeration + answer pipeline
+# The shard experiment on reduced workloads: records the JSON snapshot
+# (counters + timings) that `make check-shard` gates against.
 bench-smoke: | $(SNAPSHOTS)
-	FRONTIER_BENCH_SMOKE=1 \
-		FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-smoke.json \
-		dune exec bench/main.exe -- ix
-	FRONTIER_BENCH_SMOKE=1 \
-		FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-smoke-rw.json \
-		dune exec bench/main.exe -- rw
 	FRONTIER_BENCH_SMOKE=1 \
 		FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-smoke-shard.json \
 		dune exec bench/main.exe -- shard
-	FRONTIER_BENCH_SMOKE=1 \
-		FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-smoke-arena.json \
-		dune exec bench/main.exe -- arena
-	FRONTIER_BENCH_SMOKE=1 \
-		FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-smoke-eval.json \
-		dune exec bench/main.exe -- eval
 
 examples:
 	dune exec examples/quickstart.exe

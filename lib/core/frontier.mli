@@ -49,7 +49,7 @@ module Eval = Eval
     and is the single entry point for answering a rewriting over data —
     {!certain_answers} and {!answer_via_rewriting} below run on it, as
     do the chase's trigger matching and the containment solver's
-    existence probes (legacy engines stay behind [Eval.set_eval]). *)
+    existence probes. *)
 
 module Chase_engine = Chase.Engine
 module Entailment = Chase.Entailment

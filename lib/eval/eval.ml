@@ -1,8 +1,5 @@
 open Logic
 
-let set_eval = Eval_hook.set_eval
-let eval_enabled = Eval_hook.eval_enabled
-
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -56,9 +53,8 @@ type compiled = {
   parts : int array array;  (* level -> indices of atoms binding it *)
 }
 
-(* A plan always keeps the pieces the legacy boxed engine needs, so the
-   [set_eval] A/B toggle (and queries the leapfrog engine declines) can
-   fall back without recompiling. *)
+(* A plan always keeps the pieces the register-machine search needs, so
+   a query the leapfrog compiler declines still runs (see [run_fallback]). *)
 type plan = {
   p_init : Term.t Term.Map.t;
   p_flexible : Term.Set.t;
@@ -246,7 +242,7 @@ module Plan = struct
 
   let pp ppf p =
     match p.p_compiled with
-    | None -> Fmt.pf ppf "<legacy plan: %d atoms>" (List.length p.p_pattern)
+    | None -> Fmt.pf ppf "<fallback plan: %d atoms>" (List.length p.p_pattern)
     | Some c ->
         Fmt.pf ppf "<leapfrog plan: %d atoms, order [%a], %d answer slots>"
           (Array.length c.patoms)
@@ -297,8 +293,7 @@ module Prepared = struct
           !buf.(!n) <- id;
           incr n
         in
-        Fact_set.iter_candidate_rows t.fs rel ~bound:[]
-          (fun _atoms ids row ->
+        Fact_set.iter_rows t.fs rel (fun _atoms ids row ->
             if arity = 0 then push 0
             else
               for p = 0 to arity - 1 do
@@ -346,9 +341,9 @@ end
 (* Prepared views are cached per fact set (physical identity, a small
    move-to-front LRU): repeated queries against one instance — the
    answer pipeline's evaluate-then-compare passes, repeated CQ calls on
-   a chase result, the benchmark's A/B reps — amortize the sorted-view
-   build exactly as the boxed engine amortizes its join index inside
-   [Fact_set]. Small sets skip the cache: their build is cheaper than
+   a chase result, a benchmark's repetitions — amortize the sorted-view
+   build exactly as the register machine amortizes its join index
+   inside [Fact_set]. Small sets skip the cache: their build is cheaper than
    the eviction pressure they would put on the million-fact entries
    (containment probes churn through thousands of tiny targets). The
    size is only taken on a miss: [Fact_set.cardinal] walks the whole
@@ -617,19 +612,23 @@ let run_compiled ?guard ?limit c prepared =
   | Limit -> finish false
 
 (* ------------------------------------------------------------------ *)
-(* Legacy (boxed) execution — the [set_eval false] reference           *)
+(* Fallback for bodies the leapfrog compiler declines                  *)
 (* ------------------------------------------------------------------ *)
 
-let legacy_problem p target =
+(* [compile_body] declines an empty body and an argument it cannot key
+   on (a functional term with a bindable variable inside, or an answer
+   variable with no direct occurrence). Those plans enumerate through
+   the register-machine search and project each homomorphism. *)
+let fallback_problem p target =
   Homomorphism.make ~init:p.p_init ~flexible:p.p_flexible
     ~pattern:p.p_pattern ~target ()
 
-let run_legacy ?guard p prepared =
+let run_fallback ?guard p prepared =
   let seen = ref 0 in
   let acc = ref [] in
   let tripped = ref false in
   (try
-     Homomorphism.iter (legacy_problem p (Prepared.fact_set prepared))
+     Homomorphism.iter (fallback_problem p (Prepared.fact_set prepared))
        (fun m ->
          incr seen;
          (match guard with
@@ -643,8 +642,8 @@ let run_legacy ?guard p prepared =
 
 let run_plan ?guard ?limit p prepared =
   match p.p_compiled with
-  | Some c when eval_enabled () -> run_compiled ?guard ?limit c prepared
-  | _ -> run_legacy ?guard p prepared
+  | Some c -> run_compiled ?guard ?limit c prepared
+  | None -> run_fallback ?guard p prepared
 
 let outcome_of ?guard tuples =
   match guard with
@@ -656,15 +655,16 @@ let run ?guard p prepared =
   outcome_of ?guard tuples
 
 (* Boolean existence: an empty answer prefix and a tuple limit of one,
-   so the join stops at the first witness. The legacy arm uses the
-   engine's own early-exit [exists]. *)
+   so the join stops at the first witness. The fallback uses the
+   register machine's own early-exit [exists]. *)
 let exists_pieces ~init ~flexible atoms prepared =
   let p = compile_pieces ~init ~flexible ~free:[] atoms in
   match p.p_compiled with
-  | Some c when eval_enabled () ->
+  | Some c ->
       let tuples, _ = run_compiled ~limit:1 c prepared in
       tuples <> []
-  | _ -> Homomorphism.exists (legacy_problem p (Prepared.fact_set prepared))
+  | None ->
+      Homomorphism.exists (fallback_problem p (Prepared.fact_set prepared))
 
 (* ------------------------------------------------------------------ *)
 (* CQ / UCQ entry points                                               *)
@@ -820,9 +820,7 @@ let probe_leapfrog_min = 64
 
 let containment_probe ?(force_leapfrog = false) () : Eval_hook.probe =
  fun ~init ~flexible ~pattern ~target ->
-  if
-    (not (Eval_hook.eval_enabled ()))
-    || ((not force_leapfrog) && Fact_set.cardinal target < probe_leapfrog_min)
+  if (not force_leapfrog) && Fact_set.cardinal target < probe_leapfrog_min
   then None
   else
     match compile_body ~init ~flexible ~out:[] pattern with

@@ -20,18 +20,11 @@
     {!Eval_hook} for the containment solver: it looks at the target size
     first and declines targets below {!probe_leapfrog_min} facts without
     compiling anything, so the solver's own register-machine search
-    decides them; larger targets run a compiled leapfrog plan. The
-    legacy boxed paths remain reachable only through the {!set_eval}
-    A/B toggle. *)
+    decides them; larger targets run a compiled leapfrog plan. A body
+    the leapfrog compiler cannot represent (see {!Plan.compiled})
+    enumerates through the register-machine search instead. *)
 
 open Logic
-
-val set_eval : bool -> unit
-(** A/B switch (same pattern as {!Fact_set.set_arena}): [false] routes
-    {!answers}, {!holds}, the UCQ evaluators and the containment probe
-    back onto the legacy boxed enumeration. Defaults to [true]. *)
-
-val eval_enabled : unit -> bool
 
 (** {1 Plans} *)
 
@@ -42,19 +35,19 @@ module Plan : sig
   (** Compile [q] (with the [init]-bound variables frozen to their
       images) into an executable plan. Queries the leapfrog engine
       cannot represent (an argument that is neither a bindable variable
-      nor a closed term) compile to a legacy-engine plan instead —
+      nor a closed term) compile to a fallback plan instead —
       {!compiled} tells them apart. *)
 
   val compiled : t -> bool
-  (** [true]: the plan runs on the leapfrog join; [false]: it delegates
-      to the boxed homomorphism enumeration. *)
+  (** [true]: the plan runs on the leapfrog join; [false]: it
+      enumerates through the register-machine homomorphism search. *)
 
   val order : t -> Term.t list
   (** The global variable elimination order: connectivity-greedy from
       the most-occurring variable, so each level's frontier is
       constrained by the levels above it. Answer tuples are projections
       of the full join, deduplicated as rows are emitted. Empty for
-      legacy plans. *)
+      fallback plans. *)
 
   val pp : t Fmt.t
 end
@@ -64,8 +57,8 @@ end
     (relation, key order) under a per-view mutex, so pool workers can
     share one view. The CQ/UCQ entry points below cache views per fact
     set (physical identity, small LRU) — repeated queries against one
-    instance amortize the sort the same way the boxed engine amortizes
-    its join index. *)
+    instance amortize the sort the same way {!Fact_set} amortizes its
+    join index. *)
 module Prepared : sig
   type t
 
@@ -88,8 +81,7 @@ val run :
 (** {1 CQ / UCQ evaluation}
 
     Drop-in equivalents of [Cq.holds]/[Cq.answers]/[Ucq.boolean_holds],
-    executing through plans (or through the legacy engine when
-    {!eval_enabled} is off — results are identical either way). *)
+    executing through plans. *)
 
 val answers : ?guard:Guard.t -> Cq.t -> Fact_set.t -> Term.t list list
 (** All distinct answer tuples, like {!Cq.answers}. On a guard trip the
@@ -164,12 +156,11 @@ val probe_leapfrog_min : int
 
 val containment_probe : ?force_leapfrog:bool -> unit -> Eval_hook.probe
 (** The probe registered in {!Eval_hook} at initialization. A target
-    with fewer than {!probe_leapfrog_min} facts, a pattern the join
-    cannot represent, or {!set_eval} off answer [None] before any plan
-    is compiled; otherwise the verdict is the leapfrog join's.
+    with fewer than {!probe_leapfrog_min} facts or a pattern the join
+    cannot represent answer [None] before any plan is compiled;
+    otherwise the verdict is the leapfrog join's.
     [~force_leapfrog:true] drops the size test, for measuring the
-    leapfrog arm on small targets ([set_eval false] measures the
-    register machine's). *)
+    leapfrog arm on small targets. *)
 
 (** {1 Instrumentation}
 

@@ -1,8 +1,8 @@
 (** The flat atom arena: a Bigarray-backed, append-only int-packed store
     in which every interned atom is one contiguous span of a flat [int]
     array — [sym_id; arity; arg term ids...] — with O(1) id↔span lookup
-    both ways. Fact-set tables built in arena mode
-    ({!Fact_set.set_arena}) store plain atom-id rows into this store,
+    both ways. Every {!Fact_set} index table stores plain atom-id rows
+    into this store,
     and the compiled homomorphism join decodes arguments with two array
     reads instead of chasing [Atom.t]/[Term.t] pointers.
 

@@ -1,30 +1,6 @@
-let hom_problem ~from ~into ~extra_ok =
-  (* A homomorphism from query [from] to query [into], mapping answer
-     variables positionally. *)
-  if List.length (Cq.free from) <> List.length (Cq.free into) then None
-  else
-    let init =
-      List.fold_left2
-        (fun m v w -> Term.Map.add v w m)
-        Term.Map.empty (Cq.free from) (Cq.free into)
-    in
-    Some
-      (Homomorphism.make ~init ~image_ok:extra_ok
-         ~flexible:(Cq.var_set from)
-         ~pattern:(Cq.atoms from)
-         ~target:(Cq.as_fact_set into) ())
-
 (* ------------------------------------------------------------------ *)
 (* Decomposed solving                                                  *)
 (* ------------------------------------------------------------------ *)
-
-(* A/B switch over the solver-side accelerations: the
-   fingerprint prescreen ([Cq.hom_feasible]), the component
-   decomposition of the pattern. Off restores the monolithic engine
-   verbatim. *)
-let decomp_on = Atomic.make true
-let set_decomposition b = Atomic.set decomp_on b
-let decomposition_enabled () = Atomic.get decomp_on
 
 type solver_stats = { splits : int; prescreened : int }
 
@@ -56,11 +32,9 @@ let exists_decomposed ~from ~into ~init =
        then, and in programs that never link the plan layer, the
        in-library search runs. *)
     let planned =
-      if Eval_hook.eval_enabled () then
-        match Eval_hook.probe () with
-        | Some probe -> probe ~init ~flexible ~pattern:atoms ~target
-        | None -> None
-      else None
+      match Eval_hook.probe () with
+      | Some probe -> probe ~init ~flexible ~pattern:atoms ~target
+      | None -> None
     in
     match planned with
     | Some verdict -> verdict
@@ -90,25 +64,20 @@ let implies q1 q2 =
      occur in [q1]. One [land] on cached signature fingerprints rejects
      most negative checks before any search. *)
   Cq.sig_mask q2 land lnot (Cq.sig_mask q1) = 0
+  && List.length (Cq.free q2) = List.length (Cq.free q1)
   &&
-  if Atomic.get decomp_on then
-    if List.length (Cq.free q2) <> List.length (Cq.free q1) then false
-    else if not (Cq.hom_feasible ~from:q2 ~into:q1) then begin
-      (* Anchor or distance-profile refutation: no search at all. *)
-      Atomic.incr c_prescreened;
-      false
-    end
-    else
-      let init =
-        List.fold_left2
-          (fun m v w -> Term.Map.add v w m)
-          Term.Map.empty (Cq.free q2) (Cq.free q1)
-      in
-      exists_decomposed ~from:q2 ~into:q1 ~init
+  if not (Cq.hom_feasible ~from:q2 ~into:q1) then begin
+    (* Anchor or distance-profile refutation: no search at all. *)
+    Atomic.incr c_prescreened;
+    false
+  end
   else
-    match hom_problem ~from:q2 ~into:q1 ~extra_ok:(fun _ _ -> true) with
-    | None -> false
-    | Some p -> Homomorphism.exists p
+    let init =
+      List.fold_left2
+        (fun m v w -> Term.Map.add v w m)
+        Term.Map.empty (Cq.free q2) (Cq.free q1)
+    in
+    exists_decomposed ~from:q2 ~into:q1 ~init
 
 (* ------------------------------------------------------------------ *)
 (* Memoized containment                                                *)
@@ -127,9 +96,6 @@ let implies q1 q2 =
 
 type memo_stats = { hits : int; misses : int; entries : int }
 
-let memo_on = Atomic.make true
-let set_memoization b = Atomic.set memo_on b
-let memoization_enabled () = Atomic.get memo_on
 let m_hits = Atomic.make 0
 let m_misses = Atomic.make 0
 
@@ -167,7 +133,6 @@ let reset_memo () =
 let implies_memo q1 q2 =
   if q1 == q2 then true
   else if List.length (Cq.free q1) <> List.length (Cq.free q2) then false
-  else if not (Atomic.get memo_on) then implies q1 q2
   else
     let k1 = Cq.canon_id q1 and k2 = Cq.canon_id q2 in
     if k1 = k2 then true (* isomorphic, hence mutually containing *)
@@ -200,7 +165,6 @@ let memo_probe q1 q2 =
   if q1 == q2 then Some true
   else if List.length (Cq.free q1) <> List.length (Cq.free q2) then
     Some false
-  else if not (Atomic.get memo_on) then None
   else
     let k1 = Cq.canon_id q1 and k2 = Cq.canon_id q2 in
     if k1 = k2 then Some true (* isomorphic, hence mutually containing *)
@@ -215,14 +179,13 @@ let memo_probe q1 q2 =
 
 let equivalent q1 q2 = implies q1 q2 && implies q2 q1
 
-(* NB: [isomorphic] stays monolithic even with decomposition on — the
-   injectivity requirement couples components, so they cannot be solved
-   independently. Invariants still apply as *prescreens*: the 1-WL
-   color-refinement arrays must agree (this is what separates same-shape
-   queries that differ only in which symmetric node carries a
-   distinguishing atom — the dominant refutation case when classifying
-   markings), and an isomorphism is in particular a homomorphism each
-   way, so both directions must be hom-feasible. With the toggle on the
+(* Injectivity couples the components of the pattern, so [isomorphic]
+   cannot be solved one component at a time. Invariants still apply as
+   *prescreens*: the 1-WL color-refinement arrays must agree (this is
+   what separates same-shape queries that differ only in which symmetric
+   node carries a distinguishing atom — the dominant refutation case when
+   classifying markings), and an isomorphism is in particular a
+   homomorphism each way, so both directions must be hom-feasible. The
    search itself then runs in injective mode, failing a clashing binding
    the moment it is attempted instead of enumerating every (mostly
    non-injective) homomorphism and filtering afterwards. *)
@@ -230,40 +193,24 @@ let isomorphic q1 q2 =
   Cq.size q1 = Cq.size q2
   && List.length (Cq.vars q1) = List.length (Cq.vars q2)
   && String.equal (Cq.iso_key q1) (Cq.iso_key q2)
+  && List.length (Cq.free q1) = List.length (Cq.free q2)
+  && Cq.wl_equal q1 q2
+  && Cq.hom_feasible ~from:q1 ~into:q2
+  && Cq.hom_feasible ~from:q2 ~into:q1
   &&
-  if Atomic.get decomp_on then
-    List.length (Cq.free q1) = List.length (Cq.free q2)
-    && Cq.wl_equal q1 q2
-    && Cq.hom_feasible ~from:q1 ~into:q2
-    && Cq.hom_feasible ~from:q2 ~into:q1
-    &&
-    let init =
-      List.fold_left2
-        (fun m v w -> Term.Map.add v w m)
-        Term.Map.empty (Cq.free q1) (Cq.free q2)
-    in
-    let target = Cq.as_fact_set q2 in
-    (try
-       Homomorphism.iter_multi ~init ~injective:true
-         ~flexible:(Cq.var_set q1)
-         ~pattern:(List.map (fun a -> (a, target)) (Cq.atoms q1))
-         ~domain_bindings:[]
-         (fun _ -> raise Found);
-       false
-     with Found -> true)
-  else
-    match hom_problem ~from:q1 ~into:q2 ~extra_ok:(fun _ _ -> true) with
-    | None -> false
-    | Some p -> (
-        let injective m =
-          let images = Term.Map.fold (fun _ u acc -> u :: acc) m [] in
-          List.length images
-          = Term.Set.cardinal (Term.Set.of_list images)
-        in
-        try
-          Homomorphism.iter p (fun m -> if injective m then raise Found);
-          false
-        with Found -> true)
+  let init =
+    List.fold_left2
+      (fun m v w -> Term.Map.add v w m)
+      Term.Map.empty (Cq.free q1) (Cq.free q2)
+  in
+  let target = Cq.as_fact_set q2 in
+  try
+    Homomorphism.iter_multi ~init ~injective:true ~flexible:(Cq.var_set q1)
+      ~pattern:(List.map (fun a -> (a, target)) (Cq.atoms q1))
+      ~domain_bindings:[]
+      (fun _ -> raise Found);
+    false
+  with Found -> true
 
 let core_of_query q =
   let redundant q atom =
@@ -279,10 +226,7 @@ let core_of_query q =
            isomorphic subquery pairs). The subsumption-index fingerprint
            probe refutes most non-redundant candidates before even the
            memo table is consulted. *)
-        if
-          decomposition_enabled ()
-          && not (Ucq_index.pair_feasible ~from:q ~into:smaller)
-        then None
+        if not (Ucq_index.pair_feasible ~from:q ~into:smaller) then None
         else if implies_memo smaller q then Some smaller
         else None
   in

@@ -11,14 +11,12 @@ val implies : Cq.t -> Cq.t -> bool
 (** [implies q1 q2]: answers(q1) is a subset of answers(q2) on every
     structure. Requires equally long free-variable lists.
 
-    With {!set_decomposition} on (the default), the certifying
-    homomorphism search is prescreened by the fingerprint battery of
-    {!Cq.hom_feasible}, decomposed into the connected components of the
-    pattern's Gaifman graph (solved independently, smallest first, with
-    early exit on the first failing component), and each component goes
-    to the plan layer's probe ({!Eval_hook}) or, for targets it
-    declines, to the register-machine search. The verdict is identical
-    either way. *)
+    The certifying homomorphism search is prescreened by the fingerprint
+    battery of {!Cq.hom_feasible}, decomposed into the connected
+    components of the pattern's Gaifman graph (solved independently,
+    smallest first, with early exit on the first failing component), and
+    each component goes to the plan layer's probe ({!Eval_hook}) or, for
+    targets it declines, to the register-machine search. *)
 
 val implies_memo : Cq.t -> Cq.t -> bool
 (** [implies] with the verdict memoized under the pair of canonical query
@@ -53,33 +51,14 @@ val memo_stats : unit -> memo_stats
 val reset_memo : unit -> unit
 (** Empty the containment cache and zero the hit/miss counters. *)
 
-val set_memoization : bool -> unit
-(** A/B switch for benchmarking: [set_memoization false] makes
-    [implies_memo] recompute every verdict (the cache is neither read nor
-    written). Defaults to [true]. *)
-
-val memoization_enabled : unit -> bool
-(** Current state of the {!set_memoization} switch — lets dependent caches
-    (e.g. the rewriting engines' candidate dedup) follow the same A/B
-    toggle. *)
-
 (** {1 Decomposed solving} *)
-
-val set_decomposition : bool -> unit
-(** A/B switch over the solver-side accelerations of {!implies}: the
-    fingerprint prescreen and the Gaifman-component decomposition of the
-    pattern. [set_decomposition false] restores the monolithic solver
-    verbatim. Defaults to [true]. Verdicts are identical either way —
-    the property the differential suite checks. *)
-
-val decomposition_enabled : unit -> bool
 
 type solver_stats = {
   splits : int;
       (** [implies] calls whose pattern split into >= 2 components *)
   prescreened : int;
-      (** [implies] calls refuted by anchor/distance fingerprints alone
-          (beyond the [sig_mask] test the monolithic path also has) *)
+      (** [implies] calls refuted by anchor/distance fingerprints alone,
+          after passing the cheaper [sig_mask] test *)
 }
 
 val solver_stats : unit -> solver_stats

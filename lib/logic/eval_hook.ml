@@ -1,7 +1,3 @@
-let enabled = Atomic.make true
-let set_eval b = Atomic.set enabled b
-let eval_enabled () = Atomic.get enabled
-
 type probe =
   init:Term.t Term.Map.t ->
   flexible:Term.Set.t ->

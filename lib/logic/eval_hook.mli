@@ -6,17 +6,7 @@
     cycle: [Eval] registers a probe closure here at module
     initialization, and [Containment] consults it — falling back to the
     in-library engine when nothing is registered (a program that never
-    links [eval]) or when the A/B toggle is off.
-
-    The toggle itself also lives here so that both sides of the layer
-    boundary observe one switch: [Eval.set_eval] is this [set_eval]. *)
-
-val set_eval : bool -> unit
-(** A/B switch (same pattern as {!Fact_set.set_arena}): [false] restores
-    the legacy boxed/register-machine matching everywhere the plan layer
-    would otherwise run. Defaults to [true]. *)
-
-val eval_enabled : unit -> bool
+    links [eval]) or when the probe declines. *)
 
 type probe =
   init:Term.t Term.Map.t ->

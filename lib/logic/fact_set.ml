@@ -13,33 +13,21 @@
    most of the set (filter, inter, large diffs) return an unindexed set
    whose index is rebuilt lazily on first use.
 
-   Layers come in two representations, selected by [set_arena] at build
-   time (a stack may mix them across a toggle flip; every reader
-   branches per layer):
+   Each fact is interned once into the global {!Arena} (one flat int
+   span per atom, process-wide). A layer keeps a single packed table per
+   relation ([atoms], the contiguous [ids] slab projected from the arena
+   spans, and the arena ids [arows]), and its join index is a table of
+   *postings* — ascending [int array]s of rows into the relation table,
+   keyed exactly on the hash-consed term id, so a single-constraint
+   lookup needs no post-filtering. A posting costs one int per (fact,
+   position), and multi-constraint joins intersect two sorted postings
+   instead of scanning and filtering.
 
-   - *Boxed* (the pre-arena layout): the join index is a hash table
-     keyed by (Symbol.id, term.id * arity + pos) whose buckets each
-     duplicate the matching facts — an [Atom.t array] plus a row-major
-     [int array] of argument-term ids. Exact single-constraint lookups,
-     but every fact is stored once per argument position.
-
-   - *Arena* (the default): each fact is interned once into the global
-     {!Arena} (one flat int span per atom, process-wide), the layer
-     keeps a single packed table per relation ([atoms], the contiguous
-     [ids] slab projected from the arena spans, and the arena ids
-     [arows]), and the join index is a table of *postings* — ascending
-     [int array]s of rows into the relation table. A posting costs one
-     int per (fact, position) instead of a duplicated fact, and
-     multi-constraint joins can intersect two sorted postings instead
-     of scanning and filtering.
-
-   Both join indexes are keyed exactly on the hash-consed term id, so a
-   single-constraint lookup needs no post-filtering. Enumeration order
-   is representation-independent: a relation table lists a layer's facts
-   newest-first, each posting (or duplicated bucket) visits matching
-   facts in that same relative order, so the filtered candidate
-   sequence is identical in both modes — which is what keeps chase
-   stages bit-identical under the arena A/B toggle. *)
+   Enumeration order is canonical: a relation table lists a layer's facts
+   newest-first and each posting visits matching rows in that same
+   relative order, so the filtered candidate sequence of a layer does not
+   depend on which constraint seeds the lookup. Chase stages are
+   bit-identical across [-j] because of this. *)
 
 (* ------------------------------------------------------------------ *)
 (* Instrumentation                                                     *)
@@ -87,50 +75,32 @@ let reset_counters () =
   Atomic.set c_posting_probes 0;
   Atomic.set c_posting_intersections 0
 
-(* Kill switch for A/B benchmarking: with incremental maintenance off,
-   every operation returns an unindexed set (pre-incremental behaviour:
-   the index of each derived set is rebuilt from scratch on demand). *)
-let incremental = Atomic.make true
-let set_incremental b = Atomic.set incremental b
-
-(* A/B switch between the arena layer layout (default) and the boxed
-   pre-arena layout. Checked when a layer is built; already-built layers
-   keep their representation. *)
-let arena_mode = Atomic.make true
-let set_arena b = Atomic.set arena_mode b
-let arena_enabled () = Atomic.get arena_mode
-
 (* ------------------------------------------------------------------ *)
 (* Layers                                                              *)
 (* ------------------------------------------------------------------ *)
 
-(* A packed bucket: the facts of one (layer, key) as an [Atom.t array]
-   plus a parallel row-major [int array] of their hash-consed
-   argument-term ids ([ids.(row * arity + pos)]). The join inner loop —
-   reject a candidate fact because some argument does not match — runs
-   entirely over the contiguous [ids] slab (one int compare per
-   constraint, cache-line friendly) instead of chasing
-   [Atom.t -> Term.t] pointers per position per fact. In arena mode,
-   [arows.(row)] is the row's atom id in {!Arena.global} (the [ids]
-   slab is exactly the concatenation of those spans' argument slots);
-   in boxed mode [arows] is empty. [n] is cached: seed selection
-   compares bucket sizes, which must not cost anything. *)
+(* A packed relation table: the facts of one (layer, relation) as an
+   [Atom.t array] plus a parallel row-major [int array] of their
+   hash-consed argument-term ids ([ids.(row * arity + pos)]). The join
+   inner loop — reject a candidate fact because some argument does not
+   match — runs entirely over the contiguous [ids] slab (one int compare
+   per constraint, cache-line friendly) instead of chasing
+   [Atom.t -> Term.t] pointers per position per fact. [arows.(row)] is
+   the row's atom id in {!Arena.global} (the [ids] slab is exactly the
+   concatenation of those spans' argument slots). [n] is cached: seed
+   selection compares table sizes, which must not cost anything. *)
 type bucket = { n : int; atoms : Atom.t array; ids : int array; arows : int array }
 
 type layer = {
   lsize : int;  (* atoms in this layer *)
-  l_arena : bool;  (* which join index this layer carries *)
   l_syms : Symbol.t list;  (* distinct relation symbols in this layer *)
   l_rel : (int, bucket) Hashtbl.t;  (* Symbol.id -> facts *)
-  l_pos : (int * int, bucket) Hashtbl.t;
-      (* boxed join index:
-         (Symbol.id, term.id * arity + pos) -> facts with term at pos *)
   l_posts : (int * int, int array) Hashtbl.t;
-      (* arena join index: same key -> ascending rows of the relation's
-         [l_rel] bucket *)
+      (* join index: (Symbol.id, term.id * arity + pos) -> ascending rows
+         of the relation's [l_rel] table holding that term at [pos] *)
 }
 
-(* Frozen after construction: every mutation of [l_rel]/[l_pos]/[l_posts]
+(* Frozen after construction: every mutation of [l_rel]/[l_posts]
    happens inside the [layer_of_*] / [merge_layers] builders below. *)
 
 (* Mutable accumulator used only while a layer is being built; frozen
@@ -146,15 +116,15 @@ let proto_cons tbl key atom =
       p.pn <- p.pn + 1;
       p.pitems <- atom :: p.pitems
 
-let pack_bucket ~arena arity p =
+let pack_bucket arity p =
   let n = p.pn in
   let atoms = Array.make n (List.hd p.pitems) in
   let ids = Array.make (n * arity) 0 in
-  let arows = if arena then Array.make n 0 else [||] in
+  let arows = Array.make n 0 in
   List.iteri
     (fun row (a : Atom.t) ->
       atoms.(row) <- a;
-      if arena then arows.(row) <- Arena.intern Arena.global a;
+      arows.(row) <- Arena.intern Arena.global a;
       let args = a.Atom.args in
       for pos = 0 to arity - 1 do
         ids.((row * arity) + pos) <- args.(pos).Term.id
@@ -162,9 +132,8 @@ let pack_bucket ~arena arity p =
     p.pitems;
   { n; atoms; ids; arows }
 
-(* The arena-mode join index of one relation bucket: ascending row
-   postings per (term, position), read straight off the packed [ids]
-   slab. *)
+(* The join index of one relation table: ascending row postings per
+   (term, position), read straight off the packed [ids] slab. *)
 let postings_of_bucket l_posts sid arity (b : bucket) =
   if arity > 0 then begin
     let acc : (int, int list) Hashtbl.t = Hashtbl.create (2 * b.n) in
@@ -184,149 +153,91 @@ let postings_of_bucket l_posts sid arity (b : bucket) =
   end
 
 let layer_of_iter ~size iter =
-  let arena = arena_enabled () in
   let p_rel : (int, proto) Hashtbl.t = Hashtbl.create ((size / 4) + 8) in
-  let p_pos : (int * int, proto) Hashtbl.t =
-    if arena then Hashtbl.create 1 else Hashtbl.create ((2 * size) + 8)
-  in
   let arities : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let syms = ref [] in
   iter (fun atom ->
       let rel = Atom.rel atom in
       let sid = Symbol.id rel in
-      let arity = Symbol.arity rel in
       if not (Hashtbl.mem arities sid) then begin
         syms := rel :: !syms;
-        Hashtbl.replace arities sid arity
+        Hashtbl.replace arities sid (Symbol.arity rel)
       end;
-      proto_cons p_rel sid atom;
-      if not arena then
-        List.iteri
-          (fun pos (term : Term.t) ->
-            proto_cons p_pos (sid, (term.Term.id * arity) + pos) atom)
-          (Atom.args atom));
+      proto_cons p_rel sid atom);
   let l_rel = Hashtbl.create (Hashtbl.length p_rel + 1) in
   Hashtbl.iter
     (fun sid p ->
-      Hashtbl.replace l_rel sid
-        (pack_bucket ~arena (Hashtbl.find arities sid) p))
+      Hashtbl.replace l_rel sid (pack_bucket (Hashtbl.find arities sid) p))
     p_rel;
-  let l_pos = Hashtbl.create (if arena then 1 else Hashtbl.length p_pos + 1) in
-  if not arena then
-    Hashtbl.iter
-      (fun ((sid, _) as key) p ->
-        Hashtbl.replace l_pos key
-          (pack_bucket ~arena:false (Hashtbl.find arities sid) p))
-      p_pos;
-  let l_posts = Hashtbl.create (if arena then (2 * size) + 8 else 1) in
-  if arena then
-    Hashtbl.iter
-      (fun sid b -> postings_of_bucket l_posts sid (Hashtbl.find arities sid) b)
-      l_rel;
-  { lsize = size; l_arena = arena; l_syms = !syms; l_rel; l_pos; l_posts }
+  let l_posts = Hashtbl.create ((2 * size) + 8) in
+  Hashtbl.iter
+    (fun sid b -> postings_of_bucket l_posts sid (Hashtbl.find arities sid) b)
+    l_rel;
+  { lsize = size; l_syms = !syms; l_rel; l_posts }
 
 let layer_of_list atoms n = layer_of_iter ~size:n (fun f -> List.iter f atoms)
 
 let layer_of_set set =
   layer_of_iter ~size:(Atom.Set.cardinal set) (fun f -> Atom.Set.iter f set)
 
-(* Merge [newer] onto [older]: bucket items of the newer layer stay in
-   front, preserving the probe order of the unmerged stack. Same-mode
-   stacks merge structurally; a mixed pair (only possible across a
-   [set_arena] flip) is rebuilt from scratch in the current mode. *)
+(* Merge [newer] onto [older]: rows of the newer layer stay in front,
+   preserving the probe order of the unmerged stack. *)
 let merge_append (v : bucket) (old : bucket) =
   {
     n = v.n + old.n;
     atoms = Array.append v.atoms old.atoms;
     ids = Array.append v.ids old.ids;
-    arows =
-      (if Array.length v.arows = v.n && Array.length old.arows = old.n then
-         Array.append v.arows old.arows
-       else [||]);
+    arows = Array.append v.arows old.arows;
   }
 
 let merge_layers newer older =
   Atomic.incr c_builds;
   ignore (Atomic.fetch_and_add c_built_atoms (newer.lsize + older.lsize));
-  if newer.l_arena <> older.l_arena then begin
-    (* Mode boundary: rebuild the merged layer wholesale (rare — only
-       the layers straddling a toggle flip). Newest-first item order is
-       preserved by emitting the newer layer's buckets first. *)
-    let items = ref [] in
-    let collect l =
-      List.iter
-        (fun sym ->
-          match Hashtbl.find_opt l.l_rel (Symbol.id sym) with
-          | None -> ()
-          | Some b ->
-              for row = b.n - 1 downto 0 do
-                items := b.atoms.(row) :: !items
-              done)
-        (List.rev l.l_syms)
-    in
-    collect older;
-    collect newer;
-    layer_of_list !items (newer.lsize + older.lsize)
-  end
-  else begin
-    let merge_tbl a b =
-      let tbl = Hashtbl.create (Hashtbl.length a + Hashtbl.length b) in
-      Hashtbl.iter (Hashtbl.replace tbl) b;
-      Hashtbl.iter
-        (fun k (v : bucket) ->
-          match Hashtbl.find_opt tbl k with
-          | None -> Hashtbl.replace tbl k v
-          | Some old -> Hashtbl.replace tbl k (merge_append v old))
-        a;
-      tbl
-    in
-    (* Postings of the merged relation table: the newer layer's rows keep
-       their indices, the older layer's shift up by the newer relation
-       bucket's row count — both sides ascending, so concatenation stays
-       ascending. *)
-    let merge_posts () =
-      let tbl =
-        Hashtbl.create
-          (Hashtbl.length newer.l_posts + Hashtbl.length older.l_posts)
+  let l_rel =
+    Hashtbl.create (Hashtbl.length newer.l_rel + Hashtbl.length older.l_rel)
+  in
+  Hashtbl.iter (Hashtbl.replace l_rel) older.l_rel;
+  Hashtbl.iter
+    (fun k (v : bucket) ->
+      match Hashtbl.find_opt l_rel k with
+      | None -> Hashtbl.replace l_rel k v
+      | Some old -> Hashtbl.replace l_rel k (merge_append v old))
+    newer.l_rel;
+  (* Postings of the merged relation table: the newer layer's rows keep
+     their indices, the older layer's shift up by the newer relation
+     table's row count — both sides ascending, so concatenation stays
+     ascending. *)
+  let l_posts =
+    Hashtbl.create
+      (Hashtbl.length newer.l_posts + Hashtbl.length older.l_posts)
+  in
+  Hashtbl.iter
+    (fun ((sid, _) as key) old_rows ->
+      let off =
+        match Hashtbl.find_opt newer.l_rel sid with
+        | Some b -> b.n
+        | None -> 0
       in
-      Hashtbl.iter
-        (fun ((sid, _) as key) old_rows ->
-          let off =
-            match Hashtbl.find_opt newer.l_rel sid with
-            | Some b -> b.n
-            | None -> 0
-          in
-          let shifted =
-            if off = 0 then old_rows else Array.map (fun r -> r + off) old_rows
-          in
-          match Hashtbl.find_opt newer.l_posts key with
-          | None -> Hashtbl.replace tbl key shifted
-          | Some new_rows -> Hashtbl.replace tbl key (Array.append new_rows shifted))
-        older.l_posts;
-      Hashtbl.iter
-        (fun key new_rows ->
-          if not (Hashtbl.mem older.l_posts key) then
-            Hashtbl.replace tbl key new_rows)
-        newer.l_posts;
-      tbl
-    in
-    let l_syms =
-      older.l_syms
-      @ List.filter
-          (fun s -> not (Hashtbl.mem older.l_rel (Symbol.id s)))
-          newer.l_syms
-    in
-    {
-      lsize = newer.lsize + older.lsize;
-      l_arena = newer.l_arena;
-      l_syms;
-      l_rel = merge_tbl newer.l_rel older.l_rel;
-      l_pos =
-        (if newer.l_arena then Hashtbl.create 1
-         else merge_tbl newer.l_pos older.l_pos);
-      l_posts = (if newer.l_arena then merge_posts () else Hashtbl.create 1);
-    }
-  end
+      let shifted =
+        if off = 0 then old_rows else Array.map (fun r -> r + off) old_rows
+      in
+      match Hashtbl.find_opt newer.l_posts key with
+      | None -> Hashtbl.replace l_posts key shifted
+      | Some new_rows ->
+          Hashtbl.replace l_posts key (Array.append new_rows shifted))
+    older.l_posts;
+  Hashtbl.iter
+    (fun key new_rows ->
+      if not (Hashtbl.mem older.l_posts key) then
+        Hashtbl.replace l_posts key new_rows)
+    newer.l_posts;
+  let l_syms =
+    older.l_syms
+    @ List.filter
+        (fun s -> not (Hashtbl.mem older.l_rel (Symbol.id s)))
+        newer.l_syms
+  in
+  { lsize = newer.lsize + older.lsize; l_syms; l_rel; l_posts }
 
 (* ------------------------------------------------------------------ *)
 (* Indexes: layer stacks + the active domain                           *)
@@ -395,68 +306,12 @@ let index_of_set set =
     { layers = [ layer ]; n_layers = 1; domain }
   end
 
-(* Layer lookups. [n_layers] is small, so per-constraint totals are a
-   short list walk over cached bucket lengths.
-
-   A segment is one layer's worth of candidate rows: either a whole
-   packed bucket ([Dense]) or a posting into the layer's relation table
-   ([Rows]). Candidate enumeration is segment order (newest layer
-   first), rows in index order within a segment — which both
-   representations agree on (see the header comment). *)
-
-type seg = Dense of bucket | Rows of bucket * int array
-
-let seg_n = function Dense b -> b.n | Rows (_, rows) -> Array.length rows
-
-let seg_iter_atoms seg f =
-  match seg with
-  | Dense b -> Array.iter f b.atoms
-  | Rows (b, rows) -> Array.iter (fun row -> f b.atoms.(row)) rows
-
 let rel_buckets idx sid =
   List.filter_map (fun l -> Hashtbl.find_opt l.l_rel sid) idx.layers
 
-(* The segments matching one (position, term) constraint, per layer. *)
-let pos_segs idx sid key =
-  let probes = ref 0 in
-  let segs =
-    List.filter_map
-      (fun l ->
-        incr probes;
-        if l.l_arena then
-          match Hashtbl.find_opt l.l_posts key with
-          | None -> None
-          | Some rows -> (
-              match Hashtbl.find_opt l.l_rel sid with
-              | None -> None
-              | Some b -> Some (Rows (b, rows)))
-        else
-          match Hashtbl.find_opt l.l_pos key with
-          | None -> None
-          | Some b -> Some (Dense b))
-      idx.layers
-  in
-  ignore (Atomic.fetch_and_add c_posting_probes !probes);
-  segs
-
-let segs_total segs = List.fold_left (fun acc s -> acc + seg_n s) 0 segs
-
-let segs_items segs =
-  List.concat_map
-    (fun seg ->
-      match seg with
-      | Dense b -> Array.to_list b.atoms
-      | Rows (b, rows) ->
-          Array.to_list (Array.map (fun row -> b.atoms.(row)) rows))
-    segs
-
-let buckets_items bs =
-  List.concat_map (fun (b : bucket) -> Array.to_list b.atoms) bs
-
 (* Does row [row] of [b] hold exactly [atom]'s arguments? All atoms of a
-   bucket share [atom]'s relation (the key includes the symbol id), so
-   full id-row equality certifies [Atom.equal] — a contiguous int scan,
-   no pointer chasing. *)
+   table share [atom]'s relation, so full id-row equality certifies
+   [Atom.equal] — a contiguous int scan, no pointer chasing. *)
 let row_is arity (b : bucket) row (atom : Atom.t) =
   let args = atom.Atom.args in
   let base = row * arity in
@@ -473,38 +328,25 @@ let layer_mem l atom =
   if arity = 0 then Hashtbl.mem l.l_rel sid
   else
     let a0 = (Atom.arg atom 0 : Term.t) in
-    let key = (sid, a0.Term.id * arity) in
-    if l.l_arena then
-      match Hashtbl.find_opt l.l_posts key with
-      | None -> false
-      | Some rows -> (
-          match Hashtbl.find_opt l.l_rel sid with
-          | None -> false
-          | Some b -> Array.exists (fun row -> row_is arity b row atom) rows)
-    else
-      match Hashtbl.find_opt l.l_pos key with
-      | None -> false
-      | Some b ->
-          let rec probe row =
-            row < b.n && (row_is arity b row atom || probe (row + 1))
-          in
-          probe 0
+    match Hashtbl.find_opt l.l_posts (sid, a0.Term.id * arity) with
+    | None -> false
+    | Some rows -> (
+        match Hashtbl.find_opt l.l_rel sid with
+        | None -> false
+        | Some b -> Array.exists (fun row -> row_is arity b row atom) rows)
 
 (* Does [term] occur (in any position of any fact) under these layers?
    Cold path, used only to maintain [domain] across removals. *)
 let term_occurs layers (term : Term.t) =
   List.exists
     (fun l ->
-      let probe_tbl : (int * int) -> bool =
-        if l.l_arena then Hashtbl.mem l.l_posts else Hashtbl.mem l.l_pos
-      in
       List.exists
         (fun sym ->
           let sid = Symbol.id sym in
           let arity = Symbol.arity sym in
           let rec probe pos =
             pos < arity
-            && (probe_tbl (sid, (term.Term.id * arity) + pos)
+            && (Hashtbl.mem l.l_posts (sid, (term.Term.id * arity) + pos)
                || probe (pos + 1))
           in
           probe 0)
@@ -564,10 +406,9 @@ let rec index t =
 
 (* [derive ~delta ~ndelta parent set'] : the fact set [set'], with its
    index extended from [parent]'s by consing a frozen layer of the
-   [delta] atoms (when the parent is indexed and incremental maintenance
-   is on). *)
+   [delta] atoms when the parent is indexed. *)
 let derive ~delta ~ndelta parent set' =
-  if is_indexed parent && Atomic.get incremental then begin
+  if is_indexed parent then begin
     let idx = index parent in
     Atomic.incr c_extends;
     ignore (Atomic.fetch_and_add c_delta_atoms ndelta);
@@ -581,21 +422,21 @@ let add a t =
   if Atom.Set.mem a t.set then t
   else derive ~delta:[ a ] ~ndelta:1 t (Atom.Set.add a t.set)
 
+(* Extend the indexed (preferring the larger) side by the other's delta. *)
+let base_and_other a b =
+  match (is_indexed a, is_indexed b) with
+  | true, false -> (a, b)
+  | false, true -> (b, a)
+  | true, true | false, false ->
+      if Atom.Set.cardinal a.set >= Atom.Set.cardinal b.set then (a, b)
+      else (b, a)
+
 let union a b =
   if is_empty a then b
   else if is_empty b then a
-  else if not (Atomic.get incremental) then of_set (Atom.Set.union a.set b.set)
   else
-    (* Extend the indexed (preferring the larger) side by the other's
-       delta; with no index on either side, stay lazy. *)
-    let base, other =
-      match (is_indexed a, is_indexed b) with
-      | true, false -> (a, b)
-      | false, true -> (b, a)
-      | true, true | false, false ->
-          if Atom.Set.cardinal a.set >= Atom.Set.cardinal b.set then (a, b)
-          else (b, a)
-    in
+    let base, other = base_and_other a b in
+    (* With no index on either side, stay lazy. *)
     if not (is_indexed base) then of_set (Atom.Set.union a.set b.set)
     else if Atom.Set.disjoint a.set b.set then
       (* Disjoint union: share the delta side's layers wholesale, and
@@ -616,20 +457,12 @@ let union a b =
 (* [union] for callers that know the operands share no atom (the chase
    engine's freshly-derived delta): skips the disjointness walk. The
    precondition is not checked — a violation would double atoms inside
-   index buckets (the [set] itself stays correct). *)
+   index tables (the [set] itself stays correct). *)
 let union_disjoint a b =
   if is_empty a then b
   else if is_empty b then a
-  else if not (Atomic.get incremental) then of_set (Atom.Set.union a.set b.set)
   else
-    let base, other =
-      match (is_indexed a, is_indexed b) with
-      | true, false -> (a, b)
-      | false, true -> (b, a)
-      | true, true | false, false ->
-          if Atom.Set.cardinal a.set >= Atom.Set.cardinal b.set then (a, b)
-          else (b, a)
-    in
+    let base, other = base_and_other a b in
     if not (is_indexed base) then of_set (Atom.Set.union a.set b.set)
     else
       {
@@ -639,57 +472,56 @@ let union_disjoint a b =
 
 let diff a b =
   let plain () = of_set (Atom.Set.diff a.set b.set) in
-  if not (is_indexed a && Atomic.get incremental) then plain ()
+  if not (is_indexed a) then plain ()
   else
     let idx = index a in
-    (
-      let removed = Atom.Set.inter a.set b.set in
-      let n_removed = Atom.Set.cardinal removed in
-      (* Filtering most of the layers costs more than one lazy rebuild of
-         the (small) result: only shrink small deltas. *)
-      if n_removed = 0 then a
-      else if 4 * n_removed > Atom.Set.cardinal a.set then plain ()
-      else begin
-        Atomic.incr c_shrinks;
-        ignore (Atomic.fetch_and_add c_removed_atoms n_removed);
-        (* Rebuild exactly the layers that contain removed atoms; the
-           others are shared untouched. *)
-        let layers =
-          List.filter_map
-            (fun l ->
-              if not (Atom.Set.exists (fun x -> layer_mem l x) removed) then
-                Some l
-              else
-                let kept =
-                  Hashtbl.fold
-                    (fun _ (b : bucket) acc ->
-                      Array.fold_left
-                        (fun acc atom ->
-                          if Atom.Set.mem atom removed then acc
-                          else atom :: acc)
-                        acc b.atoms)
-                    l.l_rel []
-                in
-                match kept with
-                | [] -> None
-                | _ -> Some (layer_of_list kept (List.length kept)))
-            idx.layers
-        in
-        let domain =
-          Atom.Set.fold
-            (fun atom dom ->
-              List.fold_left
-                (fun dom term ->
-                  if term_occurs layers term then dom
-                  else Term.Set.remove term dom)
-                dom (Atom.args atom))
-            removed idx.domain
-        in
-        {
-          set = Atom.Set.diff a.set b.set;
-          index = Built { layers; n_layers = List.length layers; domain };
-        }
-      end)
+    let removed = Atom.Set.inter a.set b.set in
+    let n_removed = Atom.Set.cardinal removed in
+    (* Filtering most of the layers costs more than one lazy rebuild of
+       the (small) result: only shrink small deltas. *)
+    if n_removed = 0 then a
+    else if 4 * n_removed > Atom.Set.cardinal a.set then plain ()
+    else begin
+      Atomic.incr c_shrinks;
+      ignore (Atomic.fetch_and_add c_removed_atoms n_removed);
+      (* Rebuild exactly the layers that contain removed atoms; the
+         others are shared untouched. *)
+      let layers =
+        List.filter_map
+          (fun l ->
+            if not (Atom.Set.exists (fun x -> layer_mem l x) removed) then
+              Some l
+            else
+              let kept =
+                Hashtbl.fold
+                  (fun _ (b : bucket) acc ->
+                    Array.fold_left
+                      (fun acc atom ->
+                        if Atom.Set.mem atom removed then acc
+                        else atom :: acc)
+                      acc b.atoms)
+                  l.l_rel []
+              in
+              match kept with
+              | [] -> None
+              | _ -> Some (layer_of_list kept (List.length kept)))
+          idx.layers
+      in
+      let domain =
+        Atom.Set.fold
+          (fun atom dom ->
+            List.fold_left
+              (fun dom term ->
+                if term_occurs layers term then dom
+                else Term.Set.remove term dom)
+              dom (Atom.args atom))
+          removed idx.domain
+      in
+      {
+        set = Atom.Set.diff a.set b.set;
+        index = Built { layers; n_layers = List.length layers; domain };
+      }
+    end
 
 let remove a t =
   if not (Atom.Set.mem a t.set) then t
@@ -705,264 +537,93 @@ let signature t =
   Atom.Set.fold (fun a acc -> Symbol.Set.add (Atom.rel a) acc) t.set
     Symbol.Set.empty
 
-let by_rel t rel = buckets_items (rel_buckets (index t) (Symbol.id rel))
+let by_rel t rel =
+  List.concat_map
+    (fun (b : bucket) -> Array.to_list b.atoms)
+    (rel_buckets (index t) (Symbol.id rel))
 
-let candidates t rel ~bound =
-  let idx = index t in
-  let sid = Symbol.id rel in
-  let arity = Symbol.arity rel in
-  let segs_of (pos, (term : Term.t)) =
-    pos_segs idx sid (sid, (term.Term.id * arity) + pos)
-  in
-  match bound with
-  | [] -> buckets_items (rel_buckets idx sid)
-  | [ c ] ->
-      (* The term-id key is exact: a single-constraint lookup needs no
-         post-filtering. *)
-      segs_items (segs_of c)
-  | c0 :: rest ->
-      let seed0 = segs_of c0 in
-      let seed, seed_n =
-        List.fold_left
-          (fun ((_, best_n) as best) c ->
-            let segs = segs_of c in
-            let n = segs_total segs in
-            if n < best_n then (segs, n) else best)
-          (seed0, segs_total seed0)
-          rest
-      in
-      if seed_n = 0 then []
-      else
-        (* Constraint rejection runs on the flat id slab. *)
-        let matches (b : bucket) row =
-          List.for_all
-            (fun (pos, (term : Term.t)) ->
-              b.ids.((row * arity) + pos) = term.Term.id)
-            bound
-        in
-        List.concat_map
-          (fun seg ->
-            let out = ref [] in
-            (match seg with
-            | Dense b ->
-                for row = b.n - 1 downto 0 do
-                  if matches b row then out := b.atoms.(row) :: !out
-                done
-            | Rows (b, rows) ->
-                for k = Array.length rows - 1 downto 0 do
-                  let row = rows.(k) in
-                  if matches b row then out := b.atoms.(row) :: !out
-                done);
-            !out)
-          seed
-
-(* Allocation-free variant of [candidates] for the join inner loop: the
-   segments are iterated in place instead of being concatenated into a
-   fresh list per probe. The enumeration order is exactly the order of
-   [candidates]. *)
-let iter_candidates t rel ~bound f =
-  let idx = index t in
-  let sid = Symbol.id rel in
-  let arity = Symbol.arity rel in
-  let segs_of (pos, (term : Term.t)) =
-    pos_segs idx sid (sid, (term.Term.id * arity) + pos)
-  in
-  let iter_segs segs = List.iter (fun seg -> seg_iter_atoms seg f) segs in
-  match bound with
-  | [] ->
-      List.iter
-        (fun (b : bucket) -> Array.iter f b.atoms)
-        (rel_buckets idx sid)
-  | [ c ] -> iter_segs (segs_of c)
-  | c0 :: rest ->
-      let seed0 = segs_of c0 in
-      let seed, seed_n =
-        List.fold_left
-          (fun ((_, best_n) as best) c ->
-            let segs = segs_of c in
-            let n = segs_total segs in
-            if n < best_n then (segs, n) else best)
-          (seed0, segs_total seed0)
-          rest
-      in
-      if seed_n > 0 then
-        let matches (b : bucket) row =
-          List.for_all
-            (fun (pos, (term : Term.t)) ->
-              b.ids.((row * arity) + pos) = term.Term.id)
-            bound
-        in
-        List.iter
-          (fun seg ->
-            match seg with
-            | Dense b ->
-                for row = 0 to b.n - 1 do
-                  if matches b row then f b.atoms.(row)
-                done
-            | Rows (b, rows) ->
-                Array.iter
-                  (fun row -> if matches b row then f b.atoms.(row))
-                  rows)
-          seed
-
-(* The raw-slab variant for the homomorphism engine: enumerate the rows
-   of the most selective seed segments {e without} applying the [bound]
-   filter — the caller's compiled slot plan re-checks every position on
-   the [ids] slab anyway, so filtering here would test each constraint
-   twice. The rows visited are a superset of [candidates t rel ~bound]
-   (exactly the candidate set when [bound] has at most one constraint),
-   in the same segment order. *)
-let iter_candidate_rows t rel ~bound f =
-  let idx = index t in
-  let sid = Symbol.id rel in
-  let arity = Symbol.arity rel in
-  let segs_of (pos, (term : Term.t)) =
-    pos_segs idx sid (sid, (term.Term.id * arity) + pos)
-  in
-  let iter_segs segs =
-    List.iter
-      (fun seg ->
-        match seg with
-        | Dense b ->
-            for row = 0 to b.n - 1 do
-              f b.atoms b.ids row
-            done
-        | Rows (b, rows) -> Array.iter (fun row -> f b.atoms b.ids row) rows)
-      segs
-  in
-  match bound with
-  | [] ->
-      List.iter
-        (fun (b : bucket) ->
-          for row = 0 to b.n - 1 do
-            f b.atoms b.ids row
-          done)
-        (rel_buckets idx sid)
-  | [ c ] -> iter_segs (segs_of c)
-  | c0 :: rest ->
-      let seed0 = segs_of c0 in
-      let seed, seed_n =
-        List.fold_left
-          (fun ((_, best_n) as best) c ->
-            let segs = segs_of c in
-            let n = segs_total segs in
-            if n < best_n then (segs, n) else best)
-          (seed0, segs_total seed0)
-          rest
-      in
-      if seed_n > 0 then iter_segs seed
+let iter_rows t rel f =
+  List.iter
+    (fun (b : bucket) ->
+      for row = 0 to b.n - 1 do
+        f b.atoms b.ids row
+      done)
+    (rel_buckets (index t) (Symbol.id rel))
 
 (* The compiled join's candidate enumeration: [bound_pos]/[bound_ids]
    hold [nb] (position, term id) constraints in caller-owned scratch
    arrays — no per-node allocation. Rows are visited without the bound
-   filter (the caller's register machine re-checks every position), in
-   exactly the order [iter_candidate_rows] would produce; the seed
-   constraint is chosen *per layer* (each layer's filtered candidate
+   filter (the caller's register machine re-checks every position); the
+   seed constraint is chosen *per layer* (each layer's filtered candidate
    order is canonical, so per-layer seeds never permute the final
-   enumeration). On arena layers with at least two constraints and a
-   non-trivial seed posting, the two smallest postings are merge-
-   intersected — ascending row walks, zero allocation — before the rows
-   reach the caller. *)
+   enumeration). With at least two constraints and a non-trivial seed
+   posting, the two smallest postings are merge-intersected — ascending
+   row walks, zero allocation — before the rows reach the caller. *)
 let intersect_min = 8
 
 let iter_join_candidates t rel ~bound_pos ~bound_ids ~nb f =
-  let idx = index t in
-  let sid = Symbol.id rel in
-  let arity = Symbol.arity rel in
-  if nb = 0 then
-    List.iter
-      (fun (b : bucket) ->
-        for row = 0 to b.n - 1 do
-          f b.atoms b.ids row
-        done)
-      (rel_buckets idx sid)
+  if nb = 0 then iter_rows t rel f
   else begin
+    let idx = index t in
+    let sid = Symbol.id rel in
+    let arity = Symbol.arity rel in
     let probes = ref 0 in
     List.iter
       (fun l ->
-        if l.l_arena then begin
-          match Hashtbl.find_opt l.l_rel sid with
-          | None -> ()
-          | Some b ->
-              (* Find the two smallest postings among the constraints; a
-                 missing posting means the layer has no matching fact. *)
-              let seed = ref ([||] : int array)
-              and second = ref ([||] : int array)
-              and sn = ref max_int
-              and sn2 = ref max_int
-              and dead = ref false in
-              for c = 0 to nb - 1 do
-                if not !dead then begin
-                  incr probes;
-                  match
-                    Hashtbl.find_opt l.l_posts
-                      (sid, (bound_ids.(c) * arity) + bound_pos.(c))
-                  with
-                  | None -> dead := true
-                  | Some rows ->
-                      let n = Array.length rows in
-                      if n < !sn then begin
-                        second := !seed;
-                        sn2 := !sn;
-                        seed := rows;
-                        sn := n
-                      end
-                      else if n < !sn2 then begin
-                        second := rows;
-                        sn2 := n
-                      end
-                end
-              done;
-              if not !dead then
-                if nb >= 2 && !sn >= intersect_min then begin
-                  (* Merge-intersect the two smallest ascending postings;
-                     survivors come out in ascending row order — the
-                     canonical per-layer order. *)
-                  Atomic.incr c_posting_intersections;
-                  let a = !seed and b2 = !second in
-                  let na = Array.length a and nb2 = Array.length b2 in
-                  let i = ref 0 and j = ref 0 in
-                  while !i < na && !j < nb2 do
-                    let ra = Array.unsafe_get a !i
-                    and rb = Array.unsafe_get b2 !j in
-                    if ra < rb then incr i
-                    else if rb < ra then incr j
-                    else begin
-                      f b.atoms b.ids ra;
-                      incr i;
-                      incr j
+        match Hashtbl.find_opt l.l_rel sid with
+        | None -> ()
+        | Some b ->
+            (* Find the two smallest postings among the constraints; a
+               missing posting means the layer has no matching fact. *)
+            let seed = ref ([||] : int array)
+            and second = ref ([||] : int array)
+            and sn = ref max_int
+            and sn2 = ref max_int
+            and dead = ref false in
+            for c = 0 to nb - 1 do
+              if not !dead then begin
+                incr probes;
+                match
+                  Hashtbl.find_opt l.l_posts
+                    (sid, (bound_ids.(c) * arity) + bound_pos.(c))
+                with
+                | None -> dead := true
+                | Some rows ->
+                    let n = Array.length rows in
+                    if n < !sn then begin
+                      second := !seed;
+                      sn2 := !sn;
+                      seed := rows;
+                      sn := n
                     end
-                  done
-                end
-                else Array.iter (fun row -> f b.atoms b.ids row) !seed
-        end
-        else begin
-          (* Boxed layer: the smallest duplicated (pos, term) bucket. *)
-          let seed = ref (None : bucket option) and sn = ref max_int in
-          let dead = ref false in
-          for c = 0 to nb - 1 do
-            if not !dead then begin
-              incr probes;
-              match
-                Hashtbl.find_opt l.l_pos
-                  (sid, (bound_ids.(c) * arity) + bound_pos.(c))
-              with
-              | None -> dead := true
-              | Some b ->
-                  if b.n < !sn then begin
-                    seed := Some b;
-                    sn := b.n
+                    else if n < !sn2 then begin
+                      second := rows;
+                      sn2 := n
+                    end
+              end
+            done;
+            if not !dead then
+              if nb >= 2 && !sn >= intersect_min then begin
+                (* Merge-intersect the two smallest ascending postings;
+                   survivors come out in ascending row order — the
+                   canonical per-layer order. *)
+                Atomic.incr c_posting_intersections;
+                let a = !seed and b2 = !second in
+                let na = Array.length a and nb2 = Array.length b2 in
+                let i = ref 0 and j = ref 0 in
+                while !i < na && !j < nb2 do
+                  let ra = Array.unsafe_get a !i
+                  and rb = Array.unsafe_get b2 !j in
+                  if ra < rb then incr i
+                  else if rb < ra then incr j
+                  else begin
+                    f b.atoms b.ids ra;
+                    incr i;
+                    incr j
                   end
-            end
-          done;
-          if not !dead then
-            match !seed with
-            | None -> ()
-            | Some b ->
-                for row = 0 to b.n - 1 do
-                  f b.atoms b.ids row
                 done
-        end)
+              end
+              else Array.iter (fun row -> f b.atoms b.ids row) !seed)
       idx.layers;
     ignore (Atomic.fetch_and_add c_posting_probes !probes)
   end
@@ -981,22 +642,15 @@ let atoms_with_term t (term : Term.t) =
           let sid = Symbol.id sym in
           let arity = Symbol.arity sym in
           for pos = 0 to arity - 1 do
-            let key = (sid, (term.Term.id * arity) + pos) in
-            if l.l_arena then
-              match Hashtbl.find_opt l.l_posts key with
-              | None -> ()
-              | Some rows -> (
-                  match Hashtbl.find_opt l.l_rel sid with
-                  | None -> ()
-                  | Some b ->
-                      Array.iter
-                        (fun row -> acc := Atom.Set.add b.atoms.(row) !acc)
-                        rows)
-            else
-              match Hashtbl.find_opt l.l_pos key with
-              | None -> ()
-              | Some b ->
-                  Array.iter (fun a -> acc := Atom.Set.add a !acc) b.atoms
+            match Hashtbl.find_opt l.l_posts (sid, (term.Term.id * arity) + pos) with
+            | None -> ()
+            | Some rows -> (
+                match Hashtbl.find_opt l.l_rel sid with
+                | None -> ()
+                | Some b ->
+                    Array.iter
+                      (fun row -> acc := Atom.Set.add b.atoms.(row) !acc)
+                      rows)
           done)
         l.l_syms)
     idx.layers;

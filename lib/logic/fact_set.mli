@@ -15,14 +15,9 @@
     (filter, inter, large diffs) return an unindexed set whose index is
     lazily rebuilt on first use.
 
-    Index layers come in two interchangeable representations (selected by
-    {!set_arena} when a layer is built; stacks may mix them): the default
-    {e arena} layout stores each fact once per relation — interned into
-    the process-wide {!Arena} — with sorted row {e postings} per
-    (position, term), while the {e boxed} layout duplicates facts into
-    one bucket per (position, term). Candidate enumeration order is
-    identical in both, so flipping the toggle never changes chase
-    results, stage shapes, or rewriting outputs. *)
+    A layer stores each fact once per relation — interned into the
+    process-wide {!Arena} — with sorted row {e postings} per
+    (position, term). *)
 
 type t
 
@@ -60,32 +55,14 @@ val signature : t -> Symbol.Set.t
 val by_rel : t -> Symbol.t -> Atom.t list
 (** All facts with the given relation symbol. *)
 
-val candidates : t -> Symbol.t -> bound:(int * Term.t) list -> Atom.t list
-(** Facts with relation [rel] agreeing with every [(position, term)]
-    constraint in [bound]; uses the most selective available index, then
-    filters. *)
-
-val iter_candidates :
-  t -> Symbol.t -> bound:(int * Term.t) list -> (Atom.t -> unit) -> unit
-(** [iter_candidates t rel ~bound f] applies [f] to exactly the atoms
-    [candidates t rel ~bound] would return, in the same order, without
-    materializing the list — the homomorphism join's inner loop. *)
-
-val iter_candidate_rows :
-  t ->
-  Symbol.t ->
-  bound:(int * Term.t) list ->
-  (Atom.t array -> int array -> int -> unit) ->
-  unit
-(** The flat-arena view of {!iter_candidates} for callers that filter on
-    term ids themselves: [f atoms ids row] is called for every row of
-    the most selective index segments, {e without} the [bound] filter
-    applied (the visited rows are a superset of the candidates; exactly
-    the candidates when [bound] has at most one constraint). [atoms] is
-    the segment's fact array and [ids] its row-major argument-id arena —
-    [ids.(row * arity + pos)] is the hash-consed id of argument [pos] of
-    [atoms.(row)]. The arrays are the index's own frozen storage: do not
-    mutate them. Visit order extends the {!iter_candidates} order. *)
+val iter_rows :
+  t -> Symbol.t -> (Atom.t array -> int array -> int -> unit) -> unit
+(** [iter_rows t rel f] calls [f atoms ids row] for every fact of
+    relation [rel], newest index layer first, in the order of {!by_rel}.
+    [atoms] is the layer's fact table and [ids] its row-major
+    argument-id slab — [ids.(row * arity + pos)] is the hash-consed id
+    of argument [pos] of [atoms.(row)]. The arrays are the index's own
+    frozen storage: do not mutate them. *)
 
 val iter_join_candidates :
   t ->
@@ -95,16 +72,15 @@ val iter_join_candidates :
   nb:int ->
   (Atom.t array -> int array -> int -> unit) ->
   unit
-(** The compiled join engine's candidate enumeration: like
-    {!iter_candidate_rows} with [nb] constraints
-    [(bound_pos.(i), bound_ids.(i))] for [i < nb] given as bare
-    (position, term id) pairs in caller-owned scratch arrays — no
-    per-probe allocation. Rows are visited without the bound filter
-    (callers re-check every position on the [ids] slab), in exactly the
-    order {!iter_candidate_rows} produces for the same constraints. On
-    arena-mode layers with two or more constraints and a large enough
-    seed, the two smallest sorted postings are merge-intersected before
-    rows reach the callback. *)
+(** The compiled join engine's candidate enumeration: like {!iter_rows},
+    restricted by [nb] constraints [(bound_pos.(i), bound_ids.(i))] for
+    [i < nb] given as bare (position, term id) pairs in caller-owned
+    scratch arrays — no per-probe allocation. The visited rows are a
+    superset of the facts meeting every constraint (callers re-check
+    every position on the [ids] slab); once filtered, they come in the
+    {!by_rel} order whichever constraint seeds a layer's lookup. With two
+    or more constraints and a large enough seed, the two smallest sorted
+    postings are merge-intersected before rows reach the callback. *)
 
 val atoms_with_term : t -> Term.t -> Atom.t list
 (** Every atom with the given term in some argument position, in the
@@ -143,17 +119,3 @@ type counters = {
 
 val counters : unit -> counters
 val reset_counters : unit -> unit
-
-val set_incremental : bool -> unit
-(** A/B switch for benchmarking: [set_incremental false] makes every
-    operation return an unindexed set, restoring the pre-incremental
-    rebuild-on-demand cost model. Defaults to [true]. *)
-
-val set_arena : bool -> unit
-(** A/B switch between the arena layer layout (default, [true]) and the
-    boxed pre-arena layout. Takes effect for layers built after the
-    call; existing layers keep their representation (readers handle
-    mixed stacks). Candidate order — and therefore every chase and
-    rewriting result — is unaffected. *)
-
-val arena_enabled : unit -> bool

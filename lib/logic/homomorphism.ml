@@ -53,228 +53,34 @@ let reset_counters () =
   Atomic.set c_solutions 0
 
 (* ------------------------------------------------------------------ *)
-(* Boxed engine                                                        *)
+(* Register machine                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Generic engine: each pattern atom carries its own target fact set (the
-   semi-naive chase partitions body atoms between "old", "delta" and "full"
-   stages), and each domain-bound variable carries its own candidate pool.
+(* One engine for every search. Each pattern atom carries its own target
+   fact set (the semi-naive chase partitions body atoms between "old",
+   "delta" and "full" stages), and each domain-bound variable carries its
+   own candidate pool.
 
-   This is the original map-and-set backtracking search, kept as the
-   [prefer]-steered path (the core search reorders candidates, which the
-   compiled engine deliberately does not support) and as the boxed arm of
-   the arena A/B toggle. The compiled engine below must enumerate
-   homomorphisms in {e exactly} this engine's order. *)
-let iter_multi_boxed ~init ~image_ok ~prefer ~injective ~flexible ~pattern
-    ~domain_bindings f =
-  (* Per-search-node match plan: the flexibility of each argument
-     position and the current assignment are fixed while the candidates
-     of one atom are scanned, so they are resolved once into an array of
-     slot actions and the per-candidate check is a plain array walk —
-     no set membership or map lookup per argument per fact. *)
-  let module Slot = struct
-    type t =
-      | Rigid of Term.t (* constant, or flexible term already assigned *)
-      | Free of Term.t (* unassigned flexible term, first occurrence *)
-      | Dup of int (* repeat of the [Free] at this earlier position *)
-  end in
-  let compile_plan assignment atom =
-    let args = Array.of_list (Atom.args atom) in
-    Array.mapi
-      (fun pos t ->
-        if Term.Set.mem t flexible then
-          match Term.Map.find_opt t assignment with
-          | Some image -> Slot.Rigid image
-          | None ->
-              let rec first_occ p =
-                if p >= pos then Slot.Free t
-                else if Term.equal args.(p) t then Slot.Dup p
-                else first_occ (p + 1)
-              in
-              first_occ 0
-        else Slot.Rigid t)
-      args
-  in
-  (* [used] is the image set of the current assignment, maintained only
-     in injective mode (the extra argument is dead weight otherwise): a
-     candidate binding whose image is already taken fails immediately,
-     pruning the search instead of filtering complete mappings. *)
-  let match_plan assignment used plan fact =
-    let n = Array.length plan in
-    let rec go assignment used pos =
-      if pos >= n then Some (assignment, used)
-      else
-        let u = Atom.arg fact pos in
-        match plan.(pos) with
-        | Slot.Rigid t ->
-            if Term.equal t u then go assignment used (pos + 1) else None
-        | Slot.Free v ->
-            if
-              image_ok v u
-              && not (injective && Term.Set.mem u used)
-            then
-              go (Term.Map.add v u assignment)
-                (if injective then Term.Set.add u used else used)
-                (pos + 1)
-            else None
-        | Slot.Dup p ->
-            if Term.equal u (Atom.arg fact p) then
-              go assignment used (pos + 1)
-            else None
-    in
-    go assignment used 0
-  in
-  let rec bind_domain assignment used = function
-    | [] -> f assignment
-    | (v, pool) :: rest -> (
-        match Term.Map.find_opt v assignment with
-        | Some u ->
-            (* Pre-bound (e.g. by a body atom): still honour the pool. *)
-            if List.exists (Term.equal u) pool then
-              bind_domain assignment used rest
-        | None ->
-            List.iter
-              (fun u ->
-                if image_ok v u && not (injective && Term.Set.mem u used)
-                then
-                  bind_domain
-                    (Term.Map.add v u assignment)
-                    (if injective then Term.Set.add u used else used)
-                    rest)
-              pool)
-  in
-  let bound_count assignment atom =
-    (* [List.length (bound_positions assignment atom)] without building
-       the list — seed scoring runs at every search node. *)
-    let n = ref 0 in
-    List.iter
-      (fun t ->
-        if Term.Set.mem t flexible then begin
-          if Term.Map.mem t assignment then incr n
-        end
-        else incr n)
-      (Atom.args atom);
-    !n
-  in
-  let rec solve assignment used remaining =
-    match remaining with
-    | [] -> bind_domain assignment used domain_bindings
-    | ((a0, _) as e0) :: others ->
-        (* Most-bound-first seed selection, first maximum on ties. *)
-        let (best_atom, best_target), _ =
-          List.fold_left
-            (fun ((_, bn) as best) ((a, _) as cur) ->
-              let n = bound_count assignment a in
-              if n > bn then (cur, n) else best)
-            (e0, bound_count assignment a0)
-            others
-        in
-        let plan = compile_plan assignment best_atom in
-        let bound = ref [] in
-        Array.iteri
-          (fun pos slot ->
-            match slot with
-            | Slot.Rigid t -> bound := (pos, t) :: !bound
-            | Slot.Free _ | Slot.Dup _ -> ())
-          plan;
-        let bound = !bound in
-        let rest =
-          List.filter (fun (a, _) -> not (a == best_atom)) remaining
-        in
-        let try_fact fact =
-          match match_plan assignment used plan fact with
-          | Some (assignment', used') -> solve assignment' used' rest
-          | None -> ()
-        in
-        (match prefer with
-        | None ->
-            (* Hot path: enumerate raw index rows and reject on the flat
-               argument-id arena before touching any [Atom.t]. The plan
-               compiles to one int per position — a rigid slot's term id,
-               [-1] for a free slot, [-2 - p] for a duplicate of position
-               [p] — so the dominant no-match case is a short scan over
-               two contiguous int arrays with no pointer chasing.
-               Survivors go through [match_plan] unchanged (it re-checks
-               rigid/dup cheaply and performs the actual binding), so
-               accepted facts, enumeration order, and verdicts are
-               identical to the unfiltered path. *)
-            let arity = Array.length plan in
-            let iplan =
-              Array.map
-                (function
-                  | Slot.Rigid (t : Term.t) -> t.Term.id
-                  | Slot.Free _ -> -1
-                  | Slot.Dup p -> -2 - p)
-                plan
-            in
-            let row_matches (ids : int array) base =
-              let rec go pos =
-                pos >= arity
-                ||
-                let c = Array.unsafe_get iplan pos in
-                (if c = -1 then true
-                 else if c >= 0 then Array.unsafe_get ids (base + pos) = c
-                 else
-                   Array.unsafe_get ids (base + pos)
-                   = Array.unsafe_get ids (base + (-2 - c)))
-                && go (pos + 1)
-              in
-              go 0
-            in
-            Fact_set.iter_candidate_rows best_target (Atom.rel best_atom)
-              ~bound (fun atoms ids row ->
-                if row_matches ids (row * arity) then try_fact atoms.(row))
-        | Some rank ->
-            (* Candidate preference steers which homomorphism is found
-               first (e.g. the core search prefers folding onto original
-               constants); it never prunes. *)
-            let cands =
-              Fact_set.candidates best_target (Atom.rel best_atom) ~bound
-            in
-            List.iter try_fact
-              (List.stable_sort
-                 (fun a b -> Int.compare (rank a) (rank b))
-                 cands))
-  in
-  if Term.Map.for_all (fun v u -> image_ok v u) init then begin
-    let used0 =
-      if injective then
-        Term.Map.fold (fun _ u s -> Term.Set.add u s) init Term.Set.empty
-      else Term.Set.empty
-    in
-    (* An init with a repeated image admits no injective extension. *)
-    if
-      (not injective)
-      || Term.Set.cardinal used0 = Term.Map.cardinal init
-    then solve init used0 pattern
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Compiled engine                                                     *)
-(* ------------------------------------------------------------------ *)
-
-(* The flat-arena register machine. The whole search runs on bare ints:
+   The flat-arena register machine. The whole search runs on bare ints:
    flexible terms become *registers* (an [int array] of bound term ids,
    [-1] when free), each pattern atom compiles to a slot array — one int
    per position, a rigid term id [>= 1] or [-(r + 1)] for register [r];
-   a repeated variable is simply the same register, so the boxed plan's
-   Rigid/Free/Dup trichotomy falls out of the register state — and
-   candidate rows stream off {!Fact_set.iter_join_candidates}'s packed
-   id slabs. Backtracking pops a trail of register indices; nothing is
-   allocated per node or per candidate, and a [Term.t] is rematerialized
-   (via {!Term.of_id}) only when a complete homomorphism reaches the
-   caller.
+   a repeated variable is simply the same register — and candidate rows
+   stream off {!Fact_set.iter_join_candidates}'s packed id slabs.
+   Backtracking pops a trail of register indices; nothing is allocated
+   per node or per candidate, and a [Term.t] is rematerialized (via
+   {!Term.of_id}) only when a complete homomorphism reaches the caller.
 
-   Order contract: this engine enumerates homomorphisms in {e exactly}
-   the boxed engine's order. The dynamic most-bound-first seed selection
-   (first maximum) is replicated over an [alive] mask in original
-   pattern order; candidate rows arrive in
-   the canonical per-layer order whatever seed constraint the index
-   picks, because every position is re-checked here (see
-   [Fact_set.iter_join_candidates]). The QCheck differentials pin this
-   equivalence against the boxed engine on random theories. *)
-let iter_multi_compiled ~init ~image_ok ~injective ~flexible ~pattern
-    ~domain_bindings f =
+   Order contract: at every node the seed is the alive pattern atom with
+   the most bound positions (first maximum in pattern order), and its
+   candidate facts are tried in {!Fact_set.by_rel} order — the canonical
+   per-layer order whatever seed constraint the index picks, because
+   every position is re-checked here. With [prefer], a node first
+   buffers its candidate rows and stable-sorts them by rank: lower ranks
+   come first, ties keep that order, and nothing is pruned. The chase's fresh-null naming follows this order, which is
+   what keeps chase stages bit-identical across runs and [-j]. *)
+let iter_multi ?(init = Term.Map.empty) ?(image_ok = default_image_ok)
+    ?prefer ?(injective = false) ~flexible ~pattern ~domain_bindings f =
   (* -- compile: registers, slot arrays, pools ---------------------- *)
   let reg_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let reg_vars = ref [] in
@@ -395,8 +201,8 @@ let iter_multi_compiled ~init ~image_ok ~injective ~flexible ~pattern
     if remaining_n = 0 then bind_domain 0
     else begin
       incr nodes;
-      (* Most-bound-first seed: first maximum in pattern order — the
-         boxed fold, over the alive mask. *)
+      (* Most-bound-first seed: first maximum in pattern order, over the
+         alive mask. *)
       let best = ref (-1) and bn = ref (-1) in
       for j = 0 to m - 1 do
         if alive.(j) then begin
@@ -416,8 +222,7 @@ let iter_multi_compiled ~init ~image_ok ~injective ~flexible ~pattern
       let sl = slots.(j) in
       let arity = Array.length sl in
       (* Bound constraints: every position with a known id (rigid slot or
-         bound register), highest position first — mirroring the boxed
-         path's bound list. *)
+         bound register), highest position first. *)
       let depth = m - remaining_n in
       let bound_pos = bound_pos.(depth) and bound_ids = bound_ids.(depth) in
       let nb = ref 0 in
@@ -430,8 +235,8 @@ let iter_multi_compiled ~init ~image_ok ~injective ~flexible ~pattern
           incr nb
         end
       done;
-      (* Retire the chosen atom — and, as in the boxed engine, any alive
-         entry sharing the same physical atom. *)
+      (* Retire the chosen atom — and any alive entry sharing the same
+         physical atom. *)
       let rmark = !rsp in
       let a_j = patoms.(j) in
       for k = 0 to m - 1 do
@@ -442,42 +247,60 @@ let iter_multi_compiled ~init ~image_ok ~injective ~flexible ~pattern
         end
       done;
       let nrem = remaining_n - (!rsp - rmark) in
-      Fact_set.iter_join_candidates targets.(j) rels.(j) ~bound_pos ~bound_ids
-        ~nb:!nb (fun atoms ids row ->
-          let base = row * arity in
-          let mark = !sp in
-          let rec go pos =
-            pos >= arity
-            ||
-            begin
-              incr ops;
-              let c = Array.unsafe_get sl pos in
-              let uid = Array.unsafe_get ids (base + pos) in
-              if c >= 0 then uid = c && go (pos + 1)
-              else
-                let r = -c - 1 in
-                let v = Array.unsafe_get reg_val r in
-                if v >= 0 then v = uid && go (pos + 1)
-                else if
-                  (has_image_ok
-                  && not
-                       (image_ok reg_var.(r)
-                          (Array.unsafe_get atoms row).Atom.args.(pos)))
-                  || (injective && inj_clash uid)
-                then false
-                else begin
-                  reg_val.(r) <- uid;
-                  trail.(!sp) <- r;
-                  incr sp;
-                  go (pos + 1)
-                end
-            end
-          in
-          if go 0 then solve nrem;
-          while !sp > mark do
-            decr sp;
-            reg_val.(trail.(!sp)) <- -1
-          done);
+      let try_row atoms ids row =
+        let base = row * arity in
+        let mark = !sp in
+        let rec go pos =
+          pos >= arity
+          ||
+          begin
+            incr ops;
+            let c = Array.unsafe_get sl pos in
+            let uid = Array.unsafe_get ids (base + pos) in
+            if c >= 0 then uid = c && go (pos + 1)
+            else
+              let r = -c - 1 in
+              let v = Array.unsafe_get reg_val r in
+              if v >= 0 then v = uid && go (pos + 1)
+              else if
+                (has_image_ok
+                && not
+                     (image_ok reg_var.(r)
+                        (Array.unsafe_get atoms row).Atom.args.(pos)))
+                || (injective && inj_clash uid)
+              then false
+              else begin
+                reg_val.(r) <- uid;
+                trail.(!sp) <- r;
+                incr sp;
+                go (pos + 1)
+              end
+          end
+        in
+        if go 0 then solve nrem;
+        while !sp > mark do
+          decr sp;
+          reg_val.(trail.(!sp)) <- -1
+        done
+      in
+      let nb = !nb in
+      (match prefer with
+      | None ->
+          Fact_set.iter_join_candidates targets.(j) rels.(j) ~bound_pos
+            ~bound_ids ~nb try_row
+      | Some rank ->
+          (* Steer which homomorphism is found first (the core search
+             prefers folding onto original constants): buffer the node's
+             rows, then try them lowest rank first, ties in index order. *)
+          let rows = ref [] in
+          Fact_set.iter_join_candidates targets.(j) rels.(j) ~bound_pos
+            ~bound_ids ~nb (fun atoms ids row ->
+              rows := (rank atoms.(row), atoms, ids, row) :: !rows);
+          List.iter
+            (fun (_, atoms, ids, row) -> try_row atoms ids row)
+            (List.stable_sort
+               (fun (r1, _, _, _) (r2, _, _, _) -> Int.compare r1 r2)
+               (List.rev !rows)));
       while !rsp > rmark do
         decr rsp;
         alive.(removed.(!rsp)) <- true
@@ -501,16 +324,6 @@ let iter_multi_compiled ~init ~image_ok ~injective ~flexible ~pattern
       (* [Stop] (and any caller exception) must not lose the counters. *)
       Fun.protect ~finally:flush (fun () -> solve m)
   end
-
-let iter_multi ?(init = Term.Map.empty) ?(image_ok = default_image_ok)
-    ?prefer ?(injective = false) ~flexible ~pattern ~domain_bindings f =
-  match prefer with
-  | None when Fact_set.arena_enabled () ->
-      iter_multi_compiled ~init ~image_ok ~injective ~flexible ~pattern
-        ~domain_bindings f
-  | _ ->
-      iter_multi_boxed ~init ~image_ok ~prefer ~injective ~flexible ~pattern
-        ~domain_bindings f
 
 let iter p f =
   let pool =

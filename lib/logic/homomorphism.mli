@@ -31,8 +31,9 @@ val make :
     are bound to arbitrary active-domain elements (the [dom(x)] pseudo-body
     of rules like (pins)). [init] pre-binds flexible terms (e.g. answer
     variables to an answer tuple). [prefer] ranks candidate facts (lower
-    first) to steer which homomorphism is enumerated first — it biases the
-    search order but never prunes. *)
+    first) to steer which homomorphism is enumerated first — at each
+    search node the candidates are stably sorted by rank, which biases
+    the search order but never prunes. *)
 
 val find : problem -> mapping option
 val exists : problem -> bool
@@ -67,14 +68,13 @@ val apply : mapping -> flexible:Term.Set.t -> Atom.t -> Atom.t
 
 (** {1 Engine instrumentation}
 
-    With {!Fact_set.arena_enabled} (the default) and no [prefer], the
-    search runs on a compiled register machine: flexible terms become
-    int registers, pattern atoms compile to int slot arrays, candidates
-    stream off the fact set's packed id slabs, and backtracking pops a
-    trail — no allocation per search node, terms rematerialized only for
-    complete homomorphisms. It enumerates mappings in exactly the boxed
-    engine's order (pinned by the QCheck differentials). These process-
-    wide counters measure that engine; thread-safe. *)
+    The search runs on a compiled register machine: flexible terms
+    become int registers, pattern atoms compile to int slot arrays,
+    candidates stream off the fact set's packed id slabs, and
+    backtracking pops a trail — no allocation per search node (except
+    the rank buffer of a [prefer]-steered node), terms rematerialized
+    only for complete homomorphisms. These process-wide counters measure
+    it; thread-safe. *)
 
 type counters = {
   searches : int;  (** compiled-engine invocations *)

@@ -5,54 +5,40 @@ let disjuncts u = u.disjuncts
 let cardinal u = List.length u.disjuncts
 let is_empty u = u.disjuncts = []
 
-(* With indexing on, every disjunct pair is probed against the cheap
-   homomorphism-invariant fingerprints before the containment search
-   runs; a refuted pair costs a few integer compares. The fingerprints
-   are cached on the [Cq]s, so even these one-shot list scans benefit.
-   The verdicts — and hence the disjunct lists — are identical either
-   way. *)
+(* Every disjunct pair is probed against the cheap homomorphism-invariant
+   fingerprints before the containment search runs; a refuted pair costs
+   a few integer compares. The fingerprints are cached on the [Cq]s, so
+   even these one-shot list scans benefit. *)
 let covers u q =
-  if Ucq_index.indexing_enabled () then
-    List.exists
-      (fun q' ->
-        Ucq_index.pair_feasible ~from:q' ~into:q
-        && Containment.implies q q')
-      u.disjuncts
-  else List.exists (fun q' -> Containment.implies q q') u.disjuncts
+  List.exists
+    (fun q' ->
+      Ucq_index.pair_feasible ~from:q' ~into:q && Containment.implies q q')
+    u.disjuncts
 
 let add_minimal u q =
   if covers u q then (u, `Subsumed)
   else
     let kept =
-      if Ucq_index.indexing_enabled () then
-        List.filter
-          (fun q' ->
-            not
-              (Ucq_index.pair_feasible ~from:q ~into:q'
-              && Containment.implies q' q))
-          u.disjuncts
-      else
-        List.filter (fun q' -> not (Containment.implies q' q)) u.disjuncts
+      List.filter
+        (fun q' ->
+          not
+            (Ucq_index.pair_feasible ~from:q ~into:q'
+            && Containment.implies q' q))
+        u.disjuncts
     in
     ({ disjuncts = q :: kept }, `Added)
 
+(* The quadratic minimization through a transient subsumption index, so
+   the pair probes are fingerprint-first and the containment verdicts go
+   through the memo table. Reading the index newest-first gives the
+   disjunct order of an [add_minimal] fold. *)
 let of_list qs =
-  (* The quadratic minimization: with indexing on, build a transient
-     subsumption index so the pair probes are fingerprint-first and the
-     containment verdicts go through the memo table. Reading the index
-     newest-first reproduces the reference fold's disjunct order
-     exactly. *)
-  if Ucq_index.indexing_enabled () then begin
-    let idx = Ucq_index.create () in
-    List.iter
-      (fun q ->
-        ignore
-          (Ucq_index.insert_minimal idx q
-             ~implies:Containment.implies_memo))
-      qs;
-    { disjuncts = Ucq_index.disjuncts idx }
-  end
-  else List.fold_left (fun u q -> fst (add_minimal u q)) empty qs
+  let idx = Ucq_index.create () in
+  List.iter
+    (fun q ->
+      ignore (Ucq_index.insert_minimal idx q ~implies:Containment.implies_memo))
+    qs;
+  { disjuncts = Ucq_index.disjuncts idx }
 
 let of_disjuncts_unchecked disjuncts = { disjuncts }
 

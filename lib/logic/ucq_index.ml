@@ -14,10 +14,8 @@
    it.
 
    Entries live in insertion order with a tombstone flag; reading the
-   live entries newest-first reproduces exactly the disjunct order the
-   unindexed reference engine maintains ([q :: kept]), so the indexed
-   and reference engines can produce identical UCQs, not merely
-   equivalent ones. *)
+   live entries newest-first gives the disjunct order of an
+   [Ucq.add_minimal] fold ([q :: kept]). *)
 
 type entry = {
   q : Cq.t;
@@ -31,12 +29,6 @@ type t = {
   mutable n : int;  (* used slots, dead or alive *)
   mutable n_live : int;
 }
-
-(* A/B switch, following the [Fact_set.set_incremental] /
-   [Containment.set_memoization] convention. *)
-let indexing = Atomic.make true
-let set_indexing b = Atomic.set indexing b
-let indexing_enabled () = Atomic.get indexing
 
 (* Process-wide probe instrumentation (for [--stats] and the bench
    harness). *)
@@ -101,7 +93,7 @@ let add idx q =
   idx.n <- idx.n + 1;
   idx.n_live <- idx.n_live + 1
 
-(* Live disjuncts, newest first — the reference engine's order. *)
+(* Live disjuncts, newest first. *)
 let disjuncts idx =
   let acc = ref [] in
   for i = 0 to idx.n - 1 do
@@ -120,7 +112,7 @@ let feasible_victim ~(d : entry) ~(q : Cq.t) ~qocc =
   occ_supported ~from:qocc ~into:d.occ && Cq.hom_feasible ~from:q ~into:d.q
 
 (* [covered idx q ~implies]: is [q] subsumed by some live disjunct?
-   Probes newest-first, like the reference list scan. *)
+   Probes newest-first, like [Ucq.covers]. *)
 let covered idx q ~implies =
   let qocc = occ_vector q in
   let rec scan i =

@@ -10,9 +10,8 @@
     search runs.
 
     Entries are kept in insertion order with a tombstone flag; the live
-    disjuncts read newest-first reproduce exactly the disjunct order of
-    the unindexed reference engine, so both engines produce identical
-    UCQs.
+    disjuncts read newest-first, the disjunct order of an
+    {!Ucq.add_minimal} fold.
 
     The containment test itself is passed in as [~implies] (the caller
     chooses raw, memoized or instrumented), keeping this module
@@ -25,7 +24,7 @@ val cardinal : t -> int
 (** Number of live disjuncts. *)
 
 val disjuncts : t -> Cq.t list
-(** Live disjuncts, newest first — the reference engine's order. *)
+(** Live disjuncts, newest first. *)
 
 val insert_minimal :
   t -> Cq.t -> implies:(Cq.t -> Cq.t -> bool) -> [ `Added | `Subsumed ]
@@ -60,15 +59,7 @@ val pair_feasible : from:Cq.t -> into:Cq.t -> bool
 (** {!Cq.hom_feasible} with the index's probe counters: the one-shot
     pair filter for list-based callers without a persistent index. *)
 
-(** {1 A/B toggle and instrumentation} *)
-
-val set_indexing : bool -> unit
-(** A/B switch in the style of [Fact_set.set_incremental]:
-    [set_indexing false] restores the unindexed reference engines
-    (linear scans, no fingerprint pruning) in every caller that consults
-    this toggle. Defaults to [true]. *)
-
-val indexing_enabled : unit -> bool
+(** {1 Instrumentation} *)
 
 type stats = {
   pairs : int;  (** disjunct pairs considered by index probes *)

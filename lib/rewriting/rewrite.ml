@@ -42,14 +42,10 @@ type result = {
    ones, so once a candidate is covered (whether it was added or
    subsumed), every later candidate with the same canonical form is
    covered too and can be dropped without any containment checks. The
-   table is run-local (keyed on [Cq.canon_id]) and follows the
-   memoization A/B toggle so that switching the cache off restores the
-   unmemoized engine exactly. *)
+   table is run-local (keyed on [Cq.canon_id]). *)
 let make_dedup () =
   let seen = Hashtbl.create 512 in
   fun q' ->
-    Containment.memoization_enabled ()
-    &&
     let k = Cq.canon_id q' in
     Hashtbl.mem seen k
     || begin
@@ -85,40 +81,6 @@ let finalize ~aux ~ucq ~outcome ~steps ~generated ~containment_checks
   }
 
 let split_batch = Saturation.split_batch
-
-(* The evolving minimal UCQ, behind the [Ucq_index.set_indexing] A/B
-   toggle: the indexed store probes homomorphism-invariant fingerprints
-   before any containment search, the reference store is the PR 2
-   linear scan. Both expose the same three operations, make the same
-   [implies] calls succeed, and keep the disjuncts in the same
-   (newest-first) order — the engines produce identical UCQs.
-
-   The surviving containment checks of an insertion fan out across the
-   pool ([Ucq_index.subsumer_candidates] probes in the same newest-first
-   order as [Ucq_index.covered], so a size-1 pool reproduces the
-   sequential engine's verdicts); all store mutation happens on the
-   coordinator.
-
-   Both stores also maintain the canonical ids of the currently live
-   disjuncts, so the worklist's "was this disjunct subsumed since it
-   was enqueued?" probe is one hash lookup instead of the O(frontier)
-   scan it used to be. The probe is exact: two live disjuncts never
-   share a canonical id (an isomorphic candidate is subsumed at
-   insertion), and a killed disjunct's class can never re-enter the
-   store (its killer — or, transitively, the killer's killer — still
-   covers every isomorphic copy). *)
-type store = {
-  insert : Cq.t -> [ `Added | `Subsumed ];
-  cardinal : unit -> int;
-  to_ucq : unit -> Ucq.t;
-  is_live : Cq.t -> bool;
-  preload : Cq.t list -> unit;
-      (* install snapshot disjuncts (given newest-first) verbatim, no
-         containment checks: a checkpointed store is already pairwise
-         non-subsuming, and [add_minimal]'s monotonicity means nothing
-         later in the run can make a preloaded disjunct wrong — only
-         subsume it, which the ordinary insert path handles *)
-}
 
 (* Resolve [implies q' d] over a candidate list in two phases: a
    coordinator prepass answers every pair the containment memo (or a
@@ -167,85 +129,56 @@ let verdicts_against ~pool ~probe ~implies q' candidates =
   Array.to_list
     (Array.map (function Some v -> v | None -> assert false) pre)
 
-let make_store ~pool ~probe ~implies =
-  let live : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let is_live q = Hashtbl.mem live (Cq.canon_id q) in
-  if Ucq_index.indexing_enabled () then begin
-    let idx = Ucq_index.create () in
-    let insert q' =
-      let subsumers = Ucq_index.subsumer_candidates idx q' in
-      if subsumed_by ~pool ~probe ~implies q' subsumers then `Subsumed
-      else begin
-        let victims = Ucq_index.victim_candidates idx q' in
-        let verdicts =
-          verdicts_against ~pool ~probe ~implies q'
-            (List.map snd victims)
-        in
-        List.iter2
-          (fun (slot, d) dropped ->
-            if dropped then begin
-              Ucq_index.kill idx slot;
-              Hashtbl.remove live (Cq.canon_id d)
-            end)
-          victims verdicts;
-        Ucq_index.add idx q';
-        Hashtbl.replace live (Cq.canon_id q') ();
-        `Added
-      end
-    in
-    {
-      insert;
-      cardinal = (fun () -> Ucq_index.cardinal idx);
-      to_ucq =
-        (fun () -> Ucq.of_disjuncts_unchecked (Ucq_index.disjuncts idx));
-      is_live;
-      preload =
-        (fun disj ->
-          (* [Ucq_index.disjuncts] reads newest-first, so install
-             oldest-first to land in the checkpointed order. *)
-          List.iter
-            (fun d ->
-              Ucq_index.add idx d;
-              Hashtbl.replace live (Cq.canon_id d) ())
-            (List.rev disj));
-    }
-  end
+(* The evolving minimal UCQ: a subsumption index ([Ucq_index]) whose
+   fingerprints are probed before any containment search, plus the
+   canonical ids of the live disjuncts. The surviving containment checks
+   of an insertion fan out across the pool ([Ucq_index.subsumer_candidates]
+   probes in the same newest-first order as [Ucq_index.covered], so a
+   size-1 pool reproduces the sequential verdicts); all store mutation
+   happens on the coordinator.
+
+   The live-id table makes the worklist's "was this disjunct subsumed
+   since it was enqueued?" probe one hash lookup instead of an
+   O(frontier) scan. The probe is exact: two live disjuncts never share a
+   canonical id (an isomorphic candidate is subsumed at insertion), and a
+   killed disjunct's class can never re-enter the store (its killer — or,
+   transitively, the killer's killer — still covers every isomorphic
+   copy). *)
+type store = { idx : Ucq_index.t; live : (int, unit) Hashtbl.t }
+
+let is_live store q = Hashtbl.mem store.live (Cq.canon_id q)
+
+let add_live store d =
+  Ucq_index.add store.idx d;
+  Hashtbl.replace store.live (Cq.canon_id d) ()
+
+let insert ~pool ~probe ~implies store q' =
+  let subsumers = Ucq_index.subsumer_candidates store.idx q' in
+  if subsumed_by ~pool ~probe ~implies q' subsumers then `Subsumed
   else begin
-    let disjuncts = ref [] in
-    let insert q' =
-      if subsumed_by ~pool ~probe ~implies q' !disjuncts then `Subsumed
-      else begin
-        let verdicts =
-          verdicts_against ~pool ~probe ~implies q' !disjuncts
-        in
-        let kept =
-          List.fold_right2
-            (fun d dropped acc ->
-              if dropped then begin
-                Hashtbl.remove live (Cq.canon_id d);
-                acc
-              end
-              else d :: acc)
-            !disjuncts verdicts []
-        in
-        disjuncts := q' :: kept;
-        Hashtbl.replace live (Cq.canon_id q') ();
-        `Added
-      end
+    let victims = Ucq_index.victim_candidates store.idx q' in
+    let verdicts =
+      verdicts_against ~pool ~probe ~implies q' (List.map snd victims)
     in
-    {
-      insert;
-      cardinal = (fun () -> List.length !disjuncts);
-      to_ucq = (fun () -> Ucq.of_disjuncts_unchecked !disjuncts);
-      is_live;
-      preload =
-        (fun disj ->
-          disjuncts := disj;
-          List.iter
-            (fun d -> Hashtbl.replace live (Cq.canon_id d) ())
-            disj);
-    }
+    List.iter2
+      (fun (slot, d) dropped ->
+        if dropped then begin
+          Ucq_index.kill store.idx slot;
+          Hashtbl.remove store.live (Cq.canon_id d)
+        end)
+      victims verdicts;
+    add_live store q';
+    `Added
   end
+
+(* Install snapshot disjuncts (given newest-first) verbatim, with no
+   containment checks: a checkpointed store is already pairwise
+   non-subsuming, and [add_minimal]'s monotonicity means nothing later in
+   the run can make a preloaded disjunct wrong — only subsume it, which
+   the ordinary insert path handles. [Ucq_index.disjuncts] reads
+   newest-first, so install oldest-first to land in the checkpointed
+   order. *)
+let preload store disj = List.iter (add_live store) (List.rev disj)
 
 let checkpoint_kind = "rewrite"
 
@@ -331,7 +264,8 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
         v
     | None -> None
   in
-  let store = make_store ~pool ~probe ~implies in
+  let store = { idx = Ucq_index.create (); live = Hashtbl.create 256 } in
+  let insert = insert ~pool ~probe ~implies store in
   let q0 = Containment.core_of_query q in
   let seen_before = make_dedup () in
   let dedup_hits = ref 0 in
@@ -340,10 +274,10 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
     match restart with
     | None ->
         ignore (seen_before q0);
-        ignore (store.insert q0);
+        ignore (insert q0);
         ([ q0 ], 0)
     | Some { store0; frontier0; steps0; round0 } ->
-        store.preload store0;
+        preload store store0;
         ignore (seen_before q0);
         List.iter (fun d -> ignore (seen_before d)) store0;
         List.iter (fun d -> ignore (seen_before d)) frontier0;
@@ -359,7 +293,7 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
   let exception Budget_hit in
   let step (ctx : Saturation.ctx) batch =
     (* Disjuncts subsumed since they were enqueued need not expand. *)
-    let live = List.filter store.is_live (Array.to_list batch) in
+    let live = List.filter (is_live store) (Array.to_list batch) in
     if live = [] then
       {
         Saturation.next = [];
@@ -431,11 +365,13 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
                           incr deduped
                         end
                         else
-                          match store.insert q' with
+                          match insert q' with
                           | `Added ->
                               incr admitted;
                               added := q' :: !added;
-                              if store.cardinal () > budget.max_disjuncts
+                              if
+                                Ucq_index.cardinal store.idx
+                                > budget.max_disjuncts
                               then begin
                                 outcome := Disjunct_budget;
                                 raise Budget_hit
@@ -462,7 +398,7 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
             (fun ~round ~final:_ frontier ->
               Checkpoint.save_to sink
                 (encode_state ~round ~theory ~q ~budget ~steps:!steps
-                   ~store_disjuncts:(Ucq.disjuncts (store.to_ucq ()))
+                   ~store_disjuncts:(Ucq_index.disjuncts store.idx)
                    ~frontier));
         })
       checkpoint_sink
@@ -492,7 +428,9 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
     | Saturation.Tripped cause ->
         if !outcome = Complete then Guard_exhausted cause else !outcome
   in
-  finalize ~aux ~ucq:(store.to_ucq ()) ~outcome ~steps:!steps
+  finalize ~aux
+    ~ucq:(Ucq.of_disjuncts_unchecked (Ucq_index.disjuncts store.idx))
+    ~outcome ~steps:!steps
     ~generated:kernel_stats.Saturation.Stats.totals.Saturation.Stats.generated
     ~containment_checks:(Atomic.get checks)
     ~dedup_hits:!dedup_hits ~kernel_stats ~memo0 ~ix0 ~solver0

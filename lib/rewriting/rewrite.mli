@@ -50,12 +50,10 @@ type result = {
       (** disjunct pairs (and core-shrink candidates) refuted during this
           run by the subsumption-index fingerprints — anchor masks,
           occurrence-vector support, distance profiles — without running
-          any containment search (0 when [Ucq_index.set_indexing] and
-          [Containment.set_decomposition] are both off) *)
+          any containment search *)
   component_splits : int;
       (** containment checks this run whose pattern split into two or
-          more Gaifman components and were solved per component (0 when
-          [Containment.set_decomposition] is off) *)
+          more Gaifman components and were solved per component *)
   kernel_stats : Saturation.Stats.t;
       (** the saturation kernel's counters for the run ([expanded] =
           frontier disjuncts expanded, i.e. [steps]; [admitted] =

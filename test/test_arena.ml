@@ -3,9 +3,9 @@
    decoding, the [to_atom] bounds contract, and the posting-list paths
    behind [Fact_set.iter_join_candidates] — empty and singleton postings,
    duplicate-position atoms like R(a,a), and the merge-intersection of
-   two sorted postings. The cross-engine differential properties (arena
-   vs boxed chase/rewriting on random theories) live in
-   test_properties.ml; these tests pin the data structure itself. *)
+   two sorted postings. The differential properties (chase and rewriting
+   against naive references) live in test_properties.ml; these tests pin
+   the data structure itself. *)
 
 open Logic
 
@@ -15,11 +15,6 @@ let p1 = Symbol.make "AR_p1" ~arity:1
 let c i = Term.const (Printf.sprintf "ar_c%d" i)
 
 let atom_t = Alcotest.testable Atom.pp Atom.equal
-
-let with_arena on f =
-  let prev = Fact_set.arena_enabled () in
-  Fact_set.set_arena on;
-  Fun.protect ~finally:(fun () -> Fact_set.set_arena prev) f
 
 (* ------------------------------------------------------------------ *)
 (* Interning: hash-consing and span decoding                           *)
@@ -118,7 +113,7 @@ let test_to_atom_bounds () =
 
 (* Emulate the compiled engine's caller-side re-check: visited rows are
    a superset of the candidates; filtering on the ids slab must land on
-   exactly [Fact_set.candidates], in the same order. *)
+   exactly the matching facts, in [Fact_set.by_rel] order. *)
 let join_filtered t rel bound =
   let bound_pos = Array.make 8 0 and bound_ids = Array.make 8 0 in
   List.iteri
@@ -142,111 +137,88 @@ let join_filtered t rel bound =
 let check_against_candidates msg t rel bound =
   Alcotest.(check (list atom_t))
     msg
-    (Fact_set.candidates t rel ~bound)
+    (List.filter
+       (fun a ->
+         List.for_all (fun (pos, tm) -> Term.equal (Atom.arg a pos) tm) bound)
+       (Fact_set.by_rel t rel))
     (join_filtered t rel bound)
 
 let test_join_candidates_empty_and_singleton () =
-  with_arena true (fun () ->
-      let empty = Fact_set.of_list [] in
-      Alcotest.(check (list atom_t))
-        "empty set, no rows" []
-        (join_filtered empty r2 [ (0, c 1) ]);
-      let single = Fact_set.of_list [ Atom.make r2 [ c 1; c 2 ] ] in
-      check_against_candidates "singleton, matching constraint" single r2
-        [ (0, c 1) ];
-      Alcotest.(check (list atom_t))
-        "singleton, missing posting" []
-        (join_filtered single r2 [ (0, c 9) ]);
-      Alcotest.(check (list atom_t))
-        "wrong relation" []
-        (join_filtered single p1 [ (0, c 1) ]))
+  let empty = Fact_set.of_list [] in
+  Alcotest.(check (list atom_t))
+    "empty set, no rows" []
+    (join_filtered empty r2 [ (0, c 1) ]);
+  let single = Fact_set.of_list [ Atom.make r2 [ c 1; c 2 ] ] in
+  check_against_candidates "singleton, matching constraint" single r2
+    [ (0, c 1) ];
+  Alcotest.(check (list atom_t))
+    "singleton, missing posting" []
+    (join_filtered single r2 [ (0, c 9) ]);
+  Alcotest.(check (list atom_t))
+    "wrong relation" []
+    (join_filtered single p1 [ (0, c 1) ])
 
 let test_join_candidates_duplicate_positions () =
-  with_arena true (fun () ->
-      (* R(a,a) exercises the duplicate-position posting dedup: the same
-         row appears under (pos 0, a) and (pos 1, a), and a two-sided
-         constraint on [a] intersects those postings. *)
-      let a = c 10 and b = c 11 in
-      let t =
-        Fact_set.of_list
-          [
-            Atom.make r2 [ a; a ];
-            Atom.make r2 [ a; b ];
-            Atom.make r2 [ b; a ];
-            Atom.make r2 [ b; b ];
-          ]
-      in
-      check_against_candidates "R(a,a) via both positions" t r2
-        [ (0, a); (1, a) ];
-      check_against_candidates "R(a,b) mixed pair" t r2 [ (0, a); (1, b) ];
-      check_against_candidates "single constraint, duplicate rows once" t r2
-        [ (1, a) ];
-      (* Each surviving row must be visited exactly once. *)
-      let rows = join_filtered t r2 [ (0, a); (1, a) ] in
-      Alcotest.(check int) "no double visit" 1 (List.length rows))
+  (* R(a,a) exercises the duplicate-position posting dedup: the same
+     row appears under (pos 0, a) and (pos 1, a), and a two-sided
+     constraint on [a] intersects those postings. *)
+  let a = c 10 and b = c 11 in
+  let t =
+    Fact_set.of_list
+      [
+        Atom.make r2 [ a; a ];
+        Atom.make r2 [ a; b ];
+        Atom.make r2 [ b; a ];
+        Atom.make r2 [ b; b ];
+      ]
+  in
+  check_against_candidates "R(a,a) via both positions" t r2
+    [ (0, a); (1, a) ];
+  check_against_candidates "R(a,b) mixed pair" t r2 [ (0, a); (1, b) ];
+  check_against_candidates "single constraint, duplicate rows once" t r2
+    [ (1, a) ];
+  (* Each surviving row must be visited exactly once. *)
+  let rows = join_filtered t r2 [ (0, a); (1, a) ] in
+  Alcotest.(check int) "no double visit" 1 (List.length rows)
 
 let test_join_candidates_intersection_path () =
-  with_arena true (fun () ->
-      (* Two large postings with a small intersection: enough rows on
-         both sides to clear the merge-intersection threshold. *)
-      let hub = c 100 in
-      let left = List.init 40 (fun i -> Atom.make r2 [ hub; c (200 + i) ]) in
-      let right = List.init 40 (fun i -> Atom.make r2 [ c (300 + i); hub ]) in
-      let both = [ Atom.make r2 [ hub; hub ] ] in
-      let t = Fact_set.of_list (left @ right @ both) in
-      check_against_candidates "intersection of two long postings" t r2
-        [ (0, hub); (1, hub) ];
-      check_against_candidates "one-sided long posting" t r2 [ (0, hub) ];
-      (* Three-column relation: constraints on the two smallest postings,
-         third position re-checked by the caller. *)
-      let t3 =
-        Fact_set.of_list
-          (List.init 30 (fun i -> Atom.make s3 [ hub; c i; hub ])
-          @ [ Atom.make s3 [ hub; c 500; c 501 ] ])
-      in
-      check_against_candidates "arity-3, two constraints" t3 s3
-        [ (0, hub); (2, hub) ];
-      check_against_candidates "arity-3, all three bound" t3 s3
-        [ (0, hub); (1, c 5); (2, hub) ])
+  (* Two large postings with a small intersection: enough rows on
+     both sides to clear the merge-intersection threshold. *)
+  let hub = c 100 in
+  let left = List.init 40 (fun i -> Atom.make r2 [ hub; c (200 + i) ]) in
+  let right = List.init 40 (fun i -> Atom.make r2 [ c (300 + i); hub ]) in
+  let both = [ Atom.make r2 [ hub; hub ] ] in
+  let t = Fact_set.of_list (left @ right @ both) in
+  check_against_candidates "intersection of two long postings" t r2
+    [ (0, hub); (1, hub) ];
+  check_against_candidates "one-sided long posting" t r2 [ (0, hub) ];
+  (* Three-column relation: constraints on the two smallest postings,
+     third position re-checked by the caller. *)
+  let t3 =
+    Fact_set.of_list
+      (List.init 30 (fun i -> Atom.make s3 [ hub; c i; hub ])
+      @ [ Atom.make s3 [ hub; c 500; c 501 ] ])
+  in
+  check_against_candidates "arity-3, two constraints" t3 s3
+    [ (0, hub); (2, hub) ];
+  check_against_candidates "arity-3, all three bound" t3 s3
+    [ (0, hub); (1, c 5); (2, hub) ]
 
 let test_join_candidates_across_merged_layers () =
-  with_arena true (fun () ->
-      (* Incremental adds force LSM layer merges (max 4 layers); the
-         postings of merged layers must still answer exactly. *)
-      let t = ref Fact_set.empty in
-      for i = 0 to 99 do
-        t := Fact_set.add (Atom.make r2 [ c (i mod 7); c (i mod 5) ]) !t
-      done;
-      for x = 0 to 6 do
-        check_against_candidates
-          (Printf.sprintf "merged layers, x=%d" x)
-          !t r2
-          [ (0, c x) ]
-      done;
-      check_against_candidates "merged layers, both bound" !t r2
-        [ (0, c 3); (1, c 3) ])
-
-let test_boxed_and_arena_sets_agree () =
-  (* The same construction sequence in boxed and arena modes yields
-     equal sets with identical candidate answers — the non-random core
-     of the QCheck differentials. *)
-  let build () =
-    let t = ref Fact_set.empty in
-    for i = 0 to 49 do
-      t := Fact_set.add (Atom.make r2 [ c (i mod 6); c (i mod 4) ]) !t
-    done;
-    t := Fact_set.union !t (Fact_set.of_list [ Atom.make p1 [ c 2 ] ]);
-    !t
-  in
-  let boxed = with_arena false build in
-  let arena = with_arena true build in
-  Alcotest.(check bool) "sets equal" true (Fact_set.equal boxed arena);
-  for x = 0 to 5 do
-    Alcotest.(check (list atom_t))
-      (Printf.sprintf "candidates agree, x=%d" x)
-      (Fact_set.candidates boxed r2 ~bound:[ (0, c x) ])
-      (Fact_set.candidates arena r2 ~bound:[ (0, c x) ])
-  done
+  (* Incremental adds force LSM layer merges (max 4 layers); the
+     postings of merged layers must still answer exactly. *)
+  let t = ref Fact_set.empty in
+  for i = 0 to 99 do
+    t := Fact_set.add (Atom.make r2 [ c (i mod 7); c (i mod 5) ]) !t
+  done;
+  for x = 0 to 6 do
+    check_against_candidates
+      (Printf.sprintf "merged layers, x=%d" x)
+      !t r2
+      [ (0, c x) ]
+  done;
+  check_against_candidates "merged layers, both bound" !t r2
+    [ (0, c 3); (1, c 3) ]
 
 let () =
   Alcotest.run "arena"
@@ -269,7 +241,5 @@ let () =
             test_join_candidates_intersection_path;
           Alcotest.test_case "merged LSM layers" `Quick
             test_join_candidates_across_merged_layers;
-          Alcotest.test_case "boxed and arena sets agree" `Quick
-            test_boxed_and_arena_sets_agree;
         ] );
     ]

@@ -306,6 +306,94 @@ let test_uniform_bound_family () =
   | Some b -> Alcotest.(check bool) "uniformly small" true (b <= 3)
   | None -> Alcotest.fail "expected uniform bound"
 
+(* Pinned retract search. [core_of_chase] steers its fold search with a
+   candidate ranking ([Homomorphism]'s [?prefer]); which fold is found
+   first decides the model it reports. The values below were recorded
+   before the ranking moved from the map-and-set backtracking engine
+   onto the register machine, and must not move. The model is pinned by
+   the digest of its sorted printed atoms. *)
+let model_digest fs =
+  Digest.to_hex
+    (Digest.string
+       (String.concat "\n"
+          (List.sort compare (List.map (Fmt.str "%a" Atom.pp) (Fact_set.atoms fs)))))
+
+let random_small seed t =
+  Theories.Generators.random_instance_for ~seed t ~nodes:3 ~facts:4
+
+let e_path n =
+  let _, _, d = Theories.Instances.path Theories.Zoo.e2 n in
+  d
+
+let person_court n =
+  Fact_set.of_list
+    (List.init n (fun i ->
+         atom Theories.Zoo.person [ c (Printf.sprintf "p%d" i) ]))
+
+let test_core_of_chase_pins () =
+  let open Theories.Zoo in
+  List.iter
+    (fun (name, theory, d, expected) ->
+      let got =
+        Option.map
+          (fun { Chase.Core_model.c; model; core } ->
+            ( c,
+              Fact_set.cardinal model,
+              Fact_set.cardinal core,
+              model_digest model ))
+          (Chase.Core_model.core_of_chase ~max_c:6 ~lookahead:4
+             ~max_atoms:20_000 theory d)
+      in
+      Alcotest.(check (option (pair int (pair int (pair int string)))))
+        name
+        (Option.map (fun (a, b, c, d) -> (a, (b, (c, d)))) expected)
+        (Option.map (fun (a, b, c, d) -> (a, (b, (c, d)))) got))
+    [
+      ( "T_loopcut r11", t_loopcut, random_small 11 t_loopcut,
+        Some (2, 5, 5, "c915db5b050d2d19d746503712575186") );
+      ( "T_loopcut r23", t_loopcut, random_small 23 t_loopcut,
+        Some (2, 4, 4, "a701f8470a905825d39bbeb85ab64bd3") );
+      ( "T_loopcut E^3", t_loopcut, e_path 3,
+        Some (2, 6, 6, "f77384f7315cefdb461add3df3108c90") );
+      ( "T_c E^3", t_c, e_path 3,
+        Some (3, 6, 6, "9ac2b3c2fe5b49f23de56cb4936baac7") );
+      ( "T_spouse r23", t_spouse, random_small 23 t_spouse,
+        Some (1, 8, 8, "3116509e2b5ce75bc45900f3cefd2d19") );
+      ( "T_spouse court 2", t_spouse, person_court 2,
+        Some (2, 8, 8, "2a440882432255aee435a52bd53d0c1d") );
+      ( "T_e28[3] r11", t_e28 3, random_small 11 (t_e28 3),
+        Some (3, 11, 11, "9ad0c0435643e680cc8a6911085216fd") );
+      ( "T_e28[3] r23", t_e28 3, random_small 23 (t_e28 3),
+        Some (3, 8, 8, "19c06cd268b6ff477c1d80fdb5f33619") );
+      ( "T_sticky r11", t_sticky, random_small 11 t_sticky,
+        Some (0, 4, 4, "b0bb6b4a68d33990ac51b8abbf73f82b") );
+      ("T_p E^3", t_p, e_path 3, None);
+    ]
+
+let test_uniform_bound_pins () =
+  let open Theories.Zoo in
+  List.iter
+    (fun (name, theory, instances, expected_bound, expected_per) ->
+      let bound, per =
+        Chase.Termination.uniform_bound_on ~max_c:6 ~lookahead:4
+          ~max_atoms:20_000 theory instances
+      in
+      Alcotest.(check (option int)) (name ^ " bound") expected_bound bound;
+      Alcotest.(check (list int)) (name ^ " per instance") expected_per
+        (List.map snd per))
+    [
+      ("T_loopcut", t_loopcut, List.map e_path [ 1; 2; 3; 4 ], Some 2,
+        [ 2; 2; 2; 2 ]);
+      ("T_spouse", t_spouse, List.map person_court [ 1; 2; 3 ], Some 2,
+        [ 2; 2; 2 ]);
+      ( "T_e28[3]", t_e28 3,
+        List.map (fun s -> random_small s (t_e28 3)) [ 3; 5; 7 ],
+        Some 3, [ 3; 2; 3 ] );
+      ( "T_a", t_a, List.map (fun s -> random_small s t_a) [ 3; 5; 7 ], None,
+        [ 1; 1 ] );
+      ("T_p", t_p, List.map e_path [ 1; 2 ], None, []);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Section 8: C_D and Lemma 33                                         *)
 (* ------------------------------------------------------------------ *)
@@ -443,6 +531,10 @@ let () =
           Alcotest.test_case "uniform bound on family" `Quick
             test_uniform_bound_family;
           Alcotest.test_case "lemma 33 (C_D)" `Quick test_lemma33;
+          Alcotest.test_case "core_of_chase pins" `Quick
+            test_core_of_chase_pins;
+          Alcotest.test_case "uniform_bound_on pins" `Quick
+            test_uniform_bound_pins;
         ] );
       ( "properties",
         [

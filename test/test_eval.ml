@@ -1,18 +1,14 @@
 (* The executable-plan evaluation layer: plan compilation, leapfrog
-   answers against the Cq reference, UCQ union dedup, the set_eval A/B
-   toggle, the containment probe, guard integration (a tripped join
-   returns a sound partial answer set), and the Match trigger rounds. *)
+   answers against the Cq reference, UCQ union dedup, the fallback for
+   bodies the leapfrog compiler declines, the containment probe, guard
+   integration (a tripped join returns a sound partial answer set), and
+   the Match trigger rounds. *)
 
 open Logic
 
 let tuples = Alcotest.testable
     (Fmt.list ~sep:Fmt.semi (Fmt.list ~sep:Fmt.comma Term.pp))
     (fun a b -> List.compare (List.compare Term.compare) a b = 0)
-
-let with_eval on f =
-  let prev = Eval.eval_enabled () in
-  Eval.set_eval on;
-  Fun.protect ~finally:(fun () -> Eval.set_eval prev) f
 
 let x = Term.var "x"
 let y = Term.var "y"
@@ -117,17 +113,33 @@ let test_ucq_union_dedup () =
       Alcotest.(check bool) "ucq holds" true (Eval.ucq_holds u er tuple))
     reference
 
-let test_toggle_and_legacy_agree () =
-  let ba = Theories.Instances.barabasi_albert Theories.Zoo.e2 ~seed:13
-      ~nodes:40 ~m:3 in
-  let q =
-    Cq.make ~free:[ x; y ]
-      [ Atom.make Theories.Zoo.e2 [ x; z ]; Atom.make Theories.Zoo.e2 [ y; z ] ]
+let test_fallback_plan () =
+  (* A functional argument with a variable inside cannot be keyed by the
+     sorted join, so the plan falls back to the register-machine search.
+     Terms match atomically: [f(y)] matches only itself (as in a query
+     body used as a containment target). *)
+  let a = Term.const "a" and b = Term.const "b" and c = Term.const "c" in
+  let f t = Term.app "f" [ t ] in
+  let e2 = Theories.Zoo.e2 in
+  let inst =
+    Fact_set.of_list
+      [
+        Atom.make e2 [ a; f y ];
+        Atom.make e2 [ b; f b ];
+        Atom.make e2 [ c; f y ];
+      ]
   in
-  let on = with_eval true (fun () -> Eval.answers q ba) in
-  let off = with_eval false (fun () -> Eval.answers q ba) in
-  Alcotest.check tuples "toggle equal" on off;
-  Alcotest.check tuples "matches Cq" (Cq.answers q ba) on
+  let q = Cq.make ~free:[ x ] [ Atom.make e2 [ x; f y ] ] in
+  Alcotest.(check bool) "not compiled" false
+    (Eval.Plan.compiled (Eval.Plan.compile q));
+  Alcotest.check tuples "fallback answers"
+    (List.sort (List.compare Term.compare) [ [ a ]; [ c ] ])
+    (Eval.answers q inst);
+  Alcotest.check tuples "matches Cq" (Cq.answers q inst) (Eval.answers q inst);
+  Alcotest.(check bool) "fallback holds" true (Eval.holds q inst [ c ]);
+  Alcotest.(check bool) "fallback rejects" false (Eval.holds q inst [ b ]);
+  Alcotest.(check bool) "fallback boolean" true
+    (Eval.boolean_holds (Cq.make ~free:[] [ Atom.make e2 [ z; f y ] ]) inst)
 
 let test_guard_partial_is_sound () =
   let er = Theories.Instances.erdos_renyi Theories.Zoo.e2 ~seed:17 ~nodes:60
@@ -166,19 +178,28 @@ let test_guard_partial_is_sound () =
         partial)
 
 let test_containment_probe_via_hook () =
-  (* Containment runs through the registered probe when eval is linked
-     and enabled; verdicts must not depend on the toggle. *)
+  (* Containment runs through the registered probe when eval is linked;
+     below the cutoff the probe declines and the register machine
+     decides, and the forced leapfrog arm must reach the same verdict. *)
   let q1 =
     Cq.make ~free:[ x ]
       [ Atom.make Theories.Zoo.e2 [ x; y ]; Atom.make Theories.Zoo.e2 [ y; z ] ]
   in
   let q2 = Cq.make ~free:[ x ] [ Atom.make Theories.Zoo.e2 [ x; y ] ] in
+  let leapfrog = Eval.containment_probe ~force_leapfrog:true () in
   List.iter
-    (fun (a, b) ->
-      Alcotest.(check bool) "implies toggled"
-        (with_eval false (fun () -> Containment.implies a b))
-        (with_eval true (fun () -> Containment.implies a b)))
-    [ (q1, q2); (q2, q1); (q1, q1) ]
+    (fun (a, b, expected) ->
+      Alcotest.(check bool) "implies" expected (Containment.implies a b);
+      let init =
+        List.fold_left2
+          (fun m v w -> Term.Map.add v w m)
+          Term.Map.empty (Cq.free b) (Cq.free a)
+      in
+      Alcotest.(check (option bool))
+        "forced leapfrog" (Some expected)
+        (leapfrog ~init ~flexible:(Cq.var_set b) ~pattern:(Cq.atoms b)
+           ~target:(Cq.as_fact_set a)))
+    [ (q1, q2, true); (q2, q1, false); (q1, q1, true) ]
 
 let test_probe_selects_by_target_size () =
   (* The probe looks at the target before compiling: a target below
@@ -246,8 +267,7 @@ let () =
             test_answers_match_reference;
           Alcotest.test_case "holds / boolean" `Quick test_holds_and_boolean;
           Alcotest.test_case "ucq union dedup" `Quick test_ucq_union_dedup;
-          Alcotest.test_case "set_eval toggle" `Quick
-            test_toggle_and_legacy_agree;
+          Alcotest.test_case "fallback plan" `Quick test_fallback_plan;
         ] );
       ( "guard",
         [

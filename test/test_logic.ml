@@ -52,6 +52,28 @@ let test_subst () =
 (* Atoms and fact sets                                                *)
 (* ------------------------------------------------------------------ *)
 
+(* The facts of [rel] meeting every [(position, term)] constraint, read
+   through the join index the homomorphism engine uses: the visited rows
+   are a superset, so the caller-side id check of the engine is repeated
+   here. *)
+let candidates fs rel ~bound =
+  let arity = Symbol.arity rel in
+  let bound_pos = Array.of_list (List.map fst bound) in
+  let bound_ids =
+    Array.of_list (List.map (fun (_, (t : Term.t)) -> t.Term.id) bound)
+  in
+  let nb = Array.length bound_pos in
+  let acc = ref [] in
+  Fact_set.iter_join_candidates fs rel ~bound_pos ~bound_ids ~nb
+    (fun atoms ids row ->
+      let ok = ref true in
+      for i = 0 to nb - 1 do
+        if ids.((row * arity) + bound_pos.(i)) <> bound_ids.(i) then
+          ok := false
+      done;
+      if !ok then acc := atoms.(row) :: !acc);
+  List.rev !acc
+
 let test_atom_arity_check () =
   Alcotest.check_raises "arity mismatch"
     (Invalid_argument "Atom.make: E expects arity 2, got 1") (fun () ->
@@ -65,7 +87,7 @@ let test_fact_set_ops () =
   Alcotest.(check bool) "mem" true (Fact_set.mem f1 fs);
   Alcotest.(check int) "by_rel" 2 (List.length (Fact_set.by_rel fs e));
   Alcotest.(check int) "candidates bound" 1
-    (List.length (Fact_set.candidates fs e ~bound:[ (0, c "a") ]));
+    (List.length (candidates fs e ~bound:[ (0, c "a") ]));
   let restricted = Fact_set.restrict fs (Term.Set.of_list [ c "a"; c "b" ]) in
   Alcotest.(check int) "restrict bans c" 1 (Fact_set.cardinal restricted)
 
@@ -78,26 +100,27 @@ let test_position_index_term_id () =
   let f1 = atom e [ s1; c "x" ] and f2 = atom e [ s2; c "x" ] in
   let fs = Fact_set.of_list [ f1; f2 ] in
   let probe = Term.app "sk" [ c "a" ] in
-  (match Fact_set.candidates fs e ~bound:[ (0, probe) ] with
+  (match candidates fs e ~bound:[ (0, probe) ] with
   | [ f ] ->
       Alcotest.(check bool) "fresh copy of skolem key finds its fact" true
         (Atom.equal f f1)
   | l -> Alcotest.failf "expected one candidate, got %d" (List.length l));
   Alcotest.(check int) "other skolem key" 1
-    (List.length (Fact_set.candidates fs e ~bound:[ (0, s2) ]));
+    (List.length (candidates fs e ~bound:[ (0, s2) ]));
   (* A term occurring only at another position must not match; neither may
      a variable spelled like a constant in the set. *)
   Alcotest.(check int) "term absent at position" 0
-    (List.length (Fact_set.candidates fs e ~bound:[ (0, c "x") ]));
+    (List.length (candidates fs e ~bound:[ (0, c "x") ]));
   Alcotest.(check int) "var does not alias const" 0
-    (List.length (Fact_set.candidates fs e ~bound:[ (1, v "x") ]));
+    (List.length (candidates fs e ~bound:[ (1, v "x") ]));
   Alcotest.(check int) "shared second position" 2
-    (List.length (Fact_set.candidates fs e ~bound:[ (1, c "x") ]))
+    (List.length (candidates fs e ~bound:[ (1, c "x") ]))
 
 let test_candidates_multi_bound () =
-  (* With several (position, term) constraints the index serves one as the
-     lookup seed; the rest must still be enforced by filtering, whichever
-     seed the selectivity heuristic picks. *)
+  (* With several (position, term) constraints the index seeds each layer
+     from the smallest postings; the filtered rows must be exactly the
+     matching facts, in [by_rel] order, whichever seed the selectivity
+     heuristic picks. *)
   let t3 = sym "T" 3 in
   let f1 = atom t3 [ c "a"; c "b"; c "cc" ]
   and f2 = atom t3 [ c "a"; c "b"; c "d" ]
@@ -105,7 +128,7 @@ let test_candidates_multi_bound () =
   and f4 = atom t3 [ c "f"; c "b"; c "cc" ] in
   let fs = Fact_set.of_list [ f1; f2; f3; f4 ] in
   let check_bound name bound expected =
-    let got = Fact_set.candidates fs t3 ~bound in
+    let got = candidates fs t3 ~bound in
     Alcotest.(check int) (name ^ ": count") (List.length expected)
       (List.length got);
     List.iter
@@ -113,12 +136,16 @@ let test_candidates_multi_bound () =
         Alcotest.(check bool) (name ^ ": member") true
           (List.exists (Atom.equal f) got))
       expected;
-    (* [iter_candidates] must visit exactly the same atoms in the same
-       order, without materializing the list. *)
-    let via_iter = ref [] in
-    Fact_set.iter_candidates fs t3 ~bound (fun f -> via_iter := f :: !via_iter);
-    Alcotest.(check bool) (name ^ ": iter agrees") true
-      (List.equal Atom.equal got (List.rev !via_iter))
+    let scanned =
+      List.filter
+        (fun f ->
+          List.for_all
+            (fun (pos, t) -> Term.equal (Atom.arg f pos) t)
+            bound)
+        (Fact_set.by_rel fs t3)
+    in
+    Alcotest.(check bool) (name ^ ": by_rel order") true
+      (List.equal Atom.equal got scanned)
   in
   check_bound "two bound" [ (0, c "a"); (1, c "b") ] [ f1; f2 ];
   check_bound "other pair" [ (1, c "b"); (2, c "cc") ] [ f1; f4 ];
@@ -559,14 +586,13 @@ let prop_incremental_index_equiv =
       && List.for_all
            (fun ti ->
              same_answers
-               (Fact_set.candidates fs e ~bound:[ (0, ti) ])
-               (Fact_set.candidates rebuilt e ~bound:[ (0, ti) ])
+               (candidates fs e ~bound:[ (0, ti) ])
+               (candidates rebuilt e ~bound:[ (0, ti) ])
              && List.for_all
                   (fun tj ->
                     same_answers
-                      (Fact_set.candidates fs e ~bound:[ (0, ti); (1, tj) ])
-                      (Fact_set.candidates rebuilt e
-                         ~bound:[ (0, ti); (1, tj) ]))
+                      (candidates fs e ~bound:[ (0, ti); (1, tj) ])
+                      (candidates rebuilt e ~bound:[ (0, ti); (1, tj) ]))
                   nodes)
            nodes)
 

@@ -214,6 +214,58 @@ let test_execute_falls_back_on_budget () =
   Alcotest.(check bool) "still the right answer" true
     (Strategy.equal_answers a.Strategy.tuples [ [ Term.const "Abel" ] ])
 
+(* Routing pinned across the whole zoo: strategy, reasons and (with the
+   BDD probe, on the theories where it is quick) the probe's uniform
+   chase bound, which runs the core search of [Chase.Core_model]. The
+   values were recorded before that search's candidate ranking moved
+   onto the register machine, and must not move. *)
+let test_plan_routing_pins () =
+  let open Theories.Zoo in
+  let show ?probe theory =
+    let p = Portfolio.plan ?probe theory in
+    Printf.sprintf "%s | %s | %s"
+      (Portfolio.Strategy.strategy_name p.Portfolio.Strategy.strategy)
+      (String.concat "; " p.Portfolio.Strategy.reasons)
+      (match p.Portfolio.Strategy.report.Portfolio.Checkers.probe with
+      | None -> "-"
+      | Some pr -> (
+          match pr.Portfolio.Checkers.uniform_bound with
+          | Some b -> string_of_int b
+          | None -> "none"))
+  in
+  List.iter
+    (fun (name, theory, expected) ->
+      Alcotest.(check string) name expected (show theory))
+    [
+      ("T_loopcut", t_loopcut, "budgeted-chase | no class evidence; chase under budget | -");
+      ("T_c", t_c, "budgeted-chase | no class evidence; chase under budget | -");
+      ("T_spouse", t_spouse, "ucq-rewriting | linear; sticky | -");
+      ("T_e28[3]", t_e28 3, "ucq-rewriting | linear; sticky; loop-restricted | -");
+      ("T_sticky", t_sticky, "ucq-rewriting | sticky | -");
+      ("T_a", t_a, "ucq-rewriting | linear; sticky | -");
+      ("T_p", t_p, "ucq-rewriting | linear; sticky | -");
+      ("T_nonbdd", t_nonbdd, "terminating-chase | datalog; weakly acyclic | -");
+      ("T_d", t_d, "marked-process[2] | matches T_d up to variable renaming | -");
+      ("T_d_noloop", t_d_noloop, "budgeted-chase | no class evidence; chase under budget | -");
+      ("T_ex66", t_ex66, "budgeted-chase | no class evidence; chase under budget | -");
+      ("T_d^3", t_dk 3, "marked-process[3] | matches T_d^3 up to variable renaming | -");
+    ];
+  List.iter
+    (fun (name, theory, expected) ->
+      Alcotest.(check string) (name ^ " probed") expected
+        (show ~probe:true theory))
+    [
+      ("T_loopcut", t_loopcut, "ucq-rewriting | atomic queries probe-certified | 1");
+      ( "T_e28[3]", t_e28 3,
+        "ucq-rewriting | linear; sticky; loop-restricted; atomic queries \
+         probe-certified | 3" );
+      ("T_sticky", t_sticky, "ucq-rewriting | sticky; atomic queries probe-certified | 0");
+      ("T_a", t_a, "ucq-rewriting | linear; sticky; atomic queries probe-certified | 1");
+      ("T_p", t_p, "ucq-rewriting | linear; sticky; atomic queries probe-certified | 0");
+      ("T_nonbdd", t_nonbdd, "terminating-chase | datalog; weakly acyclic | 0");
+      ("T_ex66", t_ex66, "ucq-rewriting | atomic queries probe-certified | none");
+    ]
+
 let test_plan_never_unsound_on_generated_theories () =
   (* The routing invariant on all six generator families: whatever plan
      says, the evidence it cites must actually hold. *)
@@ -457,6 +509,7 @@ let () =
             test_execute_falls_back_on_budget;
           Alcotest.test_case "routing is sound on generated theories" `Quick
             test_plan_never_unsound_on_generated_theories;
+          Alcotest.test_case "zoo routing pins" `Quick test_plan_routing_pins;
         ] );
       ( "minimizer",
         [

@@ -2,11 +2,16 @@
 
    Random single-head TGD theories, instances, and queries are drawn from
    int-encoded generators (plain tuples and lists, so QCheck's built-in
-   shrinkers minimize counterexamples), then three implementations are
-   played against each other:
+   shrinkers minimize counterexamples), then the engines are played
+   against small naive references and against each other:
 
+   - a naive homomorphism enumerator (a scan of the whole target per
+     pattern atom, no index) against [Cq], [Eval] and [Containment];
    - a ~30-line naive reference chase (textbook fixpoint, no semi-naive
-     deltas, no provenance) against [Chase.Engine.run];
+     deltas, no provenance, triggers from the naive enumerator) against
+     [Chase.Engine.run];
+   - a naive queue/[Ucq.add_minimal] rewriting against the saturation
+     kernel;
    - the sequential engines against their [lib/parallel] counterparts at
      several domain counts (stages must be bit-identical, rewritings
      UCQ-equivalent);
@@ -90,8 +95,137 @@ let instance_arb =
 let query_arb = QCheck.(list_of_size Gen.(1 -- 2) atom_arb)
 
 (* ------------------------------------------------------------------ *)
+(* The naive homomorphism enumerator                                   *)
+(* ------------------------------------------------------------------ *)
+
+(* Every homomorphism from [pattern] into the atom list [target] that
+   extends [init]: variables are flexible, every other term must match
+   literally (terms are matched atomically). Pattern atoms are bound one
+   at a time by scanning the whole target, preferring an atom that
+   shares a bound variable (so connected patterns never enumerate cross
+   products). A mapping fixes the image of every pattern atom, so each
+   one is reached exactly once. [injective] keeps the mappings whose
+   images are pairwise distinct, [init] included. *)
+let naive_iter_homs ?(init = Term.Map.empty) ?(injective = false) pattern
+    target f =
+  let bind m x y =
+    if not (Term.is_var x) then if Term.equal x y then Some m else None
+    else
+      match Term.Map.find_opt x m with
+      | Some y' -> if Term.equal y y' then Some m else None
+      | None ->
+          if injective && Term.Map.exists (fun _ y' -> Term.equal y y') m
+          then None
+          else Some (Term.Map.add x y m)
+  in
+  let rec extend m xs ys =
+    match (xs, ys) with
+    | [], [] -> Some m
+    | x :: xs, y :: ys -> Option.bind (bind m x y) (fun m -> extend m xs ys)
+    | _ -> None
+  in
+  let bound m a = List.exists (fun t -> Term.Map.mem t m) (Atom.args a) in
+  let rec go m = function
+    | [] -> f m
+    | pending ->
+        let a =
+          match List.find_opt (bound m) pending with
+          | Some a -> a
+          | None -> List.hd pending
+        in
+        let rest = List.filter (fun b -> b != a) pending in
+        List.iter
+          (fun b ->
+            if Symbol.equal (Atom.rel a) (Atom.rel b) then
+              match extend m (Atom.args a) (Atom.args b) with
+              | Some m' -> go m' rest
+              | None -> ())
+          target
+  in
+  let images = Term.Map.fold (fun _ y acc -> y :: acc) init [] in
+  if
+    (not injective)
+    || List.length images = List.length (List.sort_uniq Term.compare images)
+  then go init pattern
+
+let naive_homs ?init ?injective pattern target =
+  let acc = ref [] in
+  naive_iter_homs ?init ?injective pattern target (fun m -> acc := m :: !acc);
+  List.rev !acc
+
+let naive_hom_exists ?init pattern target =
+  let exception Found in
+  try
+    naive_iter_homs ?init pattern target (fun _ -> raise Found);
+    false
+  with Found -> true
+
+let tuple_compare = List.compare Term.compare
+
+(* The answers of [q] over [d]: every homomorphism projected onto the
+   answer variables, sorted and deduplicated as [Cq.answers] does. *)
+let naive_answers q d =
+  List.sort_uniq tuple_compare
+    (List.map
+       (fun m -> List.map (fun v -> Term.Map.find v m) (Cq.free q))
+       (naive_homs (Cq.atoms q) (Fact_set.atoms d)))
+
+let naive_boolean_holds q d = naive_hom_exists (Cq.atoms q) (Fact_set.atoms d)
+
+(* The answer variables of [pattern] mapped positionally onto those of
+   [target]; [None] when the lists differ in length. *)
+let free_init ~pattern ~target =
+  if List.length (Cq.free pattern) <> List.length (Cq.free target) then None
+  else
+    Some
+      (List.fold_left2
+         (fun m v w -> Term.Map.add v w m)
+         Term.Map.empty (Cq.free pattern) (Cq.free target))
+
+(* [Containment.implies target pattern]: a homomorphism pattern -> target
+   fixing the answer variables positionally. *)
+let naive_implies target pattern =
+  match free_init ~pattern ~target with
+  | None -> false
+  | Some init -> naive_hom_exists ~init (Cq.atoms pattern) (Cq.atoms target)
+
+(* [Containment.isomorphic q1 q2]: an injective variable mapping, answer
+   variables positionally, that carries the body of [q1] onto exactly the
+   body of [q2]. *)
+let naive_isomorphic q1 q2 =
+  Cq.size q1 = Cq.size q2
+  &&
+  match free_init ~pattern:q1 ~target:q2 with
+  | None -> false
+  | Some init ->
+      let body2 = Atom.Set.of_list (Cq.atoms q2) in
+      let image m =
+        Atom.Set.of_list
+          (List.map
+             (Atom.map_args (fun t ->
+                  Option.value ~default:t (Term.Map.find_opt t m)))
+             (Cq.atoms q1))
+      in
+      List.exists
+        (fun m -> Atom.Set.equal (image m) body2)
+        (naive_homs ~init ~injective:true (Cq.atoms q1) (Cq.atoms q2))
+
+(* ------------------------------------------------------------------ *)
 (* The naive reference chase: a direct reading of Definition 6         *)
 (* ------------------------------------------------------------------ *)
+
+(* The triggers of [rule] over [current]: the naive body homomorphisms,
+   each extended by every binding of the rule's remaining [dom(x)]
+   variables to an active-domain element. *)
+let naive_triggers rule current f =
+  let atoms = Fact_set.atoms current in
+  let dom = Term.Set.elements (Fact_set.domain current) in
+  let rec bind_dom m = function
+    | [] -> f m
+    | v :: rest when Term.Map.mem v m -> bind_dom m rest
+    | v :: rest -> List.iter (fun u -> bind_dom (Term.Map.add v u m) rest) dom
+  in
+  naive_iter_homs (Tgd.body rule) atoms (fun m -> bind_dom m (Tgd.dom_vars rule))
 
 (* Every stage recomputes every trigger over the whole structure — no
    deltas, no indexes to get wrong. Returns the stages (element i is
@@ -103,7 +237,7 @@ let naive_chase ~max_stages theory d =
       let additions = ref [] in
       List.iter
         (fun rule ->
-          Tgd.triggers rule current (fun sigma ->
+          naive_triggers rule current (fun sigma ->
               List.iter
                 (fun a ->
                   if not (Fact_set.mem a current) then
@@ -217,90 +351,20 @@ let prop_parallel_rewriting_equivalent =
       | _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Arena vs boxed: the flat-store/compiled-join differentials          *)
+(* The register machine and the chase against the naive references     *)
 (* ------------------------------------------------------------------ *)
 
-(* [Fact_set.set_arena] is the process-wide A/B switch between the boxed
-   layers + backtracking homomorphism engine and the flat-arena layers +
-   compiled register-machine join. The two must be observationally
-   identical: bit-identical chase stages and provenance, equal
-   homomorphism verdicts, UCQ-equivalent rewritings — at every [-j] and
-   under fault injection. *)
-let with_arena on f =
-  let prev = Fact_set.arena_enabled () in
-  Fact_set.set_arena on;
-  Fun.protect ~finally:(fun () -> Fact_set.set_arena prev) f
-
-let prop_arena_chase_matches_boxed =
+let prop_compiled_hom_matches_naive =
   QCheck.Test.make ~count
-    ~name:"arena chase = boxed chase (stages, flags, provenance; j1, j4)"
-    QCheck.(pair theory_arb instance_arb)
-    (fun (trules, inst) ->
-      let theory = decode_theory trules in
-      let d = decode_instance inst in
-      let boxed =
-        with_arena false (fun () ->
-            Chase.Engine.run ~max_depth ~max_atoms theory d)
-      in
-      List.for_all
-        (fun pool ->
-          let ar =
-            with_arena true (fun () ->
-                Chase.Engine.run ?pool ~max_depth ~max_atoms theory d)
-          in
-          Chase.Engine.depth ar = Chase.Engine.depth boxed
-          && Chase.Engine.saturated ar = Chase.Engine.saturated boxed
-          && Chase.Engine.hit_atom_budget ar
-             = Chase.Engine.hit_atom_budget boxed
-          && List.for_all
-               (fun i ->
-                 Fact_set.equal (Chase.Engine.stage ar i)
-                   (Chase.Engine.stage boxed i))
-               (List.init (Chase.Engine.depth boxed + 1) Fun.id)
-          && List.for_all (same_derivations boxed ar)
-               (Fact_set.atoms (Chase.Engine.result boxed)))
-        [ None; Some pool4 ])
-
-let prop_arena_hom_matches_boxed =
-  QCheck.Test.make ~count
-    ~name:"Cq.boolean_holds: compiled join = boxed backtracking engine"
+    ~name:"Cq.boolean_holds: compiled join = brute-force enumerator"
     QCheck.(pair query_arb instance_arb)
     (fun (qatoms, inst) ->
       let q = decode_query qatoms in
       let d = decode_instance inst in
-      Bool.equal
-        (with_arena true (fun () -> Cq.boolean_holds q d))
-        (with_arena false (fun () -> Cq.boolean_holds q d)))
-
-let prop_arena_rewriting_equivalent =
-  QCheck.Test.make ~count
-    ~name:"arena rewriting = boxed rewriting (UCQ-equivalent; j1, j4)"
-    QCheck.(pair theory_arb query_arb)
-    (fun (trules, qatoms) ->
-      let theory = decode_theory trules in
-      let q = decode_query qatoms in
-      let boxed =
-        with_arena false (fun () ->
-            Rewriting.Rewrite.rewrite ~budget:rewrite_budget theory q)
-      in
-      List.for_all
-        (fun pool ->
-          let ar =
-            with_arena true (fun () ->
-                Rewriting.Rewrite.rewrite ?pool ~budget:rewrite_budget
-                  theory q)
-          in
-          match
-            (boxed.Rewriting.Rewrite.outcome, ar.Rewriting.Rewrite.outcome)
-          with
-          | Rewriting.Rewrite.Complete, Rewriting.Rewrite.Complete ->
-              Ucq.equivalent boxed.Rewriting.Rewrite.ucq
-                ar.Rewriting.Rewrite.ucq
-          | _ -> true)
-        [ None; Some pool4 ])
+      Bool.equal (Cq.boolean_holds q d) (naive_boolean_holds q d))
 
 (* Zoo-seeded: every closed zoo theory chased on random instances drawn
-   from its own signature, arena against boxed, sequential and -j4. *)
+   from its own signature, against the naive chase, sequential and -j4. *)
 let zoo_theories =
   Theories.Zoo.
     [
@@ -327,9 +391,9 @@ let decode_zoo_instance theory triples =
          Atom.make rel args)
        triples)
 
-let prop_arena_zoo_chase_matches_boxed =
+let prop_zoo_chase_matches_naive =
   QCheck.Test.make ~count
-    ~name:"zoo theories: arena chase = boxed chase on random instances"
+    ~name:"zoo theories: chase = naive reference chase (j1, j4)"
     QCheck.(
       pair (int_bound 1000)
         (list_of_size Gen.(1 -- 6)
@@ -337,51 +401,56 @@ let prop_arena_zoo_chase_matches_boxed =
     (fun (pick, triples) ->
       let theory = List.nth zoo_theories (pick mod List.length zoo_theories) in
       let d = decode_zoo_instance theory triples in
-      let boxed =
-        with_arena false (fun () ->
-            Chase.Engine.run ~max_depth ~max_atoms theory d)
-      in
+      let stages, saturated = naive_chase ~max_stages:max_depth theory d in
       List.for_all
         (fun pool ->
-          let ar =
-            with_arena true (fun () ->
-                Chase.Engine.run ?pool ~max_depth ~max_atoms theory d)
-          in
-          Chase.Engine.depth ar = Chase.Engine.depth boxed
-          && List.for_all
-               (fun i ->
-                 Fact_set.equal (Chase.Engine.stage ar i)
-                   (Chase.Engine.stage boxed i))
-               (List.init (Chase.Engine.depth boxed + 1) Fun.id))
+          let run = Chase.Engine.run ?pool ~max_depth ~max_atoms theory d in
+          QCheck.assume (not (Chase.Engine.hit_atom_budget run));
+          List.length stages = Chase.Engine.depth run + 1
+          && Chase.Engine.saturated run = saturated
+          && List.for_all2 Fact_set.equal stages
+               (List.init (Chase.Engine.depth run + 1) (Chase.Engine.stage run)))
         [ None; Some pool4 ])
 
 (* ------------------------------------------------------------------ *)
 (* The naive reference rewriting: a direct reading of Theorem 1        *)
 (* ------------------------------------------------------------------ *)
 
-(* One queue pop per step, [Ucq.add_minimal] as the store — no saturation
-   kernel, no canon-id dedup, no liveness probe, no budgets beyond the
-   pop count. Subsumed entries are expanded anyway (harmless: their
-   rewritings are covered too). Returns [None] when [max_steps] pops did
-   not drain the queue. *)
-let naive_rewrite ~max_steps theory q =
+(* One queue pop per step, [Ucq.add_minimal] as the store — no
+   saturation kernel, no canon-id dedup, no subsumption index. The
+   budget is the kernel's, applied as the sequential kernel applies it:
+   a popped disjunct that is no longer in the store is skipped without
+   costing a step, the queue must drain within [max_steps] expansions,
+   every generated rewriting must stay within [max_atoms_per_disjunct]
+   atoms, and the store within [max_disjuncts]. Under these rules the
+   reference expands the same disjuncts in the same order as the kernel
+   on a size-1 pool, so it returns [None] (a cap tripped) exactly when
+   that run cannot complete — and the caps keep it from growing ever
+   larger disjuncts whose containment checks stall. *)
+let naive_rewrite ~(budget : Rewriting.Rewrite.budget) theory q =
   let compiled, aux = Rewriting.Single_head.compile theory in
   let queue = Queue.create () in
   let store = ref Ucq.empty in
+  let exception Over_budget in
   let push q' =
+    if Cq.size q' > budget.max_atoms_per_disjunct then raise Over_budget;
     let u, verdict = Ucq.add_minimal !store q' in
     store := u;
-    if verdict = `Added then Queue.add q' queue
+    if verdict = `Added then begin
+      if Ucq.cardinal u > budget.max_disjuncts then raise Over_budget;
+      Queue.add q' queue
+    end
   in
-  push (Containment.core_of_query q);
   let steps = ref 0 in
-  let exception Out_of_steps in
   match
+    push (Containment.core_of_query q);
     while not (Queue.is_empty queue) do
-      if !steps >= max_steps then raise Out_of_steps;
-      incr steps;
+      if !steps >= budget.max_steps then raise Over_budget;
       let cur = Queue.pop queue in
-      List.iter push (Rewriting.Piece_unifier.one_step_theory cur compiled)
+      if List.memq cur (Ucq.disjuncts !store) then begin
+        incr steps;
+        List.iter push (Rewriting.Piece_unifier.one_step_theory cur compiled)
+      end
     done
   with
   | () ->
@@ -390,23 +459,23 @@ let naive_rewrite ~max_steps theory q =
            (List.filter
               (fun d -> not (Rewriting.Single_head.mentions_aux aux d))
               (Ucq.disjuncts !store)))
-  | exception Out_of_steps -> None
+  | exception Over_budget -> None
 
 let prop_kernel_rewriting_matches_naive_reference =
   (* The kernel-based saturation (both the size-1 pool's one-pop rounds
      and the -j4 batch-synchronous sweeps) must land on a UCQ equivalent
-     to the naive queue/add_minimal reference whenever both complete.
-     The kernel runs first: when neither run completes there is nothing
-     to compare, and the reference is not built (it has no size cap, so
-     on such inputs it can spend minutes in containment checks). *)
+     to the naive queue/add_minimal reference whenever both complete,
+     and the reference may run out of budget only where the sequential
+     kernel does too. The kernel runs first: when neither run completes
+     there is nothing to compare. *)
   QCheck.Test.make ~count
     ~name:"kernel rewriting = naive queue/add_minimal reference (j1, j4)"
     QCheck.(pair theory_arb query_arb)
     (fun (trules, qatoms) ->
       let theory = decode_theory trules in
       let q = decode_query qatoms in
-      let complete =
-        List.filter_map
+      let runs =
+        List.map
           (fun pool ->
             let r =
               Rewriting.Rewrite.rewrite ?pool ~budget:rewrite_budget theory q
@@ -416,87 +485,92 @@ let prop_kernel_rewriting_matches_naive_reference =
             | _ -> None)
           [ None; Some pool4 ]
       in
+      let complete = List.filter_map Fun.id runs in
       complete = []
       ||
-      match naive_rewrite ~max_steps:150 theory q with
-      | None -> true
+      match naive_rewrite ~budget:rewrite_budget theory q with
+      | None -> List.hd runs = None
       | Some reference -> List.for_all (Ucq.equivalent reference) complete)
 
 (* ------------------------------------------------------------------ *)
-(* Subsumption index & decomposed containment vs the reference engines *)
+(* The UCQ store and containment against the naive enumerator          *)
 (* ------------------------------------------------------------------ *)
 
 (* CQs with 0-2 answer variables over the x0..x3 pool; the random mix
    naturally produces connected single-component bodies, disconnected
    bodies (distinct components through P/E/R atoms over disjoint
-   variables), and ground-ish corner cases. *)
-let decode_cq (atoms_enc, f0, f1) =
-  let atoms = List.map (decode_atom body_var) atoms_enc in
+   variables), and ground-ish corner cases. [var] names the pool, so a
+   second decoding through a permuted pool is an isomorphic copy. *)
+let decode_cq ?(var = body_var) (atoms_enc, f0, f1) =
+  let atoms = List.map (decode_atom var) atoms_enc in
   let vars = Term.Set.of_list (List.concat_map Atom.vars atoms) in
   let free =
     List.filter
       (fun v -> Term.Set.mem v vars)
       (List.concat
-         [
-           (if f0 then [ body_var 0 ] else []);
-           (if f1 then [ body_var 1 ] else []);
-         ])
+         [ (if f0 then [ var 0 ] else []); (if f1 then [ var 1 ] else []) ])
   in
   Cq.make ~free atoms
 
 let cq_arb =
   QCheck.(triple (list_of_size Gen.(1 -- 4) atom_arb) bool bool)
 
-let with_indexing on f =
-  let prev = Ucq_index.indexing_enabled () in
-  Ucq_index.set_indexing on;
-  Fun.protect ~finally:(fun () -> Ucq_index.set_indexing prev) f
-
-let with_decomposition on f =
-  let prev = Containment.decomposition_enabled () in
-  Containment.set_decomposition on;
-  Fun.protect ~finally:(fun () -> Containment.set_decomposition prev) f
-
-let prop_indexed_store_matches_reference =
-  (* The indexed UCQ store must reproduce the reference minimization
-     *exactly* — same disjuncts in the same order, not just an
-     equivalent set — both through the batch [of_list] and through
-     incremental [add_minimal] chains. *)
+let prop_ucq_store_minimal =
+  (* The index-backed [of_list] and an [add_minimal] chain must keep the
+     same disjuncts in the same order, drawn from the input; every input
+     query must be covered, and no kept disjunct may imply another — so
+     the result is a minimal UCQ equivalent to the input. *)
   QCheck.Test.make ~count
-    ~name:"Ucq store: indexed of_list/add_minimal = unindexed reference"
+    ~name:"Ucq store: indexed of_list/add_minimal keep a minimal equivalent"
     QCheck.(list_of_size Gen.(0 -- 8) cq_arb)
     (fun encs ->
       let qs = List.map decode_cq encs in
-      let batch on = with_indexing on (fun () -> Ucq.of_list qs) in
-      let incremental on =
-        with_indexing on (fun () ->
-            List.fold_left
-              (fun u q -> fst (Ucq.add_minimal u q))
-              Ucq.empty qs)
+      let batch = Ucq.of_list qs in
+      let chain =
+        List.fold_left (fun u q -> fst (Ucq.add_minimal u q)) Ucq.empty qs
       in
-      let same u1 u2 =
-        Ucq.cardinal u1 = Ucq.cardinal u2
-        && List.for_all2 ( == ) (Ucq.disjuncts u1) (Ucq.disjuncts u2)
-      in
-      same (batch false) (batch true)
-      && same (incremental false) (incremental true))
+      let kept = Ucq.disjuncts batch in
+      List.equal ( == ) kept (Ucq.disjuncts chain)
+      && List.for_all (fun d -> List.memq d qs) kept
+      && List.for_all
+           (fun q -> List.exists (fun d -> naive_implies q d) kept)
+           qs
+      && List.for_all
+           (fun d1 ->
+             List.for_all
+               (fun d2 -> d1 == d2 || not (naive_implies d1 d2))
+               kept)
+           kept)
 
-let prop_decomposed_implies_matches_monolithic =
-  (* Gaifman-component decomposition (plus the fingerprint prescreen)
-     must agree with the monolithic solver on every verdict, in both
-     directions. *)
+let prop_implies_matches_naive =
+  (* The prescreened, Gaifman-decomposed solver against the naive
+     enumerator, in both directions. *)
   QCheck.Test.make ~count
-    ~name:"Containment.implies: decomposed = monolithic, both directions"
+    ~name:"Containment.implies = naive enumerator, both directions"
     QCheck.(pair cq_arb cq_arb)
     (fun (enc1, enc2) ->
       let q1 = decode_cq enc1 and q2 = decode_cq enc2 in
-      let verdicts on =
-        with_decomposition on (fun () ->
-            ( Containment.implies q1 q2,
-              Containment.implies q2 q1,
-              Containment.implies q1 q1 ))
+      Bool.equal (Containment.implies q1 q2) (naive_implies q1 q2)
+      && Bool.equal (Containment.implies q2 q1) (naive_implies q2 q1)
+      && Containment.implies q1 q1)
+
+let prop_isomorphic_matches_naive =
+  (* Random pairs are rarely isomorphic, so each case also checks a copy
+     of the first query decoded through a permuted variable pool. *)
+  QCheck.Test.make ~count
+    ~name:"Containment.isomorphic = naive bijection search"
+    QCheck.(pair cq_arb cq_arb)
+    (fun (enc1, enc2) ->
+      let q1 = decode_cq enc1 and q2 = decode_cq enc2 in
+      let copy =
+        decode_cq
+          ~var:(fun i ->
+            Term.var (Printf.sprintf "y%d" ((((i mod 4) * 3) + 1) mod 4)))
+          enc1
       in
-      verdicts false = verdicts true)
+      Bool.equal (Containment.isomorphic q1 q2) (naive_isomorphic q1 q2)
+      && Containment.isomorphic q1 copy
+      && naive_isomorphic q1 copy)
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 1: answering via rewriting = answering via the chase        *)
@@ -625,15 +699,8 @@ let prop_portfolio_agrees_on_zoo_instances =
            via_chase)
 
 (* ------------------------------------------------------------------ *)
-(* Eval: the plan layer against the boxed reference                    *)
+(* Eval: the plan layer against the naive enumerator                   *)
 (* ------------------------------------------------------------------ *)
-
-(* Same shape as [with_arena]: flip the plan-layer A/B switch for the
-   duration of [f], restoring the previous setting on the way out. *)
-let with_eval on f =
-  let prev = Eval.eval_enabled () in
-  Eval.set_eval on;
-  Fun.protect ~finally:(fun () -> Eval.set_eval prev) f
 
 (* Open queries: the second coordinate picks how many of the variables
    actually used become answer variables (0 = boolean). *)
@@ -664,32 +731,30 @@ let eval_seed_instances =
            ~edges:7))
     [ 1; 7; 42 ]
 
-let equal_tuple_lists a b =
-  List.compare (List.compare Term.compare) a b = 0
+let equal_tuple_lists a b = List.compare tuple_compare a b = 0
 
-let prop_eval_answers_match_boxed =
-  (* The core differential: Eval.run through a leapfrog plan, the same
-     plan forced onto the legacy boxed enumeration, and Cq.answers must
-     produce identical tuple lists — on random instances and on the
-     pinned generator seeds. *)
+let prop_eval_answers_match_naive =
+  (* The core differential: Eval.answers through a leapfrog plan, the
+     naive enumerator, and Cq.answers must produce identical tuple
+     lists — on random instances and on the pinned generator seeds. *)
   QCheck.Test.make ~count
-    ~name:"Eval.answers: leapfrog = boxed enumeration = Cq.answers"
+    ~name:"Eval.answers: leapfrog = naive enumerator = Cq.answers"
     QCheck.(pair open_query_arb instance_arb)
     (fun (qenc, inst) ->
       let q = decode_open_query qenc in
       List.for_all
         (fun d ->
-          let on = with_eval true (fun () -> Eval.answers q d) in
-          let off = with_eval false (fun () -> Eval.answers q d) in
-          equal_tuple_lists on off && equal_tuple_lists on (Cq.answers q d))
+          let got = Eval.answers q d in
+          equal_tuple_lists got (naive_answers q d)
+          && equal_tuple_lists got (Cq.answers q d))
         (decode_instance inst :: eval_seed_instances))
 
-let prop_eval_ucq_matches_boxed =
-  (* Union evaluation with cross-disjunct dedup against the boxed path.
-     Every disjunct is anchored on E(x0, x1) so the free slot is shared
-     and the disjuncts genuinely overlap. *)
+let prop_eval_ucq_matches_naive =
+  (* Union evaluation with cross-disjunct dedup against the union of the
+     naive answer sets. Every disjunct is anchored on E(x0, x1) so the
+     free slot is shared and the disjuncts genuinely overlap. *)
   QCheck.Test.make ~count
-    ~name:"Eval.ucq_answers: plan union = boxed union"
+    ~name:"Eval.ucq_answers: plan union = naive union"
     QCheck.(triple query_arb query_arb instance_arb)
     (fun (a1, a2, inst) ->
       let disjunct atoms =
@@ -700,9 +765,11 @@ let prop_eval_ucq_matches_boxed =
       let u = Ucq.of_disjuncts_unchecked [ disjunct a1; disjunct a2 ] in
       List.for_all
         (fun d ->
-          equal_tuple_lists
-            (with_eval true (fun () -> Eval.ucq_answers u d))
-            (with_eval false (fun () -> Eval.ucq_answers u d)))
+          equal_tuple_lists (Eval.ucq_answers u d)
+            (List.sort_uniq tuple_compare
+               (List.concat_map
+                  (fun q -> naive_answers q d)
+                  (Ucq.disjuncts u))))
         (decode_instance inst :: eval_seed_instances))
 
 let prop_eval_zoo_certain_answers_agree =
@@ -753,54 +820,6 @@ let prop_eval_zoo_certain_answers_agree =
 (* ------------------------------------------------------------------ *)
 (* Containment across the probe's engine cutoff                        *)
 (* ------------------------------------------------------------------ *)
-
-(* Naive homomorphism existence: pattern atoms bound one at a time by
-   scanning the whole target, preferring an atom that shares a bound
-   variable (so connected patterns never enumerate cross products). *)
-let naive_hom_exists ~init pattern target =
-  let bound m t = Term.Map.mem t m in
-  let rec extend m xs ys =
-    match (xs, ys) with
-    | [], [] -> Some m
-    | x :: xs, y :: ys -> (
-        match Term.Map.find_opt x m with
-        | Some y' -> if Term.equal y y' then extend m xs ys else None
-        | None -> extend (Term.Map.add x y m) xs ys)
-    | _ -> None
-  in
-  let rec go m = function
-    | [] -> true
-    | pending ->
-        let a =
-          match
-            List.find_opt (fun a -> List.exists (bound m) (Atom.args a)) pending
-          with
-          | Some a -> a
-          | None -> List.hd pending
-        in
-        let rest = List.filter (fun b -> b != a) pending in
-        List.exists
-          (fun b ->
-            Symbol.equal (Atom.rel a) (Atom.rel b)
-            &&
-            match extend m (Atom.args a) (Atom.args b) with
-            | Some m' -> go m' rest
-            | None -> false)
-          target
-  in
-  go init pattern
-
-(* [implies target pattern]: a homomorphism pattern -> target fixing the
-   answer variables positionally. *)
-let naive_implies target pattern =
-  List.length (Cq.free target) = List.length (Cq.free pattern)
-  &&
-  let init =
-    List.fold_left2
-      (fun m v w -> Term.Map.add v w m)
-      Term.Map.empty (Cq.free pattern) (Cq.free target)
-  in
-  naive_hom_exists ~init (Cq.atoms pattern) (Cq.atoms target)
 
 (* A target body of 46-90 atoms (straddling the probe's 64-fact cutoff):
    a path over random E/R edges or a width-w grid prefix (E along, R
@@ -894,16 +913,26 @@ let prop_containment_across_cutoff seed =
   QCheck.Test.make ~count
     ~name:
       (Printf.sprintf
-         "Containment.implies on 40-90-atom targets = set_eval false = naive \
-          (seed %d)"
+         "Containment.implies on 40-90-atom targets = register machine = \
+          naive (seed %d)"
          seed)
     (QCheck.make
        ~print:(fun (t, p) -> Fmt.str "target %a@.pattern %a" Cq.pp t Cq.pp p)
        containment_pair_gen)
     (fun (target, pattern) ->
-      let on = with_eval true (fun () -> Containment.implies target pattern) in
-      let off = with_eval false (fun () -> Containment.implies target pattern) in
-      on = off && on = naive_implies target pattern)
+      (* The register machine alone: what [Containment] runs whenever the
+         plan layer's probe declines a target. *)
+      let register_machine =
+        match free_init ~pattern ~target with
+        | None -> false
+        | Some init ->
+            Homomorphism.exists
+              (Homomorphism.make ~init ~flexible:(Cq.var_set pattern)
+                 ~pattern:(Cq.atoms pattern) ~target:(Cq.as_fact_set target)
+                 ())
+      in
+      let verdict = Containment.implies target pattern in
+      verdict = register_machine && verdict = naive_implies target pattern)
 
 (* ------------------------------------------------------------------ *)
 (* The pool primitives themselves                                      *)
@@ -1008,38 +1037,6 @@ let prop_faulty_rewriting_is_sound =
                 (Ucq.disjuncts partial.Rewriting.Rewrite.ucq))
             [ Parallel.Pool.sequential; pool3; pool4 ]
       | _ -> true)
-
-let prop_arena_faulty_chase_is_prefix =
-  (* The cross-mode fault differential: a fault-injected arena-mode
-     chase must be a stage-exact prefix of the fault-free *boxed* chase
-     — the two engines stay interchangeable even while the schedule is
-     killing workers and tripping guards. *)
-  QCheck.Test.make ~count
-    ~name:"fault-injected arena chase = prefix of fault-free boxed chase"
-    QCheck.(triple small_nat theory_arb instance_arb)
-    (fun (seed, trules, inst) ->
-      let theory = decode_theory trules and d = decode_instance inst in
-      let reference =
-        with_arena false (fun () ->
-            Chase.Engine.run ~max_depth ~max_atoms theory d)
-      in
-      List.for_all
-        (fun pool ->
-          let run =
-            with_faults (1 + seed) (fun () ->
-                with_arena true (fun () ->
-                    let guard = Guard.create () in
-                    Chase.Engine.run ~pool ~guard ~max_depth ~max_atoms
-                      theory d))
-          in
-          let dr = Chase.Engine.depth run in
-          dr <= Chase.Engine.depth reference
-          && List.for_all
-               (fun i ->
-                 Fact_set.equal (Chase.Engine.stage run i)
-                   (Chase.Engine.stage reference i))
-               (List.init (dr + 1) Fun.id))
-        [ Parallel.Pool.sequential; pool2; pool4 ])
 
 let prop_pool_absorbs_injected_faults =
   (* Injected task exceptions recover through the coordinator's retry
@@ -1161,30 +1158,26 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_engine_matches_naive_reference;
+            prop_zoo_chase_matches_naive;
             prop_parallel_chase_deterministic;
             prop_parallel_oblivious_deterministic;
             prop_parallel_rewriting_equivalent;
             prop_kernel_rewriting_matches_naive_reference;
-            prop_indexed_store_matches_reference;
-            prop_decomposed_implies_matches_monolithic;
+            prop_ucq_store_minimal;
+            prop_implies_matches_naive;
+            prop_isomorphic_matches_naive;
             prop_rewriting_answers_like_chase;
             prop_zoo_answering_agreement;
             prop_portfolio_agrees_with_chase;
             prop_portfolio_agrees_on_zoo_instances;
           ] );
       ( "arena",
-        List.map QCheck_alcotest.to_alcotest
-          [
-            prop_arena_chase_matches_boxed;
-            prop_arena_hom_matches_boxed;
-            prop_arena_rewriting_equivalent;
-            prop_arena_zoo_chase_matches_boxed;
-          ] );
+        [ QCheck_alcotest.to_alcotest prop_compiled_hom_matches_naive ] );
       ( "eval",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_eval_answers_match_boxed;
-            prop_eval_ucq_matches_boxed;
+            prop_eval_answers_match_naive;
+            prop_eval_ucq_matches_naive;
             prop_eval_zoo_certain_answers_agree;
           ] );
       ( "containment",
@@ -1200,7 +1193,6 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_faulty_chase_is_prefix;
-            prop_arena_faulty_chase_is_prefix;
             prop_faulty_rewriting_is_sound;
             prop_pool_absorbs_injected_faults;
             prop_pool_aggregates_real_errors;
