@@ -889,9 +889,7 @@ let analyze_cmd =
         | Frontier.Termination.Holds c ->
             Fmt.pr "core termination: model inside stage %d@." c
         | Frontier.Termination.Budget_exhausted ->
-            Fmt.pr "core termination: no model found within budget@."
-        | Frontier.Termination.Fails ->
-            Fmt.pr "core termination: refuted@.");
+            Fmt.pr "core termination: no model found within budget@.");
         finish guard))
   in
   let max_l =

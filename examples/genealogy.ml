@@ -25,29 +25,32 @@ let () =
   Fmt.pr "classification: %a@.@." Frontier.Classes.pp_report
     (Frontier.classify ontology);
 
-  (* Who are Elizabeth's certain ancestors? *)
+  (* Who are Elizabeth's certain ancestors? The portfolio finds no
+     rewriting-friendly class here (the Ancestor rule joins, the royalty
+     rules cycle through an existential), so it plans a budgeted chase. *)
+  let plan = Frontier.Portfolio.plan ontology in
+  let show label (a : Frontier.Portfolio.Strategy.answers) =
+    Fmt.pr "%s (%d, via %s, %s):@." label (List.length a.tuples)
+      (Frontier.Portfolio.Strategy.strategy_name a.used)
+      (if a.exact then "exact" else "sound, possibly incomplete");
+    List.iter
+      (fun t ->
+        Fmt.pr "  %a@." (Fmt.list ~sep:(Fmt.any ", ") Frontier.Term.pp) t)
+      a.tuples
+  in
   let q = Frontier.Parse.query "(a) :- Ancestor(a, \"elizabeth2\")" in
-  let answers = Frontier.certain_answers ~max_depth:8 ontology database q in
-  Fmt.pr "certain ancestors of elizabeth2 (%d):@." (List.length answers);
-  List.iter
-    (fun t ->
-      Fmt.pr "  %a@." (Fmt.list ~sep:(Fmt.any ", ") Frontier.Term.pp) t)
-    answers;
+  show "certain ancestors of elizabeth2"
+    (Frontier.Portfolio.execute ~max_depth:8 plan ontology database q);
 
   (* Royalty propagates up the (partially unknown) parent chain: the chase
      invents a parent for every royal; certain royals stay certain. *)
   let royals = Frontier.Parse.query "(x) :- Royal(x)" in
-  let certain_royals =
-    Frontier.certain_answers ~max_depth:8 ontology database royals
-  in
-  Fmt.pr "@.certain royals (%d):@." (List.length certain_royals);
-  List.iter
-    (fun t ->
-      Fmt.pr "  %a@." (Fmt.list ~sep:(Fmt.any ", ") Frontier.Term.pp) t)
-    certain_royals;
+  Fmt.pr "@.";
+  show "certain royals"
+    (Frontier.Portfolio.execute ~max_depth:8 plan ontology database royals);
 
   (* Rewriting of the royalty query: it climbs the explicit parent chain. *)
-  let r = Frontier.rewrite ontology royals in
+  let r = Frontier.Rewrite.rewrite ontology royals in
   (match r.Frontier.Rewrite.outcome with
   | Frontier.Rewrite.Complete ->
       Fmt.pr "@.rew(Royal(x)) has %d disjuncts, max size %d@."

@@ -1,5 +1,6 @@
 (* Quickstart: parse a theory, chase an instance, answer a query — both
-   through the chase and through the UCQ rewriting (the BDD way).
+   through the portfolio (which picks the UCQ rewriting, the BDD way) and
+   through the chase.
 
    Run with: dune exec examples/quickstart.exe *)
 
@@ -24,24 +25,32 @@ let () =
     Frontier.Fact_set.pp
     (Frontier.Chase_engine.result run);
 
-  (* Certain answers: who certainly has a maternal grandmother? *)
-  let answers = Frontier.certain_answers ~max_depth:5 theory instance query in
-  Fmt.pr "certain answers of %a:@." Frontier.Cq.pp query;
+  (* Certain answers: who certainly has a maternal grandmother? The
+     portfolio plans once per theory — T_a is linear, so it picks UCQ
+     rewriting (Theorem 1) — and executes per (instance, query): it
+     evaluates the rewriting directly over the instance, with no chase,
+     and would fall back to the chase had the rewriting not completed. *)
+  let plan = Frontier.Portfolio.plan theory in
+  let a = Frontier.Portfolio.execute plan theory instance query in
+  Fmt.pr "certain answers of %a (via %s, %s):@." Frontier.Cq.pp query
+    (Frontier.Portfolio.Strategy.strategy_name a.used)
+    (if a.exact then "exact" else "sound, possibly incomplete");
   List.iter
     (fun tuple ->
       Fmt.pr "  (%a)@." (Fmt.list ~sep:(Fmt.any ", ") Frontier.Term.pp) tuple)
-    answers;
+    a.tuples;
 
-  (* The same answers without chasing at all: rewrite, then query the
-     instance directly — this is what the BDD property buys. *)
-  let r = Frontier.rewrite theory query in
+  (* The rewriting it evaluated, and the same answers the slow way:
+     chase first, then query the (never saturating) chase prefix. *)
+  let r = Frontier.Rewrite.rewrite theory query in
   Fmt.pr "@.UCQ rewriting (%d disjuncts):@.%a@."
     (Frontier.Ucq.cardinal r.Frontier.Rewrite.ucq)
     Frontier.Ucq.pp r.Frontier.Rewrite.ucq;
-  match Frontier.answer_via_rewriting theory instance query with
-  | Some answers' ->
-      Fmt.pr "@.answers via rewriting: %d (chase found %d) — %s@."
-        (List.length answers') (List.length answers)
-        (if List.length answers' = List.length answers then "they agree"
-         else "MISMATCH")
-  | None -> Fmt.pr "@.rewriting did not complete@."
+  let via_chase, _, _ =
+    Frontier.Portfolio.Strategy.chase_arm ~max_depth:5 theory instance query
+  in
+  Fmt.pr "@.answers via the chase: %d (rewriting found %d) — %s@."
+    (List.length via_chase) (List.length a.tuples)
+    (if Frontier.Portfolio.Strategy.equal_answers via_chase a.tuples then
+       "they agree"
+     else "MISMATCH")

@@ -1,11 +1,12 @@
 (* University: ontology-mediated query answering at (slightly) larger
-   scale, through the caching Reasoner.
+   scale, through the portfolio: plan once for the ontology, then
+   execute each query.
 
    A LUBM-flavoured ontology over departments, courses, staff and
    students. The existential rules invent unknown supervisors, curricula
-   and employers; queries are answered by cached UCQ rewritings with no
-   chase at query time, and every answer can be explained by a derivation
-   tree over the original database.
+   and employers; the ontology is linear, so queries are answered by UCQ
+   rewritings with no chase at query time, and every answer can be
+   explained by a derivation tree over the original database.
 
    Run with: dune exec examples/university.exe *)
 
@@ -34,52 +35,46 @@ let database =
      WorksFor(turing, cs).\n\
      Takes(grace, compilers)"
 
-let show_answers label answers route =
-  Fmt.pr "%s (%d answers, via %s):@." label (List.length answers)
-    (match route with
-    | Reasoner.Rewriting -> "rewriting"
-    | Reasoner.Chase_fallback `Saturated -> "chase (saturated)"
-    | Reasoner.Chase_fallback (`Prefix n) ->
-        Printf.sprintf "chase prefix of depth %d" n);
+let show_answers label (a : Portfolio.Strategy.answers) =
+  Fmt.pr "%s (%d answers, via %s, %s):@." label (List.length a.tuples)
+    (Portfolio.Strategy.strategy_name a.used)
+    (if a.exact then "exact" else "sound, possibly incomplete");
   List.iter
     (fun tuple ->
       Fmt.pr "  (%a)@." (Fmt.list ~sep:(Fmt.any ", ") Term.pp) tuple)
-    answers
+    a.tuples
 
 let () =
   Fmt.pr "classification: %a@.@." Classes.pp_report (classify ontology);
-  let reasoner = Reasoner.create ontology in
+  let plan = Portfolio.plan ontology in
+  Fmt.pr "plan: %s (%s)@.@."
+    (Portfolio.Strategy.strategy_name plan.strategy)
+    (String.concat "; " plan.reasons);
+  let answer q = Portfolio.execute plan ontology database q in
 
   (* Who is certainly employed somewhere? Professors are staff, staff work
      for some (possibly unknown) department. *)
   let q_employed = Parse.query "(x) :- WorksFor(x, d)" in
-  let answers, route = Reasoner.answer reasoner database q_employed in
-  show_answers "employed" answers route;
-  (match Reasoner.rewriting_for reasoner q_employed with
-  | Some ucq ->
-      Fmt.pr "  [rew has %d disjuncts, max size %d]@.@." (Ucq.cardinal ucq)
-        (Ucq.max_disjunct_size ucq)
-  | None -> ());
+  show_answers "employed" (answer q_employed);
+  (let r = Rewrite.rewrite ontology q_employed in
+   if r.Rewrite.outcome = Rewrite.Complete then
+     Fmt.pr "  [rew has %d disjuncts, max size %d]@.@."
+       (Ucq.cardinal r.Rewrite.ucq)
+       (Ucq.max_disjunct_size r.Rewrite.ucq));
 
   (* Which departments certainly offer a course? Note cs is only known to
      be a department through turing's employment. *)
   let q_offering = Parse.query "(d) :- Offers(d, c)" in
-  let answers, route = Reasoner.answer reasoner database q_offering in
-  show_answers "departments offering a course" answers route;
+  show_answers "departments offering a course" (answer q_offering);
 
   (* Students: via Takes, via PhdStudent. *)
   let q_students = Parse.query "(s) :- Student(s)" in
-  let answers, route = Reasoner.answer reasoner database q_students in
-  show_answers "certain students" answers route;
+  show_answers "certain students" (answer q_students);
 
   (* Every PhD student certainly has a professor supervisor — even
      haskell, whose supervisor is invented. *)
   let q_supervised = Parse.query "(s) :- SupervisedBy(s, p), Professor(p)" in
-  let answers, route = Reasoner.answer reasoner database q_supervised in
-  show_answers "supervised by a professor" answers route;
-
-  Fmt.pr "@.cached rewritten query shapes: %d@."
-    (Reasoner.cached_rewritings reasoner);
+  show_answers "supervised by a professor" (answer q_supervised);
 
   (* Explain one answer end-to-end: why is haskell supervised? *)
   let run = Chase_engine.run ~max_depth:5 ontology database in

@@ -383,11 +383,6 @@ let saturated r = r.saturated
 let interrupted r = r.interrupted
 let guard r = r.guard
 
-(* Derived view of the unified guard outcome: true exactly when the
-   atom/step fuel account (the historical [max_atoms] cap included) ran
-   dry. *)
-let hit_atom_budget r = r.interrupted = Some Guard.Fuel
-
 let outcome r =
   if r.saturated then Guard.Complete r
   else

@@ -103,10 +103,6 @@ val outcome : run -> (run, run) Guard.outcome
     compat budgets) and the guard's progress counters. The partial run
     is a sound prefix: every recorded stage [i] is exactly [Ch_i]. *)
 
-val hit_atom_budget : run -> bool
-(** Deprecated: a derived view of {!outcome} — equivalent to
-    [interrupted run = Some Guard.Fuel]. Use {!outcome} in new code. *)
-
 val stage : run -> int -> Fact_set.t
 (** [stage r i] is [Ch_i(T,D)]. For [i > depth r]: the last stage when
     saturated (the chase stabilized), otherwise [Invalid_argument]. *)

@@ -1,4 +1,4 @@
-type verdict = Holds of int | Fails | Budget_exhausted
+type verdict = Holds of int | Budget_exhausted
 
 let core_terminates_on ?pool ?guard ?max_c ?lookahead ?max_atoms theory d =
   match
@@ -24,7 +24,7 @@ let uniform_bound_on ?pool ?guard ?max_c ?lookahead ?max_atoms theory instances
        core_terminates_on ?pool ?guard ?max_c ?lookahead ?max_atoms theory d
      with
     | Holds c -> acc := (d, c) :: !acc
-    | Fails | Budget_exhausted -> ());
+    | Budget_exhausted -> ());
     {
       Saturation.next = [];
       tally = Saturation.Stats.tally ~expanded:1 ();

@@ -5,10 +5,12 @@
 
 open Logic
 
-type verdict = Holds of int | Fails | Budget_exhausted
-(** [Budget_exhausted] is the legacy name for every resource trip: it now
-    covers both the [max_*] compat caps and {!Guard} trips (deadline, fuel,
-    memory, cancellation). To distinguish the cause, pass an explicit
+type verdict = Holds of int | Budget_exhausted
+(** [Budget_exhausted] is the negative signal of every analyzer here:
+    no witness was found before a resource ran out — a [max_*] cap or a
+    {!Guard} trip (deadline, fuel, memory, cancellation). None of these
+    properties is finitely refutable on one instance, so there is no
+    outright "fails" verdict. To distinguish the cause, pass an explicit
     [?guard] and inspect [Guard.status] after the call. *)
 
 val core_terminates_on :
@@ -17,9 +19,7 @@ val core_terminates_on :
   ?max_c:int -> ?lookahead:int -> ?max_atoms:int ->
   Theory.t -> Fact_set.t -> verdict
 (** [Holds c]: stage [c] of the chase on this instance contains a model
-    ([c = c_{T,D}] up to the prefix-witness approximation). [Fails] is never
-    returned (non-termination is not finitely refutable on one instance);
-    budget exhaustion is the negative signal. *)
+    ([c = c_{T,D}] up to the prefix-witness approximation). *)
 
 val all_instances_terminates_on :
   ?pool:Parallel.Pool.t ->

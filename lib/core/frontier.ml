@@ -43,7 +43,6 @@ module Multiset = Order.Multiset
 module Transform = Theories.Transform
 module Generators = Theories.Generators
 
-module Reasoner = Reasoner
 module Portfolio = Portfolio
 module Pool = Parallel.Pool
 module Saturation = Saturation
@@ -61,29 +60,5 @@ module Parse = struct
   let query input = wrap Logic.Parser.parse_query input
   let rule input = wrap Logic.Parser.parse_rule input
 end
-
-let certain_answers ?pool ?guard ?max_depth ?max_atoms theory d q =
-  let run = Chase.Engine.run ?pool ?guard ?max_depth ?max_atoms theory d in
-  let dom = Fact_set.domain d in
-  List.filter
-    (fun tuple -> List.for_all (fun t -> Term.Set.mem t dom) tuple)
-    (Eval.answers ?guard q (Chase.Engine.result run))
-
-let certain ?guard ?max_depth ?max_atoms theory d q tuple =
-  match
-    Chase.Entailment.entails ?guard ?max_depth ?max_atoms theory d q tuple
-  with
-  | Chase.Entailment.Entailed _ -> true
-  | Chase.Entailment.Not_entailed | Chase.Entailment.Unknown -> false
-
-let rewrite ?pool ?guard ?budget theory q =
-  Rewriting.Rewrite.rewrite ?pool ?guard ?budget theory q
-
-let answer_via_rewriting ?pool ?guard ?budget theory d q =
-  let r = Rewriting.Rewrite.rewrite ?pool ?guard ?budget theory q in
-  match r.Rewriting.Rewrite.outcome with
-  | Rewriting.Rewrite.Complete ->
-      Some (Eval.ucq_answers ?guard r.Rewriting.Rewrite.ucq d)
-  | _ -> None
 
 let classify = Theories.Classes.classify

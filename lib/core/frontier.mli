@@ -19,12 +19,13 @@
     {- the paper's theory zoo and instance generators ({!Zoo},
        {!Instances}, {!Classes}).}}
 
-    A three-line quickstart:
+    A four-line quickstart — plan once per theory, then execute per
+    (instance, query):
     {[
       let theory = Frontier.Parse.theory "Human(y) -> exists z. Mother(y,z)" in
       let d = Frontier.Parse.instance "Human(abel)" in
       let q = Frontier.Parse.query "(x) :- Mother(x, m)" in
-      Frontier.certain_answers theory d q
+      Frontier.Portfolio.(execute (plan theory) theory d q)
     ]} *)
 
 (** {1 Re-exported substrate} *)
@@ -47,9 +48,8 @@ module Eval = Eval
 (** The executable-plan evaluation layer: compiles CQs/UCQs into
     leapfrog-style worst-case-optimal joins over sorted per-column views
     and is the single entry point for answering a rewriting over data —
-    {!certain_answers} and {!answer_via_rewriting} below run on it, as
-    do the chase's trigger matching and the containment solver's
-    existence probes. *)
+    every {!Portfolio} arm runs on it, as do the chase's trigger matching
+    and the containment solver's existence probes. *)
 
 module Chase_engine = Chase.Engine
 module Entailment = Chase.Entailment
@@ -81,21 +81,23 @@ module Multiset = Order.Multiset
 module Transform = Theories.Transform
 module Generators = Theories.Generators
 
-module Reasoner = Reasoner
-
 module Portfolio = Portfolio
 (** The strategy portfolio (ROADMAP item 5): class checkers beyond
     {!Classes} (loop-restricted rules, a BDD probe, [T_d]-shape
     detection), the [plan]/[execute] auto-selector over the chase,
     rewriting, and marked-process engines, and the differential fuzzing
     harness with counterexample minimization ([frontier portfolio] /
-    [frontier fuzz] in the CLI). *)
+    [frontier fuzz] in the CLI). [Portfolio.plan] / [Portfolio.execute]
+    are the library's certain-answer path: rewrite-then-evaluate when a
+    complete rewriting exists, the chase otherwise. A caller that wants
+    one engine regardless of the plan calls
+    [Portfolio.Strategy.chase_arm] or [Portfolio.Strategy.rewriting_arm]. *)
 
 module Pool = Parallel.Pool
-(** Work-stealing domain pool; pass one to the [?pool] entry points below
-    (and to {!Chase_engine.run}, {!Rewrite.rewrite}, ...) to fan the chase
-    stages and rewriting saturation out over OCaml 5 domains. Results are
-    independent of the domain count. *)
+(** Work-stealing domain pool; pass one to the [?pool] entry points
+    ({!Portfolio.execute}, {!Chase_engine.run}, {!Rewrite.rewrite}, ...)
+    to fan the chase stages and rewriting saturation out over OCaml 5
+    domains. Results are independent of the domain count. *)
 
 module Saturation = Saturation
 (** The generic fixpoint kernel every saturation in this reproduction runs
@@ -108,8 +110,9 @@ module Guard = Guard
 (** Process-wide resource governor: wall-clock deadlines, fuel accounts,
     live-heap ceilings, and cooperative cancellation, with a unified
     [(complete, partial)] outcome type. Pass one [Guard.t] to the [?guard]
-    entry points below (and to {!Chase_engine.run}, {!Rewrite.rewrite},
-    {!Marked_process.run}, ...) to bound a whole pipeline — including its
+    entry points ({!Portfolio.execute}, {!Chase_engine.run},
+    {!Rewrite.rewrite}, {!Marked_process.run}, ...) to bound a whole
+    pipeline — including its
     parallel fan-outs — by a single budget; every stage then degrades to a
     documented sound partial result instead of running away. *)
 
@@ -133,41 +136,6 @@ module Parse : sig
   val rule : string -> Logic.Tgd.t
 end
 
-(** {1 High-level pipelines} *)
-
-val certain_answers :
-  ?pool:Parallel.Pool.t ->
-  ?guard:Guard.t ->
-  ?max_depth:int -> ?max_atoms:int ->
-  Logic.Theory.t -> Logic.Fact_set.t -> Logic.Cq.t ->
-  Logic.Term.t list list
-(** The certain answers of the query over the instance under the theory,
-    computed through the chase (complete up to the depth budget; a guard
-    trip truncates the chase, so the answers are then sound but possibly
-    incomplete — inspect [Guard.status] to detect it). *)
-
-val certain :
-  ?guard:Guard.t ->
-  ?max_depth:int -> ?max_atoms:int ->
-  Logic.Theory.t -> Logic.Fact_set.t -> Logic.Cq.t -> Logic.Term.t list ->
-  bool
-(** [T, D |= q(tuple)]? *)
-
-val rewrite :
-  ?pool:Parallel.Pool.t ->
-  ?guard:Guard.t ->
-  ?budget:Rewriting.Rewrite.budget ->
-  Logic.Theory.t -> Logic.Cq.t -> Rewriting.Rewrite.result
-(** The UCQ rewriting of the query (Theorem 1), by saturation. *)
-
-val answer_via_rewriting :
-  ?pool:Parallel.Pool.t ->
-  ?guard:Guard.t ->
-  ?budget:Rewriting.Rewrite.budget ->
-  Logic.Theory.t -> Logic.Fact_set.t -> Logic.Cq.t ->
-  Logic.Term.t list list option
-(** Rewrite the query, then evaluate the UCQ directly over the instance —
-    the whole point of FUS/BDD theories. [None] when the rewriting does not
-    complete within budget. *)
+(** {1 Classification} *)
 
 val classify : Logic.Theory.t -> Theories.Classes.report

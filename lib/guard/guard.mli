@@ -50,9 +50,10 @@ type counters = {
 
 (** The one outcome type every long-running entry point derives:
     ['a] is the completed result, ['p] the partial state salvaged at a
-    trip. The bespoke [Engine.hit_atom_budget], [Termination.
-    Budget_exhausted] and [Entailment.Unknown] signals are derived views
-    of this. *)
+    trip. [Termination.Budget_exhausted] and [Entailment.Unknown] are
+    this type's [Exhausted] case seen through a verdict that has no
+    partial payload; [Rewrite]'s [_budget] outcomes additionally name
+    which budget field tripped. *)
 type ('a, 'p) outcome =
   | Complete of 'a
   | Exhausted of { partial : 'p; cause : cause; progress : counters }

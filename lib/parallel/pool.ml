@@ -295,12 +295,10 @@ let exec_into (type a b) (f : a -> b) (tasks : a array)
 
    The gate changes scheduling only, never results: every client
    already requires cross-[-j] determinism, and inline execution is the
-   size-1 code path those contracts are stated against. [set_cost_gate
-   false] restores unconditional fan-out (the scheduler tests exercise
-   the steal/death paths on one core and need it). *)
-
-let cost_gate = Atomic.make true
-let set_cost_gate b = Atomic.set cost_gate b
+   size-1 code path those contracts are stated against. The scheduler
+   tests reach the steal/death paths on one core through
+   [Internal.map_array_fanout] / [Internal.exists_fanout], which bypass
+   the gate for their own batch only. *)
 
 (* Threshold, as a multiple of the measured dispatch overhead: a batch
    has to be worth several dispatches before the pool pays for one. *)
@@ -325,11 +323,8 @@ let dispatch_overhead_s pool = pool.dispatch_overhead_s
 
 (* How many tasks can actually run at once. Saturation clients size
    their round batches off this (a 4-domain pool on a 1-core box should
-   drain one item per round, like -j1, not whole frontiers); with the
-   gate off it falls back to the nominal size, restoring unconditional
-   pre-gate behavior. *)
-let effective_size pool =
-  if Atomic.get cost_gate then pool.eff else pool.size
+   drain one item per round, like -j1, not whole frontiers). *)
+let effective_size pool = pool.eff
 
 (* The degraded-mode core: run every task, rescue orphans inline, retry
    failed slots once (transient/injected failures recover; deterministic
@@ -431,7 +426,7 @@ let run_all (type a b) ?guard ?stop ?skip ?est_s ?(force_fanout = false)
     Mutex.unlock pool.mutex
   in
   if pool.size = 1 || n <= 1 then run_inline 0
-  else if force_fanout || not (Atomic.get cost_gate) then fan_out 0
+  else if force_fanout then fan_out 0
   else begin
     let gate = gate_factor *. pool.dispatch_overhead_s in
     if pool.eff <= 1 then begin
@@ -522,37 +517,41 @@ let errors_of_slots slots =
        | i, Error (e, bt) -> Some (i, e, bt)
        | _, Ok _ -> None)
 
-let map_array ?guard ?est_s pool f tasks =
-  let slots = map_array_result ?guard ?est_s pool f tasks in
+let values_or_raise slots =
   let errors = errors_of_slots slots in
   if errors <> [] then raise (Task_errors errors);
   Array.map (function Ok r -> r | Error _ -> assert false) slots
 
+let map_array ?guard ?est_s pool f tasks =
+  values_or_raise (map_array_result ?guard ?est_s pool f tasks)
+
 let map_list ?guard ?est_s pool f l =
   Array.to_list (map_array ?guard ?est_s pool f (Array.of_list l))
 
-let exists ?guard ?est_s pool pred tasks =
+let exists_with ~force_fanout ?guard ?est_s pool pred tasks =
   if
     pool.size = 1
     || Array.length tasks < 2
-    || (Atomic.get cost_gate && pool.eff <= 1)
+    || (pool.eff <= 1 && not force_fanout)
     (* On one core the sequential scan strictly dominates: same verdict,
        true early exit, no dispatch. *)
   then Array.exists pred tasks
   else begin
     let found = Atomic.make false in
     let slots =
-      run_all ?guard ?est_s pool
+      run_all ?guard ?est_s ~force_fanout pool
         ~stop:(fun () -> Atomic.get found)
         ~skip:(fun () -> ())
         (fun x ->
           if (not (Atomic.get found)) && pred x then Atomic.set found true)
         tasks
     in
-    let errors = errors_of_slots slots in
-    if errors <> [] then raise (Task_errors errors);
+    ignore (values_or_raise slots : unit array);
     Atomic.get found
   end
+
+let exists ?guard ?est_s pool pred tasks =
+  exists_with ~force_fanout:false ?guard ?est_s pool pred tasks
 
 let filter_list ?guard ?est_s pool pred l =
   if pool.size = 1 then List.filter pred l
@@ -629,4 +628,11 @@ let get_default () =
 module Internal = struct
   let shard_bounds = shard_bounds
   let probe_order = probe_order
+
+  let map_array_fanout ?guard pool f tasks =
+    if Array.length tasks = 0 then [||]
+    else values_or_raise (run_all ?guard ~force_fanout:true pool f tasks)
+
+  let exists_fanout ?guard pool pred tasks =
+    exists_with ~force_fanout:true ?guard pool pred tasks
 end

@@ -78,7 +78,7 @@ val map_array :
     created the pool (the coordinator), never from inside a task.
 
     [?est_s] is the caller's estimate of the batch's whole sequential
-    cost in seconds, consumed by the cost gate (see {!set_cost_gate}):
+    cost in seconds, consumed by the cost gate (see below):
     an estimate below the gate threshold skips both the fan-out and the
     gate's own probe phase; a large one fans out immediately. *)
 
@@ -102,8 +102,8 @@ val exists :
     resolved as a no-op without invoking the predicate. The boolean
     result is deterministic (it does not depend on scheduling); the set
     of predicate invocations is not, but is bounded by the tasks claimed
-    before the witness was published. At effective parallelism 1 (with
-    the cost gate on) this is a plain sequential [Array.exists]. *)
+    before the witness was published. At effective parallelism 1 this is
+    a plain sequential [Array.exists]. *)
 
 val filter_list :
   ?guard:Guard.t -> ?est_s:float -> t -> ('a -> bool) -> 'a list -> 'a list
@@ -125,12 +125,6 @@ val filter_list :
     cross-[-j] determinism contract is unaffected, because inline
     execution is exactly the size-1 code path. *)
 
-val set_cost_gate : bool -> unit
-(** Process-wide A/B switch, default [true]. [set_cost_gate false]
-    restores unconditional fan-out — the scheduler's steal/death-path
-    tests rely on it, and it is the honest baseline arm when
-    benchmarking the gate itself. *)
-
 val dispatch_overhead_s : t -> float
 (** The measured fixed cost of one fan-out through this pool, in
     seconds. Size-1 pools, pools that have never fanned a batch out, and
@@ -139,12 +133,11 @@ val dispatch_overhead_s : t -> float
     claim numbering) report a conservative default. *)
 
 val effective_size : t -> int
-(** [min size cores] while the cost gate is on — how many tasks can
-    actually run at once. Saturation clients that widen their round
-    batches with the pool should widen with this, not {!size}: a
-    4-domain pool on a 1-core box gains nothing from coarser rounds and
-    should keep the [-j1] schedule. Falls back to {!size} when the gate
-    is off. *)
+(** [min size cores] — how many tasks can actually run at once.
+    Saturation clients that widen their round batches with the pool
+    should widen with this, not {!size}: a 4-domain pool on a 1-core box
+    gains nothing from coarser rounds and should keep the [-j1]
+    schedule. *)
 
 type gate_counters = {
   inline_batches : int;
@@ -155,8 +148,8 @@ type gate_counters = {
 
 val gate_counters : unit -> gate_counters
 (** Process-wide tallies of gate decisions — only batches where fan-out
-    was possible (pool size > 1, at least 2 tasks, gate enabled) are
-    counted. Thread-safe. *)
+    was possible (pool size > 1, at least 2 tasks) and the gate was
+    consulted are counted. Thread-safe. *)
 
 val reset_gate_counters : unit -> unit
 
@@ -188,7 +181,7 @@ val get_default : unit -> t
 
 (** {1 Scheduler internals, exposed for the steal-path unit tests}
 
-    Pure functions — no pool required. Not part of the stable API. *)
+    Not part of the stable API. *)
 module Internal : sig
   val shard_bounds : n:int -> size:int -> (int * int) array
   (** The balanced contiguous [(lo, hi)] slices of [0, n) assigned to the
@@ -198,4 +191,16 @@ module Internal : sig
   (** The order in which [worker] visits shards when claiming: its own
       shard first, then the victims round-robin — each shard exactly
       once (no self-steal). *)
+
+  val map_array_fanout :
+    ?guard:Guard.t -> t -> ('a -> 'b) -> 'a array -> 'b array
+  (** {!map_array} with the cost gate bypassed for this batch: any batch
+      of two or more tasks on a pool of size > 1 goes to the workers,
+      even on one core — the only way to reach the steal and dead-worker
+      paths with deliberately tiny tasks. *)
+
+  val exists_fanout :
+    ?guard:Guard.t -> t -> ('a -> bool) -> 'a array -> bool
+  (** {!exists} with the cost gate and the one-core shortcut bypassed
+      for this batch, likewise. *)
 end

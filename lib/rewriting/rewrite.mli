@@ -22,15 +22,19 @@ type outcome =
   | Complete
       (** Saturation reached a fixpoint: the UCQ is the full rewriting. *)
   | Disjunct_budget
+      (** The UCQ grew past [max_disjuncts]. *)
   | Size_budget  (** Some disjunct exceeded [max_atoms_per_disjunct]. *)
-  | Step_budget
+  | Step_budget  (** The worklist was popped [max_steps] times. *)
   | Guard_exhausted of Guard.cause
       (** The run's {!Guard.t} tripped (deadline, fuel, memory ceiling,
-          or cancellation). The UCQ is still sound: every disjunct was
-          produced by piece-rewriting steps, so the partial rewriting is
-          entailed by the full one. The three [_budget] constructors are
-          the legacy per-resource flags; new code should treat all four
-          non-[Complete] cases through {!outcome_of_result}. *)
+          or cancellation). *)
+(** In every non-[Complete] case the UCQ is still sound: every disjunct
+    was produced by piece-rewriting steps, so the partial rewriting is
+    entailed by the full one. The three [_budget] constructors name the
+    {!budget} field that tripped — something {!Guard.Fuel} cannot say,
+    which is why the CLI ([rewrite], [resume]) and the experiment tables
+    print them; {!outcome_of_result} folds all four into one
+    {!Guard.outcome} for callers that only need complete-or-not. *)
 
 type result = {
   ucq : Ucq.t;
@@ -119,7 +123,7 @@ val resume :
 val outcome_of_result : result -> guard:Guard.t -> (result, result) Guard.outcome
 (** The unified verdict for a finished run: [Complete] on saturation,
     otherwise [Exhausted] carrying the same result as partial output, the
-    trip cause (the legacy [_budget] outcomes map to {!Guard.Fuel}), and
+    trip cause (the three [_budget] outcomes map to {!Guard.Fuel}), and
     the guard's progress counters. *)
 
 val rs : ?pool:Parallel.Pool.t -> ?budget:budget -> Theory.t -> Cq.t -> int option

@@ -1,10 +1,22 @@
 (* Integration tests through the public Frontier facade: parsing, the
-   high-level pipelines, and a few whole-paper scenarios knitting several
+   certain-answer pipelines (the portfolio's chase and rewriting arms,
+   chase entailment), and a few whole-paper scenarios knitting several
    subsystems together. *)
 
 let parse_theory = Frontier.Parse.theory
 let parse_instance = Frontier.Parse.instance
 let parse_query = Frontier.Parse.query
+
+let chase_answers ~max_depth theory d q =
+  let tuples, _, _ =
+    Frontier.Portfolio.Strategy.chase_arm ~max_depth theory d q
+  in
+  tuples
+
+let entailed ~max_depth theory d q tuple =
+  match Frontier.Entailment.entails ~max_depth theory d q tuple with
+  | Frontier.Entailment.Entailed _ -> true
+  | Frontier.Entailment.Not_entailed | Frontier.Entailment.Unknown -> false
 
 let test_quickstart_pipeline () =
   let theory =
@@ -13,19 +25,19 @@ let test_quickstart_pipeline () =
   in
   let db = parse_instance "Human(abel)" in
   let query = parse_query "(x) :- Mother(x, m)" in
-  let via_chase = Frontier.certain_answers ~max_depth:5 theory db query in
+  let via_chase = chase_answers ~max_depth:5 theory db query in
   Alcotest.(check int) "one chase answer" 1 (List.length via_chase);
-  match Frontier.answer_via_rewriting theory db query with
-  | Some via_rew ->
+  match Frontier.Portfolio.Strategy.rewriting_arm theory db query with
+  | via_rew, true, _ ->
       Alcotest.(check bool) "rewriting agrees" true (via_chase = via_rew)
-  | None -> Alcotest.fail "rewriting should complete"
+  | _, false, _ -> Alcotest.fail "rewriting should complete"
 
 let test_certain_filters_skolems () =
-  (* certain_answers must only report tuples over the original domain. *)
+  (* The chase arm must only report tuples over the original domain. *)
   let theory = parse_theory "Human(y) -> exists z. Mother(y,z). Mother(x,y) -> Human(y)" in
   let db = parse_instance "Human(abel)" in
   let q = parse_query "(x) :- Human(x)" in
-  let answers = Frontier.certain_answers ~max_depth:4 theory db q in
+  let answers = chase_answers ~max_depth:4 theory db q in
   Alcotest.(check int) "only abel" 1 (List.length answers)
 
 let test_certain_tuple () =
@@ -33,7 +45,7 @@ let test_certain_tuple () =
   let db = parse_instance "E(a,b)" in
   let _, _, q3 = Frontier.Zoo.e_path_query 3 in
   Alcotest.(check bool) "path from a" true
-    (Frontier.certain ~max_depth:6 theory db
+    (entailed ~max_depth:6 theory db
        (Frontier.Cq.make ~free:[] (Frontier.Cq.atoms q3))
        [])
 
@@ -44,7 +56,7 @@ let test_tc_bdd_certificate () =
   let a = Term.var "a" and b = Term.var "b" in
   let a' = Term.var "a'" and b' = Term.var "b'" in
   let q = Cq.make ~free:[] [ Atom.make Zoo.r4 [ a; b; a'; b' ] ] in
-  let r = rewrite Zoo.t_c q in
+  let r = Rewrite.rewrite Zoo.t_c q in
   Alcotest.(check bool) "complete" true (r.Rewrite.outcome = Rewrite.Complete);
   (* rew = { exists Rc(...), exists E(...) }. *)
   Alcotest.(check int) "two disjuncts" 2 (Ucq.cardinal r.Rewrite.ucq);
@@ -122,60 +134,6 @@ let test_render_through_facade () =
   Alcotest.(check bool) "dot nonempty" true (String.length dot > 40)
 
 (* ------------------------------------------------------------------ *)
-(* Reasoner                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_reasoner_routes () =
-  let open Frontier in
-  let reasoner = Reasoner.create Zoo.t_a in
-  let d = parse_instance "Human(abel). Mother(eve, abel)" in
-  let x = Term.var "x" and y = Term.var "y" in
-  let q = Cq.make ~free:[ x ] [ Atom.make Zoo.mother [ x; y ] ] in
-  let answers, route = Reasoner.answer reasoner d q in
-  Alcotest.(check bool) "rewriting route" true (route = Reasoner.Rewriting);
-  (* abel, eve (both are human, eve via Mother(eve,abel) frontier... eve
-     appears as a mother already; abel gets an invented mother). *)
-  Alcotest.(check int) "two answers" 2 (List.length answers);
-  Alcotest.(check int) "one cached shape" 1
-    (Reasoner.cached_rewritings reasoner);
-  (* Second, isomorphic query: cache hit (still one cached shape). *)
-  let a = Term.var "aa" and b = Term.var "bb" in
-  let q2 = Cq.make ~free:[ a ] [ Atom.make Zoo.mother [ a; b ] ] in
-  let answers2, _ = Reasoner.answer reasoner d q2 in
-  Alcotest.(check int) "same answers" 2 (List.length answers2);
-  Alcotest.(check int) "still one cached shape" 1
-    (Reasoner.cached_rewritings reasoner)
-
-let test_reasoner_fallback () =
-  let open Frontier in
-  (* Example 41's non-BDD theory forces the chase fallback. *)
-  let budget =
-    { Rewrite.max_disjuncts = 20; max_atoms_per_disjunct = 10; max_steps = 60 }
-  in
-  let reasoner = Reasoner.create ~rewrite_budget:budget Zoo.t_nonbdd in
-  let d = Instances.nonbdd_chain 3 in
-  let x = Term.var "x" and u = Term.var "u" in
-  let q = Cq.make ~free:[ x ] [ Atom.make Zoo.r2 [ x; u ] ] in
-  let answers, route = Reasoner.answer reasoner d q in
-  (match route with
-  | Reasoner.Chase_fallback _ -> ()
-  | Reasoner.Rewriting -> Alcotest.fail "expected fallback");
-  Alcotest.(check int) "all chain nodes reach c" 4 (List.length answers)
-
-let test_reasoner_agrees_with_direct () =
-  let open Frontier in
-  let reasoner = Reasoner.create Zoo.t_loopcut in
-  let d =
-    let _, _, d = Instances.path Zoo.e2 3 in
-    d
-  in
-  let x = Term.var "x" in
-  let q = Cq.make ~free:[] [ Atom.make Zoo.e2 [ x; x ] ] in
-  let held, route = Reasoner.holds reasoner d q [] in
-  Alcotest.(check bool) "self-loop certain" true held;
-  Alcotest.(check bool) "by rewriting" true (route = Reasoner.Rewriting)
-
-(* ------------------------------------------------------------------ *)
 (* The Section 2 "trivial trick"                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -195,10 +153,8 @@ let test_connectize () =
     Cq.make ~free:[] [ Atom.make Zoo.e2 [ y; vv ]; Atom.make Zoo.e2 [ vv; u ] ]
   in
   let lifted_q = Transform.lift_query q in
-  let raw =
-    certain ~max_depth:6 Zoo.t_ex66 d q []
-  in
-  let lifted_res = certain ~max_depth:6 lifted lifted_d lifted_q [] in
+  let raw = entailed ~max_depth:6 Zoo.t_ex66 d q [] in
+  let lifted_res = entailed ~max_depth:6 lifted lifted_d lifted_q [] in
   Alcotest.(check bool) "entailment preserved" raw lifted_res;
   Alcotest.(check bool) "raw entails a 2-chain" true raw;
   (* The paper's caveat: the trick destroys degree bounds — the world
@@ -231,12 +187,6 @@ let () =
           Alcotest.test_case "bd-locality family" `Quick
             test_bd_locality_family;
           Alcotest.test_case "render" `Quick test_render_through_facade;
-        ] );
-      ( "reasoner",
-        [
-          Alcotest.test_case "routes and cache" `Quick test_reasoner_routes;
-          Alcotest.test_case "chase fallback" `Quick test_reasoner_fallback;
-          Alcotest.test_case "holds" `Quick test_reasoner_agrees_with_direct;
         ] );
       ( "transform",
         [ Alcotest.test_case "connectize" `Quick test_connectize ] );

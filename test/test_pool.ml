@@ -8,11 +8,43 @@
 open Parallel
 
 (* These tests pin the fan-out mechanisms themselves (stealing, dead
-   workers, busy accounting), so the cost gate — which would route these
-   deliberately tiny batches inline, especially on a one-core CI box —
-   is disabled for the whole suite. *)
-let () = Pool.set_cost_gate false
+   workers, busy accounting). The cost gate would route their
+   deliberately tiny batches inline — always on a one-core box — so they
+   go through [Pool.Internal]'s forced fan-out entry points, which
+   bypass the gate for that one batch. *)
 let pool4 = Pool.create 4
+let map_array = Pool.Internal.map_array_fanout
+let exists = Pool.Internal.exists_fanout
+
+(* Which domains ran a batch's tasks. [task f] records the running
+   domain, and until a second domain has shown up (or [timeout_s] has
+   passed since [spread] was made) it waits before running [f]: a
+   fanned-out batch then provably runs on several domains even on one
+   core, while a batch that ran inline stays on one domain and costs at
+   most [timeout_s]. *)
+let spread ?(timeout_s = 5.) () =
+  let seen = Atomic.make [] in
+  let deadline = Unix.gettimeofday () +. timeout_s in
+  let rec add id =
+    let ids = Atomic.get seen in
+    if not (List.mem id ids || Atomic.compare_and_set seen ids (id :: ids))
+    then add id
+  in
+  let task f x =
+    add (Domain.self ());
+    while
+      List.length (Atomic.get seen) < 2 && Unix.gettimeofday () < deadline
+    do
+      Unix.sleepf 1e-4
+    done;
+    f x
+  in
+  let domains () = List.length (Atomic.get seen) in
+  (task, domains)
+
+let check_fanned_out what domains =
+  if domains () < 2 then
+    Alcotest.failf "%s ran inline on one domain; want a fan-out" what
 
 let contains_sub hay needle =
   let nh = String.length hay and nn = String.length needle in
@@ -80,16 +112,19 @@ let test_map_matches_sequential () =
     (fun n ->
       let tasks = Array.init n (fun i -> i) in
       let expected = Array.map (fun i -> (i * i) + 1) tasks in
-      let got = Pool.map_array pool4 (fun i -> (i * i) + 1) tasks in
+      (* A single task never leaves the coordinator: nothing to wait for. *)
+      let task, domains = spread ~timeout_s:(if n >= 2 then 5. else 0.) () in
+      let got = map_array pool4 (task (fun i -> (i * i) + 1)) tasks in
       Alcotest.(check (array int))
         (Printf.sprintf "n=%d" n)
-        expected got)
+        expected got;
+      if n >= 2 then check_fanned_out (Printf.sprintf "n=%d" n) domains)
     [ 0; 1; 2; 3; 5; 16; 1000 ]
 
 let test_task_errors_lists_failing_indices () =
   let tasks = Array.init 20 (fun i -> i) in
   match
-    Pool.map_array pool4
+    map_array pool4
       (fun i -> if i mod 3 = 0 then failwith "boom" else i)
       tasks
   with
@@ -127,11 +162,13 @@ let test_dead_worker_rescue () =
     (fun () ->
       Guard.Faults.install (Guard.Faults.of_seed die_seed);
       let tasks = Array.init 500 (fun i -> i) in
-      let got = Pool.map_array pool4 (fun i -> i * 7) tasks in
+      let task, domains = spread () in
+      let got = map_array pool4 (task (fun i -> i * 7)) tasks in
       Alcotest.(check (array int))
         "all indices survive worker deaths"
         (Array.map (fun i -> i * 7) tasks)
-        got)
+        got;
+      check_fanned_out "the fault-injected batch" domains)
 
 (* ------------------------------------------------------------------ *)
 (* [exists]: genuine early exit                                        *)
@@ -141,13 +178,13 @@ let test_exists_verdicts () =
   let tasks = Array.init 100 (fun i -> i) in
   Alcotest.(check bool)
     "witness present" true
-    (Pool.exists pool4 (fun i -> i = 73) tasks);
+    (exists pool4 (fun i -> i = 73) tasks);
   Alcotest.(check bool)
     "no witness" false
-    (Pool.exists pool4 (fun i -> i > 1000) tasks);
+    (exists pool4 (fun i -> i > 1000) tasks);
   Alcotest.(check bool)
     "empty array" false
-    (Pool.exists pool4 (fun _ -> true) [||])
+    (exists pool4 (fun _ -> true) [||])
 
 let test_exists_early_exit () =
   (* Put a witness at the first index of every shard: whichever domain
@@ -162,14 +199,16 @@ let test_exists_early_exit () =
   in
   let tasks = Array.init n (fun i -> i) in
   let invocations = Atomic.make 0 in
+  let task, domains = spread () in
   let found =
-    Pool.exists pool4
-      (fun i ->
-        Atomic.incr invocations;
-        List.mem i starts)
+    exists pool4
+      (task (fun i ->
+           Atomic.incr invocations;
+           List.mem i starts))
       tasks
   in
   Alcotest.(check bool) "found" true found;
+  check_fanned_out "the early-exit batch" domains;
   let inv = Atomic.get invocations in
   if inv > size then
     Alcotest.failf
@@ -179,15 +218,17 @@ let test_exists_early_exit () =
 let test_exists_no_witness_runs_all () =
   let n = 200 in
   let invocations = Atomic.make 0 in
+  let task, domains = spread () in
   let found =
-    Pool.exists pool4
-      (fun _ ->
-        Atomic.incr invocations;
-        false)
+    exists pool4
+      (task (fun _ ->
+           Atomic.incr invocations;
+           false))
       (Array.init n (fun i -> i))
   in
   Alcotest.(check bool) "not found" false found;
-  Alcotest.(check int) "every task checked" n (Atomic.get invocations)
+  Alcotest.(check int) "every task checked" n (Atomic.get invocations);
+  check_fanned_out "the no-witness batch" domains
 
 (* ------------------------------------------------------------------ *)
 (* Busy accounting under a concurrent reader                           *)
@@ -209,7 +250,7 @@ let test_busy_times_concurrent_reader () =
   in
   let tasks = Array.init 2_000 (fun i -> i) in
   for _ = 1 to 5 do
-    ignore (Pool.map_array pool4 (fun i -> i + 1) tasks)
+    ignore (map_array pool4 (fun i -> i + 1) tasks)
   done;
   Atomic.set stop true;
   let reads = Domain.join reader in

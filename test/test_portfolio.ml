@@ -295,6 +295,75 @@ let test_plan_never_unsound_on_generated_theories () =
     (List.init 24 Fun.id)
 
 (* ------------------------------------------------------------------ *)
+(* Execute: rewrite-then-evaluate, else chase                          *)
+(* ------------------------------------------------------------------ *)
+
+(* [execute]'s single decision (Section 1, Theorem 1): evaluate a
+   complete rewriting over the instance, fall back to the chase when the
+   rewriting does not complete. *)
+
+let test_execute_t_a_rewrites () =
+  let d = Frontier.Parse.instance "Human(abel). Mother(eve, abel)" in
+  let q = Cq.make ~free:[ x ] [ Atom.make Theories.Zoo.mother [ x; y ] ] in
+  let plan = Portfolio.plan Theories.Zoo.t_a in
+  let a = Portfolio.execute plan Theories.Zoo.t_a d q in
+  Alcotest.(check string) "routed to rewriting" "ucq-rewriting"
+    (Strategy.strategy_name a.Strategy.used);
+  Alcotest.(check bool) "exact" true a.Strategy.exact;
+  (* abel gets an invented mother; eve is a mother already. *)
+  Alcotest.(check int) "two answers" 2 (List.length a.Strategy.tuples)
+
+let test_execute_isomorphic_query () =
+  let d = Frontier.Parse.instance "Human(abel). Mother(eve, abel)" in
+  let answers q =
+    let plan = Portfolio.plan Theories.Zoo.t_a in
+    (Portfolio.execute plan Theories.Zoo.t_a d q).Strategy.tuples
+  in
+  let aa = Term.var "aa" and bb = Term.var "bb" in
+  let q = Cq.make ~free:[ x ] [ Atom.make Theories.Zoo.mother [ x; y ] ] in
+  let q2 = Cq.make ~free:[ aa ] [ Atom.make Theories.Zoo.mother [ aa; bb ] ] in
+  Alcotest.(check bool) "same answers" true
+    (Strategy.equal_answers (answers q) (answers q2));
+  Alcotest.(check int) "two answers" 2 (List.length (answers q2))
+
+(* The class checkers certify neither T_nonbdd nor T_loopcut (both get a
+   chase plan), so these cases pin the plan to rewriting; execute still
+   re-validates the rewriting's outcome at run time. *)
+let rewriting_plan t =
+  { (Portfolio.plan t) with Strategy.strategy = Portfolio.Ucq_rewriting }
+
+let test_execute_t_nonbdd_falls_back () =
+  (* Example 41's non-BDD theory: a rewriting attempt under a small
+     budget cannot complete, so execute answers through the chase. *)
+  let budget =
+    { Rewriting.Rewrite.max_disjuncts = 20; max_atoms_per_disjunct = 10;
+      max_steps = 60 }
+  in
+  let t = Theories.Zoo.t_nonbdd in
+  let plan = rewriting_plan t in
+  let d = Theories.Instances.nonbdd_chain 3 in
+  let u = Term.var "u" in
+  let q = Cq.make ~free:[ x ] [ Atom.make Theories.Zoo.r2 [ x; u ] ] in
+  let a = Portfolio.execute ~budget ~max_depth:20 plan t d q in
+  Alcotest.(check bool) "fell back" true a.Strategy.fell_back;
+  Alcotest.(check bool) "chase produced the answers" true
+    (a.Strategy.used = Portfolio.Budgeted_chase);
+  Alcotest.(check int) "all chain nodes reach c" 4
+    (List.length a.Strategy.tuples)
+
+let test_execute_boolean_via_rewriting () =
+  let t = Theories.Zoo.t_loopcut in
+  let _, _, d = Theories.Instances.path e 3 in
+  let q = Cq.make ~free:[] [ Atom.make e [ x; x ] ] in
+  let plan = rewriting_plan t in
+  let a = Portfolio.execute plan t d q in
+  Alcotest.(check bool) "no fallback" false a.Strategy.fell_back;
+  Alcotest.(check bool) "self-loop certain" true
+    (Strategy.equal_answers a.Strategy.tuples [ [] ]);
+  Alcotest.(check bool) "by rewriting" true
+    (a.Strategy.used = Portfolio.Ucq_rewriting && a.Strategy.exact)
+
+(* ------------------------------------------------------------------ *)
 (* Minimizer                                                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -510,6 +579,17 @@ let () =
           Alcotest.test_case "routing is sound on generated theories" `Quick
             test_plan_never_unsound_on_generated_theories;
           Alcotest.test_case "zoo routing pins" `Quick test_plan_routing_pins;
+        ] );
+      ( "execute",
+        [
+          Alcotest.test_case "T_a: rewriting, two exact answers" `Quick
+            test_execute_t_a_rewrites;
+          Alcotest.test_case "isomorphic query, same answers" `Quick
+            test_execute_isomorphic_query;
+          Alcotest.test_case "T_nonbdd budget falls back" `Quick
+            test_execute_t_nonbdd_falls_back;
+          Alcotest.test_case "T_loopcut self-loop via rewriting" `Quick
+            test_execute_boolean_via_rewriting;
         ] );
       ( "minimizer",
         [

@@ -264,7 +264,7 @@ let prop_engine_matches_naive_reference =
       let theory = decode_theory trules in
       let d = decode_instance inst in
       let run = Chase.Engine.run ~max_depth ~max_atoms theory d in
-      QCheck.assume (not (Chase.Engine.hit_atom_budget run));
+      QCheck.assume (Chase.Engine.interrupted run <> Some Guard.Fuel);
       let stages, naive_saturated =
         naive_chase ~max_stages:max_depth theory d
       in
@@ -295,8 +295,8 @@ let prop_parallel_chase_deterministic =
           let par = Chase.Engine.run ~pool ~max_depth ~max_atoms theory d in
           Chase.Engine.depth par = Chase.Engine.depth seq
           && Chase.Engine.saturated par = Chase.Engine.saturated seq
-          && Chase.Engine.hit_atom_budget par
-             = Chase.Engine.hit_atom_budget seq
+          && (Chase.Engine.interrupted par = Some Guard.Fuel)
+             = (Chase.Engine.interrupted seq = Some Guard.Fuel)
           && List.for_all
                (fun i ->
                  Fact_set.equal
@@ -405,7 +405,7 @@ let prop_zoo_chase_matches_naive =
       List.for_all
         (fun pool ->
           let run = Chase.Engine.run ?pool ~max_depth ~max_atoms theory d in
-          QCheck.assume (not (Chase.Engine.hit_atom_budget run));
+          QCheck.assume (Chase.Engine.interrupted run <> Some Guard.Fuel);
           List.length stages = Chase.Engine.depth run + 1
           && Chase.Engine.saturated run = saturated
           && List.for_all2 Fact_set.equal stages
@@ -614,18 +614,18 @@ let prop_zoo_answering_agreement =
       let q =
         Cq.make ~free:[ x ] [ Atom.make Theories.Zoo.mother [ x; m ] ]
       in
-      let via_chase =
-        Frontier.certain_answers ~max_depth:3 Theories.Zoo.t_a d q
+      let via_chase, _, _ =
+        Portfolio.Strategy.chase_arm ~max_depth:3 Theories.Zoo.t_a d q
       in
       let via_rewriting =
-        Frontier.answer_via_rewriting Theories.Zoo.t_a d q
+        Portfolio.Strategy.rewriting_arm Theories.Zoo.t_a d q
       in
       let via_rewriting_par =
-        Frontier.answer_via_rewriting ~pool:pool2 Theories.Zoo.t_a d q
+        Portfolio.Strategy.rewriting_arm ~pool:pool2 Theories.Zoo.t_a d q
       in
       let sort = List.sort (List.compare Term.compare) in
       match (via_rewriting, via_rewriting_par) with
-      | Some a, Some b ->
+      | (a, true, _), (b, true, _) ->
           sort a = sort (via_chase : Term.t list list) && sort a = sort b
       | _ -> false)
 
@@ -689,9 +689,8 @@ let prop_portfolio_agrees_on_zoo_instances =
       in
       let plan = Portfolio.plan Theories.Zoo.t_a in
       let a = Portfolio.execute plan Theories.Zoo.t_a d q in
-      let via_chase =
-        Portfolio.Strategy.normalize_tuples
-          (Frontier.certain_answers ~max_depth:3 Theories.Zoo.t_a d q)
+      let via_chase, _, _ =
+        Portfolio.Strategy.chase_arm ~max_depth:3 Theories.Zoo.t_a d q
       in
       a.Portfolio.Strategy.exact
       && a.Portfolio.Strategy.used = Portfolio.Ucq_rewriting
@@ -772,7 +771,7 @@ let prop_eval_ucq_matches_naive =
                   (Ucq.disjuncts u))))
         (decode_instance inst :: eval_seed_instances))
 
-let prop_eval_zoo_certain_answers_agree =
+let prop_eval_zoo_answers_agree =
   (* The [frontier answer] pipeline (Strategy -> rewrite -> evaluate)
      against chase-then-query across the theory zoo, sequential and -j4:
      exact claims must match exactly, inexact answers must be sound. *)
@@ -1106,13 +1105,14 @@ let prop_faulty_answering_never_lies =
       let theory = decode_theory trules and d = decode_instance inst in
       let x = Term.var "x" and y = Term.var "y" in
       let q = Cq.make ~free:[ x ] [ Atom.make e [ x; y ] ] in
-      let full =
-        Frontier.certain_answers ~max_depth ~max_atoms theory d q
+      let full, _, _ =
+        Portfolio.Strategy.chase_arm ~max_depth ~max_atoms theory d q
       in
-      let partial =
+      let partial, _, _ =
         with_faults (1 + seed) (fun () ->
             let guard = Guard.create () in
-            Frontier.certain_answers ~guard ~max_depth ~max_atoms theory d q)
+            Portfolio.Strategy.chase_arm ~guard ~max_depth ~max_atoms theory d
+              q)
       in
       List.for_all
         (fun tuple -> List.exists (( = ) tuple) full)
@@ -1178,7 +1178,7 @@ let () =
           [
             prop_eval_answers_match_naive;
             prop_eval_ucq_matches_naive;
-            prop_eval_zoo_certain_answers_agree;
+            prop_eval_zoo_answers_agree;
           ] );
       ( "containment",
         List.map
