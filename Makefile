@@ -1,4 +1,4 @@
-.PHONY: all build test check check-faults check-kernel check-portfolio check-shard check-arena check-eval check-resume bench bench-smoke examples doc clean fmt
+.PHONY: all build test check check-faults check-portfolio check-shard check-resume bench bench-smoke examples doc clean fmt
 
 # Every generated bench snapshot — recorded smoke baselines and the
 # transient *-check.json the drift gates produce — lives here, out of
@@ -44,13 +44,6 @@ check-faults: build
 	  test $$? -eq 2 || exit 1; \
 	done
 
-# Saturation-kernel gate: the kernel unit tests, then the differential
-# property suite (kernel-based chase/rewriting vs the naive references,
-# -j1..-j4, fault seeds).
-check-kernel: build
-	dune exec test/test_guard.exe
-	FRONTIER_QCHECK_COUNT=50 dune exec test/test_properties.exe
-
 # Sharded-scheduler gate (mirrored by the CI shard job): the pool unit
 # suite (shard slicing, steal paths, dead-worker rescue, the [exists]
 # early exit), the differential property suite (kernel clients vs the
@@ -80,26 +73,6 @@ check-shard: build | $(SNAPSHOTS)
 	python3 tools/bench_drift.py $(SNAPSHOTS)/bench-smoke-shard.json \
 	  $(SNAPSHOTS)/bench-shard-check.json \
 	  --tolerance $(SHARD_DRIFT_TOL)
-
-# Flat-arena gate: the arena unit suite (interning, span decoding,
-# posting intersections), then the differential properties (the
-# register machine and the chase against the naive references).
-check-arena: build
-	dune exec test/test_arena.exe
-	FRONTIER_QCHECK_COUNT=25 dune exec test/test_properties.exe
-
-# Plan-layer gate: the eval unit suite (plan compilation, answers
-# against the Cq reference, the fallback plan, guard salvage, the
-# containment probe), the eval differential properties (leapfrog =
-# naive enumerator = Cq.answers on random and seeded instances;
-# rewrite-then-evaluate = chase-then-query across the zoo at -j1/-j4),
-# then a CLI smoke of `frontier answer` on a generated grid.
-check-eval: build
-	dune exec test/test_eval.exe
-	FRONTIER_QCHECK_COUNT=25 dune exec test/test_properties.exe -- test eval
-	dune exec bin/frontier_cli.exe -- answer \
-	  -t 'E(x,y) -> exists z. E(y,z)' -q '(x,y) :- E(x,z), E(z,y)' \
-	  --gen grid --gen-size 60 --compare --stats
 
 # Portfolio gate (mirrored by the CI portfolio job): the checker /
 # selector / minimizer / repro unit suites, the zoo classification

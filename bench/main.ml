@@ -22,7 +22,6 @@
      par                   parallel layer determinism & scaling
      shard                 sharded pool: -j1 vs -j4 across saturation clients
      po                    portfolio selection over the zoo + fuzz smoke
-     cutoff                containment probe engine crossover by target size
      perf                  bechamel micro-benchmarks
 
    Usage: dune exec bench/main.exe [-- e1 e2 ... | all | perf] *)
@@ -959,97 +958,6 @@ let po () =
   row "  campaign clean: %b@." (outcome.Portfolio.Fuzz.failures = [])
 
 (* ------------------------------------------------------------------ *)
-(* cutoff — where the containment probe should switch engines          *)
-(* ------------------------------------------------------------------ *)
-
-(* The existence question of [Containment.implies target pattern],
-   timed on each engine: the register-machine arm calls [Homomorphism]
-   directly (what [Containment] runs when the probe declines), the
-   leapfrog arm calls the probe built with [~force_leapfrog:true], which
-   pays its plan compilation and sorted-view build on every target as a
-   real probe does. Targets are boolean E-paths and E/R grid prefixes of
-   16..256 atoms; the patterns are the three cases the minimization loop
-   meets: a short path that embeds, a triangle that never does (the
-   search must exhaust its seeds), and a renamed copy of the target
-   itself (a deep positive search). *)
-let cutoff () =
-  header "cutoff"
-    "containment probe: register machine vs leapfrog by target size"
-    "leapfrog pays off only on deep searches into targets of tens of atoms \
-     and more";
-  let smoke = Sys.getenv_opt "FRONTIER_BENCH_SMOKE" <> None in
-  let budget = if smoke then 0.005 else 0.1 in
-  let e = Theories.Zoo.e2 and r = Theories.Zoo.r2 in
-  let x i = Term.var (Printf.sprintf "c%d" i) in
-  let path n =
-    Cq.make ~free:[] (List.init n (fun i -> Atom.make e [ x i; x (i + 1) ]))
-  in
-  let grid n =
-    (* width-8 grid prefix: cell k/2, rightward on even k, down on odd *)
-    Cq.make ~free:[]
-      (List.init n (fun k ->
-           let c = k / 2 in
-           if k mod 2 = 0 then Atom.make e [ x c; x (c + 1) ]
-           else Atom.make r [ x c; x (c + 8) ]))
-  in
-  let y i = Term.var (Printf.sprintf "p%d" i) in
-  let edges l =
-    Cq.make ~free:[] (List.map (fun (i, j) -> Atom.make e [ y i; y j ]) l)
-  in
-  let short = edges [ (0, 1); (1, 2); (2, 3) ] in
-  let triangle = edges [ (0, 1); (1, 2); (2, 0) ] in
-  (* mean time per call over at least [budget] seconds *)
-  let per_call f =
-    ignore (f ());
-    let n = ref 0 and t0 = Unix.gettimeofday () in
-    while Unix.gettimeofday () -. t0 < budget do
-      ignore (f ());
-      incr n
-    done;
-    (Unix.gettimeofday () -. t0) /. float_of_int !n
-  in
-  let leapfrog = Eval.containment_probe ~force_leapfrog:true () in
-  let register_machine target pattern () =
-    Homomorphism.exists
-      (Homomorphism.make ~flexible:(Cq.var_set pattern)
-         ~pattern:(Cq.atoms pattern) ~target:(Cq.as_fact_set target) ())
-  in
-  let leapfrog_join target pattern () =
-    match
-      leapfrog ~init:Term.Map.empty ~flexible:(Cq.var_set pattern)
-        ~pattern:(Cq.atoms pattern) ~target:(Cq.as_fact_set target)
-    with
-    | Some verdict -> verdict
-    | None -> invalid_arg "cutoff: the forced leapfrog probe declined"
-  in
-  let timed arm target pattern =
-    let verdict = arm target pattern () in
-    (verdict, per_call (arm target pattern))
-  in
-  row "  %-6s %-6s %-10s %-8s %14s %14s %9s@." "shape" "atoms" "pattern"
-    "verdict" "reg-machine" "leapfrog" "lf/rm";
-  let agree = ref true in
-  let sizes = if smoke then [ 16; 64 ] else [ 16; 32; 64; 128; 256 ] in
-  List.iter
-    (fun (shape, make) ->
-      List.iter
-        (fun n ->
-          let target = make n in
-          let copy = fst (Cq.refresh ~prefix:"k" target) in
-          List.iter
-            (fun (pname, pattern) ->
-              let v_rm, t_rm = timed register_machine target pattern in
-              let v_lf, t_lf = timed leapfrog_join target pattern in
-              if v_rm <> v_lf then agree := false;
-              row "  %-6s %-6d %-10s %-8b %11.1f us %11.1f us %9.2f@." shape n
-                pname v_rm (t_rm *. 1e6) (t_lf *. 1e6) (t_lf /. t_rm))
-            [ ("path-3", short); ("triangle", triangle); ("self", copy) ])
-        sizes)
-    [ ("path", path); ("grid", grid) ];
-  row "  verdicts agree: %b   (probe cutoff in use: %d facts)@." !agree
-    Eval.probe_leapfrog_min
-
-(* ------------------------------------------------------------------ *)
 (* perf — bechamel micro-benchmarks                                    *)
 (* ------------------------------------------------------------------ *)
 
@@ -1130,7 +1038,7 @@ let experiments =
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
     ("e12", e12); ("e13", e13); ("e14", e14); ("par", par); ("shard", shard);
-    ("po", po); ("cutoff", cutoff); ("perf", perf);
+    ("po", po); ("perf", perf);
   ]
 
 let () =

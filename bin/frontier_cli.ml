@@ -216,6 +216,81 @@ let print_checkpoint_stats () =
       c.Frontier.Checkpoint.write_failures
       c.Frontier.Checkpoint.rejected_reads
 
+(* One report per engine result, shared by the command that starts a run
+   and by [resume], so a resumed run prints what the original command
+   prints. [es0] is the {!engine_stats_before} sample taken before the
+   run; the [--stats] lines report the work done since then. *)
+let print_chase_run ~stats es0 run =
+  Fmt.pr "chase: %d stages%s%s@."
+    (Frontier.Chase_engine.depth run)
+    (if Frontier.Chase_engine.saturated run then " (saturated)" else "")
+    (match Frontier.Chase_engine.interrupted run with
+    | Some c -> " (interrupted: " ^ Frontier.Guard.cause_to_string c ^ ")"
+    | None -> "");
+  for i = 0 to Frontier.Chase_engine.depth run do
+    Fmt.pr "stage %d: %d atoms@." i
+      (Frontier.Fact_set.cardinal (Frontier.Chase_engine.stage run i))
+  done;
+  if stats then begin
+    Fmt.pr "%a@." Frontier.Saturation.Stats.pp
+      (Frontier.Chase_engine.kernel_stats run);
+    print_engine_stats es0;
+    print_checkpoint_stats ()
+  end
+
+let print_rewrite_result ~stats es0 (r : Frontier.Rewrite.result) =
+  (match r.Frontier.Rewrite.outcome with
+  | Frontier.Rewrite.Complete -> Fmt.pr "rewriting complete:@."
+  | Frontier.Rewrite.Step_budget -> Fmt.pr "step budget exhausted; partial:@."
+  | Frontier.Rewrite.Disjunct_budget ->
+      Fmt.pr "disjunct budget exhausted; partial:@."
+  | Frontier.Rewrite.Size_budget ->
+      Fmt.pr "disjunct size budget exhausted; partial:@."
+  | Frontier.Rewrite.Guard_exhausted cause ->
+      Fmt.pr "guard exhausted (%s); partial:@."
+        (Frontier.Guard.cause_to_string cause));
+  Fmt.pr "%a@." Frontier.Ucq.pp r.Frontier.Rewrite.ucq;
+  Fmt.pr
+    "disjuncts: %d, max size: %d, steps: %d, generated: %d, containment \
+     checks: %d (cache: %d hits, %d misses)@."
+    (Frontier.Ucq.cardinal r.Frontier.Rewrite.ucq)
+    (Frontier.Ucq.max_disjunct_size r.Frontier.Rewrite.ucq)
+    r.Frontier.Rewrite.steps r.Frontier.Rewrite.generated
+    r.Frontier.Rewrite.containment_checks r.Frontier.Rewrite.cache_hits
+    r.Frontier.Rewrite.cache_misses;
+  if stats then begin
+    Fmt.pr "%a@." Frontier.Saturation.Stats.pp r.Frontier.Rewrite.kernel_stats;
+    Fmt.pr
+      "solver: %d candidate pairs pruned by the subsumption index, %d \
+       containment searches split into components@."
+      r.Frontier.Rewrite.index_pruned r.Frontier.Rewrite.component_splits;
+    print_engine_stats es0;
+    print_checkpoint_stats ()
+  end
+
+let print_marked_result ~stats (res : Frontier.Marked_process.result) =
+  let st = res.Frontier.Marked_process.stats in
+  Fmt.pr "%s after %d process steps (%d cut, %d fuse, %d reduce):@."
+    (if res.Frontier.Marked_process.complete then "complete"
+     else
+       match res.Frontier.Marked_process.interrupted with
+       | Some c -> "guard exhausted (" ^ Frontier.Guard.cause_to_string c ^ ")"
+       | None -> "step budget exhausted")
+    st.Frontier.Marked_process.steps st.Frontier.Marked_process.cut_steps
+    st.Frontier.Marked_process.fuse_steps
+    st.Frontier.Marked_process.reduce_steps;
+  if stats then begin
+    Fmt.pr "%a@." Frontier.Saturation.Stats.pp
+      res.Frontier.Marked_process.kernel_stats;
+    print_checkpoint_stats ()
+  end;
+  Fmt.pr "%a@." Frontier.Ucq.pp res.Frontier.Marked_process.rewriting;
+  Fmt.pr "disjuncts: %d, max size: %d, trivial: %d, aliased: %d@."
+    (Frontier.Ucq.cardinal res.Frontier.Marked_process.rewriting)
+    (Frontier.Ucq.max_disjunct_size res.Frontier.Marked_process.rewriting)
+    (List.length res.Frontier.Marked_process.trivial)
+    (List.length res.Frontier.Marked_process.aliased)
+
 (* ------------------------------------------------------------------ *)
 
 let chase_cmd =
@@ -241,26 +316,7 @@ let chase_cmd =
                 Frontier.Chase_engine.run ~pool ~guard ~max_depth:depth
                   ~max_atoms ?checkpoint t d
               in
-              Fmt.pr "chase: %d stages%s%s@."
-                (Frontier.Chase_engine.depth run)
-                (if Frontier.Chase_engine.saturated run then " (saturated)"
-                 else "")
-                (match Frontier.Chase_engine.interrupted run with
-                 | Some c ->
-                     " (interrupted: " ^ Frontier.Guard.cause_to_string c
-                     ^ ")"
-                 | None -> "");
-              for i = 0 to Frontier.Chase_engine.depth run do
-                Fmt.pr "stage %d: %d atoms@." i
-                  (Frontier.Fact_set.cardinal
-                     (Frontier.Chase_engine.stage run i))
-              done;
-              if stats then begin
-                Fmt.pr "%a@." Frontier.Saturation.Stats.pp
-                  (Frontier.Chase_engine.kernel_stats run);
-                print_engine_stats es0;
-                print_checkpoint_stats ()
-              end;
+              print_chase_run ~stats es0 run;
               Frontier.Chase_engine.result run
           | "oblivious" ->
               let r =
@@ -354,36 +410,7 @@ let rewrite_cmd =
         let checkpoint = make_sink checkpoint_dir checkpoint_every in
         let es0 = engine_stats_before () in
         let r = Frontier.Rewrite.rewrite ~pool ~guard ~budget ?checkpoint t q in
-        (match r.Frontier.Rewrite.outcome with
-        | Frontier.Rewrite.Complete -> Fmt.pr "rewriting complete:@."
-        | Frontier.Rewrite.Step_budget -> Fmt.pr "step budget exhausted; partial:@."
-        | Frontier.Rewrite.Disjunct_budget ->
-            Fmt.pr "disjunct budget exhausted; partial:@."
-        | Frontier.Rewrite.Size_budget ->
-            Fmt.pr "disjunct size budget exhausted; partial:@."
-        | Frontier.Rewrite.Guard_exhausted cause ->
-            Fmt.pr "guard exhausted (%s); partial:@."
-              (Frontier.Guard.cause_to_string cause));
-        Fmt.pr "%a@." Frontier.Ucq.pp r.Frontier.Rewrite.ucq;
-        Fmt.pr
-          "disjuncts: %d, max size: %d, steps: %d, generated: %d, \
-           containment checks: %d (cache: %d hits, %d misses)@."
-          (Frontier.Ucq.cardinal r.Frontier.Rewrite.ucq)
-          (Frontier.Ucq.max_disjunct_size r.Frontier.Rewrite.ucq)
-          r.Frontier.Rewrite.steps r.Frontier.Rewrite.generated
-          r.Frontier.Rewrite.containment_checks
-          r.Frontier.Rewrite.cache_hits r.Frontier.Rewrite.cache_misses;
-        if stats then begin
-          Fmt.pr "%a@." Frontier.Saturation.Stats.pp
-            r.Frontier.Rewrite.kernel_stats;
-          Fmt.pr
-            "solver: %d candidate pairs pruned by the subsumption index, \
-             %d containment searches split into components@."
-            r.Frontier.Rewrite.index_pruned
-            r.Frontier.Rewrite.component_splits;
-          print_engine_stats es0;
-          print_checkpoint_stats ()
-        end;
+        print_rewrite_result ~stats es0 r;
         finish guard;
         (* Exhausted legacy budgets (no guard trip) also mean the printed
            UCQ is partial: keep the exit-code contract uniform. *)
@@ -632,29 +659,7 @@ let marked_rewrite_cmd =
             Frontier.Marked_process.rewrite_tdk ~guard ~max_steps:steps
               ?checkpoint levels q
         in
-        Fmt.pr "%s after %d process steps (%d cut, %d fuse, %d reduce):@."
-          (if res.Frontier.Marked_process.complete then "complete"
-           else
-             match res.Frontier.Marked_process.interrupted with
-             | Some c ->
-                 "guard exhausted (" ^ Frontier.Guard.cause_to_string c ^ ")"
-             | None -> "step budget exhausted")
-          res.Frontier.Marked_process.stats.Frontier.Marked_process.steps
-          res.Frontier.Marked_process.stats.Frontier.Marked_process.cut_steps
-          res.Frontier.Marked_process.stats.Frontier.Marked_process.fuse_steps
-          res.Frontier.Marked_process.stats.Frontier.Marked_process.reduce_steps;
-        if stats then begin
-          Fmt.pr "%a@." Frontier.Saturation.Stats.pp
-            res.Frontier.Marked_process.kernel_stats;
-          print_checkpoint_stats ()
-        end;
-        Fmt.pr "%a@." Frontier.Ucq.pp res.Frontier.Marked_process.rewriting;
-        Fmt.pr "disjuncts: %d, max size: %d, trivial: %d, aliased: %d@."
-          (Frontier.Ucq.cardinal res.Frontier.Marked_process.rewriting)
-          (Frontier.Ucq.max_disjunct_size
-             res.Frontier.Marked_process.rewriting)
-          (List.length res.Frontier.Marked_process.trivial)
-          (List.length res.Frontier.Marked_process.aliased);
+        print_marked_result ~stats res;
         finish guard;
         if not res.Frontier.Marked_process.complete then exit exit_exhausted))
   in
@@ -699,6 +704,7 @@ let resume_cmd =
            each supervised attempt that makes progress shrinks the replay
            the next attempt has to do. *)
         let sink = Frontier.Checkpoint.sink ~every:checkpoint_every dir in
+        let es0 = engine_stats_before () in
         let outcome, report =
           Frontier.Checkpoint.Supervisor.run ~max_attempts
             ~on_event:(fun line -> Fmt.epr "supervisor: %s@." line)
@@ -750,75 +756,22 @@ let resume_cmd =
             (if report.Frontier.Checkpoint.Supervisor.cold_starts = 1 then
                ""
              else "s")
-            report.Frontier.Checkpoint.Supervisor.slept_s;
-          print_checkpoint_stats ()
+            report.Frontier.Checkpoint.Supervisor.slept_s
         end;
         match outcome with
         | Error e ->
             Fmt.epr "resume failed: %s@." (Printexc.to_string e);
             exit exit_internal
         | Ok (`Chase run) ->
-            Fmt.pr "chase: %d stages%s%s@."
-              (Frontier.Chase_engine.depth run)
-              (if Frontier.Chase_engine.saturated run then " (saturated)"
-               else "")
-              (match Frontier.Chase_engine.interrupted run with
-              | Some c ->
-                  " (interrupted: " ^ Frontier.Guard.cause_to_string c ^ ")"
-              | None -> "");
-            for i = 0 to Frontier.Chase_engine.depth run do
-              Fmt.pr "stage %d: %d atoms@." i
-                (Frontier.Fact_set.cardinal
-                   (Frontier.Chase_engine.stage run i))
-            done;
-            if stats then
-              Fmt.pr "%a@." Frontier.Saturation.Stats.pp
-                (Frontier.Chase_engine.kernel_stats run);
+            print_chase_run ~stats es0 run;
             finish guard
         | Ok (`Rewrite r) ->
-            (match r.Frontier.Rewrite.outcome with
-            | Frontier.Rewrite.Complete -> Fmt.pr "rewriting complete:@."
-            | Frontier.Rewrite.Step_budget ->
-                Fmt.pr "step budget exhausted; partial:@."
-            | Frontier.Rewrite.Disjunct_budget ->
-                Fmt.pr "disjunct budget exhausted; partial:@."
-            | Frontier.Rewrite.Size_budget ->
-                Fmt.pr "disjunct size budget exhausted; partial:@."
-            | Frontier.Rewrite.Guard_exhausted cause ->
-                Fmt.pr "guard exhausted (%s); partial:@."
-                  (Frontier.Guard.cause_to_string cause));
-            Fmt.pr "%a@." Frontier.Ucq.pp r.Frontier.Rewrite.ucq;
-            Fmt.pr "disjuncts: %d, max size: %d, steps: %d@."
-              (Frontier.Ucq.cardinal r.Frontier.Rewrite.ucq)
-              (Frontier.Ucq.max_disjunct_size r.Frontier.Rewrite.ucq)
-              r.Frontier.Rewrite.steps;
-            if stats then
-              Fmt.pr "%a@." Frontier.Saturation.Stats.pp
-                r.Frontier.Rewrite.kernel_stats;
+            print_rewrite_result ~stats es0 r;
             finish guard;
             if r.Frontier.Rewrite.outcome <> Frontier.Rewrite.Complete then
               exit exit_exhausted
         | Ok (`Marked res) ->
-            Fmt.pr "%s after %d process steps:@."
-              (if res.Frontier.Marked_process.complete then "complete"
-               else
-                 match res.Frontier.Marked_process.interrupted with
-                 | Some c ->
-                     "guard exhausted ("
-                     ^ Frontier.Guard.cause_to_string c
-                     ^ ")"
-                 | None -> "step budget exhausted")
-              res.Frontier.Marked_process.stats
-                .Frontier.Marked_process.steps;
-            Fmt.pr "%a@." Frontier.Ucq.pp
-              res.Frontier.Marked_process.rewriting;
-            Fmt.pr "disjuncts: %d, trivial: %d, aliased: %d@."
-              (Frontier.Ucq.cardinal res.Frontier.Marked_process.rewriting)
-              (List.length res.Frontier.Marked_process.trivial)
-              (List.length res.Frontier.Marked_process.aliased);
-            if stats then
-              Fmt.pr "%a@." Frontier.Saturation.Stats.pp
-                res.Frontier.Marked_process.kernel_stats;
+            print_marked_result ~stats res;
             finish guard;
             if not res.Frontier.Marked_process.complete then
               exit exit_exhausted)))
@@ -842,8 +795,8 @@ let resume_cmd =
       & info [ "stats" ]
           ~doc:
             "Print the supervisor report (attempts, resumed round, \
-             rejected snapshots, backoff) plus the engine's kernel \
-             counters and checkpoint write/read telemetry.")
+             rejected snapshots, backoff) plus the --stats report of the \
+             command that started the run.")
   in
   Cmd.v
     (Cmd.info "resume"

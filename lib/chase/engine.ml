@@ -26,11 +26,63 @@ type run = {
   stats : Saturation.Stats.t;
 }
 
-(* The semi-naive trigger enumeration lives in the plan layer
-   ([Eval.Match]) together with every other matcher; the engine only
-   consumes parts opaquely, so the aliases keep this file's vocabulary. *)
-let rule_parts = Eval.Match.rule_parts
-let part_triggers = Eval.Match.part_triggers
+(* The semi-naive trigger enumeration of a rule splits into independent
+   rounds: one per body-atom position seeded by a delta fact, one per
+   domain-variable position seeded by a new domain element, plus the
+   one-shot firing of fully ground rules. Each round is a self-contained
+   homomorphism search over read-only fact sets, which is exactly the
+   unit of work the parallel engine distributes across domains. *)
+type part = Delta_seed of int | Dom_seed of int | Ground
+
+let rule_parts rule ~old_is_empty =
+  let m = List.length (Tgd.body rule) in
+  let d = List.length (Tgd.dom_vars rule) in
+  let delta_parts = List.init m (fun k -> Delta_seed k) in
+  if d > 0 then delta_parts @ List.init d (fun i -> Dom_seed i)
+  else if m = 0 && old_is_empty then
+    (* A fully ground rule like (loop): fires exactly once, at stage 1. *)
+    delta_parts @ [ Ground ]
+  else delta_parts
+
+(* Enumerate one round of the triggers of [rule] that use at least one
+   "new" ingredient: a body atom in [delta], or a domain-variable binding
+   to a new domain element. The partition (first delta body atom / first
+   new domain element) makes the enumeration exact, without duplicates.
+   The production order names fresh nulls (Definition 4), so these
+   searches run on the register machine, whose enumeration order the
+   differentials pin. *)
+let part_triggers rule part ~old_facts ~delta ~full ~old_dom_list
+    ~new_dom_list ~full_dom_list f =
+  let body = Array.of_list (Tgd.body rule) in
+  let m = Array.length body in
+  let dom_vars = Tgd.dom_vars rule in
+  let flexible = Term.Set.of_list (Tgd.body_vars rule) in
+  match part with
+  | Delta_seed k ->
+      let pattern =
+        List.init m (fun j ->
+            let target =
+              if j = k then delta else if j < k then old_facts else full
+            in
+            (body.(j), target))
+      in
+      let domain_bindings = List.map (fun v -> (v, full_dom_list)) dom_vars in
+      Homomorphism.iter_multi ~flexible ~pattern ~domain_bindings f
+  | Dom_seed i ->
+      let pattern = Array.to_list (Array.map (fun a -> (a, old_facts)) body) in
+      let domain_bindings =
+        List.mapi
+          (fun j v ->
+            let pool =
+              if j = i then new_dom_list
+              else if j < i then old_dom_list
+              else full_dom_list
+            in
+            (v, pool))
+          dom_vars
+      in
+      Homomorphism.iter_multi ~flexible ~pattern ~domain_bindings f
+  | Ground -> f Term.Map.empty
 
 (* Abort marker for a guard trip observed inside a task's trigger
    enumeration: the task catches it and returns its partial local list,

@@ -19,12 +19,6 @@ let counters () =
     emitted = Atomic.get c_emitted;
   }
 
-let reset_counters () =
-  Atomic.set c_plans 0;
-  Atomic.set c_seeks 0;
-  Atomic.set c_gallops 0;
-  Atomic.set c_emitted 0
-
 let tuple_compare = List.compare Term.compare
 
 (* ------------------------------------------------------------------ *)
@@ -32,10 +26,10 @@ let tuple_compare = List.compare Term.compare
 (* ------------------------------------------------------------------ *)
 
 (* A compiled pattern atom: the key order [kpos] is a permutation of the
-   argument positions — rigid slots (constants, init-bound variables,
-   closed functional terms) first, then variable slots by elimination
-   level. Rows of the relation, sorted lexicographically along [kpos],
-   make every frontier of the join a contiguous range. *)
+   argument positions — rigid slots (constants and closed functional
+   terms) first, then variable slots by elimination level. Rows of the
+   relation, sorted lexicographically along [kpos], make every frontier
+   of the join a contiguous range. *)
 type patom = {
   rel : Symbol.t;
   arity : int;
@@ -56,16 +50,15 @@ type compiled = {
 (* A plan always keeps the pieces the register-machine search needs, so
    a query the leapfrog compiler declines still runs (see [run_fallback]). *)
 type plan = {
-  p_init : Term.t Term.Map.t;
   p_flexible : Term.Set.t;
   p_pattern : Atom.t list;
-  p_out : Term.t list;  (* unbound answer variables, emission order *)
+  p_out : Term.t list;  (* answer variables, emission order *)
   p_compiled : compiled option;
 }
 
 exception Not_compilable
 
-let compile_body ~init ~flexible ~out atoms =
+let compile_body ~flexible ~out atoms =
   try
     if atoms = [] then raise Not_compilable;
     (* Classify each argument once: [`Rigid id] matches by hash-consed
@@ -73,14 +66,10 @@ let compile_body ~init ~flexible ~out atoms =
        neither (a functional term with a bindable variable inside) needs
        structural matching the sorted join cannot do — decline. *)
     let classify (t : Term.t) =
-      match Term.Map.find_opt t init with
-      | Some image -> `Rigid image.Term.id
-      | None ->
-          if Term.Set.mem t flexible then `Var t
-          else if
-            List.exists (fun v -> Term.Set.mem v flexible) (Term.vars t)
-          then raise Not_compilable
-          else `Rigid t.Term.id
+      if Term.Set.mem t flexible then `Var t
+      else if List.exists (fun v -> Term.Set.mem v flexible) (Term.vars t)
+      then raise Not_compilable
+      else `Rigid t.Term.id
     in
     let classified =
       List.map
@@ -216,22 +205,21 @@ let compile_body ~init ~flexible ~out atoms =
     Some { nfree; out_levels; nvars; order; patoms; parts }
   with Not_compilable -> None
 
-let compile_pieces ~init ~flexible ~free atoms =
-  let out = List.filter (fun v -> not (Term.Map.mem v init)) free in
+(* [out] is the projection: the answer variables for an answer plan,
+   none for an existence check. *)
+let plan_of ~out q =
+  let flexible = Cq.var_set q and atoms = Cq.atoms q in
   {
-    p_init = init;
     p_flexible = flexible;
     p_pattern = atoms;
     p_out = out;
-    p_compiled = compile_body ~init ~flexible ~out atoms;
+    p_compiled = compile_body ~flexible ~out atoms;
   }
 
 module Plan = struct
   type t = plan
 
-  let compile ?(init = Term.Map.empty) q =
-    compile_pieces ~init ~flexible:(Cq.var_set q) ~free:(Cq.free q)
-      (Cq.atoms q)
+  let compile q = plan_of ~out:(Cq.free q) q
 
   let compiled p = p.p_compiled <> None
 
@@ -344,8 +332,7 @@ end
    a chase result, a benchmark's repetitions — amortize the sorted-view
    build exactly as the register machine amortizes its join index
    inside [Fact_set]. Small sets skip the cache: their build is cheaper than
-   the eviction pressure they would put on the million-fact entries
-   (containment probes churn through thousands of tiny targets). The
+   the eviction pressure they would put on the million-fact entries. The
    size is only taken on a miss: [Fact_set.cardinal] walks the whole
    set, which on a cached instance costs more than a point query. *)
 let prepared_cache_max = 4
@@ -620,8 +607,7 @@ let run_compiled ?guard ?limit c prepared =
    variable with no direct occurrence). Those plans enumerate through
    the register-machine search and project each homomorphism. *)
 let fallback_problem p target =
-  Homomorphism.make ~init:p.p_init ~flexible:p.p_flexible
-    ~pattern:p.p_pattern ~target ()
+  Homomorphism.make ~flexible:p.p_flexible ~pattern:p.p_pattern ~target ()
 
 let run_fallback ?guard p prepared =
   let seen = ref 0 in
@@ -657,8 +643,8 @@ let run ?guard p prepared =
 (* Boolean existence: an empty answer prefix and a tuple limit of one,
    so the join stops at the first witness. The fallback uses the
    register machine's own early-exit [exists]. *)
-let exists_pieces ~init ~flexible atoms prepared =
-  let p = compile_pieces ~init ~flexible ~free:[] atoms in
+let exists_cq q prepared =
+  let p = plan_of ~out:[] q in
   match p.p_compiled with
   | Some c ->
       let tuples, _ = run_compiled ~limit:1 c prepared in
@@ -678,20 +664,7 @@ let answers ?guard q f =
   | Guard.Complete ts -> ts
   | Guard.Exhausted { partial; _ } -> partial
 
-let holds q f tuple =
-  if List.length tuple <> List.length (Cq.free q) then
-    invalid_arg "Eval.holds: answer tuple arity mismatch";
-  let init =
-    List.fold_left2
-      (fun m v a -> Term.Map.add v a m)
-      Term.Map.empty (Cq.free q) tuple
-  in
-  exists_pieces ~init ~flexible:(Cq.var_set q) (Cq.atoms q)
-    (prepared_for f)
-
-let boolean_holds q f =
-  exists_pieces ~init:Term.Map.empty ~flexible:(Cq.var_set q) (Cq.atoms q)
-    (prepared_for f)
+let boolean_holds q f = exists_cq q (prepared_for f)
 
 let ucq_answers_outcome ?guard u f =
   let prepared = prepared_for f in
@@ -716,117 +689,6 @@ let ucq_answers ?guard u f =
   | Guard.Complete ts -> ts
   | Guard.Exhausted { partial; _ } -> partial
 
-let ucq_holds u f tuple =
-  let prepared = prepared_for f in
-  Ucq.exists
-    (fun d ->
-      List.length tuple = List.length (Cq.free d)
-      &&
-      let init =
-        List.fold_left2
-          (fun m v a -> Term.Map.add v a m)
-          Term.Map.empty (Cq.free d) tuple
-      in
-      exists_pieces ~init ~flexible:(Cq.var_set d) (Cq.atoms d) prepared)
-    u
-
 let ucq_boolean_holds u f =
   let prepared = prepared_for f in
-  Ucq.exists
-    (fun d ->
-      exists_pieces ~init:Term.Map.empty ~flexible:(Cq.var_set d)
-        (Cq.atoms d) prepared)
-    u
-
-(* ------------------------------------------------------------------ *)
-(* Chase trigger matching (moved verbatim from Chase.Engine)           *)
-(* ------------------------------------------------------------------ *)
-
-module Match = struct
-  (* The semi-naive trigger enumeration of a rule splits into independent
-     rounds: one per body-atom position seeded by a delta fact, one per
-     domain-variable position seeded by a new domain element, plus the
-     one-shot firing of fully ground rules. Each round is a self-contained
-     homomorphism search over read-only fact sets, which is exactly the
-     unit of work the parallel engine distributes across domains. *)
-  type part = Delta_seed of int | Dom_seed of int | Ground
-
-  let rule_parts rule ~old_is_empty =
-    let m = List.length (Tgd.body rule) in
-    let d = List.length (Tgd.dom_vars rule) in
-    let delta_parts = List.init m (fun k -> Delta_seed k) in
-    if d > 0 then delta_parts @ List.init d (fun i -> Dom_seed i)
-    else if m = 0 && old_is_empty then
-      (* A fully ground rule like (loop): fires exactly once, at stage 1. *)
-      delta_parts @ [ Ground ]
-    else delta_parts
-
-  (* Enumerate one round of the triggers of [rule] that use at least one
-     "new" ingredient: a body atom in [delta], or a domain-variable binding
-     to a new domain element. The partition (first delta body atom / first
-     new domain element) makes the enumeration exact, without duplicates.
-     NB: the production order names fresh nulls — these searches stay on
-     the register-machine engine whose order the differentials pin. *)
-  let part_triggers rule part ~old_facts ~delta ~full ~old_dom_list
-      ~new_dom_list ~full_dom_list f =
-    let body = Array.of_list (Tgd.body rule) in
-    let m = Array.length body in
-    let dom_vars = Tgd.dom_vars rule in
-    let flexible = Term.Set.of_list (Tgd.body_vars rule) in
-    match part with
-    | Delta_seed k ->
-        let pattern =
-          List.init m (fun j ->
-              let target =
-                if j = k then delta else if j < k then old_facts else full
-              in
-              (body.(j), target))
-        in
-        let domain_bindings =
-          List.map (fun v -> (v, full_dom_list)) dom_vars
-        in
-        Homomorphism.iter_multi ~flexible ~pattern ~domain_bindings f
-    | Dom_seed i ->
-        let pattern =
-          Array.to_list (Array.map (fun a -> (a, old_facts)) body)
-        in
-        let domain_bindings =
-          List.mapi
-            (fun j v ->
-              let pool =
-                if j = i then new_dom_list
-                else if j < i then old_dom_list
-                else full_dom_list
-              in
-              (v, pool))
-            dom_vars
-        in
-        Homomorphism.iter_multi ~flexible ~pattern ~domain_bindings f
-    | Ground -> f Term.Map.empty
-end
-
-(* ------------------------------------------------------------------ *)
-(* Containment probe registration                                      *)
-(* ------------------------------------------------------------------ *)
-
-(* Engine selection for boolean existence probes, decided on the target
-   size before anything is compiled: below the cutoff the sorted-view
-   build and the plan cost more than the whole register-machine search
-   (containment targets are query bodies of a few dozen atoms), so the
-   probe declines and the containment solver runs its own search; at or
-   above it the leapfrog join runs. Either engine decides the same
-   verdict. *)
-let probe_leapfrog_min = 64
-
-let containment_probe ?(force_leapfrog = false) () : Eval_hook.probe =
- fun ~init ~flexible ~pattern ~target ->
-  if (not force_leapfrog) && Fact_set.cardinal target < probe_leapfrog_min
-  then None
-  else
-    match compile_body ~init ~flexible ~out:[] pattern with
-    | None -> None
-    | Some c ->
-        let tuples, _ = run_compiled ~limit:1 c (prepared_for target) in
-        Some (tuples <> [])
-
-let () = Eval_hook.register (containment_probe ())
+  Ucq.exists (fun d -> exists_cq d prepared) u

@@ -45,7 +45,6 @@ let dedup_preserving_order items =
 let terms a = dedup_preserving_order (Array.to_list a.args)
 let vars a = dedup_preserving_order (List.concat_map Term.vars (Array.to_list a.args))
 
-let is_ground a = vars a = []
 let subst m a = { a with args = Array.map (Term.subst m) a.args }
 
 (* Arity is preserved by construction, so this skips [make]'s validation

@@ -24,9 +24,6 @@ val terms : t -> Term.t list
 val vars : t -> Term.t list
 (** Variables occurring (recursively) in the arguments, each once. *)
 
-val is_ground : t -> bool
-(** No variables occur. *)
-
 val subst : Term.t Term.Int_map.t -> t -> t
 
 val map_args : (Term.t -> Term.t) -> t -> t

@@ -10,11 +10,19 @@ let c_prescreened = Atomic.make 0
 let solver_stats () =
   { splits = Atomic.get c_splits; prescreened = Atomic.get c_prescreened }
 
-let reset_solver_stats () =
-  Atomic.set c_splits 0;
-  Atomic.set c_prescreened 0
-
 exception Found
+
+(* Is there a homomorphism of [atoms] into [target] extending [init]?
+   One register-machine search with an early exit at the first
+   solution. *)
+let has_hom ?injective ~init ~flexible atoms target =
+  try
+    Homomorphism.iter_multi ?injective ~init ~flexible
+      ~pattern:(List.map (fun a -> (a, target)) atoms)
+      ~domain_bindings:[]
+      (fun _ -> raise Found);
+    false
+  with Found -> true
 
 (* Solve the containment homomorphism [from -> into] one connected
    component of [from]'s body at a time: components share no bindable
@@ -25,28 +33,7 @@ exception Found
 let exists_decomposed ~from ~into ~init =
   let flexible = Cq.var_set from in
   let target = Cq.as_fact_set into in
-  let exists_component atoms =
-    (* The plan layer (lib/eval) registers an existence probe at link
-       time; it answers large targets with its leapfrog join and
-       declines ([None]) small targets and problems it cannot compile —
-       then, and in programs that never link the plan layer, the
-       in-library search runs. *)
-    let planned =
-      match Eval_hook.probe () with
-      | Some probe -> probe ~init ~flexible ~pattern:atoms ~target
-      | None -> None
-    in
-    match planned with
-    | Some verdict -> verdict
-    | None -> (
-        try
-          Homomorphism.iter_multi ~init ~flexible
-            ~pattern:(List.map (fun a -> (a, target)) atoms)
-            ~domain_bindings:[]
-            (fun _ -> raise Found);
-          false
-        with Found -> true)
-  in
+  let exists_component atoms = has_hom ~init ~flexible atoms target in
   match Cq.body_components from with
   | [ _ ] -> exists_component (Cq.atoms from)
   | comps ->
@@ -203,14 +190,8 @@ let isomorphic q1 q2 =
       (fun m v w -> Term.Map.add v w m)
       Term.Map.empty (Cq.free q1) (Cq.free q2)
   in
-  let target = Cq.as_fact_set q2 in
-  try
-    Homomorphism.iter_multi ~init ~injective:true ~flexible:(Cq.var_set q1)
-      ~pattern:(List.map (fun a -> (a, target)) (Cq.atoms q1))
-      ~domain_bindings:[]
-      (fun _ -> raise Found);
-    false
-  with Found -> true
+  has_hom ~injective:true ~init ~flexible:(Cq.var_set q1) (Cq.atoms q1)
+    (Cq.as_fact_set q2)
 
 let core_of_query q =
   let redundant q atom =

@@ -15,8 +15,10 @@ val implies : Cq.t -> Cq.t -> bool
     battery of {!Cq.hom_feasible}, decomposed into the connected
     components of the pattern's Gaifman graph (solved independently,
     smallest first, with early exit on the first failing component), and
-    each component goes to the plan layer's probe ({!Eval_hook}) or, for
-    targets it declines, to the register-machine search. *)
+    each component is searched by the register machine
+    ({!Homomorphism.iter_multi}). No other engine is consulted, so the
+    verdict and its cost do not depend on which libraries a program
+    links. *)
 
 val implies_memo : Cq.t -> Cq.t -> bool
 (** [implies] with the verdict memoized under the pair of canonical query
@@ -62,4 +64,3 @@ type solver_stats = {
 }
 
 val solver_stats : unit -> solver_stats
-val reset_solver_stats : unit -> unit

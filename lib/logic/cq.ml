@@ -497,13 +497,6 @@ let refresh ?(prefix = "r") q =
   in
   (subst renaming q, renaming)
 
-let refresh_exist ?(prefix = "e") q =
-  let renaming =
-    Term.subst_of_bindings
-      (List.map (fun v -> (v, fresh_var ~prefix ())) (exist_vars q))
-  in
-  subst renaming q
-
 let iso_key q =
   (* Invariant under renaming of bound variables: free variables are
      identified by their position in the free list, bound variables by their

@@ -125,10 +125,6 @@ val refresh : ?prefix:string -> t -> t * Term.t Term.Int_map.t
 (** Rename every variable (free and existential) to a fresh name; returns
     the renaming. Used to avoid capture in the rewriting engine. *)
 
-val refresh_exist : ?prefix:string -> t -> t
-(** Rename only the existential variables (free variables are shared
-    interface and must stay). *)
-
 val iso_key : t -> string
 (** A cheap isomorphism-invariant fingerprint: equal for isomorphic queries,
     used to bucket before expensive isomorphism checks. The converse fails:

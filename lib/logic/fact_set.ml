@@ -65,16 +65,6 @@ let counters () =
     posting_intersections = Atomic.get c_posting_intersections;
   }
 
-let reset_counters () =
-  Atomic.set c_builds 0;
-  Atomic.set c_built_atoms 0;
-  Atomic.set c_extends 0;
-  Atomic.set c_delta_atoms 0;
-  Atomic.set c_shrinks 0;
-  Atomic.set c_removed_atoms 0;
-  Atomic.set c_posting_probes 0;
-  Atomic.set c_posting_intersections 0
-
 (* ------------------------------------------------------------------ *)
 (* Layers                                                              *)
 (* ------------------------------------------------------------------ *)

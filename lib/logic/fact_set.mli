@@ -118,4 +118,3 @@ type counters = {
 }
 
 val counters : unit -> counters
-val reset_counters : unit -> unit

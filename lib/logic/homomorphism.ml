@@ -46,12 +46,6 @@ let counters () =
     solutions = Atomic.get c_solutions;
   }
 
-let reset_counters () =
-  Atomic.set c_searches 0;
-  Atomic.set c_nodes 0;
-  Atomic.set c_reg_ops 0;
-  Atomic.set c_solutions 0
-
 (* ------------------------------------------------------------------ *)
 (* Register machine                                                    *)
 (* ------------------------------------------------------------------ *)

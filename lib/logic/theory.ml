@@ -19,7 +19,6 @@ let is_guarded t = List.for_all Tgd.is_guarded t.rules
 let is_connected t = List.for_all Tgd.is_connected t.rules
 let is_single_head t = List.for_all Tgd.is_single_head t.rules
 let is_frontier_one t = List.for_all Tgd.is_frontier_one t.rules
-let datalog_rules t = List.filter Tgd.is_datalog t.rules
 
 let existential_rules t =
   List.filter (fun r -> not (Tgd.is_datalog r)) t.rules

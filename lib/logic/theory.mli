@@ -18,9 +18,6 @@ val is_connected : t -> bool
 val is_single_head : t -> bool
 val is_frontier_one : t -> bool
 
-val datalog_rules : t -> Tgd.t list
-(** [T_DL] of Appendix A. *)
-
 val existential_rules : t -> Tgd.t list
 (** [T_exists] of Appendix A. *)
 

@@ -39,10 +39,6 @@ let c_pruned = Atomic.make 0
 
 let stats () = { pairs = Atomic.get c_pairs; pruned = Atomic.get c_pruned }
 
-let reset_stats () =
-  Atomic.set c_pairs 0;
-  Atomic.set c_pruned 0
-
 let occ_vector q =
   let tbl : (int, int) Hashtbl.t = Hashtbl.create 8 in
   List.iter

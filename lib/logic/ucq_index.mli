@@ -67,4 +67,3 @@ type stats = {
 }
 
 val stats : unit -> stats
-val reset_stats : unit -> unit

@@ -315,10 +315,6 @@ let gate_counters () =
     fanout_batches = Atomic.get g_fanout;
   }
 
-let reset_gate_counters () =
-  Atomic.set g_inline 0;
-  Atomic.set g_fanout 0
-
 let dispatch_overhead_s pool = pool.dispatch_overhead_s
 
 (* How many tasks can actually run at once. Saturation clients size

@@ -151,8 +151,6 @@ val gate_counters : unit -> gate_counters
     was possible (pool size > 1, at least 2 tasks) and the gate was
     consulted are counted. Thread-safe. *)
 
-val reset_gate_counters : unit -> unit
-
 val busy_times : t -> float array
 (** Cumulative per-worker busy seconds (index 0 is the coordinator),
     accumulated across [map_array] calls since creation or the last

@@ -1,14 +1,18 @@
 (* The executable-plan evaluation layer: plan compilation, leapfrog
-   answers against the Cq reference, UCQ union dedup, the fallback for
-   bodies the leapfrog compiler declines, the containment probe, guard
-   integration (a tripped join returns a sound partial answer set), and
-   the Match trigger rounds. *)
+   answers against the Cq reference (and the Cq/Ucq point checks against
+   the plans' answers), UCQ union dedup, the fallback for bodies the
+   leapfrog compiler declines, guard integration (a tripped join returns
+   a sound partial answer set), and containment staying off the plan
+   layer. *)
 
 open Logic
 
 let tuples = Alcotest.testable
     (Fmt.list ~sep:Fmt.semi (Fmt.list ~sep:Fmt.comma Term.pp))
     (fun a b -> List.compare (List.compare Term.compare) a b = 0)
+
+let mem_tuple tuple ts =
+  List.exists (fun t -> List.compare Term.compare t tuple = 0) ts
 
 let x = Term.var "x"
 let y = Term.var "y"
@@ -76,20 +80,28 @@ let test_holds_and_boolean () =
     Cq.make ~free:[ x; y ]
       [ Atom.make Theories.Zoo.e2 [ x; z ]; Atom.make Theories.Zoo.e2 [ z; y ] ]
   in
-  let all = Cq.answers q er in
+  let all = Eval.answers q er in
+  (* Every pair of domain elements: [Cq.holds] accepts exactly the plan's
+     answers. *)
+  let dom = Term.Set.elements (Fact_set.domain er) in
   List.iter
-    (fun tuple ->
-      Alcotest.(check bool) "holds on answer" true (Eval.holds q er tuple))
-    all;
-  Alcotest.(check bool) "holds rejects non-answer"
-    (Cq.holds q er [ Term.const "v0"; Term.const "v0" ])
-    (Eval.holds q er [ Term.const "v0"; Term.const "v0" ]);
+    (fun a ->
+      List.iter
+        (fun b ->
+          let tuple = [ a; b ] in
+          Alcotest.(check bool) "holds iff a plan answer"
+            (mem_tuple tuple all)
+            (Cq.holds q er tuple))
+        dom)
+    dom;
   let b = Cq.make ~free:[] [ Atom.make Theories.Zoo.e2 [ x; x ] ] in
   Alcotest.(check bool) "boolean agrees" (Cq.boolean_holds b er)
     (Eval.boolean_holds b er);
+  Alcotest.(check bool) "boolean = non-empty plan answers"
+    (Eval.answers b er <> []) (Eval.boolean_holds b er);
   Alcotest.check_raises "arity mismatch"
-    (Invalid_argument "Eval.holds: answer tuple arity mismatch") (fun () ->
-      ignore (Eval.holds q er [ Term.const "v0" ]))
+    (Invalid_argument "Cq.holds: answer tuple arity mismatch") (fun () ->
+      ignore (Cq.holds q er [ Term.const "v0" ]))
 
 let test_ucq_union_dedup () =
   let er = Theories.Instances.erdos_renyi Theories.Zoo.e2 ~seed:11 ~nodes:30
@@ -106,12 +118,16 @@ let test_ucq_union_dedup () =
       (List.compare Term.compare)
       (Cq.answers q1 er @ Cq.answers q2 er)
   in
-  Alcotest.check tuples "union answers" reference (Eval.ucq_answers u er);
+  let answers = Eval.ucq_answers u er in
+  Alcotest.check tuples "union answers" reference answers;
   Alcotest.(check bool) "ucq boolean" true (Eval.ucq_boolean_holds u er);
+  (* Ucq.holds accepts exactly the domain elements the union answers. *)
   List.iter
-    (fun tuple ->
-      Alcotest.(check bool) "ucq holds" true (Eval.ucq_holds u er tuple))
-    reference
+    (fun v ->
+      Alcotest.(check bool) "ucq holds iff a plan answer"
+        (mem_tuple [ v ] answers)
+        (Ucq.holds u er [ v ]))
+    (Term.Set.elements (Fact_set.domain er))
 
 let test_fallback_plan () =
   (* A functional argument with a variable inside cannot be keyed by the
@@ -132,12 +148,15 @@ let test_fallback_plan () =
   let q = Cq.make ~free:[ x ] [ Atom.make e2 [ x; f y ] ] in
   Alcotest.(check bool) "not compiled" false
     (Eval.Plan.compiled (Eval.Plan.compile q));
+  let answers = Eval.answers q inst in
   Alcotest.check tuples "fallback answers"
     (List.sort (List.compare Term.compare) [ [ a ]; [ c ] ])
-    (Eval.answers q inst);
-  Alcotest.check tuples "matches Cq" (Cq.answers q inst) (Eval.answers q inst);
-  Alcotest.(check bool) "fallback holds" true (Eval.holds q inst [ c ]);
-  Alcotest.(check bool) "fallback rejects" false (Eval.holds q inst [ b ]);
+    answers;
+  Alcotest.check tuples "matches Cq" (Cq.answers q inst) answers;
+  Alcotest.(check bool) "holds on a fallback answer" true
+    (mem_tuple [ c ] answers && Cq.holds q inst [ c ]);
+  Alcotest.(check bool) "rejects a non-answer" false
+    (mem_tuple [ b ] answers || Cq.holds q inst [ b ]);
   Alcotest.(check bool) "fallback boolean" true
     (Eval.boolean_holds (Cq.make ~free:[] [ Atom.make e2 [ z; f y ] ]) inst)
 
@@ -177,52 +196,45 @@ let test_guard_partial_is_sound () =
             (List.exists (fun t -> List.compare Term.compare t tuple = 0) full))
         partial)
 
-let test_containment_probe_via_hook () =
-  (* Containment runs through the registered probe when eval is linked;
-     below the cutoff the probe declines and the register machine
-     decides, and the forced leapfrog arm must reach the same verdict. *)
-  let q1 =
-    Cq.make ~free:[ x ]
-      [ Atom.make Theories.Zoo.e2 [ x; y ]; Atom.make Theories.Zoo.e2 [ y; z ] ]
-  in
-  let q2 = Cq.make ~free:[ x ] [ Atom.make Theories.Zoo.e2 [ x; y ] ] in
-  let leapfrog = Eval.containment_probe ~force_leapfrog:true () in
-  List.iter
-    (fun (a, b, expected) ->
-      Alcotest.(check bool) "implies" expected (Containment.implies a b);
-      let init =
-        List.fold_left2
-          (fun m v w -> Term.Map.add v w m)
-          Term.Map.empty (Cq.free b) (Cq.free a)
-      in
-      Alcotest.(check (option bool))
-        "forced leapfrog" (Some expected)
-        (leapfrog ~init ~flexible:(Cq.var_set b) ~pattern:(Cq.atoms b)
-           ~target:(Cq.as_fact_set a)))
-    [ (q1, q2, true); (q2, q1, false); (q1, q1, true) ]
-
-let test_probe_selects_by_target_size () =
-  (* The probe looks at the target before compiling: a target below
-     [probe_leapfrog_min] facts runs no leapfrog plan, one at the cutoff
-     runs exactly one. *)
+(* Containment is the register machine's job: a check against a
+   128-atom target (an E-path, or a width-8 E/R grid prefix) decides
+   the right verdict without compiling a single plan. *)
+let test_containment_runs_no_plan () =
+  let e = Theories.Zoo.e2 and r = Theories.Zoo.r2 in
+  let v i = Term.var (Printf.sprintf "c%d" i) in
   let path n =
-    let v i = Term.var (Printf.sprintf "q%d" i) in
-    Cq.make ~free:[ v 0 ]
-      (List.init n (fun i -> Atom.make Theories.Zoo.e2 [ v i; v (i + 1) ]))
+    Cq.make ~free:[] (List.init n (fun i -> Atom.make e [ v i; v (i + 1) ]))
   in
-  let plans_for target =
-    Eval.reset_counters ();
-    Alcotest.(check bool) "contained" true
-      (Containment.implies target (path 3));
-    (Eval.counters ()).Eval.plans
+  let grid n =
+    (* cell k/2, rightward edge on even k, downward on odd k *)
+    Cq.make ~free:[]
+      (List.init n (fun k ->
+           let c = k / 2 in
+           if k mod 2 = 0 then Atom.make e [ v c; v (c + 1) ]
+           else Atom.make r [ v c; v (c + 8) ]))
   in
-  Alcotest.(check int) "small target: no plan" 0
-    (plans_for (path (Eval.probe_leapfrog_min - 1)));
-  Alcotest.(check int) "target at the cutoff: one plan" 1
-    (plans_for (path Eval.probe_leapfrog_min))
+  let p i = Term.var (Printf.sprintf "p%d" i) in
+  let triangle =
+    Cq.make ~free:[]
+      [ Atom.make e [ p 0; p 1 ]; Atom.make e [ p 1; p 2 ];
+        Atom.make e [ p 2; p 0 ] ]
+  in
+  List.iter
+    (fun body ->
+      let copy = fst (Cq.refresh ~prefix:"k" body) in
+      Alcotest.(check int) "128-atom target" 128
+        (Fact_set.cardinal (Cq.as_fact_set copy));
+      let before = (Eval.counters ()).Eval.plans in
+      Alcotest.(check bool) "embeds into its copy" true
+        (Containment.implies copy body);
+      Alcotest.(check bool) "no triangle" false
+        (Containment.implies copy triangle);
+      Alcotest.(check int) "no plan compiled" before
+        (Eval.counters ()).Eval.plans)
+    [ path 128; grid 128 ]
 
 let test_counters_move () =
-  Eval.reset_counters ();
+  let c0 = Eval.counters () in
   let er = Theories.Instances.erdos_renyi Theories.Zoo.e2 ~seed:19 ~nodes:30
       ~edges:250 in
   let q =
@@ -231,31 +243,10 @@ let test_counters_move () =
   in
   let answers = Eval.answers q er in
   let c = Eval.counters () in
-  Alcotest.(check bool) "a plan ran" true (c.Eval.plans >= 1);
-  Alcotest.(check bool) "seeks counted" true (c.Eval.seeks > 0);
+  Alcotest.(check bool) "a plan ran" true (c.Eval.plans - c0.Eval.plans >= 1);
+  Alcotest.(check bool) "seeks counted" true (c.Eval.seeks > c0.Eval.seeks);
   Alcotest.(check int) "emitted = distinct answers" (List.length answers)
-    c.Eval.emitted
-
-let test_match_trigger_rounds () =
-  (* Eval.Match must reproduce the engine's semi-naive enumeration: the
-     chase (which now routes through it) still saturates correctly. *)
-  let rule =
-    Tgd.make ~name:"succ"
-      ~body:[ Atom.make Theories.Zoo.e2 [ x; y ] ]
-      ~head:[ Atom.make Theories.Zoo.e2 [ y; z ] ]
-      ()
-  in
-  let parts = Eval.Match.rule_parts rule ~old_is_empty:true in
-  Alcotest.(check int) "one delta part per body atom" 1 (List.length parts);
-  let _, _, d = Theories.Instances.path Theories.Zoo.e2 3 in
-  let seen = ref 0 in
-  List.iter
-    (fun part ->
-      Eval.Match.part_triggers rule part ~old_facts:(Fact_set.of_list [])
-        ~delta:d ~full:d ~old_dom_list:[] ~new_dom_list:[] ~full_dom_list:[]
-        (fun _ -> incr seen))
-    parts;
-  Alcotest.(check int) "one trigger per fact" 3 !seen
+    (c.Eval.emitted - c0.Eval.emitted)
 
 let () =
   Alcotest.run "eval"
@@ -276,11 +267,8 @@ let () =
         ] );
       ( "integration",
         [
-          Alcotest.test_case "containment probe" `Quick
-            test_containment_probe_via_hook;
-          Alcotest.test_case "probe engine by target size" `Quick
-            test_probe_selects_by_target_size;
+          Alcotest.test_case "containment runs no plan" `Quick
+            test_containment_runs_no_plan;
           Alcotest.test_case "counters" `Quick test_counters_move;
-          Alcotest.test_case "match rounds" `Quick test_match_trigger_rounds;
         ] );
     ]

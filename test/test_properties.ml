@@ -817,11 +817,12 @@ let prop_eval_zoo_answers_agree =
         [ None; Some pool4 ])
 
 (* ------------------------------------------------------------------ *)
-(* Containment across the probe's engine cutoff                        *)
+(* Containment on mid-sized targets                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* A target body of 46-90 atoms (straddling the probe's 64-fact cutoff):
-   a path over random E/R edges or a width-w grid prefix (E along, R
+(* A target body of 46-90 atoms (around the size from which a compiled
+   join could start to beat the register machine, which decides every
+   containment check): a path over random E/R edges or a width-w grid prefix (E along, R
    across), with node variables folded modulo a period of at least 45
    (repeated variables close long cycles without merging atoms), plus an
    optional self-loop. The pattern is a connected walk through the
@@ -919,8 +920,8 @@ let prop_containment_across_cutoff seed =
        ~print:(fun (t, p) -> Fmt.str "target %a@.pattern %a" Cq.pp t Cq.pp p)
        containment_pair_gen)
     (fun (target, pattern) ->
-      (* The register machine alone: what [Containment] runs whenever the
-         plan layer's probe declines a target. *)
+      (* The register machine alone: one search over the whole body,
+         without [Containment]'s prescreens and component split. *)
       let register_machine =
         match free_init ~pattern ~target with
         | None -> false
