@@ -211,16 +211,17 @@ let core_of_query q =
         else if implies_memo smaller q then Some smaller
         else None
   in
-  let rec shrink q =
-    let rec try_each = function
-      | [] -> q
-      | atom :: rest -> (
-          (* Free variables must keep occurring in the body. *)
-          match redundant q atom with
-          | Some smaller -> shrink smaller
-          | None -> try_each rest
-          | exception Invalid_argument _ -> try_each rest)
-    in
-    try_each (Cq.atoms q)
+  (* One pass over the atoms: after a removal the scan continues with the
+     atoms after the removed one. The atoms before it were non-redundant,
+     and stay so in the smaller query (see the .mli), so restarting from
+     the first atom would only re-test them and remove the same atoms. *)
+  let rec shrink q = function
+    | [] -> q
+    | atom :: rest -> (
+        (* Free variables must keep occurring in the body. *)
+        match redundant q atom with
+        | Some smaller -> shrink smaller rest
+        | None -> shrink q rest
+        | exception Invalid_argument _ -> shrink q rest)
   in
-  shrink q
+  shrink q (Cq.atoms q)

@@ -43,7 +43,16 @@ val isomorphic : Cq.t -> Cq.t -> bool
 
 val core_of_query : Cq.t -> Cq.t
 (** Remove redundant body atoms until none is redundant: the core of the
-    query, equivalent to the input. *)
+    query, equivalent to the input. An atom is redundant when the query
+    maps into itself without it, fixing the answer variables.
+
+    One pass over the body atoms, in order, one redundancy check each.
+    This removes exactly the atoms that restarting the scan from the
+    first atom after every removal would remove, by this lemma: if [a]
+    is redundant in [q] and [b] is not, then [b] is not redundant in
+    [q \ {a}] — a homomorphism [q \ {a} -> q \ {a,b}] composed with
+    one [q -> q \ {a}] would map [q] into [q \ {b}]. So the atoms
+    before a removed one need no second check. *)
 
 (** {1 Memoization instrumentation} *)
 

@@ -636,8 +636,21 @@ let canon_key q =
   List.concat_map (code_atom number) ordered
 
 (* Interning canonical codes gives each isomorphism class (up to the
-   traversal-order caveat above) a process-wide integer identity. *)
-let canon_table : (int list, int) Hashtbl.t = Hashtbl.create 1024
+   traversal-order caveat above) a process-wide integer identity. The
+   table hashes the whole code: the polymorphic [Hashtbl.hash] reads only
+   its first ten elements — about the first atom's relation, arity and
+   arguments — so codes that share that prefix all landed in one bucket
+   and every lookup walked a chain hundreds of codes long. The fold is
+   finished by [Hashtbl.hash] on the int, which mixes the high bits into
+   the low ones the bucket index uses. *)
+module Code_table = Hashtbl.Make (struct
+  type t = int list
+
+  let equal = List.equal Int.equal
+  let hash code = Hashtbl.hash (List.fold_left wl_mix 0x811c9dc5 code)
+end)
+
+let canon_table : int Code_table.t = Code_table.create 1024
 let canon_lock = Mutex.create ()
 let canon_next = ref 0
 
@@ -647,16 +660,19 @@ let canon_id q =
     let key = canon_key q in
     let id =
       Mutex.protect canon_lock (fun () ->
-          match Hashtbl.find_opt canon_table key with
+          match Code_table.find_opt canon_table key with
           | Some id -> id
           | None ->
               let id = !canon_next in
               incr canon_next;
-              Hashtbl.add canon_table key id;
+              Code_table.add canon_table key id;
               id)
     in
     q.canon_id <- id;
     id
+
+let canon_table_stats () =
+  Mutex.protect canon_lock (fun () -> Code_table.stats canon_table)
 
 let pp ppf q =
   let pp_atoms = Fmt.list ~sep:(Fmt.any ", ") Atom.pp in

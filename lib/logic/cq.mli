@@ -139,6 +139,13 @@ val canon_id : t -> int
     tie-break differently may get distinct ids (a cache miss, never a wrong
     answer). Computed lazily and cached on the query. *)
 
+val canon_table_stats : unit -> Hashtbl.statistics
+(** Bucket statistics of the process-wide table that interns canonical
+    codes for {!canon_id}. The table hashes every element of a code, so
+    codes that differ only far from their start still spread over the
+    buckets; [max_bucket_length] is the longest chain a lookup can walk.
+    Instrumentation only. *)
+
 val pp : t Fmt.t
 
 val fresh_var : ?prefix:string -> unit -> Term.t

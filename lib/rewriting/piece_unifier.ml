@@ -158,7 +158,7 @@ let one_step q rule0 =
           @ List.map (Atom.subst s) outside_atoms
         in
         match Cq.make ~free:(Cq.free q) rewritten_atoms with
-        | q' -> Some (Containment.core_of_query q')
+        | q' -> Some q'
         | exception Invalid_argument _ -> None
       end
     in

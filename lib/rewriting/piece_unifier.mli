@@ -22,8 +22,11 @@
 open Logic
 
 val one_step : Cq.t -> Tgd.t -> Cq.t list
-(** All one-step rewritings of the query through the rule. Each result is
-    already reduced to its query core. Returns [[]] for rules this engine
-    does not handle (empty body, domain variables, multi-atom head). *)
+(** All one-step rewritings of the query through the rule, {e not}
+    reduced to their query cores: most candidates of a saturation are
+    isomorphic to one seen before, so {!Rewrite} checks a candidate's
+    canonical id first and computes {!Containment.core_of_query} only for
+    new ones. Returns [[]] for rules this engine does not handle (empty
+    body, domain variables, multi-atom head). *)
 
 val one_step_theory : Cq.t -> Theory.t -> Cq.t list

@@ -42,16 +42,19 @@ type result = {
    ones, so once a candidate is covered (whether it was added or
    subsumed), every later candidate with the same canonical form is
    covered too and can be dropped without any containment checks. The
-   table is run-local (keyed on [Cq.canon_id]). *)
+   table is run-local (keyed on [Cq.canon_id]) and holds the ids of raw
+   candidates and of their cores alike: an id names an isomorphism class,
+   isomorphic raw candidates have isomorphic cores, and a raw candidate
+   is equivalent to its core, so either id certifies the candidate is
+   covered. A raw hit therefore skips [Containment.core_of_query]; most
+   candidates are such hits. Each id maps to the size of the core it
+   stands for, so a hit applies the size budget to the same number the
+   cored candidate would show. *)
 let make_dedup () =
-  let seen = Hashtbl.create 512 in
-  fun q' ->
-    let k = Cq.canon_id q' in
-    Hashtbl.mem seen k
-    || begin
-         Hashtbl.add seen k ();
-         false
-       end
+  let seen : (int, int) Hashtbl.t = Hashtbl.create 512 in
+  let core_size q = Hashtbl.find_opt seen (Cq.canon_id q) in
+  let remember q ~core_size = Hashtbl.replace seen (Cq.canon_id q) core_size in
+  (core_size, remember)
 
 let finalize ~aux ~ucq ~outcome ~steps ~generated ~containment_checks
     ~dedup_hits ~kernel_stats ~(memo0 : Containment.memo_stats)
@@ -267,20 +270,21 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
   let store = { idx = Ucq_index.create (); live = Hashtbl.create 256 } in
   let insert = insert ~pool ~probe ~implies store in
   let q0 = Containment.core_of_query q in
-  let seen_before = make_dedup () in
+  let seen_core_size, remember = make_dedup () in
+  let remember_core d = remember d ~core_size:(Cq.size d) in
   let dedup_hits = ref 0 in
   let steps = ref 0 in
   let init, base_round =
     match restart with
     | None ->
-        ignore (seen_before q0);
+        remember_core q0;
         ignore (insert q0);
         ([ q0 ], 0)
     | Some { store0; frontier0; steps0; round0 } ->
         preload store store0;
-        ignore (seen_before q0);
-        List.iter (fun d -> ignore (seen_before d)) store0;
-        List.iter (fun d -> ignore (seen_before d)) frontier0;
+        remember_core q0;
+        List.iter remember_core store0;
+        List.iter remember_core frontier0;
         steps := steps0;
         (frontier0, round0)
   in
@@ -345,38 +349,59 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
           | None ->
               (* The merge runs on the coordinator (so the dedup's plain
                  hash table is safe), folding candidates in the fixed
-                 frontier order. *)
+                 frontier order. Coring happens here as well, and only
+                 for candidates the dedup has not seen; it adds no
+                 fan-out. *)
               let added = ref [] in
               let generated = ref 0 in
               let admitted = ref 0 in
               let deduped = ref 0 in
               let stop = ref false in
+              let within_size core_size =
+                if core_size > budget.max_atoms_per_disjunct then begin
+                  outcome := Size_budget;
+                  raise Budget_hit
+                end
+              in
+              let drop () =
+                incr dedup_hits;
+                incr deduped
+              in
               (try
                  List.iter
-                   (List.iter (fun q' ->
+                   (List.iter (fun raw ->
                         incr generated;
-                        if Cq.size q' > budget.max_atoms_per_disjunct
-                        then begin
-                          outcome := Size_budget;
-                          raise Budget_hit
-                        end;
-                        if seen_before q' then begin
-                          incr dedup_hits;
-                          incr deduped
-                        end
-                        else
-                          match insert q' with
-                          | `Added ->
-                              incr admitted;
-                              added := q' :: !added;
-                              if
-                                Ucq_index.cardinal store.idx
-                                > budget.max_disjuncts
-                              then begin
-                                outcome := Disjunct_budget;
-                                raise Budget_hit
-                              end
-                          | `Subsumed -> incr deduped))
+                        match seen_core_size raw with
+                        | Some core_size ->
+                            within_size core_size;
+                            drop ()
+                        | None -> (
+                            let q' = Containment.core_of_query raw in
+                            let core_size = Cq.size q' in
+                            remember raw ~core_size;
+                            within_size core_size;
+                            (* A candidate that is already its own core
+                               has the raw id, just remembered: checking
+                               it again would drop it against itself. *)
+                            if
+                              Cq.canon_id q' <> Cq.canon_id raw
+                              && seen_core_size q' <> None
+                            then drop ()
+                            else begin
+                              remember_core q';
+                              match insert q' with
+                              | `Added ->
+                                  incr admitted;
+                                  added := q' :: !added;
+                                  if
+                                    Ucq_index.cardinal store.idx
+                                    > budget.max_disjuncts
+                                  then begin
+                                    outcome := Disjunct_budget;
+                                    raise Budget_hit
+                                  end
+                              | `Subsumed -> incr deduped
+                            end)))
                    expansions
                with Budget_hit -> stop := true);
               {

@@ -213,6 +213,29 @@ let test_cq_connectivity () =
   Alcotest.(check bool) "connected" true (Cq.is_connected conn);
   Alcotest.(check bool) "disconnected" false (Cq.is_connected disc)
 
+let test_canon_codes_share_prefix () =
+  (* [exists x. W(k1, ..., k7, x, n_i)]: every canonical code starts with
+     the same 18 elements (relation, arity, seven constants, the bound
+     variable) and differs only in the last constant. A hash that reads
+     only a code's first ten elements puts all of them in one bucket. *)
+  let w = sym "Wide" 9 in
+  let prefix = List.init 7 (fun i -> c (Printf.sprintf "wide_k%d" i)) in
+  let x = v "x" in
+  let n = 5_000 in
+  let ids =
+    List.init n (fun i ->
+        Cq.canon_id
+          (Cq.make ~free:[]
+             [ atom w (prefix @ [ x; c (Printf.sprintf "wide_n%d" i) ]) ]))
+  in
+  Alcotest.(check int) "one id per code" n
+    (List.length (List.sort_uniq Int.compare ids));
+  let stats = Cq.canon_table_stats () in
+  Alcotest.(check bool)
+    (Printf.sprintf "longest chain %d <= 32" stats.Hashtbl.max_bucket_length)
+    true
+    (stats.Hashtbl.max_bucket_length <= 32)
+
 let test_containment () =
   let x = v "x" and y = v "y" and z = v "z" in
   (* q1 = E(x,y),E(y,z) "path of 2"; q2 = E(x,y) "edge" — boolean. *)
@@ -623,6 +646,8 @@ let () =
           Alcotest.test_case "cycle query" `Quick test_cq_cycle_query;
           Alcotest.test_case "validation" `Quick test_cq_validation;
           Alcotest.test_case "connectivity" `Quick test_cq_connectivity;
+          Alcotest.test_case "canonical codes sharing a long prefix" `Quick
+            test_canon_codes_share_prefix;
         ] );
       ( "containment",
         [

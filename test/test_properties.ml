@@ -421,8 +421,9 @@ let prop_zoo_chase_matches_naive =
    budget is the kernel's, applied as the sequential kernel applies it:
    a popped disjunct that is no longer in the store is skipped without
    costing a step, the queue must drain within [max_steps] expansions,
-   every generated rewriting must stay within [max_atoms_per_disjunct]
-   atoms, and the store within [max_disjuncts]. Under these rules the
+   every generated rewriting, cored before it is pushed as the kernel
+   cores it before its size check, must stay within
+   [max_atoms_per_disjunct] atoms, and the store within [max_disjuncts]. Under these rules the
    reference expands the same disjuncts in the same order as the kernel
    on a size-1 pool, so it returns [None] (a cap tripped) exactly when
    that run cannot complete — and the caps keep it from growing ever
@@ -449,7 +450,9 @@ let naive_rewrite ~(budget : Rewriting.Rewrite.budget) theory q =
       let cur = Queue.pop queue in
       if List.memq cur (Ucq.disjuncts !store) then begin
         incr steps;
-        List.iter push (Rewriting.Piece_unifier.one_step_theory cur compiled)
+        List.iter
+          (fun q' -> push (Containment.core_of_query q'))
+          (Rewriting.Piece_unifier.one_step_theory cur compiled)
       end
     done
   with
@@ -501,8 +504,7 @@ let prop_kernel_rewriting_matches_naive_reference =
    bodies (distinct components through P/E/R atoms over disjoint
    variables), and ground-ish corner cases. [var] names the pool, so a
    second decoding through a permuted pool is an isomorphic copy. *)
-let decode_cq ?(var = body_var) (atoms_enc, f0, f1) =
-  let atoms = List.map (decode_atom var) atoms_enc in
+let decode_cq_free ?(var = body_var) atoms f0 f1 =
   let vars = Term.Set.of_list (List.concat_map Atom.vars atoms) in
   let free =
     List.filter
@@ -511,6 +513,9 @@ let decode_cq ?(var = body_var) (atoms_enc, f0, f1) =
          [ (if f0 then [ var 0 ] else []); (if f1 then [ var 1 ] else []) ])
   in
   Cq.make ~free atoms
+
+let decode_cq ?(var = body_var) (atoms_enc, f0, f1) =
+  decode_cq_free ~var (List.map (decode_atom var) atoms_enc) f0 f1
 
 let cq_arb =
   QCheck.(triple (list_of_size Gen.(1 -- 4) atom_arb) bool bool)
@@ -815,6 +820,91 @@ let prop_eval_zoo_answers_agree =
               a.Portfolio.Strategy.tuples
           else true)
         [ None; Some pool4 ])
+
+(* ------------------------------------------------------------------ *)
+(* Query cores against the restart-after-removal reference             *)
+(* ------------------------------------------------------------------ *)
+
+(* [q] without [atom], when that is still a query (non-empty body, every
+   answer variable still occurring). *)
+let without q atom =
+  match List.filter (fun a -> not (Atom.equal a atom)) (Cq.atoms q) with
+  | [] -> None
+  | atoms -> (
+      match Cq.make ~free:(Cq.free q) atoms with
+      | smaller -> Some smaller
+      | exception Invalid_argument _ -> None)
+
+(* [atom] is redundant in [q] when [q] maps into [q] without it. *)
+let redundant q atom =
+  match without q atom with
+  | Some smaller -> naive_implies smaller q
+  | None -> false
+
+(* The core as [Containment.core_of_query] computed it before its
+   one-pass scan: after every removal, start again from the first atom. *)
+let restart_core q =
+  let rec shrink q =
+    match List.find_opt (redundant q) (Cq.atoms q) with
+    | Some atom -> shrink (Option.get (without q atom))
+    | None -> q
+  in
+  shrink q
+
+let generator_families =
+  Theories.Generators.
+    [
+      random_linear_binary;
+      random_datalog_binary;
+      random_guarded;
+      random_sticky;
+      random_loop_restricted;
+    ]
+
+(* A query over the signature of a generated theory (relation picked
+   modulo the signature, arguments from the x0..x3 pool, x0/x1 optionally
+   free) together with its raw one-step rewritings under that theory:
+   the inputs the rewriting cores. *)
+let decode_family_cqs seed (family, atoms_enc, f0, f1) =
+  let theory =
+    (List.nth generator_families (family mod List.length generator_families))
+      ~seed ~rels:2 ~rules:4
+  in
+  let sig_ = Array.of_list (theory_signature theory) in
+  let atoms =
+    List.map
+      (fun (s, a, b) ->
+        let rel = sig_.(s mod Array.length sig_) in
+        Atom.make rel
+          (List.init (Symbol.arity rel) (fun i ->
+               body_var (if i = 0 then a else b))))
+      atoms_enc
+  in
+  let q = decode_cq_free atoms f0 f1 in
+  let compiled, _ = Rewriting.Single_head.compile theory in
+  q :: Rewriting.Piece_unifier.one_step_theory q compiled
+
+let prop_core_matches_restart seed =
+  QCheck.Test.make ~count
+    ~name:
+      (Printf.sprintf
+         "core_of_query = restart-after-removal reference, no atom \
+          removable (seed %d)"
+         seed)
+    QCheck.(
+      quad (int_bound 4)
+        (list_of_size Gen.(1 -- 4)
+           (triple (int_bound 7) (int_bound 5) (int_bound 5)))
+        bool bool)
+    (fun ((_, atoms_enc, _, _) as enc) ->
+      (* The list shrinker does not keep the generator's minimum size. *)
+      QCheck.assume (atoms_enc <> []);
+      List.for_all
+        (fun q ->
+          let core = Containment.core_of_query q in
+          List.equal Atom.equal (Cq.atoms core) (Cq.atoms (restart_core q))
+          && not (List.exists (redundant core) (Cq.atoms core)))
+        (decode_family_cqs seed enc))
 
 (* ------------------------------------------------------------------ *)
 (* Containment on mid-sized targets                                    *)
@@ -1187,6 +1277,13 @@ let () =
             QCheck_alcotest.to_alcotest
               ~rand:(Random.State.make [| seed |])
               (prop_containment_across_cutoff seed))
+          [ 1; 7; 42 ] );
+      ( "core",
+        List.map
+          (fun seed ->
+            QCheck_alcotest.to_alcotest
+              ~rand:(Random.State.make [| seed |])
+              (prop_core_matches_restart seed))
           [ 1; 7; 42 ] );
       ( "pool",
         [ QCheck_alcotest.to_alcotest prop_pool_primitives ] );

@@ -49,9 +49,10 @@ let test_separating_variable_blocked () =
     Piece_unifier.one_step q (List.hd (Theory.rules Theories.Zoo.t_p))
   in
   (* Only the last atom E(y,z) is rewritable; the result cores down to a
-     single edge. *)
+     single edge ([one_step] leaves the coring to the saturation). *)
   Alcotest.(check int) "one rewriting" 1 (List.length rewritings);
-  Alcotest.(check int) "cored to one atom" 1 (Cq.size (List.hd rewritings))
+  Alcotest.(check int) "cored to one atom" 1
+    (Cq.size (Containment.core_of_query (List.hd rewritings)))
 
 (* ------------------------------------------------------------------ *)
 (* Saturation                                                          *)
@@ -82,6 +83,47 @@ let test_rew_selfloop_loopcut () =
   Alcotest.(check bool) "UCQ true on a single edge" true
     (Ucq.boolean_holds r.Rewrite.ucq
        (Theories.Instances.single_edge e))
+
+let test_loopcut_paths_counters () =
+  (* The benchmark's rewrite-loopcut workload: E^n under T_loopcut for
+     n = 7..11. The rewriting cores only the candidates its dedup has not
+     seen; these counters were recorded when every candidate was cored
+     inside the piece unifier, and must not move. Columns: steps,
+     generated, disjuncts, admitted, deduped. *)
+  List.iter
+    (fun (n, steps, generated, disjuncts, admitted, deduped) ->
+      let _, _, q = Theories.Zoo.e_path_query n in
+      let r = Rewrite.rewrite Theories.Zoo.t_loopcut q in
+      let totals = r.Rewrite.kernel_stats.Saturation.Stats.totals in
+      let check what = Alcotest.(check int) (Printf.sprintf "E^%d %s" n what) in
+      Alcotest.(check bool) "complete" true
+        (r.Rewrite.outcome = Rewrite.Complete);
+      check "steps" steps r.Rewrite.steps;
+      check "generated" generated r.Rewrite.generated;
+      check "disjuncts" disjuncts (Ucq.cardinal r.Rewrite.ucq);
+      check "admitted" admitted totals.Saturation.Stats.admitted;
+      check "deduped" deduped totals.Saturation.Stats.deduped)
+    [
+      (7, 9, 186, 7, 12, 174);
+      (8, 10, 377, 8, 14, 363);
+      (9, 11, 760, 9, 16, 744);
+      (10, 12, 1527, 10, 18, 1509);
+      (11, 13, 3062, 11, 20, 3042);
+    ]
+
+let test_size_budget_on_deduped_candidate () =
+  (* Under T_p, exists x y. E(x,y) rewrites only to isomorphic copies of
+     itself, which the dedup drops on their canonical id without coring
+     them. A size budget below the query's one atom must still trip on
+     the first of them, as it did when every candidate was cored first. *)
+  let x = v "x" and y = v "y" in
+  let q = Cq.make ~free:[] [ atom e [ x; y ] ] in
+  let budget =
+    { Rewrite.max_disjuncts = 10; max_atoms_per_disjunct = 0; max_steps = 10 }
+  in
+  let r = Rewrite.rewrite ~budget Theories.Zoo.t_p q in
+  Alcotest.(check bool) "size budget" true
+    (r.Rewrite.outcome = Rewrite.Size_budget)
 
 let test_rs_linear_growth () =
   (* Observation 31 shape check on the linear T_p: the endpoint-pinned path
@@ -320,6 +362,10 @@ let () =
           Alcotest.test_case "rew under T_a" `Quick test_rew_ta_mother;
           Alcotest.test_case "selfloop under T_loopcut" `Quick
             test_rew_selfloop_loopcut;
+          Alcotest.test_case "E^7..E^11 under T_loopcut: counters" `Quick
+            test_loopcut_paths_counters;
+          Alcotest.test_case "size budget on a deduplicated candidate" `Quick
+            test_size_budget_on_deduped_candidate;
           Alcotest.test_case "rs linear for T_p" `Quick test_rs_linear_growth;
           Alcotest.test_case "example 41 diverges" `Quick test_nonbdd_diverges;
           Alcotest.test_case "split_batch on a huge frontier" `Quick
