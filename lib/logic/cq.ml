@@ -638,11 +638,11 @@ let canon_key q =
 (* Interning canonical codes gives each isomorphism class (up to the
    traversal-order caveat above) a process-wide integer identity. The
    table hashes the whole code: the polymorphic [Hashtbl.hash] reads only
-   its first ten elements — about the first atom's relation, arity and
-   arguments — so codes that share that prefix all landed in one bucket
-   and every lookup walked a chain hundreds of codes long. The fold is
-   finished by [Hashtbl.hash] on the int, which mixes the high bits into
-   the low ones the bucket index uses. *)
+   a list's first ten elements — about the first atom's relation, arity
+   and arguments — and the codes of one rewriting mostly share that
+   prefix, so they would share a bucket and every lookup would walk a
+   chain of hundreds. The fold is finished by [Hashtbl.hash] on the int,
+   which mixes the high bits into the low ones the bucket index uses. *)
 module Code_table = Hashtbl.Make (struct
   type t = int list
 

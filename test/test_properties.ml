@@ -423,11 +423,12 @@ let prop_zoo_chase_matches_naive =
    costing a step, the queue must drain within [max_steps] expansions,
    every generated rewriting, cored before it is pushed as the kernel
    cores it before its size check, must stay within
-   [max_atoms_per_disjunct] atoms, and the store within [max_disjuncts]. Under these rules the
-   reference expands the same disjuncts in the same order as the kernel
-   on a size-1 pool, so it returns [None] (a cap tripped) exactly when
-   that run cannot complete — and the caps keep it from growing ever
-   larger disjuncts whose containment checks stall. *)
+   [max_atoms_per_disjunct] atoms, and the store within [max_disjuncts].
+   Under these rules the reference expands the same disjuncts in the
+   same order as the kernel on a size-1 pool, so it returns [None] (a
+   cap tripped) exactly when that run cannot complete — and the caps
+   keep it from growing ever larger disjuncts whose containment checks
+   stall. *)
 let naive_rewrite ~(budget : Rewriting.Rewrite.budget) theory q =
   let compiled, aux = Rewriting.Single_head.compile theory in
   let queue = Queue.create () in
