@@ -362,10 +362,6 @@ let () =
           Alcotest.test_case "rew under T_a" `Quick test_rew_ta_mother;
           Alcotest.test_case "selfloop under T_loopcut" `Quick
             test_rew_selfloop_loopcut;
-          Alcotest.test_case "E^7..E^11 under T_loopcut: counters" `Quick
-            test_loopcut_paths_counters;
-          Alcotest.test_case "size budget on a deduplicated candidate" `Quick
-            test_size_budget_on_deduped_candidate;
           Alcotest.test_case "rs linear for T_p" `Quick test_rs_linear_growth;
           Alcotest.test_case "example 41 diverges" `Quick test_nonbdd_diverges;
           Alcotest.test_case "split_batch on a huge frontier" `Quick
@@ -374,6 +370,10 @@ let () =
             test_e28_completes_with_growing_rew;
           Alcotest.test_case "backward shy (footnote 30)" `Quick
             test_backward_shy;
+          Alcotest.test_case "E^7..E^11 under T_loopcut: counters" `Quick
+            test_loopcut_paths_counters;
+          Alcotest.test_case "size budget on a deduplicated candidate" `Quick
+            test_size_budget_on_deduped_candidate;
         ] );
       ( "chase agreement",
         [
