@@ -20,7 +20,7 @@
      E13 Section 3/5       chase-flavour termination matrix
      E14 motivation        answering via rewriting vs via the chase
      par                   parallel layer determinism & scaling
-     shard                 sharded pool: -j1 vs -j4 across saturation clients
+     shard                 sharded pool: -j1 vs -j4 on the chase
      po                    portfolio selection over the zoo + fuzz smoke
      perf                  bechamel micro-benchmarks
 
@@ -102,10 +102,7 @@ let e2 () =
     (fun n ->
       let _, _, phi = Theories.Zoo.phi_r n in
       let res, dt =
-        time_it (fun () ->
-            Marked.Process.rewrite_td
-              ~pool:(Parallel.Pool.get_default ())
-              phi)
+        time_it (fun () -> Marked.Process.rewrite_td phi)
       in
       let _, _, gq = Theories.Zoo.g_path_query (1 lsl n) in
       let found =
@@ -142,11 +139,7 @@ let e3 () =
       if k < 2 then (List.rev acc, len)
       else
         let _, _, phi = Theories.Zoo.phi_i k len in
-        let res =
-          Marked.Process.rewrite_tdk
-            ~pool:(Parallel.Pool.get_default ())
-            kk ~max_steps:500_000 phi
-        in
+        let res = Marked.Process.rewrite_tdk kk ~max_steps:500_000 phi in
         if not res.Marked.Process.complete then (List.rev acc, -1)
         else
           let expected = 1 lsl len in
@@ -645,9 +638,8 @@ let e14 () =
 (* ------------------------------------------------------------------ *)
 
 let par () =
-  header "par" "parallel chase & rewriting (lib/parallel) vs sequential"
-    "bit-identical chase stages and equivalent rewritings at any -j; \
-     speedup needs > 1 core";
+  header "par" "parallel chase (lib/parallel) vs sequential"
+    "bit-identical chase stages at any -j; speedup needs > 1 core";
   let pool = Parallel.Pool.get_default () in
   let jobs = Parallel.Pool.size pool in
   row "  jobs: %d (-j N or FRONTIER_JOBS; this machine has %d cores)@." jobs
@@ -686,68 +678,26 @@ let par () =
     (Chase.Engine.stage_stats run_par);
   row "  per-domain busy seconds: [%a]@."
     Fmt.(array ~sep:sp (fmt "%.3f"))
-    (Parallel.Pool.busy_times pool);
-  (* Rewriting workload: the E11 generic saturation on T_d \ (loop). *)
-  let x = Term.var "x" and y = Term.var "y" in
-  let q = Cq.make ~free:[ x ] [ Atom.make Theories.Zoo.g2 [ x; y ] ] in
-  let budget =
-    {
-      Rewriting.Rewrite.max_disjuncts = 60;
-      max_atoms_per_disjunct = 20;
-      max_steps = 400;
-    }
-  in
-  let r_seq, rt_seq =
-    time_it (fun () ->
-        Rewriting.Rewrite.rewrite ~budget Theories.Zoo.t_d_noloop q)
-  in
-  let r_par, rt_par =
-    time_it (fun () ->
-        Rewriting.Rewrite.rewrite ~pool ~budget Theories.Zoo.t_d_noloop q)
-  in
-  row "  rewrite T_d\\(loop) G(x,y):  seq %.3fs   -j%d %.3fs   (x%.2f)@."
-    rt_seq jobs rt_par (rt_seq /. rt_par);
-  row "  seq: %d disjuncts, %d containment checks; -j%d: %d disjuncts, %d \
-       containment checks@."
-    (Ucq.cardinal r_seq.Rewriting.Rewrite.ucq)
-    r_seq.Rewriting.Rewrite.containment_checks jobs
-    (Ucq.cardinal r_par.Rewriting.Rewrite.ucq)
-    r_par.Rewriting.Rewrite.containment_checks;
-  row "  rewritings UCQ-equivalent: %b@."
-    (Ucq.equivalent r_seq.Rewriting.Rewrite.ucq r_par.Rewriting.Rewrite.ucq);
-  let k = r_par.Rewriting.Rewrite.kernel_stats in
-  row "  -j%d kernel: %d rounds, %d expanded, %d generated, %d admitted, %d \
-       deduped@."
-    jobs k.Saturation.Stats.rounds
-    k.Saturation.Stats.totals.Saturation.Stats.expanded
-    k.Saturation.Stats.totals.Saturation.Stats.generated
-    k.Saturation.Stats.totals.Saturation.Stats.admitted
-    k.Saturation.Stats.totals.Saturation.Stats.deduped
+    (Parallel.Pool.busy_times pool)
 
 (* ------------------------------------------------------------------ *)
 (* shard — sharded work-stealing pool: -j1 vs -j4 differential + timing *)
 (* ------------------------------------------------------------------ *)
 
-(* The tentpole experiment of the sharded-pool PR: drive every
-   saturation client (chase, generic rewriting, the E2/E3 marked
-   processes) through an explicit -j1 pool and an explicit -j4 pool and
-   check that the results and stage counters are identical — the
-   scheduler may only change wall time, never the mathematics. Wall
-   times are min-of-reps; the -j4 arm can only beat -j1 on a
-   multi-core box (per-domain busy seconds are printed so a 1-core run
-   is honest about oversubscription). [containment_checks] is the one
-   counter deliberately *not* compared: the batch memo prepass resolves
-   cached pairs on the coordinator and [Pool.exists] genuinely early-
-   exits, so how many implication checks the -j4 arm pays is schedule-
-   dependent even though the verdicts (and hence results) are not.
+(* Drive the pool's client, the chase, through an explicit -j1 pool and
+   an explicit -j4 pool and check that the stages and their counters are
+   identical — the scheduler may only change wall time, never the
+   mathematics. Wall times are min-of-reps; the -j4 arm can only beat
+   -j1 on a multi-core box (per-domain busy seconds are printed so a
+   1-core run is honest about oversubscription). The rewriting engines
+   take no pool, so they have no row here.
 
-   FRONTIER_BENCH_SMOKE=1   shrink the workloads (CI smoke sizing)
-   FRONTIER_BENCH_JSON=path also write the results as a JSON snapshot *)
+   FRONTIER_BENCH_SMOKE=1   shrink the workload (CI smoke sizing)
+   FRONTIER_BENCH_JSON=path also write the result as a JSON snapshot *)
 
 let shard () =
-  header "shard"
-    "sharded work-stealing pool: -j1 vs -j4 across the saturation clients"
-    "identical results and stage counters at every -j; speedup needs > 1 \
+  header "shard" "sharded work-stealing pool: -j1 vs -j4 on the chase"
+    "identical stages and stage counters at every -j; speedup needs > 1 \
      core";
   let smoke = Sys.getenv_opt "FRONTIER_BENCH_SMOKE" <> None in
   let reps = if smoke then 1 else 2 in
@@ -771,27 +721,6 @@ let shard () =
     && a.Saturation.Stats.admitted = b.Saturation.Stats.admitted
     && a.Saturation.Stats.deduped = b.Saturation.Stats.deduped
   in
-  let kernel_eq (a : Saturation.Stats.t) (b : Saturation.Stats.t) =
-    a.Saturation.Stats.rounds = b.Saturation.Stats.rounds
-    && tally_eq a.Saturation.Stats.totals b.Saturation.Stats.totals
-  in
-  let ucq_identical u1 u2 =
-    (* Same disjuncts in the same order, compared by canonical id — the
-       hash-consed notion of "bit-identical" ([Ucq.equivalent] would
-       also accept semantically equal but differently-built stores). *)
-    List.equal
-      (fun a b -> Cq.canon_id a = Cq.canon_id b)
-      (Ucq.disjuncts u1) (Ucq.disjuncts u2)
-  in
-  let results = ref [] in
-  let report ?(criterion = "identical") name t1 tn identical detail =
-    row "  %-26s -j1 %8.3fs   -j%d %8.3fs   x%-6.2f %s@." name t1 jobs tn
-      (t1 /. tn)
-      (if identical then criterion else "MISMATCH");
-    if detail <> "" then row "    %s@." detail;
-    results := (name, t1, tn, identical, criterion) :: !results
-  in
-  (* --- chase: T_d on the E1 grid ------------------------------------- *)
   let grid_len = if smoke then 5 else 8 in
   let depth = if smoke then 5 else 7 in
   let _, _, grid = Theories.Instances.path Theories.Zoo.g2 grid_len in
@@ -799,9 +728,9 @@ let shard () =
     Chase.Engine.run ~pool ~max_depth:depth ~max_atoms:400_000
       Theories.Zoo.t_d grid
   in
-  let c1, ct1 = best (chase pool1) in
-  let cn, ctn = best (chase pooln) in
-  let stages_identical =
+  let c1, t1 = best (chase pool1) in
+  let cn, tn = best (chase pooln) in
+  let identical =
     Chase.Engine.depth c1 = Chase.Engine.depth cn
     && List.for_all
          (fun i ->
@@ -814,118 +743,49 @@ let shard () =
          (Chase.Engine.stage_stats c1)
          (Chase.Engine.stage_stats cn)
   in
-  report
-    (Printf.sprintf "chase T_d G^%d depth %d" grid_len depth)
-    ct1 ctn stages_identical
-    (Printf.sprintf "%d stages, %d atoms"
-       (Chase.Engine.depth cn + 1)
-       (Fact_set.cardinal (Chase.Engine.result cn)));
-  (* --- generic rewriting saturation (the E11 workload) --------------- *)
-  let x = Term.var "x" and y = Term.var "y" in
-  let q = Cq.make ~free:[ x ] [ Atom.make Theories.Zoo.g2 [ x; y ] ] in
-  let budget =
-    {
-      Rewriting.Rewrite.max_disjuncts = (if smoke then 60 else 200);
-      max_atoms_per_disjunct = (if smoke then 20 else 24);
-      max_steps = (if smoke then 120 else 2_000);
-    }
-  in
-  let rewrite pool () =
-    Containment.reset_memo ();
-    Rewriting.Rewrite.rewrite ~pool ~budget Theories.Zoo.t_d_noloop q
-  in
-  let r1, rt1 = best (rewrite pool1) in
-  let rn, rtn = best (rewrite pooln) in
-  (* The generic saturation's cross-[-j] contract is UCQ *equivalence*,
-     not syntactic identity: a -j>1 run expands whole batches per round
-     (a subsumed frontier entry may still be expanded if it died within
-     its own batch), so steps and round counters legitimately differ.
-     The chase and the marked processes below are bit-identical. *)
-  report ~criterion:"equivalent" "generic T_d\\(loop)" rt1 rtn
-    (Ucq.equivalent r1.Rewriting.Rewrite.ucq rn.Rewriting.Rewrite.ucq)
-    (Printf.sprintf "-j1 %d steps / %d disjuncts, -j%d %d steps / %d \
-                     disjuncts"
-       r1.Rewriting.Rewrite.steps
-       (Ucq.cardinal r1.Rewriting.Rewrite.ucq)
-       jobs rn.Rewriting.Rewrite.steps
-       (Ucq.cardinal rn.Rewriting.Rewrite.ucq));
-  (* --- E2: the marked process on phi_R^n ----------------------------- *)
-  let n2 = if smoke then 3 else 5 in
-  let _, _, phi = Theories.Zoo.phi_r n2 in
-  let td pool () = Marked.Process.rewrite_td ~pool phi in
-  let m1, mt1 = best (td pool1) in
-  let mn, mtn = best (td pooln) in
-  report
-    (Printf.sprintf "E2 phi_R^%d (T_d)" n2)
-    mt1 mtn
-    (m1.Marked.Process.stats = mn.Marked.Process.stats
-    && kernel_eq m1.Marked.Process.kernel_stats mn.Marked.Process.kernel_stats
-    && ucq_identical m1.Marked.Process.rewriting mn.Marked.Process.rewriting)
-    (Printf.sprintf "%d steps, %d disjuncts"
-       mn.Marked.Process.stats.Marked.Process.steps
-       (Ucq.cardinal mn.Marked.Process.rewriting));
-  (* --- E3: one level-descent step of a T_d^K tower ------------------- *)
-  let kk, lvl, n3 = if smoke then (3, 3, 1) else (2, 2, 5) in
-  let _, _, phi_i = Theories.Zoo.phi_i lvl n3 in
-  let tdk pool () =
-    Marked.Process.rewrite_tdk ~pool kk ~max_steps:500_000 phi_i
-  in
-  let k1, kt1 = best (tdk pool1) in
-  let kn, ktn = best (tdk pooln) in
-  report
-    (Printf.sprintf "E3 phi_I%d^%d (T_d^%d)" lvl n3 kk)
-    kt1 ktn
-    (k1.Marked.Process.stats = kn.Marked.Process.stats
-    && kernel_eq k1.Marked.Process.kernel_stats kn.Marked.Process.kernel_stats
-    && ucq_identical k1.Marked.Process.rewriting kn.Marked.Process.rewriting)
-    (Printf.sprintf "%d steps, %d disjuncts"
-       kn.Marked.Process.stats.Marked.Process.steps
-       (Ucq.cardinal kn.Marked.Process.rewriting));
-  row "  -j%d per-domain busy seconds (whole experiment): [%a]@." jobs
+  let name = Printf.sprintf "chase T_d G^%d depth %d" grid_len depth in
+  row "  %-26s -j1 %8.3fs   -j%d %8.3fs   x%-6.2f %s@." name t1 jobs tn
+    (t1 /. tn)
+    (if identical then "identical" else "MISMATCH");
+  row "    %d stages, %d atoms@."
+    (Chase.Engine.depth cn + 1)
+    (Fact_set.cardinal (Chase.Engine.result cn));
+  row "  -j%d per-domain busy seconds: [%a]@." jobs
     Fmt.(array ~sep:sp (fmt "%.3f"))
     (Parallel.Pool.busy_times pooln);
-  let all_identical =
-    List.for_all (fun (_, _, _, ok, _) -> ok) !results
-  in
-  row "  all workloads meet their cross--j contract: %b@." all_identical;
-  (* --- optional JSON snapshot ---------------------------------------- *)
+  row "  the chase meets its cross--j contract: %b@." identical;
   (match Sys.getenv_opt "FRONTIER_BENCH_JSON" with
   | None -> ()
   | Some path ->
-      let entry (name, t1, tn, identical, criterion) =
-        Printf.sprintf
-          {|    {
-      "workload": %S,
-      "j1_s": %.6f,
-      "j%d_s": %.6f,
-      "speedup": %.3f,
-      "criterion": %S,
-      "passed": %b
-    }|}
-          name t1 jobs tn (t1 /. tn) criterion identical
-      in
       Checkpoint.Atomic_io.write_file path
       @@ Printf.sprintf
            {|{
   "bench": "shard",
-  "note": "explicit -j1 vs -j%d pools over the saturation clients; 'identical' covers results and stage counters, 'equivalent' is the generic saturation's batch-semantics contract; speedup is hardware-bound (1.0x is expected on a 1-core box)",
+  "note": "explicit -j1 vs -j%d pools over the chase; 'identical' covers stages and stage counters; speedup is hardware-bound (1.0x is expected on a 1-core box)",
   "smoke": %b,
   "reps": %d,
   "cores": %d,
   "workloads": [
-%s
+    {
+      "workload": %S,
+      "j1_s": %.6f,
+      "j%d_s": %.6f,
+      "speedup": %.3f,
+      "criterion": "identical",
+      "passed": %b
+    }
   ]
 }
 |}
-        jobs smoke reps
-        (Domain.recommended_domain_count ())
-        (String.concat ",\n" (List.rev_map entry !results));
+           jobs smoke reps
+           (Domain.recommended_domain_count ())
+           name t1 jobs tn (t1 /. tn) identical;
       row "  json snapshot written to %s@." path);
   Parallel.Pool.shutdown pool1;
   Parallel.Pool.shutdown pooln;
   (* check-shard gates on this experiment: a cross-scheduling mismatch
      is a scheduler bug, not a measurement. *)
-  if not all_identical then exit 1
+  if not identical then exit 1
 
 (* ------------------------------------------------------------------ *)
 (* po — portfolio strategy selection + differential fuzz smoke         *)

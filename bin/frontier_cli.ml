@@ -52,8 +52,9 @@ let atoms_arg =
 
 let jobs_arg =
   let doc =
-    "Number of OCaml domains for the parallel chase stages and rewriting \
-     saturation (1 = sequential). Results are identical for every value."
+    "Number of OCaml domains for the parallel chase sweeps (1 = \
+     sequential); the rewriting engines always run on one domain. Results \
+     are identical for every value."
   in
   let env = Cmd.Env.info "FRONTIER_JOBS" in
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~env ~doc)
@@ -393,10 +394,9 @@ let chase_cmd =
       $ checkpoint_dir_arg $ checkpoint_every_arg)
 
 let rewrite_cmd =
-  let run theory query steps disjuncts jobs stats timeout max_memory_mb
+  let run theory query steps disjuncts stats timeout max_memory_mb
       checkpoint_dir checkpoint_every =
     handle (fun () ->
-        with_pool jobs (fun pool ->
         with_guard ~timeout ~max_memory_mb (fun guard ->
         let t = parse_theory theory in
         let q = parse_query query in
@@ -409,13 +409,13 @@ let rewrite_cmd =
         in
         let checkpoint = make_sink checkpoint_dir checkpoint_every in
         let es0 = engine_stats_before () in
-        let r = Frontier.Rewrite.rewrite ~pool ~guard ~budget ?checkpoint t q in
+        let r = Frontier.Rewrite.rewrite ~guard ~budget ?checkpoint t q in
         print_rewrite_result ~stats es0 r;
         finish guard;
         (* Exhausted legacy budgets (no guard trip) also mean the printed
            UCQ is partial: keep the exit-code contract uniform. *)
         if r.Frontier.Rewrite.outcome <> Frontier.Rewrite.Complete then
-          exit exit_exhausted)))
+          exit exit_exhausted))
   in
   let steps =
     Arg.(value & opt int 5_000 & info [ "steps" ] ~doc:"Rewriting step budget.")
@@ -439,8 +439,8 @@ let rewrite_cmd =
   Cmd.v
     (Cmd.info "rewrite" ~doc:"Compute the UCQ rewriting of a query")
     Term.(
-      const run $ theory_arg $ query_arg $ steps $ disjuncts $ jobs_arg
-      $ stats $ timeout_arg $ memory_arg $ checkpoint_dir_arg
+      const run $ theory_arg $ query_arg $ steps $ disjuncts $ stats
+      $ timeout_arg $ memory_arg $ checkpoint_dir_arg
       $ checkpoint_every_arg)
 
 (* The [answer] input: an explicit instance, or one of the seeded
@@ -724,12 +724,11 @@ let resume_cmd =
                          ~checkpoint:sink snap)
                   else if kind = Frontier.Rewrite.checkpoint_kind then
                     `Rewrite
-                      (Frontier.Rewrite.resume ~pool ~guard ~checkpoint:sink
-                         snap)
+                      (Frontier.Rewrite.resume ~guard ~checkpoint:sink snap)
                   else if kind = Frontier.Marked_process.checkpoint_kind
                   then
                     `Marked
-                      (Frontier.Marked_process.resume ~pool ~guard
+                      (Frontier.Marked_process.resume ~guard
                          ~checkpoint:sink snap)
                   else
                     invalid_arg

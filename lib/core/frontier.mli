@@ -95,9 +95,10 @@ module Portfolio = Portfolio
 
 module Pool = Parallel.Pool
 (** Work-stealing domain pool; pass one to the [?pool] entry points
-    ({!Portfolio.execute}, {!Chase_engine.run}, {!Rewrite.rewrite}, ...)
-    to fan the chase stages and rewriting saturation out over OCaml 5
-    domains. Results are independent of the domain count. *)
+    ({!Portfolio.execute}, {!Chase_engine.run}, {!Chase_variants}, ...)
+    to fan the chase sweeps out over OCaml 5 domains. The rewriting and
+    marked-process engines are sequential. Results are independent of
+    the domain count. *)
 
 module Saturation = Saturation
 (** The generic fixpoint kernel every saturation in this reproduction runs

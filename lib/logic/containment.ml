@@ -145,9 +145,8 @@ let implies_memo q1 q2 =
 
 (* A pure peek: resolve the pair from [implies_memo]'s fast paths (physical
    equality, free-arity mismatch, equal canonical ids, a live cache entry)
-   or answer [None] — never computes a verdict. This is the coordinator's
-   batch prepass in the rewriting store: pairs decided here skip the pool
-   fan-out entirely. *)
+   or answer [None] — never computes a verdict. This is the prepass of
+   the rewriting store's insertions: pairs decided here run no search. *)
 let memo_probe q1 q2 =
   if q1 == q2 then Some true
   else if List.length (Cq.free q1) <> List.length (Cq.free q2) then

@@ -32,7 +32,7 @@ val memo_probe : Cq.t -> Cq.t -> bool option
     canonical ids, or a live containment-cache entry. [None] means
     "unknown — compute it". Never runs the homomorphism solver and never
     writes the cache, so it is safe (and cheap) to call on every pair of
-    a batch before fanning the residue out to a pool. Counts a cache hit
+    a candidate list before searching the residue. Counts a cache hit
     when it answers from the table. *)
 
 val equivalent : Cq.t -> Cq.t -> bool

@@ -153,9 +153,10 @@ let insert_minimal idx q ~implies =
     `Added
   end
 
-(* Candidate lists for callers that fan the surviving containment
-   checks out across a pool: the entries the probes could not refute,
-   in the same scan order as [covered] / [drop_subsumed]. *)
+(* Candidate lists for callers that run the surviving containment checks
+   themselves (the rewriting's memo prepass): the entries the probes
+   could not refute, in the same scan order as [covered] /
+   [drop_subsumed]. *)
 let subsumer_candidates idx q =
   let qocc = occ_vector q in
   let acc = ref [] in

@@ -45,8 +45,8 @@ val add : t -> Cq.t -> unit
 
 val subsumer_candidates : t -> Cq.t -> Cq.t list
 (** Live disjuncts the fingerprints could not rule out as subsumers of
-    [q], newest first — for callers that fan the surviving [implies]
-    checks out across a pool. *)
+    [q], newest first — for callers that run the surviving [implies]
+    checks themselves. *)
 
 val victim_candidates : t -> Cq.t -> (int * Cq.t) list
 (** Live disjuncts the fingerprints could not rule out as subsumed by

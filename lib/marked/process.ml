@@ -53,29 +53,15 @@ module Store = struct
     | None -> min_int
 
   (* Membership test and insertion in one probe: the key computation
-     and the bucket lookup are paid once per classified query. [?key]
-     lets a parallel pre-pass hand in the key it already computed. *)
-  let add_if_absent ?key:key_opt (store : t) q =
-    let k = match key_opt with Some k -> k | None -> key q in
+     and the bucket lookup are paid once per classified query. *)
+  let add_if_absent (store : t) q =
+    let k = key q in
     let bucket = Option.value ~default:[] (Hashtbl.find_opt store k) in
     if List.exists (Marked_query.equal_upto_iso q) bucket then false
     else begin
       Hashtbl.replace store k (q :: bucket);
       true
     end
-
-  (* The per-query work a pool worker can do ahead of the coordinator's
-     sequential store pass: the fingerprint key (the tagged CQ's 1-WL
-     color refinement, hashed and mixed with the atom count) plus the
-     canonical id the bucket's iso probes start from. Both are filled
-     into caches on the query's own tagged CQ — distinct queries share
-     no mutable state, so workers never race. *)
-  let warm q =
-    let k = key q in
-    (match Marked_query.tagged_cq q with
-    | Some cq -> ignore (Cq.canon_id cq)
-    | None -> ());
-    k
 end
 
 let checkpoint_kind = "marked"
@@ -164,11 +150,8 @@ type restart = {
   round0 : int;
 }
 
-let run_from ?pool ?guard ?(max_steps = 200_000) ?(record_ranks = false)
+let run_from ?guard ?(max_steps = 200_000) ?(record_ranks = false)
     ?on_step ?checkpoint:checkpoint_sink ~restart ~levels q =
-  let pool =
-    match pool with Some p -> p | None -> Parallel.Pool.create 1
-  in
   let guard = match guard with Some g -> g | None -> Guard.unlimited () in
   if Cq.free q = [] then
     invalid_arg
@@ -195,12 +178,12 @@ let run_from ?pool ?guard ?(max_steps = 200_000) ?(record_ranks = false)
      mirror queue shadows the kernel's worklist (same pops, same pushes)
      so each snapshot can enumerate the currently-live queries. *)
   let mirror = Queue.create () in
-  let classify_new ?key mq =
+  let classify_new mq =
     if not (Marked_query.is_properly_marked mq) then begin
       stats := { !stats with dropped_improper = !stats.dropped_improper + 1 };
       None
     end
-    else if Store.add_if_absent ?key seen mq then begin
+    else if Store.add_if_absent seen mq then begin
       if Marked_query.is_trivial mq then begin
         trivial := mq :: !trivial;
         None
@@ -216,24 +199,10 @@ let run_from ?pool ?guard ?(max_steps = 200_000) ?(record_ranks = false)
     end
     else None
   in
-  (* Batch classification: at pool size 1 this is exactly the
-     sequential [filter_map classify_new]; with workers, each result's
-     WL fingerprint key and canonical id (computed once per query, then
-     cached) are filled in parallel first and the store pass consumes
-     them in the original order — same store contents, same enqueue
-     order, so the rewriting is bit-identical at any [-j]. *)
-  let classify_many mqs =
-    let plural = match mqs with _ :: _ :: _ -> true | _ -> false in
-    if Parallel.Pool.effective_size pool <= 1 || not plural then
-      List.filter_map classify_new mqs
-    else
-      let keys = Parallel.Pool.map_list pool Store.warm mqs in
-      List.filter_map Fun.id
-        (List.map2 (fun mq k -> classify_new ~key:k mq) mqs keys)
-  in
   let initial_live, base_round =
     match restart with
-    | None -> (classify_many (Marked_query.all_markings ~levels q), 0)
+    | None ->
+        (List.filter_map classify_new (Marked_query.all_markings ~levels q), 0)
     | Some r ->
         (* Rebuild the dedup store from the snapshot's full contents,
            then restore the collected results and counters verbatim; the
@@ -306,7 +275,7 @@ let run_from ?pool ?guard ?(max_steps = 200_000) ?(record_ranks = false)
             (match on_step with
             | Some f -> f ~before:current ~classification ~results
             | None -> ());
-            let new_live = classify_many results in
+            let new_live = List.filter_map classify_new results in
             snapshot ();
             {
               Saturation.next = new_live;
@@ -366,9 +335,8 @@ let run_from ?pool ?guard ?(max_steps = 200_000) ?(record_ranks = false)
     rank_trace = (if record_ranks then Some (List.rev !rank_trace) else None);
   }
 
-let run ?pool ?guard ?max_steps ?record_ranks ?on_step ?checkpoint ~levels q
-    =
-  run_from ?pool ?guard ?max_steps ?record_ranks ?on_step ?checkpoint
+let run ?guard ?max_steps ?record_ranks ?on_step ?checkpoint ~levels q =
+  run_from ?guard ?max_steps ?record_ranks ?on_step ?checkpoint
     ~restart:None ~levels q
 
 let decode_snapshot snap =
@@ -415,25 +383,25 @@ let decode_snapshot snap =
   in
   (levels, q, restart, S.meta_int snap "max_steps")
 
-let resume ?pool ?guard ?max_steps ?checkpoint snap =
+let resume ?guard ?max_steps ?checkpoint snap =
   let levels, q, restart, snap_max = decode_snapshot snap in
   let max_steps =
     match max_steps with Some _ as m -> m | None -> snap_max
   in
-  run_from ?pool ?guard ?max_steps ?checkpoint ~restart:(Some restart)
+  run_from ?guard ?max_steps ?checkpoint ~restart:(Some restart)
     ~levels q
 
 let td_levels = [| Symbol.make "G" ~arity:2; Symbol.make "R" ~arity:2 |]
 
-let rewrite_td ?pool ?guard ?max_steps ?on_step ?checkpoint q =
-  run ?pool ?guard ?max_steps ?on_step ?checkpoint ~levels:td_levels q
+let rewrite_td ?pool:_ ?guard ?max_steps ?on_step ?checkpoint q =
+  run ?guard ?max_steps ?on_step ?checkpoint ~levels:td_levels q
 
-let rewrite_tdk ?pool ?guard ?max_steps ?on_step ?checkpoint kk q =
+let rewrite_tdk ?guard ?max_steps ?on_step ?checkpoint kk q =
   if kk < 2 then invalid_arg "Process.rewrite_tdk: K must be at least 2";
   let levels =
     Array.init kk (fun i -> Symbol.make (Printf.sprintf "I%d" (i + 1)) ~arity:2)
   in
-  run ?pool ?guard ?max_steps ?on_step ?checkpoint ~levels q
+  run ?guard ?max_steps ?on_step ?checkpoint ~levels q
 
 let boolean_always_true () = ()
 

@@ -42,7 +42,6 @@ type result = {
 }
 
 val run :
-  ?pool:Parallel.Pool.t ->
   ?guard:Guard.t ->
   ?max_steps:int -> ?record_ranks:bool ->
   ?on_step:
@@ -67,13 +66,9 @@ val run :
     matters here: the process commits one round per worklist pop) and at
     any non-complete finish — see {!resume}.
 
-    The process itself is a strict one-pop-per-round worklist, but the
-    per-result classification cost (isomorphism fingerprints and
-    canonical ids) is farmed out to [pool] when it has workers: keys are
-    computed in parallel, then consumed by a sequential store pass in
-    the original order, so the result is bit-identical at any pool size.
-    Defaults to a private sequential pool so independent runs do not
-    share busy-time accounting. *)
+    The process is a strict one-pop-per-round FIFO worklist and runs on
+    the calling domain: each step classifies its results against the
+    iso-dedup store in order. It takes no pool. *)
 
 val rewrite_td :
   ?pool:Parallel.Pool.t ->
@@ -86,10 +81,11 @@ val rewrite_td :
      unit) ->
   ?checkpoint:Checkpoint.sink ->
   Cq.t -> result
-(** The process for [T_d] itself: levels [G; R]. *)
+(** The process for [T_d] itself: levels [G; R]. [pool] is ignored: the
+    process is sequential (see {!run}). The parameter stays only so that
+    existing callers compile. *)
 
 val rewrite_tdk :
-  ?pool:Parallel.Pool.t ->
   ?guard:Guard.t ->
   ?max_steps:int ->
   ?on_step:
@@ -106,7 +102,6 @@ val checkpoint_kind : string
     ["marked"]. *)
 
 val resume :
-  ?pool:Parallel.Pool.t ->
   ?guard:Guard.t ->
   ?max_steps:int ->
   ?checkpoint:Checkpoint.sink ->

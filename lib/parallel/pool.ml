@@ -53,12 +53,6 @@ type job = {
   n : int;
   shards : shard array;
   cancelled : unit -> bool;  (* workers stop claiming once true *)
-  early_stop : unit -> bool;
-      (* the job's answer is already decided (e.g. [exists] found a
-         witness); remaining claims become no-ops via [skip] *)
-  skip : (int -> unit) option;
-      (* fill index [i]'s slot without running the task; present iff the
-         caller opted into early-stop semantics *)
   mutable completed : int;  (* tasks finished; protected by the pool mutex *)
   mutable orphans : int list;
       (* indices claimed and then abandoned by a dying worker, awaiting
@@ -140,18 +134,12 @@ let drain pool job worker =
     else
       match find 0 with
       | None -> (done_count, None)
-      | Some i ->
-          if job.early_stop () && job.skip <> None then begin
-            (Option.get job.skip) i;
-            loop (done_count + 1)
-          end
-          else begin
-            match Guard.Faults.claim_fate ~worker with
-            | `Die -> (done_count, Some i)
-            | (`Run | `Raise _) as fate ->
-                job.run i ~fate;
-                loop (done_count + 1)
-          end
+      | Some i -> (
+          match Guard.Faults.claim_fate ~worker with
+          | `Die -> (done_count, Some i)
+          | (`Run | `Raise _) as fate ->
+              job.run i ~fate;
+              loop (done_count + 1))
   in
   let did, orphan = loop 0 in
   let dt = now () -. t0 in
@@ -276,12 +264,11 @@ let exec_into (type a b) (f : a -> b) (tasks : a array)
 
 (* Fanning a batch out costs a fixed dispatch overhead (posting the job,
    waking the workers, the completion handshake) regardless of how much
-   work the batch holds. The saturation clients routinely dispatch
-   batches worth a few microseconds — per-step reclassification lists,
-   per-insertion subsumption rounds — where that overhead dominates by
-   orders of magnitude: the pre-gate scheduler ran the E2/E3 marked
-   processes at 0.14x/0.02x of sequential under -j4 on one core. The
-   gate routes such batches inline and reserves fan-out for batches
+   work the batch holds. A chase sweep can be worth a few microseconds
+   (an early stage, a small instance), where that overhead dominates by
+   orders of magnitude: before the gate, fine-grained fan-outs ran at
+   0.02x-0.14x of sequential under -j4 on one core. The gate routes
+   such batches inline and reserves fan-out for batches
    whose measured (or caller-estimated) work clears a multiple of the
    pool's own dispatch overhead:
 
@@ -297,8 +284,8 @@ let exec_into (type a b) (f : a -> b) (tasks : a array)
    already requires cross-[-j] determinism, and inline execution is the
    size-1 code path those contracts are stated against. The scheduler
    tests reach the steal/death paths on one core through
-   [Internal.map_array_fanout] / [Internal.exists_fanout], which bypass
-   the gate for their own batch only. *)
+   [Internal.map_array_fanout], which bypasses the gate for its own batch
+   only. *)
 
 (* Threshold, as a multiple of the measured dispatch overhead: a batch
    has to be worth several dispatches before the pool pays for one. *)
@@ -317,21 +304,14 @@ let gate_counters () =
 
 let dispatch_overhead_s pool = pool.dispatch_overhead_s
 
-(* How many tasks can actually run at once. Saturation clients size
-   their round batches off this (a 4-domain pool on a 1-core box should
-   drain one item per round, like -j1, not whole frontiers). *)
-let effective_size pool = pool.eff
-
 (* The degraded-mode core: run every task, rescue orphans inline, retry
    failed slots once (transient/injected failures recover; deterministic
    ones stay [Error]). Always returns a fully populated slot per index.
-   [stop]/[skip] implement cooperative early exit ([exists]): once [stop]
-   flips true, workers stop claiming and every remaining claim is
-   resolved through [skip] without touching the task. [est_s] is the
+   [est_s] is the
    caller's estimate of the whole batch's sequential cost, consumed by
    the cost gate; [force_fanout] bypasses the gate (the creation-time
    overhead measurement must go through the real dispatch path). *)
-let run_all (type a b) ?guard ?stop ?skip ?est_s ?(force_fanout = false)
+let run_all (type a b) ?guard ?est_s ?(force_fanout = false)
     pool (f : a -> b) (tasks : a array) :
     (b, exn * Printexc.raw_backtrace) result array =
   let n = Array.length tasks in
@@ -339,19 +319,13 @@ let run_all (type a b) ?guard ?stop ?skip ?est_s ?(force_fanout = false)
     Array.make n None
   in
   let exec = exec_into f tasks slots in
-  let early_stop = match stop with Some s -> s | None -> fun () -> false in
-  let skip_into =
-    Option.map (fun sk i -> slots.(i) <- Some (Ok (sk ()))) skip
-  in
   (* Inline execution of one index: the coordinator is the only worker,
      so injected worker death degrades to a no-op and cancellation is
      handled inside the (guard-aware) task bodies. *)
   let run_one i =
-    if early_stop () && skip_into <> None then (Option.get skip_into) i
-    else
-      match Guard.Faults.claim_fate ~worker:0 with
-      | (`Run | `Raise _) as fate -> exec i ~fate
-      | `Die -> exec i ~fate:`Run (* the coordinator never dies *)
+    match Guard.Faults.claim_fate ~worker:0 with
+    | (`Run | `Raise _) as fate -> exec i ~fate
+    | `Die -> exec i ~fate:`Run (* the coordinator never dies *)
   in
   let run_inline lo =
     let t0 = now () in
@@ -368,20 +342,16 @@ let run_all (type a b) ?guard ?stop ?skip ?est_s ?(force_fanout = false)
      and steal machinery is untouched. *)
   let fan_out lo =
     ensure_workers pool;
-    let guard_cancelled =
-      match guard with
-      | Some g -> fun () -> Guard.cancelled g
-      | None -> fun () -> false
-    in
     let m = n - lo in
     let job =
       {
         run = (fun i ~fate -> exec (lo + i) ~fate);
         n = m;
         shards = make_shards ~n:m ~size:pool.size;
-        cancelled = (fun () -> guard_cancelled () || early_stop ());
-        early_stop;
-        skip = Option.map (fun si i -> si (lo + i)) skip_into;
+        cancelled =
+          (match guard with
+          | Some g -> fun () -> Guard.cancelled g
+          | None -> fun () -> false);
         completed = 0;
         orphans = [];
       }
@@ -475,7 +445,7 @@ let run_all (type a b) ?guard ?stop ?skip ?est_s ?(force_fanout = false)
       match slot with
       | Some (Error _) -> exec i ~fate:`Run
       | Some (Ok _) -> ()
-      | None -> assert false (* every index was run, skipped, or rescued *))
+      | None -> assert false (* every index was run or rescued *))
     slots;
   Array.map (function Some r -> r | None -> assert false) slots
 
@@ -520,45 +490,6 @@ let values_or_raise slots =
 
 let map_array ?guard ?est_s pool f tasks =
   values_or_raise (map_array_result ?guard ?est_s pool f tasks)
-
-let map_list ?guard ?est_s pool f l =
-  Array.to_list (map_array ?guard ?est_s pool f (Array.of_list l))
-
-let exists_with ~force_fanout ?guard ?est_s pool pred tasks =
-  if
-    pool.size = 1
-    || Array.length tasks < 2
-    || (pool.eff <= 1 && not force_fanout)
-    (* On one core the sequential scan strictly dominates: same verdict,
-       true early exit, no dispatch. *)
-  then Array.exists pred tasks
-  else begin
-    let found = Atomic.make false in
-    let slots =
-      run_all ?guard ?est_s ~force_fanout pool
-        ~stop:(fun () -> Atomic.get found)
-        ~skip:(fun () -> ())
-        (fun x ->
-          if (not (Atomic.get found)) && pred x then Atomic.set found true)
-        tasks
-    in
-    ignore (values_or_raise slots : unit array);
-    Atomic.get found
-  end
-
-let exists ?guard ?est_s pool pred tasks =
-  exists_with ~force_fanout:false ?guard ?est_s pool pred tasks
-
-let filter_list ?guard ?est_s pool pred l =
-  if pool.size = 1 then List.filter pred l
-  else
-    let arr = Array.of_list l in
-    let keep = map_array ?guard ?est_s pool pred arr in
-    let out = ref [] in
-    for i = Array.length arr - 1 downto 0 do
-      if keep.(i) then out := arr.(i) :: !out
-    done;
-    !out
 
 let busy_times pool =
   Mutex.lock pool.mutex;
@@ -628,7 +559,4 @@ module Internal = struct
   let map_array_fanout ?guard pool f tasks =
     if Array.length tasks = 0 then [||]
     else values_or_raise (run_all ?guard ~force_fanout:true pool f tasks)
-
-  let exists_fanout ?guard pool pred tasks =
-    exists_with ~force_fanout:true ?guard pool pred tasks
 end

@@ -10,10 +10,15 @@
     scheduling race — including the shard of a worker that died mid-job,
     which the survivors steal like any other. Results are written into
     per-index slots, so the merged output is in task order regardless of
-    which domain ran what. This is what makes the parallel chase and
-    rewriting saturation deterministic: callers fix a task order, and the
-    pool guarantees the merged result is as if the tasks ran sequentially
-    in that order (provided tasks are independent).
+    which domain ran what. This is what makes the parallel chase
+    deterministic: callers fix a task order, and the pool guarantees the
+    merged result is as if the tasks ran sequentially in that order
+    (provided tasks are independent).
+
+    The pool's library clients are the chase sweeps ([Chase.Engine] and
+    [Chase.Variants], and the probes built on them). The UCQ rewriting
+    and the marked process are sequential worklists and take no pool:
+    their fan-outs never beat [-j1] on a measured workload.
 
     A pool of size 1 never spawns domains and runs everything inline in the
     caller, so [~pool:(Pool.create 1)] is observationally the sequential
@@ -38,9 +43,8 @@
 
 exception Task_errors of (int * exn * Printexc.raw_backtrace) list
 (** All task failures of one batch — [(task index, exception, backtrace)],
-    sorted by task index. Raised by {!map_array} (and its derivatives)
-    after the barrier, once every task has run and each failed one has
-    been retried inline. *)
+    sorted by task index. Raised by {!map_array} after the barrier, once
+    every task has run and each failed one has been retried inline. *)
 
 type t
 
@@ -92,23 +96,6 @@ val map_array_result :
 (** Degraded-mode variant of {!map_array}: never raises {!Task_errors};
     each persistent per-task failure stays in its slot as [Error]. *)
 
-val map_list :
-  ?guard:Guard.t -> ?est_s:float -> t -> ('a -> 'b) -> 'a list -> 'b list
-
-val exists :
-  ?guard:Guard.t -> ?est_s:float -> t -> ('a -> bool) -> 'a array -> bool
-(** Parallel existential check with a genuine early exit: once a witness
-    is found, workers stop claiming tasks and every remaining index is
-    resolved as a no-op without invoking the predicate. The boolean
-    result is deterministic (it does not depend on scheduling); the set
-    of predicate invocations is not, but is bounded by the tasks claimed
-    before the witness was published. At effective parallelism 1 this is
-    a plain sequential [Array.exists]. *)
-
-val filter_list :
-  ?guard:Guard.t -> ?est_s:float -> t -> ('a -> bool) -> 'a list -> 'a list
-(** Parallel filter preserving list order. *)
-
 (** {1 Cost-gated fan-out}
 
     Dispatching a job to the workers costs a fixed overhead — posting,
@@ -131,13 +118,6 @@ val dispatch_overhead_s : t -> float
     pools whose workers first spawned under an active fault-injection
     schedule (where the microbenchmark would shift the deterministic
     claim numbering) report a conservative default. *)
-
-val effective_size : t -> int
-(** [min size cores] — how many tasks can actually run at once.
-    Saturation clients that widen their round batches with the pool
-    should widen with this, not {!size}: a 4-domain pool on a 1-core box
-    gains nothing from coarser rounds and should keep the [-j1]
-    schedule. *)
 
 type gate_counters = {
   inline_batches : int;
@@ -196,9 +176,4 @@ module Internal : sig
       of two or more tasks on a pool of size > 1 goes to the workers,
       even on one core — the only way to reach the steal and dead-worker
       paths with deliberately tiny tasks. *)
-
-  val exists_fanout :
-    ?guard:Guard.t -> t -> ('a -> bool) -> 'a array -> bool
-  (** {!exists} with the cost gate and the one-core shortcut bypassed
-      for this batch, likewise. *)
 end

@@ -106,7 +106,7 @@ let arms_of ?pool ?guard { Minimize.theory; instance; query } plan =
   let rewriting =
     if Checkers.rewriter_compatible theory then
       let tuples, exact, _ =
-        Strategy.rewriting_arm ?pool ?guard ~budget:rewrite_budget theory
+        Strategy.rewriting_arm ?guard ~budget:rewrite_budget theory
           instance query
       in
       [ { arm = "rewriting"; answers = tuples; exact } ]

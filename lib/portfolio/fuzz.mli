@@ -6,7 +6,7 @@
     cycles through the {!Theories.Generators} emitters, the instance and
     query are drawn from the same per-sample state, and samples run
     sequentially — a campaign at seed [s] is replayable fact-for-fact at
-    any [-j] level (the pool only parallelizes inside the engines, whose
+    any [-j] level (the pool only parallelizes inside the chase, whose
     results are pool-size independent).
 
     Three arms run on every sample:

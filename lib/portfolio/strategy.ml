@@ -109,8 +109,8 @@ let chase_arm ?pool ?guard ?(max_depth = 40) ?(max_atoms = 200_000) t d q =
     complete && Chase.Engine.saturated run,
     Chase.Engine.kernel_stats run )
 
-let rewriting_arm ?pool ?guard ?budget t d q =
-  let r = Rewriting.Rewrite.rewrite ?pool ?guard ?budget t q in
+let rewriting_arm ?guard ?budget t d q =
+  let r = Rewriting.Rewrite.rewrite ?guard ?budget t q in
   let complete = r.Rewriting.Rewrite.outcome = Rewriting.Rewrite.Complete in
   if not complete then ([], false, r.Rewriting.Rewrite.kernel_stats)
   else if Cq.free q = [] then
@@ -198,7 +198,7 @@ let execute ?pool ?guard ?budget ?max_depth ?max_atoms plan t d q =
   in
   match plan.strategy with
   | Ucq_rewriting -> (
-      match rewriting_arm ?pool ?guard ?budget t d q with
+      match rewriting_arm ?guard ?budget t d q with
       | tuples, true, stats ->
           finish ~used:Ucq_rewriting ~fell_back:false (tuples, true, stats)
       | _, false, stats ->

@@ -82,7 +82,8 @@ val execute :
   answers
 (** Run the plan on one (instance, query) input. Defaults:
     [budget = Rewrite.default_budget], [max_depth = 40],
-    [max_atoms = 200_000] for the chase legs. *)
+    [max_atoms = 200_000] for the chase legs. [pool] serves the chase
+    legs only; the rewriting and marked-process legs are sequential. *)
 
 (** {1 Single-engine arms (exposed for the differential fuzzer)} *)
 
@@ -99,7 +100,6 @@ val chase_arm :
     saturated, kernel stats). *)
 
 val rewriting_arm :
-  ?pool:Parallel.Pool.t ->
   ?guard:Guard.t ->
   ?budget:Rewriting.Rewrite.budget ->
   Theory.t ->

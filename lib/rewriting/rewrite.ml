@@ -31,7 +31,7 @@ type result = {
 
 (* The saturation shares the containment-based minimization of
    Ucq.add_minimal, reimplemented here so the pairwise implication checks
-   can be counted and fanned out per existing disjunct. The decisions (and
+   can be counted and pruned by the subsumption index. The decisions (and
    the disjunct order of the result) are exactly those of Ucq.add_minimal —
    containment verdicts go through the process-wide memo cache
    ([Containment.implies_memo]), which never changes a verdict, only its
@@ -85,13 +85,13 @@ let finalize ~aux ~ucq ~outcome ~steps ~generated ~containment_checks
 
 let split_batch = Saturation.split_batch
 
-(* Resolve [implies q' d] over a candidate list in two phases: a
-   coordinator prepass answers every pair the containment memo (or a
-   trivial fast path) already decides — [`Subsumed] short-circuits
-   without waking the pool — and only the unresolved residue fans out.
-   On warm stores most pairs are memo-resolved, so a typical insertion
-   costs zero pool dispatches. *)
-let subsumed_by ~pool ~probe ~implies q' candidates =
+(* Resolve [implies q' d] over a candidate list in two phases: a prepass
+   answers every pair the containment memo (or a trivial fast path)
+   already decides — a memo [true] short-circuits — and only then does
+   the unresolved residue run containment searches, in candidate order,
+   stopping at the first subsumer. On warm stores most pairs are
+   memo-resolved. *)
+let subsumed_by ~probe ~implies q' candidates =
   let known = ref false in
   let unknown =
     List.filter
@@ -106,39 +106,23 @@ let subsumed_by ~pool ~probe ~implies q' candidates =
         | None -> true)
       candidates
   in
-  !known
-  || Parallel.Pool.exists pool
-       (fun d -> implies q' d)
-       (Array.of_list unknown)
+  !known || List.exists (fun d -> implies q' d) unknown
 
-(* The victim direction: per-candidate verdicts [implies d q'], memo
-   prepass first, pool only for the unresolved pairs (their verdicts are
-   scattered back into candidate order, so the result is exactly
-   [List.map (fun d -> implies d q') candidates]). *)
-let verdicts_against ~pool ~probe ~implies q' candidates =
-  let cands = Array.of_list candidates in
-  let pre = Array.map (fun d -> probe d q') cands in
-  let unresolved = ref [] in
-  Array.iteri
-    (fun i v -> if v = None then unresolved := i :: !unresolved)
-    pre;
-  let unresolved = Array.of_list (List.rev !unresolved) in
-  let computed =
-    Parallel.Pool.map_array pool
-      (fun i -> implies cands.(i) q')
-      unresolved
-  in
-  Array.iteri (fun k i -> pre.(i) <- Some computed.(k)) unresolved;
-  Array.to_list
-    (Array.map (function Some v -> v | None -> assert false) pre)
+(* The victim direction: per-candidate verdicts [implies d q'], the memo
+   prepass over every candidate first, then a containment search for
+   each unresolved pair in candidate order. The result is exactly
+   [List.map (fun d -> implies d q') candidates]. *)
+let verdicts_against ~probe ~implies q' candidates =
+  let pre = List.map (fun d -> probe d q') candidates in
+  List.map2
+    (fun d v -> match v with Some v -> v | None -> implies d q')
+    candidates pre
 
 (* The evolving minimal UCQ: a subsumption index ([Ucq_index]) whose
    fingerprints are probed before any containment search, plus the
-   canonical ids of the live disjuncts. The surviving containment checks
-   of an insertion fan out across the pool ([Ucq_index.subsumer_candidates]
-   probes in the same newest-first order as [Ucq_index.covered], so a
-   size-1 pool reproduces the sequential verdicts); all store mutation
-   happens on the coordinator.
+   canonical ids of the live disjuncts. [Ucq_index.subsumer_candidates]
+   probes in the same newest-first order as [Ucq_index.covered], so the
+   verdicts are those of [Ucq.add_minimal].
 
    The live-id table makes the worklist's "was this disjunct subsumed
    since it was enqueued?" probe one hash lookup instead of an
@@ -155,13 +139,13 @@ let add_live store d =
   Ucq_index.add store.idx d;
   Hashtbl.replace store.live (Cq.canon_id d) ()
 
-let insert ~pool ~probe ~implies store q' =
+let insert ~probe ~implies store q' =
   let subsumers = Ucq_index.subsumer_candidates store.idx q' in
-  if subsumed_by ~pool ~probe ~implies q' subsumers then `Subsumed
+  if subsumed_by ~probe ~implies q' subsumers then `Subsumed
   else begin
     let victims = Ucq_index.victim_candidates store.idx q' in
     let verdicts =
-      verdicts_against ~pool ~probe ~implies q' (List.map snd victims)
+      verdicts_against ~probe ~implies q' (List.map snd victims)
     in
     List.iter2
       (fun (slot, d) dropped ->
@@ -227,48 +211,39 @@ type restart = {
   round0 : int;
 }
 
-(* The one saturation, sequential and batch-synchronous at once: a
-   kernel round expands a batch of live frontier disjuncts (one worklist
-   pop at a size-1 pool — the reference semantics; the whole live
-   frontier at -j N — every ordering that influences the result is fixed
-   before work is distributed), then folds the candidates into the
-   containment-minimal store in a fixed frontier order on the
-   coordinator. The produced UCQ does not depend on the domain count; a
-   parallel run may differ *syntactically* from the sequential result (a
-   subsumed frontier entry is still expanded if it died within its own
-   batch), but on completion both are equivalent UCQs — the property the
-   differential test suite checks. *)
-let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
-    ?(budget = default_budget) ?checkpoint:checkpoint_sink ~restart theory q
-    =
+(* The one saturation: a FIFO worklist that pops one live disjunct per
+   kernel round, expands it by one-step piece rewritings, and folds the
+   candidates into the containment-minimal store in order. [rew(q)] is
+   the fixpoint (Theorem 1), and this schedule is the only one: the
+   result and its disjunct order are fixed by the input. *)
+let rewrite_from ?guard ?(budget = default_budget) ?checkpoint:checkpoint_sink
+    ~restart theory q =
   let guard = match guard with Some g -> g | None -> Guard.unlimited () in
-  let jobs = Parallel.Pool.size pool in
   let compiled, aux = Single_head.compile theory in
   let memo0 = Containment.memo_stats () in
   let ix0 = Ucq_index.stats () in
   let solver0 = Containment.solver_stats () in
-  let checks = Atomic.make 0 in
+  let checks = ref 0 in
   let implies a b =
     (* Poll inside the quadratic part so deadline/memory trips are
        observed between containment searches, not only at round
-       boundaries (workers poll too — Guard is domain-safe); the
-       saturation reacts at the kernel's next checkpoint. *)
-    if Atomic.fetch_and_add checks 1 land Guard.poll_mask = 0 then
-      ignore (Guard.check guard);
+       boundaries; the saturation reacts at the kernel's next
+       checkpoint. *)
+    if !checks land Guard.poll_mask = 0 then ignore (Guard.check guard);
+    incr checks;
     Containment.implies_memo a b
   in
-  (* The coordinator's memo prepass: a probe that answers counts as a
-     containment check (it replaced one), so the reported check totals
-     stay comparable with the pre-batching engine. *)
+  (* The memo prepass: a probe that answers counts as a containment
+     check (it replaced one). *)
   let probe a b =
     match Containment.memo_probe a b with
     | Some _ as v ->
-        ignore (Atomic.fetch_and_add checks 1);
+        incr checks;
         v
     | None -> None
   in
   let store = { idx = Ucq_index.create (); live = Hashtbl.create 256 } in
-  let insert = insert ~pool ~probe ~implies store in
+  let insert = insert ~probe ~implies store in
   let q0 = Containment.core_of_query q in
   let seen_core_size, remember = make_dedup () in
   let remember_core d = remember d ~core_size:(Cq.size d) in
@@ -289,16 +264,11 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
         (frontier0, round0)
   in
   let outcome = ref Complete in
-  (* Per-disjunct expansion cost from the previous round, feeding the
-     dispatch gate's [?est_s] hint: rewriting rounds expand queries of
-     slowly-drifting size, so the running per-item average is a solid
-     predictor (0. = no history yet, the gate probes). *)
-  let expand_item_s = ref 0. in
   let exception Budget_hit in
-  let step (ctx : Saturation.ctx) batch =
-    (* Disjuncts subsumed since they were enqueued need not expand. *)
-    let live = List.filter (is_live store) (Array.to_list batch) in
-    if live = [] then
+  let step (_ : Saturation.ctx) batch =
+    let current = match batch with [| q' |] -> q' | _ -> assert false in
+    (* A disjunct subsumed since it was enqueued need not expand. *)
+    if not (is_live store current) then
       {
         Saturation.next = [];
         tally = Saturation.Stats.zero;
@@ -306,10 +276,10 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
         commit = true;
       }
     else
-      (* One fuel unit per expanded disjunct, drawn before the fan-out;
-         a trip discards nothing — the store already holds only sound
-         rewritings — it just stops the saturation here. *)
-      match Guard.spend guard (List.length live) with
+      (* One fuel unit per expanded disjunct; a trip discards nothing —
+         the store already holds only sound rewritings — it just stops
+         the saturation here. *)
+      match Guard.spend guard 1 with
       | Some cause ->
           outcome := Guard_exhausted cause;
           {
@@ -319,39 +289,25 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
             commit = false;
           }
       | None -> (
-          let n_live = List.length live in
-          let t_expand = Unix.gettimeofday () in
-          let est = !expand_item_s *. float_of_int n_live in
-          let expansions =
-            Parallel.Pool.map_list ~guard
-              ?est_s:(if est > 0. then Some est else None)
-              ctx.Saturation.pool
-              (fun q' -> Piece_unifier.one_step_theory q' compiled)
-              live
-          in
-          expand_item_s :=
-            (Unix.gettimeofday () -. t_expand) /. float_of_int n_live;
-          let expanded = n_live in
-          steps := !steps + expanded;
+          let candidates = Piece_unifier.one_step_theory current compiled in
+          incr steps;
           match Guard.status guard with
           | Some cause ->
-              (* The fan-out observed a trip: keep the store (all its
-                 disjuncts are sound) but skip the merge. The batch goes
-                 back on the frontier — its expansions are discarded, so
-                 a resumed run must re-expand these disjuncts. *)
+              (* A trip landed during the expansion (a cancellation):
+                 keep the store (all its disjuncts are sound) but skip
+                 the merge. The disjunct goes back on the frontier — its
+                 expansion is discarded, so a resumed run must re-expand
+                 it. *)
               outcome := Guard_exhausted cause;
               {
-                Saturation.next = live;
-                tally = Saturation.Stats.tally ~expanded ();
+                Saturation.next = [ current ];
+                tally = Saturation.Stats.tally ~expanded:1 ();
                 stop = true;
                 commit = true;
               }
           | None ->
-              (* The merge runs on the coordinator (so the dedup's plain
-                 hash table is safe), folding candidates in the fixed
-                 frontier order. Coring happens here as well, and only
-                 for candidates the dedup has not seen; it adds no
-                 fan-out. *)
+              (* Fold the candidates in order. Coring happens here, and
+                 only for candidates the dedup has not seen. *)
               let added = ref [] in
               let generated = ref 0 in
               let admitted = ref 0 in
@@ -369,45 +325,45 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
               in
               (try
                  List.iter
-                   (List.iter (fun raw ->
-                        incr generated;
-                        match seen_core_size raw with
-                        | Some core_size ->
-                            within_size core_size;
-                            drop ()
-                        | None -> (
-                            let q' = Containment.core_of_query raw in
-                            let core_size = Cq.size q' in
-                            remember raw ~core_size;
-                            within_size core_size;
-                            (* A candidate that is already its own core
-                               has the raw id, just remembered: checking
-                               it again would drop it against itself. *)
-                            if
-                              Cq.canon_id q' <> Cq.canon_id raw
-                              && seen_core_size q' <> None
-                            then drop ()
-                            else begin
-                              remember_core q';
-                              match insert q' with
-                              | `Added ->
-                                  incr admitted;
-                                  added := q' :: !added;
-                                  if
-                                    Ucq_index.cardinal store.idx
-                                    > budget.max_disjuncts
-                                  then begin
-                                    outcome := Disjunct_budget;
-                                    raise Budget_hit
-                                  end
-                              | `Subsumed -> incr deduped
-                            end)))
-                   expansions
+                   (fun raw ->
+                     incr generated;
+                     match seen_core_size raw with
+                     | Some core_size ->
+                         within_size core_size;
+                         drop ()
+                     | None -> (
+                         let q' = Containment.core_of_query raw in
+                         let core_size = Cq.size q' in
+                         remember raw ~core_size;
+                         within_size core_size;
+                         (* A candidate that is already its own core has
+                            the raw id, just remembered: checking it
+                            again would drop it against itself. *)
+                         if
+                           Cq.canon_id q' <> Cq.canon_id raw
+                           && seen_core_size q' <> None
+                         then drop ()
+                         else begin
+                           remember_core q';
+                           match insert q' with
+                           | `Added ->
+                               incr admitted;
+                               added := q' :: !added;
+                               if
+                                 Ucq_index.cardinal store.idx
+                                 > budget.max_disjuncts
+                               then begin
+                                 outcome := Disjunct_budget;
+                                 raise Budget_hit
+                               end
+                           | `Subsumed -> incr deduped
+                         end))
+                   candidates
                with Budget_hit -> stop := true);
               {
                 Saturation.next = List.rev !added;
                 tally =
-                  Saturation.Stats.tally ~expanded ~generated:!generated
+                  Saturation.Stats.tally ~expanded:1 ~generated:!generated
                     ~admitted:!admitted ~deduped:!deduped ();
                 stop = !stop;
                 commit = true;
@@ -429,21 +385,10 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
       checkpoint_sink
   in
   let verdict, kernel_stats =
-    Saturation.run ~pool ~guard
+    Saturation.run ~guard
       ~drain:
-        (Saturation.At_most
-           (fun () ->
-             (* The remaining step budget bounds the batch; at effective
-                parallelism 1 (a size-1 pool, or any pool whose workers
-                the machine cannot actually run in parallel) expand one
-                disjunct per round — exactly the sequential worklist-pop
-                semantics, avoiding the coarser batch-synchronous
-                schedule's extra containment work when it cannot pay. *)
-             let r = budget.max_steps - !steps in
-             if jobs = 1 || Parallel.Pool.effective_size pool <= 1 then
-               min 1 r
-             else r))
-      ~record_rounds:(jobs > 1) ~base_round ?checkpoint ~init ~step ()
+        (Saturation.At_most (fun () -> min 1 (budget.max_steps - !steps)))
+      ~record_rounds:false ~base_round ?checkpoint ~init ~step ()
   in
   let outcome =
     match verdict with
@@ -457,11 +402,11 @@ let rewrite_from ?(pool = Parallel.Pool.sequential) ?guard
     ~ucq:(Ucq.of_disjuncts_unchecked (Ucq_index.disjuncts store.idx))
     ~outcome ~steps:!steps
     ~generated:kernel_stats.Saturation.Stats.totals.Saturation.Stats.generated
-    ~containment_checks:(Atomic.get checks)
-    ~dedup_hits:!dedup_hits ~kernel_stats ~memo0 ~ix0 ~solver0
+    ~containment_checks:!checks ~dedup_hits:!dedup_hits ~kernel_stats ~memo0
+    ~ix0 ~solver0
 
-let rewrite ?pool ?guard ?budget ?checkpoint theory q =
-  rewrite_from ?pool ?guard ?budget ?checkpoint ~restart:None theory q
+let rewrite ?pool:_ ?guard ?budget ?checkpoint theory q =
+  rewrite_from ?guard ?budget ?checkpoint ~restart:None theory q
 
 let decode_snapshot snap =
   let module S = Checkpoint.Snapshot in
@@ -495,14 +440,14 @@ let decode_snapshot snap =
     { store0; frontier0; steps0; round0 = snap.S.round },
     snap_budget )
 
-let resume ?pool ?guard ?budget ?checkpoint snap =
+let resume ?guard ?budget ?checkpoint snap =
   let theory, q, restart, snap_budget = decode_snapshot snap in
   let budget =
     match budget with
     | Some b -> b
     | None -> Option.value ~default:default_budget snap_budget
   in
-  rewrite_from ?pool ?guard ~budget ?checkpoint ~restart:(Some restart)
+  rewrite_from ?guard ~budget ?checkpoint ~restart:(Some restart)
     theory q
 
 let outcome_of_result r ~(guard : Guard.t) =
@@ -514,8 +459,8 @@ let outcome_of_result r ~(guard : Guard.t) =
       Guard.Exhausted
         { partial = r; cause = Guard.Fuel; progress = Guard.progress guard }
 
-let rs ?pool ?budget theory q =
-  let r = rewrite ?pool ?budget theory q in
+let rs ?budget theory q =
+  let r = rewrite ?budget theory q in
   match r.outcome with
   | Complete -> Some (Ucq.max_disjunct_size r.ucq)
   | Disjunct_budget | Size_budget | Step_budget | Guard_exhausted _ -> None

@@ -61,9 +61,8 @@ type result = {
   kernel_stats : Saturation.Stats.t;
       (** the saturation kernel's counters for the run ([expanded] =
           frontier disjuncts expanded, i.e. [steps]; [admitted] =
-          disjuncts that entered the store); per-round entries are
-          recorded only for pools of size > 1, where rounds are
-          batch-synchronous sweeps *)
+          disjuncts that entered the store); per-round entries are not
+          recorded — each round pops one disjunct *)
 }
 
 val rewrite :
@@ -76,16 +75,14 @@ val rewrite :
     Rules with empty bodies or domain variables are skipped by the piece
     rewriter — for [T_d]-style theories use the marked-query engine.
 
-    The saturation is one {!Saturation.run} instance whose batch size is
-    set by the pool: a size-1 pool expands one live disjunct per kernel
-    round (the sequential worklist-pop reference semantics), a pool of
-    size > 1 expands the whole live frontier batch-synchronously, with
-    the piece-unifier expansions and the per-candidate containment checks
-    fanned out across the pool and candidates merged in a fixed frontier
-    order. The result is independent of the domain count and
-    {!Ucq.equivalent} to the sequential rewriting (on [Complete] both
-    are the unique minimal rewriting up to equivalence), though disjunct
-    order and budget-tripping points may differ.
+    The saturation is one {!Saturation.run} instance with a FIFO
+    worklist: each kernel round pops one live disjunct, expands it, and
+    folds its candidates into the minimal store in order, on the calling
+    domain. There is one schedule, so the UCQ (its disjuncts and their
+    order), [steps] and [generated] are functions of the input alone;
+    the containment and cache counters also depend on what the
+    process-wide containment memo already holds. [pool] is ignored; the
+    parameter stays only so that existing callers compile.
 
     The guard is checkpointed at every kernel round boundary and charged
     one fuel unit per expanded live disjunct, and polled every
@@ -102,7 +99,6 @@ val checkpoint_kind : string
     ["rewrite"]. *)
 
 val resume :
-  ?pool:Parallel.Pool.t ->
   ?guard:Guard.t -> ?budget:budget ->
   ?checkpoint:Checkpoint.sink ->
   Checkpoint.Snapshot.t -> result
@@ -126,7 +122,7 @@ val outcome_of_result : result -> guard:Guard.t -> (result, result) Guard.outcom
     trip cause (the three [_budget] outcomes map to {!Guard.Fuel}), and
     the guard's progress counters. *)
 
-val rs : ?pool:Parallel.Pool.t -> ?budget:budget -> Theory.t -> Cq.t -> int option
+val rs : ?budget:budget -> Theory.t -> Cq.t -> int option
 (** [rs_T(q)] of Section 7: the maximal disjunct size of the full rewriting;
     [None] when the rewriting did not complete within budget. *)
 

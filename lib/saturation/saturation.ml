@@ -193,25 +193,6 @@ let run ?pool ?guard ?(drain = All) ?(max_rounds = max_int)
         per_round = Array.of_list (List.rev !per_round);
       } )
   in
-  (* Sequential fallback for budgeted drains: an [At_most] round whose
-     batch cannot even hand one item to each worker (the tail of a
-     rewriting saturation, a nearly-drained process queue) runs against
-     a private size-1 pool, so the step's own [Pool] calls take the
-     inline path outright instead of each re-deciding at the dispatch
-     gate. [All] drains are exempt: the chase's round batch is its
-     *stage*, frequently a single item whose step fans out the real
-     per-(rule, part) work inside — forcing it sequential would serialize
-     the one dispatch that matters. Scheduling only; results, tallies,
-     and round boundaries are unchanged. *)
-  let seq_pool = lazy (Parallel.Pool.create 1) in
-  let round_pool batch =
-    match drain with
-    | All -> pool
-    | At_most _ ->
-        if Array.length batch < Parallel.Pool.size pool then
-          Lazy.force seq_pool
-        else pool
-  in
   let rec loop () =
     if queue_length q = 0 then finish Saturated
     else if base_round + !rounds >= max_rounds then finish Stopped
@@ -228,12 +209,9 @@ let run ?pool ?guard ?(drain = All) ?(max_rounds = max_int)
             finish Stopped
           else
             let batch = queue_take q want in
-            let rpool = round_pool batch in
-            let ctx =
-              { pool = rpool; guard; round = base_round + !rounds + 1 }
-            in
+            let ctx = { pool; guard; round = base_round + !rounds + 1 } in
             let busy0 =
-              if record_rounds then Parallel.Pool.busy_times rpool else [||]
+              if record_rounds then Parallel.Pool.busy_times pool else [||]
             in
             let t0 = if record_rounds then Unix.gettimeofday () else 0. in
             let res = step ctx batch in
@@ -252,7 +230,7 @@ let run ?pool ?guard ?(drain = All) ?(max_rounds = max_int)
               incr rounds;
               totals := Stats.add !totals res.tally;
               if record_rounds then begin
-                let busy1 = Parallel.Pool.busy_times rpool in
+                let busy1 = Parallel.Pool.busy_times pool in
                 per_round :=
                   {
                     Stats.index = base_round + !rounds;

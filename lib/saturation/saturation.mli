@@ -33,7 +33,7 @@
     frontier by the test suite). *)
 
 (** Per-round and whole-run counters, uniform across every saturation
-    this repository runs (chase sweeps, rewriting batches, marked-process
+    this repository runs (chase sweeps, rewriting pops, marked-process
     steps): what the [--stats] flags and the bench harness print. *)
 module Stats : sig
   type tally = {
@@ -166,15 +166,10 @@ val run :
     The step receives its batch as an array — a contiguous slice of the
     frontier in FIFO order; it must not mutate it.
 
-    Sequential fallback: under an [At_most] drain, a round whose batch
-    holds fewer items than the pool has workers runs with a private
-    size-1 pool in [ctx.pool] — every [Pool] call inside the step takes
-    the inline path without consulting the dispatch cost gate. [All]
-    drains always see the supplied pool (a chase stage is often a
-    single item whose step fans out the real work internally). The
-    fallback changes scheduling only, never results or round
-    boundaries; [Stats.round.domain_busy_s] reflects the pool the round
-    actually ran on.
+    Every round sees the supplied pool in [ctx.pool]. Only the chase
+    sweeps fan their steps out through it; the [At_most] clients (the
+    UCQ rewriting, the marked process, the termination probe) run their
+    steps sequentially and pass no pool.
 
     Round protocol, in order: (1) empty frontier — [Saturated]; (2)
     [max_rounds] committed rounds reached — [Stopped]; (3) guard

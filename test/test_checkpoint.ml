@@ -4,8 +4,8 @@
    ENOSPC, corrupt read), codec round-trips for the hash-consed logic
    types, the supervisor's retry/resume/degrade behaviour, and —
    the acceptance contract — resume differentials against uninterrupted
-   references: bit-identical chase stages and UCQ-equivalent rewritings
-   from every snapshot round, at pool sizes 1 and 4.
+   references: bit-identical chase stages (at pool sizes 1 and 4) and
+   UCQ-equivalent rewritings from every snapshot round.
 
    Real SIGKILL trials live in tools/crash_harness.ml (make
    check-resume); these tests cover the same resume paths in-process,
@@ -494,8 +494,8 @@ let rw_snaps =
           (Lazy.force rw_query));
      Checkpoint.Snapshot.list ~dir)
 
-let rw_resume_matches ?pool path =
-  let resumed = Rewriting.Rewrite.resume ?pool (read_exn path) in
+let rw_resume_matches path =
+  let resumed = Rewriting.Rewrite.resume (read_exn path) in
   let reference = Lazy.force rw_ref in
   (reference.Rewriting.Rewrite.outcome = Rewriting.Rewrite.Complete)
   = (resumed.Rewriting.Rewrite.outcome = Rewriting.Rewrite.Complete)
@@ -514,17 +514,16 @@ let test_rewrite_resume_every_round () =
         true (rw_resume_matches path))
     snaps
 
-(* QCheck differential: a random snapshot round, resumed sequentially or
-   on a 4-domain pool, is always UCQ-equivalent to the uninterrupted
-   reference. *)
+(* QCheck differential: a random snapshot round, resumed, is always
+   UCQ-equivalent to the uninterrupted reference. *)
 let prop_rewrite_resume_any_round =
   QCheck.Test.make ~count:10
-    ~name:"rewrite: resume from a random snapshot round (-j1/-j4)"
-    QCheck.(pair (int_bound 10_000) bool)
-    (fun (i, parallel) ->
+    ~name:"rewrite: resume from a random snapshot round"
+    QCheck.(int_bound 10_000)
+    (fun i ->
       let snaps = Lazy.force rw_snaps in
       let _, path = List.nth snaps (i mod List.length snaps) in
-      rw_resume_matches ?pool:(if parallel then Some pool4 else None) path)
+      rw_resume_matches path)
 
 (* Marked process: phi_R^3. The store snapshot carries the full
    iso-dedup seen-set, so resuming must neither re-admit processed
@@ -540,8 +539,8 @@ let marked_snaps =
        (Marked.Process.rewrite_td ~checkpoint:sink (Lazy.force marked_query));
      Checkpoint.Snapshot.list ~dir)
 
-let marked_resume_matches ?pool path =
-  let resumed = Marked.Process.resume ?pool (read_exn path) in
+let marked_resume_matches path =
+  let resumed = Marked.Process.resume (read_exn path) in
   let reference = Lazy.force marked_ref in
   reference.Marked.Process.complete = resumed.Marked.Process.complete
   && Ucq.equivalent reference.Marked.Process.rewriting
@@ -569,12 +568,6 @@ let test_marked_resume () =
         (Printf.sprintf "equivalent resuming from round %d" round)
         true (marked_resume_matches path))
     picks
-
-let test_marked_resume_pool4 () =
-  let _, path = List.hd (Lazy.force marked_snaps) in
-  Alcotest.(check bool)
-    "equivalent at -j4" true
-    (marked_resume_matches ~pool:pool4 path)
 
 let test_resume_wrong_kind_rejected () =
   let _, path = List.hd (Lazy.force chase_snaps) in
@@ -640,8 +633,6 @@ let () =
           QCheck_alcotest.to_alcotest prop_rewrite_resume_any_round;
           Alcotest.test_case "marked: store-preserving resume" `Quick
             test_marked_resume;
-          Alcotest.test_case "marked: -j4 resume" `Quick
-            test_marked_resume_pool4;
           Alcotest.test_case "wrong snapshot kind rejected" `Quick
             test_resume_wrong_kind_rejected;
         ] );

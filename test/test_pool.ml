@@ -1,8 +1,8 @@
 (* Unit tests for the sharded work-stealing pool: the pure scheduler
    internals (shard slicing, probe order), the steal paths (empty
-   victims, dead workers), the [exists] early exit, the busy-time
-   accounting under concurrent readers, and the [FRONTIER_JOBS]
-   plumbing. The cross-scheduling determinism properties live in
+   victims, dead workers), the busy-time accounting under concurrent
+   readers, the [FRONTIER_JOBS] plumbing, and the rewriting engines'
+   ignored [?pool]. The cross-scheduling determinism properties live in
    test_properties.ml; these tests pin the mechanisms. *)
 
 open Parallel
@@ -10,11 +10,10 @@ open Parallel
 (* These tests pin the fan-out mechanisms themselves (stealing, dead
    workers, busy accounting). The cost gate would route their
    deliberately tiny batches inline — always on a one-core box — so they
-   go through [Pool.Internal]'s forced fan-out entry points, which
-   bypass the gate for that one batch. *)
+   go through [Pool.Internal]'s forced fan-out entry point, which
+   bypasses the gate for that one batch. *)
 let pool4 = Pool.create 4
 let map_array = Pool.Internal.map_array_fanout
-let exists = Pool.Internal.exists_fanout
 
 (* Which domains ran a batch's tasks. [task f] records the running
    domain, and until a second domain has shown up (or [timeout_s] has
@@ -171,66 +170,6 @@ let test_dead_worker_rescue () =
       check_fanned_out "the fault-injected batch" domains)
 
 (* ------------------------------------------------------------------ *)
-(* [exists]: genuine early exit                                        *)
-(* ------------------------------------------------------------------ *)
-
-let test_exists_verdicts () =
-  let tasks = Array.init 100 (fun i -> i) in
-  Alcotest.(check bool)
-    "witness present" true
-    (exists pool4 (fun i -> i = 73) tasks);
-  Alcotest.(check bool)
-    "no witness" false
-    (exists pool4 (fun i -> i > 1000) tasks);
-  Alcotest.(check bool)
-    "empty array" false
-    (exists pool4 (fun _ -> true) [||])
-
-let test_exists_early_exit () =
-  (* Put a witness at the first index of every shard: whichever domain
-     gets scheduled first finds one on its very first claim, so no
-     domain ever invokes the predicate on a second task — the
-     invocation count is bounded by the pool size, not the task count. *)
-  let n = 10_000 in
-  let size = Pool.size pool4 in
-  let starts =
-    Array.to_list
-      (Array.map fst (Pool.Internal.shard_bounds ~n ~size))
-  in
-  let tasks = Array.init n (fun i -> i) in
-  let invocations = Atomic.make 0 in
-  let task, domains = spread () in
-  let found =
-    exists pool4
-      (task (fun i ->
-           Atomic.incr invocations;
-           List.mem i starts))
-      tasks
-  in
-  Alcotest.(check bool) "found" true found;
-  check_fanned_out "the early-exit batch" domains;
-  let inv = Atomic.get invocations in
-  if inv > size then
-    Alcotest.failf
-      "predicate ran %d times for %d tasks (want <= pool size %d)" inv n
-      size
-
-let test_exists_no_witness_runs_all () =
-  let n = 200 in
-  let invocations = Atomic.make 0 in
-  let task, domains = spread () in
-  let found =
-    exists pool4
-      (task (fun _ ->
-           Atomic.incr invocations;
-           false))
-      (Array.init n (fun i -> i))
-  in
-  Alcotest.(check bool) "not found" false found;
-  Alcotest.(check int) "every task checked" n (Atomic.get invocations);
-  check_fanned_out "the no-witness batch" domains
-
-(* ------------------------------------------------------------------ *)
 (* Busy accounting under a concurrent reader                           *)
 (* ------------------------------------------------------------------ *)
 
@@ -304,6 +243,77 @@ let test_jobs_from_env () =
       ("", 1);
     ]
 
+(* ------------------------------------------------------------------ *)
+(* The rewriting engines take no pool                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* [Rewrite.rewrite] and [Marked.Process.rewrite_td] keep an optional
+   [?pool] that they ignore: handing them a 4-domain pool must neither
+   reach the cost gate nor change the result. The containment memo is
+   emptied before each run so the memo-dependent counters compare too. *)
+let test_rewriting_engines_ignore_pool () =
+  let pool = Pool.create 4 in
+  let sorted_keys u =
+    List.sort compare (List.map Logic.Cq.iso_key (Logic.Ucq.disjuncts u))
+  in
+  let kernel (k : Saturation.Stats.t) =
+    (k.Saturation.Stats.rounds, k.Saturation.Stats.totals)
+  in
+  let without_gate what f =
+    let g0 = Pool.gate_counters () in
+    let r = f () in
+    let g1 = Pool.gate_counters () in
+    Alcotest.(check (pair int int))
+      (what ^ ": gate counters unchanged")
+      (g0.Pool.inline_batches, g0.Pool.fanout_batches)
+      (g1.Pool.inline_batches, g1.Pool.fanout_batches);
+    r
+  in
+  let module R = Rewriting.Rewrite in
+  List.iter
+    (fun n ->
+      let _, _, q = Theories.Zoo.e_path_query n in
+      let run ?pool () =
+        Logic.Containment.reset_memo ();
+        R.rewrite ?pool Theories.Zoo.t_loopcut q
+      in
+      let plain = run () in
+      let pooled =
+        without_gate (Printf.sprintf "rewrite E^%d" n) (fun () -> run ~pool ())
+      in
+      let stats r =
+        ( (r.R.outcome = R.Complete, r.R.steps, r.R.generated),
+          (r.R.containment_checks, r.R.cache_hits, r.R.cache_misses),
+          (r.R.index_pruned, r.R.component_splits),
+          kernel r.R.kernel_stats )
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "rewrite E^%d: same UCQ" n)
+        (sorted_keys plain.R.ucq) (sorted_keys pooled.R.ucq);
+      Alcotest.(check bool)
+        (Printf.sprintf "rewrite E^%d: same stats" n)
+        true
+        (stats plain = stats pooled))
+    [ 7; 8; 9; 10; 11 ];
+  let module P = Marked.Process in
+  let _, _, phi = Theories.Zoo.phi_r 3 in
+  let plain = P.rewrite_td phi in
+  let pooled =
+    without_gate "marked phi_R^3" (fun () -> P.rewrite_td ~pool phi)
+  in
+  let stats r =
+    ( (r.P.complete, r.P.stats),
+      (List.length r.P.aliased, List.length r.P.trivial),
+      kernel r.P.kernel_stats )
+  in
+  Alcotest.(check (list string))
+    "marked phi_R^3: same UCQ" (sorted_keys plain.P.rewriting)
+    (sorted_keys pooled.P.rewriting);
+  Alcotest.(check bool)
+    "marked phi_R^3: same stats" true
+    (stats plain = stats pooled);
+  Pool.shutdown pool
+
 let () =
   Alcotest.run "pool"
     [
@@ -323,14 +333,6 @@ let () =
           Alcotest.test_case "dead worker: orphan rescued, shard stolen"
             `Quick test_dead_worker_rescue;
         ] );
-      ( "exists",
-        [
-          Alcotest.test_case "verdicts" `Quick test_exists_verdicts;
-          Alcotest.test_case "early exit skips the tail" `Quick
-            test_exists_early_exit;
-          Alcotest.test_case "no witness checks everything" `Quick
-            test_exists_no_witness_runs_all;
-        ] );
       ( "accounting",
         [
           Alcotest.test_case "busy_times under a concurrent reader" `Quick
@@ -342,5 +344,10 @@ let () =
         [
           Alcotest.test_case "FRONTIER_JOBS parsing and warnings" `Quick
             test_jobs_from_env;
+        ] );
+      ( "clients",
+        [
+          Alcotest.test_case "rewriting engines ignore the pool" `Quick
+            test_rewriting_engines_ignore_pool;
         ] );
     ]

@@ -332,24 +332,6 @@ let rewrite_budget =
     max_steps = 150;
   }
 
-let prop_parallel_rewriting_equivalent =
-  QCheck.Test.make ~count
-    ~name:"rewriting at -j1 and -j3: UCQ-equivalent when both complete"
-    QCheck.(pair theory_arb query_arb)
-    (fun (trules, qatoms) ->
-      let theory = decode_theory trules in
-      let q = decode_query qatoms in
-      let seq = Rewriting.Rewrite.rewrite ~budget:rewrite_budget theory q in
-      let par =
-        Rewriting.Rewrite.rewrite ~pool:pool3 ~budget:rewrite_budget theory q
-      in
-      match
-        (seq.Rewriting.Rewrite.outcome, par.Rewriting.Rewrite.outcome)
-      with
-      | Rewriting.Rewrite.Complete, Rewriting.Rewrite.Complete ->
-          Ucq.equivalent seq.Rewriting.Rewrite.ucq par.Rewriting.Rewrite.ucq
-      | _ -> true)
-
 (* ------------------------------------------------------------------ *)
 (* The register machine and the chase against the naive references     *)
 (* ------------------------------------------------------------------ *)
@@ -425,7 +407,7 @@ let prop_zoo_chase_matches_naive =
    cores it before its size check, must stay within
    [max_atoms_per_disjunct] atoms, and the store within [max_disjuncts].
    Under these rules the reference expands the same disjuncts in the
-   same order as the kernel on a size-1 pool, so it returns [None] (a
+   same order as the kernel, so it returns [None] (a
    cap tripped) exactly when that run cannot complete — and the caps
    keep it from growing ever larger disjuncts whose containment checks
    stall. *)
@@ -466,35 +448,25 @@ let naive_rewrite ~(budget : Rewriting.Rewrite.budget) theory q =
   | exception Over_budget -> None
 
 let prop_kernel_rewriting_matches_naive_reference =
-  (* The kernel-based saturation (both the size-1 pool's one-pop rounds
-     and the -j4 batch-synchronous sweeps) must land on a UCQ equivalent
-     to the naive queue/add_minimal reference whenever both complete,
-     and the reference may run out of budget only where the sequential
-     kernel does too. The kernel runs first: when neither run completes
-     there is nothing to compare. *)
+  (* The kernel-based saturation must land on a UCQ equivalent to the
+     naive queue/add_minimal reference whenever it completes, and the
+     reference may run out of budget only where the kernel does too. The
+     kernel runs first: when it does not complete there is nothing to
+     compare. *)
   QCheck.Test.make ~count
-    ~name:"kernel rewriting = naive queue/add_minimal reference (j1, j4)"
+    ~name:"kernel rewriting = naive queue/add_minimal reference"
     QCheck.(pair theory_arb query_arb)
     (fun (trules, qatoms) ->
       let theory = decode_theory trules in
       let q = decode_query qatoms in
-      let runs =
-        List.map
-          (fun pool ->
-            let r =
-              Rewriting.Rewrite.rewrite ?pool ~budget:rewrite_budget theory q
-            in
-            match r.Rewriting.Rewrite.outcome with
-            | Rewriting.Rewrite.Complete -> Some r.Rewriting.Rewrite.ucq
-            | _ -> None)
-          [ None; Some pool4 ]
-      in
-      let complete = List.filter_map Fun.id runs in
-      complete = []
-      ||
-      match naive_rewrite ~budget:rewrite_budget theory q with
-      | None -> List.hd runs = None
-      | Some reference -> List.for_all (Ucq.equivalent reference) complete)
+      let r = Rewriting.Rewrite.rewrite ~budget:rewrite_budget theory q in
+      match r.Rewriting.Rewrite.outcome with
+      | Rewriting.Rewrite.Complete -> (
+          match naive_rewrite ~budget:rewrite_budget theory q with
+          | None -> false
+          | Some reference ->
+              Ucq.equivalent reference r.Rewriting.Rewrite.ucq)
+      | _ -> true)
 
 (* ------------------------------------------------------------------ *)
 (* The UCQ store and containment against the naive enumerator          *)
@@ -626,13 +598,9 @@ let prop_zoo_answering_agreement =
       let via_rewriting =
         Portfolio.Strategy.rewriting_arm Theories.Zoo.t_a d q
       in
-      let via_rewriting_par =
-        Portfolio.Strategy.rewriting_arm ~pool:pool2 Theories.Zoo.t_a d q
-      in
       let sort = List.sort (List.compare Term.compare) in
-      match (via_rewriting, via_rewriting_par) with
-      | (a, true, _), (b, true, _) ->
-          sort a = sort (via_chase : Term.t list list) && sort a = sort b
+      match via_rewriting with
+      | a, true, _ -> sort a = sort (via_chase : Term.t list list)
       | _ -> false)
 
 (* ------------------------------------------------------------------ *)
@@ -1030,17 +998,12 @@ let prop_containment_across_cutoff seed =
 (* ------------------------------------------------------------------ *)
 
 let prop_pool_primitives =
-  QCheck.Test.make ~count ~name:"pool map/filter/exists = List counterparts"
-    QCheck.(list int)
-    (fun l ->
+  QCheck.Test.make ~count ~name:"pool map_array = Array.map"
+    QCheck.(array int)
+    (fun a ->
       let f x = (x * 31) mod 1009 in
-      let pred x = x mod 3 = 0 in
       List.for_all
-        (fun pool ->
-          Parallel.Pool.map_list pool f l = List.map f l
-          && Parallel.Pool.filter_list pool pred l = List.filter pred l
-          && Parallel.Pool.exists pool pred (Array.of_list l)
-             = List.exists pred l)
+        (fun pool -> Parallel.Pool.map_array pool f a = Array.map f a)
         [ Parallel.Pool.sequential; pool2; pool4 ])
 
 (* ------------------------------------------------------------------ *)
@@ -1112,21 +1075,18 @@ let prop_faulty_rewriting_is_sound =
       let full = Rewriting.Rewrite.rewrite ~budget:rewrite_budget theory q in
       match full.Rewriting.Rewrite.outcome with
       | Rewriting.Rewrite.Complete ->
+          let partial =
+            with_faults (1 + seed) (fun () ->
+                let guard = Guard.create () in
+                Rewriting.Rewrite.rewrite ~guard ~budget:rewrite_budget
+                  theory q)
+          in
           List.for_all
-            (fun pool ->
-              let partial =
-                with_faults (1 + seed) (fun () ->
-                    let guard = Guard.create () in
-                    Rewriting.Rewrite.rewrite ~pool ~guard
-                      ~budget:rewrite_budget theory q)
-              in
-              List.for_all
-                (fun dq ->
-                  List.exists
-                    (fun d' -> Containment.implies dq d')
-                    (Ucq.disjuncts full.Rewriting.Rewrite.ucq))
-                (Ucq.disjuncts partial.Rewriting.Rewrite.ucq))
-            [ Parallel.Pool.sequential; pool3; pool4 ]
+            (fun dq ->
+              List.exists
+                (fun d' -> Containment.implies dq d')
+                (Ucq.disjuncts full.Rewriting.Rewrite.ucq))
+            (Ucq.disjuncts partial.Rewriting.Rewrite.ucq)
       | _ -> true)
 
 let prop_pool_absorbs_injected_faults =
@@ -1253,7 +1213,6 @@ let () =
             prop_zoo_chase_matches_naive;
             prop_parallel_chase_deterministic;
             prop_parallel_oblivious_deterministic;
-            prop_parallel_rewriting_equivalent;
             prop_kernel_rewriting_matches_naive_reference;
             prop_ucq_store_minimal;
             prop_implies_matches_naive;
