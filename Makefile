@@ -1,15 +1,6 @@
-.PHONY: all build test check check-faults check-portfolio check-shard check-resume bench bench-smoke examples doc clean fmt
-
-# Every generated bench snapshot — recorded smoke baselines and the
-# transient *-check.json the drift gates produce — lives here, out of
-# the repo root. The committed BENCH_*.json full-size runs stay at the
-# top level; they are reference data, not build products.
-SNAPSHOTS := bench/snapshots
+.PHONY: all build test check check-faults check-portfolio check-shard check-resume bench examples doc clean fmt
 
 all: build
-
-$(SNAPSHOTS):
-	mkdir -p $(SNAPSHOTS)
 
 build:
 	dune build @all
@@ -51,19 +42,10 @@ check-faults: build
 # pool-driven smoke of the default-pool plumbing at -j1, -j4 and
 # -j$(NPROC), and finally the shard experiment itself — explicit -j1 vs
 # -j4 pools over the chase, the pool's one client, which exits nonzero
-# if the stages differ. Correctness is enforced by that nonzero exit.
-# The drift step compares the snapshot with
-# bench/snapshots/bench-smoke-shard.json, which is gitignored: on a
-# checkout without one (every CI run), tools/bench_drift.py seeds it
-# from this run and exits 0, so the step compares only on a machine that
-# already ran `make bench-smoke` or an earlier check-shard, and even
-# there the smoke's chase row totals ~0.01 s, under the tool's 0.02 s
-# floor, so the step passes unconditionally. The committed
-# BENCH_shard.json is an older full-size run; the smoke check writes
-# bench-shard-check.json instead so it never clobbers it.
+# if the stages differ. Correctness is enforced by that nonzero exit;
+# timing regressions are the repository benchmark's job (benchmark/).
 NPROC := $(shell nproc 2>/dev/null || echo 2)
-SHARD_DRIFT_TOL ?= 0.25
-check-shard: build | $(SNAPSHOTS)
+check-shard: build
 	dune exec test/test_pool.exe
 	FRONTIER_QCHECK_COUNT=25 dune exec test/test_properties.exe
 	for j in 1 4 $(NPROC); do \
@@ -71,12 +53,7 @@ check-shard: build | $(SNAPSHOTS)
 	  FRONTIER_BENCH_SMOKE=1 \
 	    dune exec bench/main.exe -- par -j $$j || exit 1; \
 	done
-	FRONTIER_BENCH_SMOKE=1 \
-	  FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-shard-check.json \
-	  dune exec bench/main.exe -- shard
-	python3 tools/bench_drift.py $(SNAPSHOTS)/bench-smoke-shard.json \
-	  $(SNAPSHOTS)/bench-shard-check.json \
-	  --tolerance $(SHARD_DRIFT_TOL)
+	FRONTIER_BENCH_SMOKE=1 dune exec bench/main.exe -- shard
 
 # Portfolio gate (mirrored by the CI portfolio job): the checker /
 # selector / minimizer / repro unit suites, the zoo classification
@@ -108,14 +85,6 @@ check-resume: build
 
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt
-
-# The shard experiment on a reduced workload: records the JSON snapshot
-# (timings and the pass flag) that `make check-shard`'s drift step reads
-# as its baseline.
-bench-smoke: | $(SNAPSHOTS)
-	FRONTIER_BENCH_SMOKE=1 \
-		FRONTIER_BENCH_JSON=$(SNAPSHOTS)/bench-smoke-shard.json \
-		dune exec bench/main.exe -- shard
 
 examples:
 	dune exec examples/quickstart.exe

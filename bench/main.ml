@@ -692,8 +692,7 @@ let par () =
    1-core run is honest about oversubscription). The rewriting engines
    take no pool, so they have no row here.
 
-   FRONTIER_BENCH_SMOKE=1   shrink the workload (CI smoke sizing)
-   FRONTIER_BENCH_JSON=path also write the result as a JSON snapshot *)
+   FRONTIER_BENCH_SMOKE=1   shrink the workload (CI smoke sizing) *)
 
 let shard () =
   header "shard" "sharded work-stealing pool: -j1 vs -j4 on the chase"
@@ -754,33 +753,6 @@ let shard () =
     Fmt.(array ~sep:sp (fmt "%.3f"))
     (Parallel.Pool.busy_times pooln);
   row "  the chase meets its cross--j contract: %b@." identical;
-  (match Sys.getenv_opt "FRONTIER_BENCH_JSON" with
-  | None -> ()
-  | Some path ->
-      Checkpoint.Atomic_io.write_file path
-      @@ Printf.sprintf
-           {|{
-  "bench": "shard",
-  "note": "explicit -j1 vs -j%d pools over the chase; 'identical' covers stages and stage counters; speedup is hardware-bound (1.0x is expected on a 1-core box)",
-  "smoke": %b,
-  "reps": %d,
-  "cores": %d,
-  "workloads": [
-    {
-      "workload": %S,
-      "j1_s": %.6f,
-      "j%d_s": %.6f,
-      "speedup": %.3f,
-      "criterion": "identical",
-      "passed": %b
-    }
-  ]
-}
-|}
-           jobs smoke reps
-           (Domain.recommended_domain_count ())
-           name t1 jobs tn (t1 /. tn) identical;
-      row "  json snapshot written to %s@." path);
   Parallel.Pool.shutdown pool1;
   Parallel.Pool.shutdown pooln;
   (* check-shard gates on this experiment: a cross-scheduling mismatch

@@ -132,8 +132,8 @@ let parse_query s = Frontier.Parse.query (read_source s)
    (chase, rewrite, answer): the process-wide tallies are sampled before
    the run and printed as deltas, plus the arena's absolute size (the
    store is append-only and process-wide, so a delta would undersell
-   it). bench tables and tools/bench_drift.py rely on the lines being
-   identical across paths — add new telemetry here, not in a command. *)
+   it). bench tables rely on the lines being identical across paths —
+   add new telemetry here, not in a command. *)
 let engine_stats_before () =
   ( Frontier.Homomorphism.counters (),
     Frontier.Fact_set.counters (),
@@ -253,12 +253,11 @@ let print_rewrite_result ~stats es0 (r : Frontier.Rewrite.result) =
   Fmt.pr "%a@." Frontier.Ucq.pp r.Frontier.Rewrite.ucq;
   Fmt.pr
     "disjuncts: %d, max size: %d, steps: %d, generated: %d, containment \
-     checks: %d (cache: %d hits, %d misses)@."
+     checks: %d, dedup hits: %d@."
     (Frontier.Ucq.cardinal r.Frontier.Rewrite.ucq)
     (Frontier.Ucq.max_disjunct_size r.Frontier.Rewrite.ucq)
     r.Frontier.Rewrite.steps r.Frontier.Rewrite.generated
-    r.Frontier.Rewrite.containment_checks r.Frontier.Rewrite.cache_hits
-    r.Frontier.Rewrite.cache_misses;
+    r.Frontier.Rewrite.containment_checks r.Frontier.Rewrite.dedup_hits;
   if stats then begin
     Fmt.pr "%a@." Frontier.Saturation.Stats.pp r.Frontier.Rewrite.kernel_stats;
     Fmt.pr

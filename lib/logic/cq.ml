@@ -545,7 +545,7 @@ let iso_key q =
    numbered by first occurrence along a deterministic traversal. Equal
    codes therefore certify genuine isomorphism — unlike [iso_key], which
    is only an invariant fingerprint and may collide — so the code can be
-   interned and the resulting id used as a sound memoization key.
+   interned and the resulting id used as a sound dedup key.
 
    Encoded as ints rather than a string rendering because the rewriting
    hot path canonizes every generated candidate: int conses are an order

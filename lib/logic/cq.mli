@@ -134,10 +134,11 @@ val canon_id : t -> int
 (** The interned id of a canonical rendering of the query. Sound as an
     identity: [canon_id q1 = canon_id q2] certifies that [q1] and [q2] are
     isomorphic (equal up to renaming of bound variables, free variables
-    positional) — which makes the id a safe key for memoizing containment
-    verdicts. Not complete: isomorphic queries whose canonical traversals
-    tie-break differently may get distinct ids (a cache miss, never a wrong
-    answer). Computed lazily and cached on the query. *)
+    positional) — which makes the id the rewriting's dedup key: a
+    candidate whose id was seen before is covered, with no containment
+    check. Not complete: isomorphic queries whose canonical traversals
+    tie-break differently may get distinct ids (a missed dedup, never a
+    wrong answer). Computed lazily and cached on the query. *)
 
 val canon_table_stats : unit -> Hashtbl.statistics
 (** Bucket statistics of the process-wide table that interns canonical

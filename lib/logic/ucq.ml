@@ -29,14 +29,13 @@ let add_minimal u q =
     ({ disjuncts = q :: kept }, `Added)
 
 (* The quadratic minimization through a transient subsumption index, so
-   the pair probes are fingerprint-first and the containment verdicts go
-   through the memo table. Reading the index newest-first gives the
-   disjunct order of an [add_minimal] fold. *)
+   the pair probes are fingerprint-first. Reading the index newest-first
+   gives the disjunct order of an [add_minimal] fold. *)
 let of_list qs =
   let idx = Ucq_index.create () in
   List.iter
     (fun q ->
-      ignore (Ucq_index.insert_minimal idx q ~implies:Containment.implies_memo))
+      ignore (Ucq_index.insert_minimal idx q ~implies:Containment.implies))
     qs;
   { disjuncts = Ucq_index.disjuncts idx }
 

@@ -128,9 +128,11 @@ let covered idx q ~implies =
   in
   scan (idx.n - 1)
 
-(* Kill every live disjunct that [q] subsumes. *)
+(* Kill every live disjunct that [q] subsumes; return them, oldest
+   first. *)
 let drop_subsumed idx q ~implies =
   let qocc = occ_vector q in
+  let killed = ref [] in
   for i = 0 to idx.n - 1 do
     let e = idx.entries.(i) in
     if e.live then begin
@@ -138,56 +140,21 @@ let drop_subsumed idx q ~implies =
       if feasible_victim ~d:e ~q ~qocc then begin
         if implies e.q q then begin
           e.live <- false;
-          idx.n_live <- idx.n_live - 1
+          idx.n_live <- idx.n_live - 1;
+          killed := e.q :: !killed
         end
       end
       else Atomic.incr c_pruned
     end
-  done
+  done;
+  List.rev !killed
 
 let insert_minimal idx q ~implies =
   if covered idx q ~implies then `Subsumed
   else begin
-    drop_subsumed idx q ~implies;
+    let killed = drop_subsumed idx q ~implies in
     add idx q;
-    `Added
-  end
-
-(* Candidate lists for callers that run the surviving containment checks
-   themselves (the rewriting's memo prepass): the entries the probes
-   could not refute, in the same scan order as [covered] /
-   [drop_subsumed]. *)
-let subsumer_candidates idx q =
-  let qocc = occ_vector q in
-  let acc = ref [] in
-  for i = 0 to idx.n - 1 do
-    let e = idx.entries.(i) in
-    if e.live then begin
-      Atomic.incr c_pairs;
-      if feasible_subsumer ~d:e ~q ~qocc then acc := e.q :: !acc
-      else Atomic.incr c_pruned
-    end
-  done;
-  !acc (* newest first *)
-
-let victim_candidates idx q =
-  let qocc = occ_vector q in
-  let acc = ref [] in
-  for i = idx.n - 1 downto 0 do
-    let e = idx.entries.(i) in
-    if e.live then begin
-      Atomic.incr c_pairs;
-      if feasible_victim ~d:e ~q ~qocc then acc := (i, e.q) :: !acc
-      else Atomic.incr c_pruned
-    end
-  done;
-  !acc (* oldest first *)
-
-let kill idx i =
-  let e = idx.entries.(i) in
-  if e.live then begin
-    e.live <- false;
-    idx.n_live <- idx.n_live - 1
+    `Added killed
   end
 
 (* One-shot pair filter for list-based callers ([Ucq.covers] /

@@ -14,8 +14,8 @@
     {!Ucq.add_minimal} fold.
 
     The containment test itself is passed in as [~implies] (the caller
-    chooses raw, memoized or instrumented), keeping this module
-    independent of {!Containment}. *)
+    may wrap {!Containment.implies} to count or poll), keeping this
+    module independent of {!Containment}. *)
 
 type t
 
@@ -27,33 +27,17 @@ val disjuncts : t -> Cq.t list
 (** Live disjuncts, newest first. *)
 
 val insert_minimal :
-  t -> Cq.t -> implies:(Cq.t -> Cq.t -> bool) -> [ `Added | `Subsumed ]
+  t -> Cq.t -> implies:(Cq.t -> Cq.t -> bool) ->
+  [ `Added of Cq.t list | `Subsumed ]
 (** The indexed {!Ucq.add_minimal}: [`Subsumed] when a live disjunct
-    covers [q] (index untouched); otherwise kills every disjunct [q]
-    covers, appends [q], and returns [`Added]. Only fingerprint-feasible
-    pairs reach [implies]. *)
-
-val covered : t -> Cq.t -> implies:(Cq.t -> Cq.t -> bool) -> bool
-(** Is [q] subsumed by some live disjunct? (Newest-first probe order.) *)
-
-val drop_subsumed : t -> Cq.t -> implies:(Cq.t -> Cq.t -> bool) -> unit
-(** Kill every live disjunct that [q] subsumes. *)
+    covers [q] (probed newest-first; the index is untouched); otherwise
+    kills every disjunct [q] covers, appends [q], and returns
+    [`Added killed] with the killed disjuncts, oldest first. Only
+    fingerprint-feasible pairs reach [implies]. *)
 
 val add : t -> Cq.t -> unit
 (** Append a disjunct unconditionally (the caller has already
     established minimality). *)
-
-val subsumer_candidates : t -> Cq.t -> Cq.t list
-(** Live disjuncts the fingerprints could not rule out as subsumers of
-    [q], newest first — for callers that run the surviving [implies]
-    checks themselves. *)
-
-val victim_candidates : t -> Cq.t -> (int * Cq.t) list
-(** Live disjuncts the fingerprints could not rule out as subsumed by
-    [q], oldest first, with their slots (see {!kill}). *)
-
-val kill : t -> int -> unit
-(** Tombstone the disjunct in the given slot (idempotent). *)
 
 val pair_feasible : from:Cq.t -> into:Cq.t -> bool
 (** {!Cq.hom_feasible} with the index's probe counters: the one-shot

@@ -22,20 +22,18 @@ type result = {
   steps : int;
   generated : int;
   containment_checks : int;
-  cache_hits : int;
-  cache_misses : int;
+  dedup_hits : int;
   index_pruned : int;
   component_splits : int;
   kernel_stats : Saturation.Stats.t;
 }
 
-(* The saturation shares the containment-based minimization of
-   Ucq.add_minimal, reimplemented here so the pairwise implication checks
-   can be counted and pruned by the subsumption index. The decisions (and
-   the disjunct order of the result) are exactly those of Ucq.add_minimal —
-   containment verdicts go through the process-wide memo cache
-   ([Containment.implies_memo]), which never changes a verdict, only its
-   cost. *)
+(* The saturation minimizes through [Ucq_index.insert_minimal], the
+   indexed [Ucq.add_minimal], with a containment test that counts its
+   calls and polls the guard. The decisions (and the disjunct order of
+   the result) are exactly those of [Ucq.add_minimal]. No verdict is
+   cached beyond the run-local dedup below, so every counter of the
+   result is fixed by the input. *)
 
 (* Candidate dedup: subsumption against the evolving UCQ is *monotone* —
    [add_minimal] only ever replaces disjuncts by strictly more general
@@ -57,9 +55,8 @@ let make_dedup () =
   (core_size, remember)
 
 let finalize ~aux ~ucq ~outcome ~steps ~generated ~containment_checks
-    ~dedup_hits ~kernel_stats ~(memo0 : Containment.memo_stats)
-    ~(ix0 : Ucq_index.stats) ~(solver0 : Containment.solver_stats) =
-  let memo1 = Containment.memo_stats () in
+    ~dedup_hits ~kernel_stats ~(ix0 : Ucq_index.stats)
+    ~(solver0 : Containment.solver_stats) =
   let visible =
     List.filter
       (fun d -> not (Single_head.mentions_aux aux d))
@@ -74,8 +71,7 @@ let finalize ~aux ~ucq ~outcome ~steps ~generated ~containment_checks
     steps;
     generated;
     containment_checks;
-    cache_hits = (memo1.hits - memo0.hits) + dedup_hits;
-    cache_misses = memo1.misses - memo0.misses;
+    dedup_hits;
     index_pruned =
       ix1.pruned - ix0.pruned
       + (solver1.prescreened - solver0.prescreened);
@@ -85,44 +81,9 @@ let finalize ~aux ~ucq ~outcome ~steps ~generated ~containment_checks
 
 let split_batch = Saturation.split_batch
 
-(* Resolve [implies q' d] over a candidate list in two phases: a prepass
-   answers every pair the containment memo (or a trivial fast path)
-   already decides — a memo [true] short-circuits — and only then does
-   the unresolved residue run containment searches, in candidate order,
-   stopping at the first subsumer. On warm stores most pairs are
-   memo-resolved. *)
-let subsumed_by ~probe ~implies q' candidates =
-  let known = ref false in
-  let unknown =
-    List.filter
-      (fun d ->
-        (not !known)
-        &&
-        match probe q' d with
-        | Some true ->
-            known := true;
-            false
-        | Some false -> false
-        | None -> true)
-      candidates
-  in
-  !known || List.exists (fun d -> implies q' d) unknown
-
-(* The victim direction: per-candidate verdicts [implies d q'], the memo
-   prepass over every candidate first, then a containment search for
-   each unresolved pair in candidate order. The result is exactly
-   [List.map (fun d -> implies d q') candidates]. *)
-let verdicts_against ~probe ~implies q' candidates =
-  let pre = List.map (fun d -> probe d q') candidates in
-  List.map2
-    (fun d v -> match v with Some v -> v | None -> implies d q')
-    candidates pre
-
 (* The evolving minimal UCQ: a subsumption index ([Ucq_index]) whose
    fingerprints are probed before any containment search, plus the
-   canonical ids of the live disjuncts. [Ucq_index.subsumer_candidates]
-   probes in the same newest-first order as [Ucq_index.covered], so the
-   verdicts are those of [Ucq.add_minimal].
+   canonical ids of the live disjuncts.
 
    The live-id table makes the worklist's "was this disjunct subsumed
    since it was enqueued?" probe one hash lookup instead of an
@@ -139,24 +100,13 @@ let add_live store d =
   Ucq_index.add store.idx d;
   Hashtbl.replace store.live (Cq.canon_id d) ()
 
-let insert ~probe ~implies store q' =
-  let subsumers = Ucq_index.subsumer_candidates store.idx q' in
-  if subsumed_by ~probe ~implies q' subsumers then `Subsumed
-  else begin
-    let victims = Ucq_index.victim_candidates store.idx q' in
-    let verdicts =
-      verdicts_against ~probe ~implies q' (List.map snd victims)
-    in
-    List.iter2
-      (fun (slot, d) dropped ->
-        if dropped then begin
-          Ucq_index.kill store.idx slot;
-          Hashtbl.remove store.live (Cq.canon_id d)
-        end)
-      victims verdicts;
-    add_live store q';
-    `Added
-  end
+let insert ~implies store q' =
+  match Ucq_index.insert_minimal store.idx q' ~implies with
+  | `Subsumed -> `Subsumed
+  | `Added killed ->
+      List.iter (fun d -> Hashtbl.remove store.live (Cq.canon_id d)) killed;
+      Hashtbl.replace store.live (Cq.canon_id q') ();
+      `Added
 
 (* Install snapshot disjuncts (given newest-first) verbatim, with no
    containment checks: a checkpointed store is already pairwise
@@ -220,7 +170,6 @@ let rewrite_from ?guard ?(budget = default_budget) ?checkpoint:checkpoint_sink
     ~restart theory q =
   let guard = match guard with Some g -> g | None -> Guard.unlimited () in
   let compiled, aux = Single_head.compile theory in
-  let memo0 = Containment.memo_stats () in
   let ix0 = Ucq_index.stats () in
   let solver0 = Containment.solver_stats () in
   let checks = ref 0 in
@@ -231,19 +180,10 @@ let rewrite_from ?guard ?(budget = default_budget) ?checkpoint:checkpoint_sink
        checkpoint. *)
     if !checks land Guard.poll_mask = 0 then ignore (Guard.check guard);
     incr checks;
-    Containment.implies_memo a b
-  in
-  (* The memo prepass: a probe that answers counts as a containment
-     check (it replaced one). *)
-  let probe a b =
-    match Containment.memo_probe a b with
-    | Some _ as v ->
-        incr checks;
-        v
-    | None -> None
+    Containment.implies a b
   in
   let store = { idx = Ucq_index.create (); live = Hashtbl.create 256 } in
-  let insert = insert ~probe ~implies store in
+  let insert = insert ~implies store in
   let q0 = Containment.core_of_query q in
   let seen_core_size, remember = make_dedup () in
   let remember_core d = remember d ~core_size:(Cq.size d) in
@@ -402,8 +342,8 @@ let rewrite_from ?guard ?(budget = default_budget) ?checkpoint:checkpoint_sink
     ~ucq:(Ucq.of_disjuncts_unchecked (Ucq_index.disjuncts store.idx))
     ~outcome ~steps:!steps
     ~generated:kernel_stats.Saturation.Stats.totals.Saturation.Stats.generated
-    ~containment_checks:!checks ~dedup_hits:!dedup_hits ~kernel_stats ~memo0
-    ~ix0 ~solver0
+    ~containment_checks:!checks ~dedup_hits:!dedup_hits ~kernel_stats ~ix0
+    ~solver0
 
 let rewrite ?pool:_ ?guard ?budget ?checkpoint theory q =
   rewrite_from ?guard ?budget ?checkpoint ~restart:None theory q

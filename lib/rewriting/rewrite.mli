@@ -43,13 +43,11 @@ type result = {
   generated : int;  (** one-step rewritings produced, pre-minimization *)
   containment_checks : int;
       (** CQ-implication tests spent on minimization (the quadratic part) *)
-  cache_hits : int;
-      (** containment verdicts answered by memoization during this run —
-          the CQ-pair cache plus whole-candidate short-circuits by the
-          run-local canonical-form dedup (each skipped duplicate counts
-          once, though it saves up to [|ucq|] checks) *)
-  cache_misses : int;
-      (** containment verdicts this run computed and cached *)
+  dedup_hits : int;
+      (** candidates dropped by the run-local canonical-id dedup without
+          any containment check (each saves up to [|ucq|] checks). Not
+          [kernel_stats.totals.deduped], which also counts the candidates
+          the store found subsumed *)
   index_pruned : int;
       (** disjunct pairs (and core-shrink candidates) refuted during this
           run by the subsumption-index fingerprints — anchor masks,
@@ -79,10 +77,10 @@ val rewrite :
     worklist: each kernel round pops one live disjunct, expands it, and
     folds its candidates into the minimal store in order, on the calling
     domain. There is one schedule, so the UCQ (its disjuncts and their
-    order), [steps] and [generated] are functions of the input alone;
-    the containment and cache counters also depend on what the
-    process-wide containment memo already holds. [pool] is ignored; the
-    parameter stays only so that existing callers compile.
+    order) and every other field of the result are functions of the
+    theory, the query and the budget alone: no state carries from one
+    run to the next. [pool] is ignored; the parameter stays only so
+    that existing callers compile.
 
     The guard is checkpointed at every kernel round boundary and charged
     one fuel unit per expanded live disjunct, and polled every
@@ -111,7 +109,7 @@ val resume :
     syntactically identical: canonical CQ ids are process-local, so the
     candidate dedup reseeds from the decoded store and frontier and some
     duplicate candidates take the (verdict-identical) containment path
-    instead; [steps]/cache counter totals may differ accordingly.
+    instead; [steps] and the counter totals may differ accordingly.
 
     Raises [Invalid_argument] on a snapshot of a different kind and
     [Checkpoint.Codec.Error] on undecodable content. *)

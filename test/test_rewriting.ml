@@ -125,6 +125,26 @@ let test_size_budget_on_deduped_candidate () =
   Alcotest.(check bool) "size budget" true
     (r.Rewrite.outcome = Rewrite.Size_budget)
 
+let test_runs_are_independent () =
+  (* Every field of a rewriting's result depends on theory, query and
+     budget alone: a run in between, here E^8, must not move a counter
+     of the E^9 run that follows it. *)
+  let summary n =
+    let _, _, q = Theories.Zoo.e_path_query n in
+    let r = Rewrite.rewrite Theories.Zoo.t_loopcut q in
+    let k = r.Rewrite.kernel_stats in
+    ( List.sort compare (List.map Cq.iso_key (Ucq.disjuncts r.Rewrite.ucq)),
+      (r.Rewrite.outcome = Rewrite.Complete, r.Rewrite.steps,
+       r.Rewrite.generated),
+      (r.Rewrite.containment_checks, r.Rewrite.dedup_hits,
+       r.Rewrite.index_pruned, r.Rewrite.component_splits),
+      (k.Saturation.Stats.rounds, k.Saturation.Stats.totals) )
+  in
+  let first = summary 9 in
+  ignore (summary 8);
+  Alcotest.(check bool) "E^9 after E^8: same result and counters" true
+    (first = summary 9)
+
 let test_rs_linear_growth () =
   (* Observation 31 shape check on the linear T_p: the endpoint-pinned path
      query has rs equal to its own size. *)
@@ -374,6 +394,8 @@ let () =
             test_loopcut_paths_counters;
           Alcotest.test_case "size budget on a deduplicated candidate" `Quick
             test_size_budget_on_deduped_candidate;
+          Alcotest.test_case "runs in one process are independent" `Quick
+            test_runs_are_independent;
         ] );
       ( "chase agreement",
         [
