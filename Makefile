@@ -1,4 +1,4 @@
-.PHONY: all build test check check-faults check-portfolio check-shard check-resume bench examples doc clean fmt
+.PHONY: all build test check check-faults check-portfolio check-resume bench examples doc clean fmt
 
 all: build
 
@@ -9,18 +9,19 @@ test:
 	dune runtest --force
 
 # What CI runs: full build, the whole test suite (property counts scale
-# with FRONTIER_QCHECK_COUNT), and a parallel-layer smoke run.
+# with FRONTIER_QCHECK_COUNT), and the chase at -j1 vs -j4 (exits
+# nonzero if the stages differ).
 check:
 	dune build @all
 	dune runtest --force
-	dune exec bench/main.exe -- e1 par -j 2
+	dune exec bench/main.exe -- e1 par
 
 # Fault matrix (mirrored by the CI fault-matrix job): replay the
 # property suite under three deterministic fault schedules
 # (FRONTIER_FAULTS seeds task exceptions, worker deaths, and simulated
 # deadline/memory trips), then drive the CLI's degraded mode — a
 # non-terminating chase under --timeout must print a partial result and
-# exit 2 — at -j1 and -j4.
+# exit 2 — at -j1 and -j4, and an unreadable @file must exit 3.
 check-faults: build
 	for seed in 1 7 42; do \
 	  echo "== FRONTIER_FAULTS=$$seed =="; \
@@ -34,26 +35,8 @@ check-faults: build
 	    --depth 1000000 --max-atoms 100000000 --timeout 0.3 -j $$j; \
 	  test $$? -eq 2 || exit 1; \
 	done
-
-# Sharded-scheduler gate (mirrored by the CI shard job): the pool unit
-# suite (shard slicing, steal paths, dead-worker rescue, and the
-# rewriting engines ignoring a pool), the differential property suite
-# (kernel clients vs the naive references, the chase at -j1..-j4), a
-# pool-driven smoke of the default-pool plumbing at -j1, -j4 and
-# -j$(NPROC), and finally the shard experiment itself — explicit -j1 vs
-# -j4 pools over the chase, the pool's one client, which exits nonzero
-# if the stages differ. Correctness is enforced by that nonzero exit;
-# timing regressions are the repository benchmark's job (benchmark/).
-NPROC := $(shell nproc 2>/dev/null || echo 2)
-check-shard: build
-	dune exec test/test_pool.exe
-	FRONTIER_QCHECK_COUNT=25 dune exec test/test_properties.exe
-	for j in 1 4 $(NPROC); do \
-	  echo "== pool-driven smoke, -j $$j =="; \
-	  FRONTIER_BENCH_SMOKE=1 \
-	    dune exec bench/main.exe -- par -j $$j || exit 1; \
-	done
-	FRONTIER_BENCH_SMOKE=1 dune exec bench/main.exe -- shard
+	dune exec bin/frontier_cli.exe -- chase -t @/nonexistent -d 'E(a,b)'; \
+	  test $$? -eq 3
 
 # Portfolio gate (mirrored by the CI portfolio job): the checker /
 # selector / minimizer / repro unit suites, the zoo classification

@@ -19,12 +19,10 @@
      E12 Observation 29    atomic-query support is uniformly small
      E13 Section 3/5       chase-flavour termination matrix
      E14 motivation        answering via rewriting vs via the chase
-     par                   parallel layer determinism & scaling
-     shard                 sharded pool: -j1 vs -j4 on the chase
+     par                   the chase at -j1 vs -j4
      po                    portfolio selection over the zoo + fuzz smoke
-     perf                  bechamel micro-benchmarks
 
-   Usage: dune exec bench/main.exe [-- e1 e2 ... | all | perf] *)
+   Usage: dune exec bench/main.exe [-- e1 e2 ... | all] *)
 
 open Logic
 
@@ -634,54 +632,7 @@ let e14 () =
   row "  rewriting answers = chase answers at every |D|: true@."
 
 (* ------------------------------------------------------------------ *)
-(* par — the parallel execution layer: determinism and scaling         *)
-(* ------------------------------------------------------------------ *)
-
-let par () =
-  header "par" "parallel chase (lib/parallel) vs sequential"
-    "bit-identical chase stages at any -j; speedup needs > 1 core";
-  let pool = Parallel.Pool.get_default () in
-  let jobs = Parallel.Pool.size pool in
-  row "  jobs: %d (-j N or FRONTIER_JOBS; this machine has %d cores)@." jobs
-    (Domain.recommended_domain_count ());
-  (* Chase workload: the E1 grid, T_d on G^8 to depth 7. *)
-  let _, _, g8 = Theories.Instances.path Theories.Zoo.g2 8 in
-  let chase p =
-    Chase.Engine.run ?pool:p ~max_depth:7 ~max_atoms:400_000 Theories.Zoo.t_d
-      g8
-  in
-  let run_seq, t_seq = time_it (fun () -> chase None) in
-  Parallel.Pool.reset_busy pool;
-  let run_par, t_par = time_it (fun () -> chase (Some pool)) in
-  let stages_equal =
-    Chase.Engine.depth run_seq = Chase.Engine.depth run_par
-    && List.for_all
-         (fun i ->
-           Fact_set.equal
-             (Chase.Engine.stage run_seq i)
-             (Chase.Engine.stage run_par i))
-         (List.init (Chase.Engine.depth run_seq + 1) Fun.id)
-  in
-  row "  chase T_d on G^8 depth 7:  seq %.3fs   -j%d %.3fs   (x%.2f)@." t_seq
-    jobs t_par (t_seq /. t_par);
-  row "  stages bit-identical: %b; saturation flags equal: %b@." stages_equal
-    (Chase.Engine.saturated run_seq = Chase.Engine.saturated run_par
-    && (Chase.Engine.interrupted run_seq = Some Guard.Fuel)
-       = (Chase.Engine.interrupted run_par = Some Guard.Fuel));
-  Array.iter
-    (fun (s : Saturation.Stats.round) ->
-      row "    stage %d: %6d triggers, %6d derived (%6d fresh), %.4fs wall@."
-        s.Saturation.Stats.index s.Saturation.Stats.tally.Saturation.Stats.expanded
-        s.Saturation.Stats.tally.Saturation.Stats.generated
-        s.Saturation.Stats.tally.Saturation.Stats.admitted
-        s.Saturation.Stats.wall_s)
-    (Chase.Engine.stage_stats run_par);
-  row "  per-domain busy seconds: [%a]@."
-    Fmt.(array ~sep:sp (fmt "%.3f"))
-    (Parallel.Pool.busy_times pool)
-
-(* ------------------------------------------------------------------ *)
-(* shard — sharded work-stealing pool: -j1 vs -j4 differential + timing *)
+(* par — the chase at -j1 vs -j4: differential + timing               *)
 (* ------------------------------------------------------------------ *)
 
 (* Drive the pool's client, the chase, through an explicit -j1 pool and
@@ -690,16 +641,13 @@ let par () =
    mathematics. Wall times are min-of-reps; the -j4 arm can only beat
    -j1 on a multi-core box (per-domain busy seconds are printed so a
    1-core run is honest about oversubscription). The rewriting engines
-   take no pool, so they have no row here.
+   take no pool, so they have no row here. *)
 
-   FRONTIER_BENCH_SMOKE=1   shrink the workload (CI smoke sizing) *)
-
-let shard () =
-  header "shard" "sharded work-stealing pool: -j1 vs -j4 on the chase"
+let par () =
+  header "par" "the chase at -j1 vs -j4"
     "identical stages and stage counters at every -j; speedup needs > 1 \
      core";
-  let smoke = Sys.getenv_opt "FRONTIER_BENCH_SMOKE" <> None in
-  let reps = if smoke then 1 else 2 in
+  let reps = 2 in
   let jobs = 4 in
   let pool1 = Parallel.Pool.create 1 in
   let pooln = Parallel.Pool.create jobs in
@@ -720,8 +668,8 @@ let shard () =
     && a.Saturation.Stats.admitted = b.Saturation.Stats.admitted
     && a.Saturation.Stats.deduped = b.Saturation.Stats.deduped
   in
-  let grid_len = if smoke then 5 else 8 in
-  let depth = if smoke then 5 else 7 in
+  let grid_len = 8 in
+  let depth = 7 in
   let _, _, grid = Theories.Instances.path Theories.Zoo.g2 grid_len in
   let chase pool () =
     Chase.Engine.run ~pool ~max_depth:depth ~max_atoms:400_000
@@ -755,8 +703,8 @@ let shard () =
   row "  the chase meets its cross--j contract: %b@." identical;
   Parallel.Pool.shutdown pool1;
   Parallel.Pool.shutdown pooln;
-  (* check-shard gates on this experiment: a cross-scheduling mismatch
-     is a scheduler bug, not a measurement. *)
+  (* CI gates on this experiment: a cross-scheduling mismatch is a
+     scheduler bug, not a measurement. *)
   if not identical then exit 1
 
 (* ------------------------------------------------------------------ *)
@@ -790,110 +738,19 @@ let po () =
   row "  campaign clean: %b@." (outcome.Portfolio.Fuzz.failures = [])
 
 (* ------------------------------------------------------------------ *)
-(* perf — bechamel micro-benchmarks                                    *)
-(* ------------------------------------------------------------------ *)
-
-let perf () =
-  header "perf" "bechamel micro-benchmarks"
-    "chase / homomorphism / containment / process step throughput";
-  let open Bechamel in
-  let open Toolkit in
-  let _, _, g4 = Theories.Instances.path Theories.Zoo.g2 4 in
-  let chase_run =
-    Chase.Engine.run ~max_depth:4 ~max_atoms:50_000 Theories.Zoo.t_d g4
-  in
-  let chase_result = Chase.Engine.result chase_run in
-  let _, _, phi2 = Theories.Zoo.phi_r 2 in
-  let _, _, path3 = Theories.Zoo.e_path_query 3 in
-  let t_loopcut_d =
-    let _, _, d = Theories.Instances.path Theories.Zoo.e2 6 in
-    d
-  in
-  let tests =
-    [
-      Test.make ~name:"chase T_d on G^4 depth 4"
-        (Staged.stage (fun () ->
-             ignore
-               (Chase.Engine.run ~max_depth:4 ~max_atoms:50_000
-                  Theories.Zoo.t_d g4)));
-      Test.make ~name:"chase T_loopcut on E^6 depth 6"
-        (Staged.stage (fun () ->
-             ignore
-               (Chase.Engine.run ~max_depth:6 Theories.Zoo.t_loopcut
-                  t_loopcut_d)));
-      Test.make ~name:"CQ eval phi_R^2 on chase(G^4)"
-        (Staged.stage (fun () -> ignore (Cq.boolean_holds phi2 chase_result)));
-      Test.make ~name:"containment path3 vs path3"
-        (Staged.stage (fun () -> ignore (Containment.implies path3 path3)));
-      Test.make ~name:"marked process phi_R^2"
-        (Staged.stage (fun () -> ignore (Marked.Process.rewrite_td phi2)));
-      Test.make ~name:"rewrite T_a mother query"
-        (Staged.stage (fun () ->
-             let x = Term.var "x" and y = Term.var "y" in
-             ignore
-               (Rewriting.Rewrite.rewrite Theories.Zoo.t_a
-                  (Cq.make ~free:[ x ]
-                     [ Atom.make Theories.Zoo.mother [ x; y ] ]))));
-    ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~stabilize:true ~quota:(Time.second 0.5) ()
-  in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  row "  %-38s %-16s@." "benchmark" "time/run";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let analyzed = Analyze.all ols Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some (est :: _) ->
-              let pretty =
-                if est > 1e9 then Printf.sprintf "%.2f s" (est /. 1e9)
-                else if est > 1e6 then Printf.sprintf "%.2f ms" (est /. 1e6)
-                else if est > 1e3 then Printf.sprintf "%.2f us" (est /. 1e3)
-                else Printf.sprintf "%.0f ns" est
-              in
-              row "  %-38s %-16s@." name pretty
-          | Some [] | None -> row "  %-38s (no estimate)@." name)
-        analyzed)
-    tests
-
-(* ------------------------------------------------------------------ *)
 
 let experiments =
   [
     ("e1", e1); ("e2", e2); ("e3", e3); ("e4", e4); ("e5", e5); ("e6", e6);
     ("e7", e7); ("e8", e8); ("e9", e9); ("e10", e10); ("e11", e11);
-    ("e12", e12); ("e13", e13); ("e14", e14); ("par", par); ("shard", shard);
-    ("po", po); ("perf", perf);
+    ("e12", e12); ("e13", e13); ("e14", e14); ("par", par); ("po", po);
   ]
 
 let () =
-  (* Strip a -j N pair (or FRONTIER_JOBS) before experiment selection. *)
-  let rec split_jobs acc = function
-    | [] -> (List.rev acc, None)
-    | "-j" :: n :: rest ->
-        let ids, _ = split_jobs acc rest in
-        (ids, int_of_string_opt n)
-    | arg :: rest -> split_jobs (arg :: acc) rest
-  in
-  let args, jobs_flag =
-    match Array.to_list Sys.argv with
-    | _ :: args -> split_jobs [] args
-    | [] -> ([], None)
-  in
-  (match jobs_flag with
-  | Some j -> Parallel.Pool.set_default_jobs j
-  | None -> Parallel.Pool.set_default_jobs (Parallel.Pool.jobs_from_env ()));
   let requested =
-    match args with
-    | [] | "all" :: _ -> List.map fst experiments
-    | ids -> ids
+    match Array.to_list Sys.argv with
+    | [] | [ _ ] | _ :: "all" :: _ -> List.map fst experiments
+    | _ :: ids -> ids
   in
   Fmt.pr "frontier benchmark harness — paper experiment reproduction@.";
   let t0 = Unix.gettimeofday () in

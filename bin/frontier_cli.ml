@@ -13,7 +13,8 @@ open Cmdliner
 
 (* Exit codes: 0 = complete result; 2 = a resource budget (deadline, fuel,
    memory ceiling, Ctrl-C) tripped and a PARTIAL result was printed;
-   3 = internal error (bad input, unknown variant, ...). *)
+   3 = internal error (bad input, an unreadable @file, unknown variant,
+   ...). *)
 let exit_exhausted = 2
 let exit_internal = 3
 
@@ -118,8 +119,8 @@ let finish guard =
       exit exit_exhausted
 
 let with_pool jobs f =
-  (* Always a private pool — a [create 1] spawns no domains but keeps
-     this run's busy accounting out of the shared [Pool.sequential]. *)
+  (* Always a private pool — a [create 1] spawns no domains, and each
+     run's busy accounting is its own. *)
   let pool = Frontier.Pool.create jobs in
   Fun.protect ~finally:(fun () -> Frontier.Pool.shutdown pool) (fun () ->
       f pool)
@@ -179,7 +180,7 @@ let handle f =
   | Frontier.Parse.Error msg ->
       Fmt.epr "parse error: %s@." msg;
       exit exit_internal
-  | Invalid_argument msg ->
+  | Invalid_argument msg | Sys_error msg ->
       Fmt.epr "error: %s@." msg;
       exit exit_internal
 

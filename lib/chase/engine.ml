@@ -154,7 +154,7 @@ let encode_state ~round ~theory ~max_depth ~max_atoms ~stages ~deltas ~info =
    table; [resume] passes the decoded snapshot state. [base_round] is
    derived from the delta count, so stage numbering, the [max_depth]
    cutoff, and the checkpoint cadence all continue in absolute rounds. *)
-let run_from ?(pool = Parallel.Pool.sequential) ?guard ?(max_depth = 50)
+let run_from ?pool ?guard ?(max_depth = 50)
     ?(max_atoms = 200_000) ?checkpoint:checkpoint_sink ~stages0 ~deltas0
     ~info theory =
   let guard =
@@ -339,7 +339,7 @@ let run_from ?(pool = Parallel.Pool.sequential) ?guard ?(max_depth = 50)
     | last :: _ -> [ Fact_set.of_list last ]
   in
   let verdict, stats =
-    Saturation.run ~pool ~guard ~drain:Saturation.All ~max_rounds:max_depth
+    Saturation.run ?pool ~guard ~drain:Saturation.All ~max_rounds:max_depth
       ~record_rounds:true ~base_round ?checkpoint ~init ~step ()
   in
   let saturated, interrupted =

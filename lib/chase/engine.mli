@@ -20,8 +20,8 @@ val run :
   ?max_depth:int -> ?max_atoms:int ->
   ?checkpoint:Checkpoint.sink ->
   Theory.t -> Fact_set.t -> run
-(** Defaults: [max_depth = 50], [max_atoms = 200_000], [pool] sequential,
-    [guard] unlimited, no [checkpoint].
+(** Defaults: [max_depth = 50], [max_atoms = 200_000], [pool] the
+    kernel's private size-1 pool, [guard] unlimited, no [checkpoint].
 
     With a pool of [N > 1] domains, each stage's semi-naive trigger
     enumeration is partitioned by (rule x delta-seed position) across the

@@ -31,7 +31,7 @@ let oblivious_apply ~rule_index rule sigma =
   in
   List.map (Atom.subst subst) (Tgd.head rule)
 
-let run_oblivious ?(pool = Parallel.Pool.sequential) ?guard
+let run_oblivious ?pool ?guard
     ?(max_depth = 20) ?(max_atoms = 100_000) theory d =
   let guard =
     match guard with Some g -> g | None -> Guard.unlimited ()
@@ -106,7 +106,7 @@ let run_oblivious ?(pool = Parallel.Pool.sequential) ?guard
     end
   in
   let verdict, _ =
-    Saturation.run ~pool ~guard ~max_rounds:max_depth ~record_rounds:false
+    Saturation.run ?pool ~guard ~max_rounds:max_depth ~record_rounds:false
       ~init:[ () ] ~step ()
   in
   let saturated, interrupted =

@@ -94,7 +94,7 @@ module Portfolio = Portfolio
     [Portfolio.Strategy.chase_arm] or [Portfolio.Strategy.rewriting_arm]. *)
 
 module Pool = Parallel.Pool
-(** Work-stealing domain pool; pass one to the [?pool] entry points
+(** Domain pool; pass one to the [?pool] entry points
     ({!Portfolio.execute}, {!Chase_engine.run}, {!Chase_variants}, ...)
     to fan the chase sweeps out over OCaml 5 domains. The rewriting and
     marked-process engines are sequential. Results are independent of

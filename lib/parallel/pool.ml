@@ -1,27 +1,21 @@
-(* A persistent pool of worker domains fed through sharded per-worker
-   claim ranges with work stealing. A job is an array of tasks, sliced
-   into one contiguous shard per worker; each worker drains its own
-   shard through a private atomic cursor and only touches other shards
-   when its own runs dry, stealing round-robin from the next live
-   victim. The hot claim path is therefore an uncontended
-   [Atomic.fetch_and_add] on a per-shard cursor — the single shared
-   counter every domain used to hammer is gone — while the steal path
-   preserves the old guarantee that no index is ever left behind: a
-   shard's cursor only moves forward, so "all shards dry" is a stable
-   exit condition, and a dead worker's unclaimed range is simply stolen
-   like any other. Results live in per-index slots, which fixes the
-   merge order once and for all — the caller's task order —
-   independently of scheduling.
+(* A persistent pool of worker domains fed through one claim cursor per
+   job. A job is an array of tasks; every worker (the coordinator is
+   worker 0) claims the next index with [Atomic.fetch_and_add] on the
+   job's cursor until it passes the end. The cursor only moves forward,
+   so "the cursor is past the end" is a stable exit condition and no
+   index is ever left behind. Results live in per-index slots, which
+   fixes the merge order once and for all — the caller's task order —
+   independently of which domain claimed what.
 
    Degraded-mode hardening: per-index slots hold [Ok]/[Error] results, a
    task exception never poisons the batch (all failures are aggregated
    into [Task_errors] with their backtraces after one inline retry), a
    worker that dies mid-job (fault injection's [`Die] fate) leaves its
    single claimed index to the coordinator's rescue pass — the rest of
-   its shard is drained by thieves — and guard cancellation stops
-   workers from claiming further tasks: the coordinator alone finishes
-   the job, with guard-aware task bodies early-exiting at their own
-   checkpoints. *)
+   the batch is claimed by the surviving workers — and guard
+   cancellation stops workers from claiming further tasks: the
+   coordinator alone finishes the job, with guard-aware task bodies
+   early-exiting at their own checkpoints. *)
 
 exception
   Task_errors of (int * exn * Printexc.raw_backtrace) list
@@ -41,17 +35,14 @@ let () =
                    errors)))
     | _ -> None)
 
-(* One worker's contiguous slice [lo, hi) of the task indices, drained
-   through [next]. The cursor only increases, and claims past [hi] are
-   harmless (the claimer just sees an empty shard), so no synchronization
-   beyond the single fetch-and-add is needed. *)
-type shard = { hi : int; next : int Atomic.t }
-
 type job = {
   run : int -> fate:[ `Run | `Raise of int ] -> unit;
       (* execute task [i] (or record its injected failure); never raises *)
   n : int;
-  shards : shard array;
+  next : int Atomic.t;
+      (* the next unclaimed index; claims past [n] are harmless (the
+         claimer just stops), so no synchronization beyond the single
+         fetch-and-add is needed *)
   cancelled : unit -> bool;  (* workers stop claiming once true *)
   mutable completed : int;  (* tasks finished; protected by the pool mutex *)
   mutable orphans : int list;
@@ -82,64 +73,26 @@ type t = {
 
 let now () = Unix.gettimeofday ()
 
-(* Balanced contiguous slices of [0, n): the first [n mod size] shards
-   get one extra index. Pure, so the steal-path unit tests can pin the
-   slicing directly. *)
-let shard_bounds ~n ~size =
-  let base = n / size and rem = n mod size in
-  Array.init size (fun k ->
-      let lo = (k * base) + min k rem in
-      let hi = lo + base + if k < rem then 1 else 0 in
-      (lo, hi))
-
-let make_shards ~n ~size =
-  Array.map
-    (fun (lo, hi) -> { hi; next = Atomic.make lo })
-    (shard_bounds ~n ~size)
-
-(* The order in which [worker] visits shards: its own first, then
-   round-robin over the victims — each shard exactly once, never itself
-   twice. Pure, for the same reason as [shard_bounds]. *)
-let probe_order ~worker ~shards =
-  List.init shards (fun k -> (worker + k) mod shards)
-
-let claim shard =
-  if Atomic.get shard.next >= shard.hi then None
-  else
-    let i = Atomic.fetch_and_add shard.next 1 in
-    if i < shard.hi then Some i else None
-
-(* Claim and run tasks until every shard is dry, the guard is cancelled
-   (workers only — the coordinator must keep going so the job always
-   completes), or the fault schedule kills this worker. The completion
-   count (not a per-worker barrier) is what the coordinator waits on, so
-   it never matters which workers ever woke up for a given job; a dying
-   worker hands its claimed index over as an orphan and thieves drain
-   the rest of its shard. *)
+(* Claim and run tasks until the cursor passes the end, the guard is
+   cancelled (workers only — the coordinator must keep going so the job
+   always completes), or the fault schedule kills this worker. The
+   completion count (not a per-worker barrier) is what the coordinator
+   waits on, so it never matters which workers ever woke up for a given
+   job; a dying worker hands its claimed index over as an orphan and the
+   others claim the rest. *)
 let drain pool job worker =
   let t0 = now () in
-  let nshards = Array.length job.shards in
-  (* Own shard first (k = 0), then steal round-robin; a full fruitless
-     scan means every shard is dry, which is stable (cursors only move
-     forward), so exiting is safe. *)
-  let rec find k =
-    if k >= nshards then None
-    else
-      match claim job.shards.((worker + k) mod nshards) with
-      | Some i -> Some i
-      | None -> find (k + 1)
-  in
   let rec loop done_count =
     if worker > 0 && job.cancelled () then (done_count, None)
     else
-      match find 0 with
-      | None -> (done_count, None)
-      | Some i -> (
-          match Guard.Faults.claim_fate ~worker with
-          | `Die -> (done_count, Some i)
-          | (`Run | `Raise _) as fate ->
-              job.run i ~fate;
-              loop (done_count + 1))
+      let i = Atomic.fetch_and_add job.next 1 in
+      if i >= job.n then (done_count, None)
+      else
+        match Guard.Faults.claim_fate ~worker with
+        | `Die -> (done_count, Some i)
+        | (`Run | `Raise _) as fate ->
+            job.run i ~fate;
+            loop (done_count + 1)
   in
   let did, orphan = loop 0 in
   let dt = now () -. t0 in
@@ -212,7 +165,8 @@ let ensure_workers pool =
       pool.dispatch_overhead_s <- !calibrator pool
   end
 
-let make_pool size =
+let create requested =
+  let size = max 1 requested in
   {
     size;
     eff = min size (Domain.recommended_domain_count ());
@@ -226,8 +180,6 @@ let make_pool size =
     busy = Array.make size 0.;
     dispatch_overhead_s = default_overhead_s;
   }
-
-let sequential = make_pool 1
 
 let size pool = pool.size
 
@@ -282,8 +234,8 @@ let exec_into (type a b) (f : a -> b) (tasks : a array)
 
    The gate changes scheduling only, never results: every client
    already requires cross-[-j] determinism, and inline execution is the
-   size-1 code path those contracts are stated against. The scheduler
-   tests reach the steal/death paths on one core through
+   size-1 code path those contracts are stated against. The pool tests
+   reach the fan-out and dead-worker paths on one core through
    [Internal.map_array_fanout], which bypasses the gate for its own batch
    only. *)
 
@@ -338,16 +290,14 @@ let run_all (type a b) ?guard ?est_s ?(force_fanout = false)
     Mutex.unlock pool.mutex
   in
   (* Fan indices [lo, n) out to the workers (the coordinator drains as
-     worker 0). The job speaks batch-relative indices so the sharding
-     and steal machinery is untouched. *)
+     worker 0). The job speaks batch-relative indices. *)
   let fan_out lo =
     ensure_workers pool;
-    let m = n - lo in
     let job =
       {
         run = (fun i ~fate -> exec (lo + i) ~fate);
-        n = m;
-        shards = make_shards ~n:m ~size:pool.size;
+        n = n - lo;
+        next = Atomic.make 0;
         cancelled =
           (match guard with
           | Some g -> fun () -> Guard.cancelled g
@@ -369,8 +319,8 @@ let run_all (type a b) ?guard ?est_s ?(force_fanout = false)
         (* Rescue a dead worker's abandoned claims: run them inline in
            the coordinator (fault-free by construction — the rescue path
            does not consult the fault schedule). Only the index the dead
-           worker had already claimed lands here; the rest of its shard
-           was stolen by the surviving workers. *)
+           worker had already claimed lands here; the rest of the batch
+           was claimed by the surviving workers. *)
         let orphans = job.orphans in
         job.orphans <- [];
         Mutex.unlock pool.mutex;
@@ -469,10 +419,6 @@ let measure_dispatch_overhead pool =
 
 let () = calibrator := measure_dispatch_overhead
 
-let create requested =
-  let size = max 1 requested in
-  make_pool size
-
 let map_array_result ?guard ?est_s pool f tasks =
   if Array.length tasks = 0 then [||] else run_all ?guard ?est_s pool f tasks
 
@@ -503,59 +449,10 @@ let reset_busy pool =
   Mutex.unlock pool.mutex
 
 (* ------------------------------------------------------------------ *)
-(* Default pool plumbing (-j N / FRONTIER_JOBS)                        *)
-(* ------------------------------------------------------------------ *)
-
-let jobs_from_env () =
-  match Sys.getenv_opt "FRONTIER_JOBS" with
-  | None -> 1
-  | Some s -> (
-      match int_of_string_opt (String.trim s) with
-      | Some n when n >= 1 -> n
-      | Some n ->
-          Printf.eprintf
-            "frontier: warning: FRONTIER_JOBS=%d is not positive; using 1\n%!"
-            n;
-          1
-      | None ->
-          Printf.eprintf
-            "frontier: warning: FRONTIER_JOBS=%S is not an integer; using 1\n%!"
-            s;
-          1)
-
-let default_size = ref None
-let default_pool = ref None
-
-let default_jobs () =
-  match !default_size with
-  | Some n -> n
-  | None ->
-      let n = jobs_from_env () in
-      default_size := Some n;
-      n
-
-let set_default_jobs n =
-  let n = max 1 n in
-  (match !default_pool with Some p -> shutdown p | None -> ());
-  default_pool := None;
-  default_size := Some n
-
-let get_default () =
-  match !default_pool with
-  | Some p -> p
-  | None ->
-      let p = create (default_jobs ()) in
-      default_pool := Some p;
-      p
-
-(* ------------------------------------------------------------------ *)
 (* Test hooks                                                          *)
 (* ------------------------------------------------------------------ *)
 
 module Internal = struct
-  let shard_bounds = shard_bounds
-  let probe_order = probe_order
-
   let map_array_fanout ?guard pool f tasks =
     if Array.length tasks = 0 then [||]
     else values_or_raise (run_all ?guard ~force_fanout:true pool f tasks)

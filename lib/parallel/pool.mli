@@ -1,14 +1,12 @@
-(** A work-stealing pool of OCaml 5 domains, hardened for degraded-mode
-    operation.
+(** A pool of OCaml 5 domains, hardened for degraded-mode operation.
 
-    The pool executes arrays of independent tasks. A job slices the index
-    range into one contiguous shard per worker; each worker drains its own
-    shard through a private atomic cursor (the hot path is an uncontended
-    fetch-and-add) and steals round-robin from the other shards only when
-    its own runs dry. Because a shard cursor only moves forward, "every
-    shard is dry" is a stable condition, so no index can be lost to a
-    scheduling race — including the shard of a worker that died mid-job,
-    which the survivors steal like any other. Results are written into
+    The pool executes arrays of independent tasks. Every worker of a job
+    claims the next index through one shared atomic cursor
+    (fetch-and-add) until the cursor passes the end. Because the cursor
+    only moves forward, "the cursor is past the end" is a stable
+    condition, so no index can be lost to a scheduling race — including
+    the remainder of a batch whose worker died mid-job, which the
+    survivors claim like any other index. Results are written into
     per-index slots, so the merged output is in task order regardless of
     which domain ran what. This is what makes the parallel chase
     deterministic: callers fix a task order, and the pool guarantees the
@@ -31,7 +29,7 @@
     the surviving failures aggregated into a single {!Task_errors}. A
     worker "killed" by the fault-injection schedule ({!Guard.Faults})
     abandons only the index it had already claimed — rescued inline by the
-    coordinator — while the unclaimed remainder of its shard is stolen by
+    coordinator — while the unclaimed remainder of the batch is claimed by
     the surviving workers; at pool size 1 all of this degenerates to plain
     sequential execution. Because failed or orphaned tasks may be
     re-executed, tasks must be effect-free or idempotent.
@@ -47,12 +45,6 @@ exception Task_errors of (int * exn * Printexc.raw_backtrace) list
     every task has run and each failed one has been retried inline. *)
 
 type t
-
-val sequential : t
-(** The shared size-1 pool: inline execution, no domains. Note that its
-    {!busy_times} accumulate across every caller in the process; library
-    entry points that want per-run accounting should default to a private
-    [create 1] instead. *)
 
 val create : int -> t
 (** [create n] makes a pool of [n - 1] worker domains (the caller
@@ -138,42 +130,14 @@ val busy_times : t -> float array
 
 val reset_busy : t -> unit
 
-(** {1 Job-count configuration}
-
-    The conventional knobs behind [-j N] and the [FRONTIER_JOBS]
-    environment variable. *)
-
-val jobs_from_env : unit -> int
-(** [FRONTIER_JOBS] parsed as a positive integer; 1 when unset. A
-    malformed or non-positive value also maps to 1, but with a warning
-    on stderr rather than silently. *)
-
-val set_default_jobs : int -> unit
-(** Override the default job count (e.g. from a [-j] flag); shuts down the
-    previously materialized default pool, if any. *)
-
-val default_jobs : unit -> int
-
-val get_default : unit -> t
-(** The process-wide pool, lazily created with [default_jobs ()] workers. *)
-
-(** {1 Scheduler internals, exposed for the steal-path unit tests}
+(** {1 Test hook}
 
     Not part of the stable API. *)
 module Internal : sig
-  val shard_bounds : n:int -> size:int -> (int * int) array
-  (** The balanced contiguous [(lo, hi)] slices of [0, n) assigned to the
-      [size] workers; slices concatenate to exactly [0, n). *)
-
-  val probe_order : worker:int -> shards:int -> int list
-  (** The order in which [worker] visits shards when claiming: its own
-      shard first, then the victims round-robin — each shard exactly
-      once (no self-steal). *)
-
   val map_array_fanout :
     ?guard:Guard.t -> t -> ('a -> 'b) -> 'a array -> 'b array
   (** {!map_array} with the cost gate bypassed for this batch: any batch
       of two or more tasks on a pool of size > 1 goes to the workers,
-      even on one core — the only way to reach the steal and dead-worker
-      paths with deliberately tiny tasks. *)
+      even on one core — the only way to reach the fan-out and
+      dead-worker paths with deliberately tiny tasks. *)
 end

@@ -92,10 +92,10 @@ let split_batch n l =
 
 (* The worklist: a flat array-backed FIFO. Items live in
    [buf.(head .. tail - 1)]; a round's batch is one [Array.sub] off the
-   head (which the pool then shards contiguously), productions append at
-   the tail, and growth compacts the live region to the front. Frontier
-   size is O(1) — the old front/back list deque paid an O(n) double
-   reversal per [All] round plus an O(n) [List.length] for the stats. *)
+   head, productions append at the tail, and growth compacts the live
+   region to the front. Frontier size is O(1) — the old front/back list
+   deque paid an O(n) double reversal per [All] round plus an O(n)
+   [List.length] for the stats. *)
 type 'w queue = {
   mutable buf : 'w array;
   mutable head : int;
@@ -140,9 +140,8 @@ let queue_take q k =
 
 let run ?pool ?guard ?(drain = All) ?(max_rounds = max_int)
     ?(record_rounds = true) ?(base_round = 0) ?checkpoint ~init ~step () =
-  (* A private size-1 pool by default (not the shared [Pool.sequential]):
-     independent runs must not cross-contaminate each other's busy
-     accounting. *)
+  (* A private size-1 pool by default: independent runs must not
+     cross-contaminate each other's busy accounting. *)
   let pool =
     match pool with Some p -> p | None -> Parallel.Pool.create 1
   in

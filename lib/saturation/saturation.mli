@@ -26,9 +26,8 @@
        saturation with the committed round kept.}}
 
     The worklist is a flat array-backed FIFO: a round's batch is one
-    contiguous [Array.sub] off the head (which the pool then shards
-    contiguously across workers), productions append at the tail, and
-    the frontier size is O(1). All plumbing is constant-stack, so
+    contiguous [Array.sub] off the head, productions append at the tail,
+    and the frontier size is O(1). All plumbing is constant-stack, so
     frontiers of millions of items are safe (verified on a 1M-item
     frontier by the test suite). *)
 
@@ -157,8 +156,7 @@ val run :
   unit ->
   verdict * Stats.t
 (** Defaults: [pool] a {e private} size-1 pool (so independent runs never
-    share busy accounting; pass [Parallel.Pool.sequential] explicitly if
-    the old shared-pool behavior is wanted), [guard] unlimited,
+    share busy accounting), [guard] unlimited,
     [drain = All], [max_rounds = max_int], [record_rounds = true] (pass
     [false] on one-item-per-round drains over huge frontiers — recording
     a round per item would allocate proportionally).

@@ -1,13 +1,12 @@
-(* Unit tests for the sharded work-stealing pool: the pure scheduler
-   internals (shard slicing, probe order), the steal paths (empty
-   victims, dead workers), the busy-time accounting under concurrent
-   readers, the [FRONTIER_JOBS] plumbing, and the rewriting engines'
-   ignored [?pool]. The cross-scheduling determinism properties live in
-   test_properties.ml; these tests pin the mechanisms. *)
+(* Unit tests for the domain pool: the fan-out paths (batches smaller
+   than the pool, task errors, dead workers, exactly-once claims), the
+   busy-time accounting under concurrent readers, and the rewriting
+   engines' ignored [?pool]. The cross-scheduling determinism properties
+   live in test_properties.ml; these tests pin the mechanisms. *)
 
 open Parallel
 
-(* These tests pin the fan-out mechanisms themselves (stealing, dead
+(* These tests pin the fan-out mechanisms themselves (claiming, dead
    workers, busy accounting). The cost gate would route their
    deliberately tiny batches inline — always on a one-core box — so they
    go through [Pool.Internal]'s forced fan-out entry point, which
@@ -53,60 +52,11 @@ let contains_sub hay needle =
   go 0
 
 (* ------------------------------------------------------------------ *)
-(* Pure scheduler internals                                            *)
-(* ------------------------------------------------------------------ *)
-
-let test_shard_bounds_partition () =
-  List.iter
-    (fun (n, size) ->
-      let bounds = Pool.Internal.shard_bounds ~n ~size in
-      Alcotest.(check int)
-        (Printf.sprintf "n=%d size=%d: one shard per worker" n size)
-        size (Array.length bounds);
-      (* Contiguous cover of [0, n): each shard starts where the previous
-         ended, the first starts at 0, the last ends at n. *)
-      let expected_lo = ref 0 in
-      Array.iter
-        (fun (lo, hi) ->
-          Alcotest.(check int) "contiguous" !expected_lo lo;
-          Alcotest.(check bool) "non-negative width" true (hi >= lo);
-          expected_lo := hi)
-        bounds;
-      Alcotest.(check int) "covers [0, n)" n !expected_lo;
-      (* Balance: widths differ by at most one, larger shards first. *)
-      let widths = Array.to_list (Array.map (fun (lo, hi) -> hi - lo) bounds) in
-      let wmin = List.fold_left min n widths
-      and wmax = List.fold_left max 0 widths in
-      Alcotest.(check bool)
-        (Printf.sprintf "balanced (widths %d..%d)" wmin wmax)
-        true
-        (wmax - wmin <= 1))
-    [
-      (0, 1); (0, 4); (1, 4); (3, 4); (4, 4); (5, 4); (7, 3); (100, 1);
-      (100, 4); (101, 4); (103, 4); (17, 16);
-    ]
-
-let test_probe_order () =
-  List.iter
-    (fun (worker, shards) ->
-      let order = Pool.Internal.probe_order ~worker ~shards in
-      Alcotest.(check int) "visits every shard" shards (List.length order);
-      Alcotest.(check (option int))
-        "own shard first" (Some worker)
-        (match order with k :: _ -> Some k | [] -> None);
-      (* Each shard exactly once: no self-steal, no double visit. *)
-      Alcotest.(check (list int))
-        "a permutation of 0..shards-1" (List.init shards Fun.id)
-        (List.sort Int.compare order))
-    [ (0, 1); (0, 4); (1, 4); (3, 4); (2, 7) ]
-
-(* ------------------------------------------------------------------ *)
-(* Map correctness, including empty-victim steals                      *)
+(* Map correctness                                                     *)
 (* ------------------------------------------------------------------ *)
 
 let test_map_matches_sequential () =
-  (* Sizes below the worker count leave some shards empty from the
-     start, so finishing the job requires probing empty victims. *)
+  (* Sizes below the worker count leave some workers without a task. *)
   List.iter
     (fun n ->
       let tasks = Array.init n (fun i -> i) in
@@ -135,15 +85,15 @@ let test_task_errors_lists_failing_indices () =
         (List.map (fun (i, _, _) -> i) errors)
 
 (* ------------------------------------------------------------------ *)
-(* Dead-worker steal-rescue                                            *)
+(* Dead-worker rescue                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let test_dead_worker_rescue () =
   (* Pick a fault schedule that kills workers (any seed whose derived
      schedule has an active death period). Worker deaths abandon one
-     claimed index each — the coordinator rescues those — while the
-     dead worker's remaining shard must be stolen by the survivors; the
-     result has to come out identical to the sequential map anyway. *)
+     claimed index each — the coordinator rescues those — while the rest
+     of the batch must be claimed by the survivors; the result has to
+     come out identical to the sequential map anyway. *)
   let die_seed =
     let rec find s =
       if s > 10_000 then Alcotest.fail "no die-active fault seed found"
@@ -168,6 +118,30 @@ let test_dead_worker_rescue () =
         (Array.map (fun i -> i * 7) tasks)
         got;
       check_fanned_out "the fault-injected batch" domains)
+
+(* ------------------------------------------------------------------ *)
+(* Exactly-once claims                                                 *)
+(* ------------------------------------------------------------------ *)
+
+let test_exactly_once () =
+  (* Equal results cannot tell a double run from a single one, so each
+     task counts its own executions. *)
+  List.iter
+    (fun n ->
+      let runs = Array.init n (fun _ -> Atomic.make 0) in
+      let task, domains = spread () in
+      ignore
+        (map_array pool4
+           (task (fun i -> Atomic.incr runs.(i)))
+           (Array.init n Fun.id));
+      Array.iteri
+        (fun i c ->
+          Alcotest.(check int)
+            (Printf.sprintf "n=%d: index %d runs" n i)
+            1 (Atomic.get c))
+        runs;
+      check_fanned_out (Printf.sprintf "n=%d" n) domains)
+    [ 2; 5; 1000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Busy accounting under a concurrent reader                           *)
@@ -214,34 +188,6 @@ let test_sequential_branch_busy () =
   let after = (Pool.busy_times p).(0) in
   Alcotest.(check bool) "inline run accumulates busy time" true
     (after >= 0.)
-
-(* ------------------------------------------------------------------ *)
-(* FRONTIER_JOBS parsing                                               *)
-(* ------------------------------------------------------------------ *)
-
-let test_jobs_from_env () =
-  let with_env v f =
-    let prev = Sys.getenv_opt "FRONTIER_JOBS" in
-    Unix.putenv "FRONTIER_JOBS" v;
-    Fun.protect
-      ~finally:(fun () ->
-        Unix.putenv "FRONTIER_JOBS"
-          (match prev with Some s -> s | None -> ""))
-      f
-  in
-  (* An empty value is not an integer: warns and falls back to 1, which
-     also makes the save/restore above safe when the variable was unset
-     ([putenv ""] is the closest OCaml gets to unsetting). *)
-  List.iter
-    (fun (v, expected) ->
-      with_env v (fun () ->
-          Alcotest.(check int)
-            (Printf.sprintf "FRONTIER_JOBS=%S" v)
-            expected (Pool.jobs_from_env ())))
-    [
-      ("3", 3); (" 4 ", 4); ("1", 1); ("0", 1); ("-2", 1); ("abc", 1);
-      ("", 1);
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* The rewriting engines take no pool                                  *)
@@ -313,13 +259,8 @@ let test_rewriting_engines_ignore_pool () =
 let () =
   Alcotest.run "pool"
     [
-      ( "scheduler",
-        [
-          Alcotest.test_case "shard bounds partition [0, n)" `Quick
-            test_shard_bounds_partition;
-          Alcotest.test_case "probe order: own shard first, no self-steal"
-            `Quick test_probe_order;
-        ] );
+      (* The "steal" names predate the single claim cursor (there are no
+         shards to steal from any more); they stay so test ids are stable. *)
       ( "steal",
         [
           Alcotest.test_case "map = sequential map (incl. empty victims)"
@@ -328,6 +269,8 @@ let () =
             test_task_errors_lists_failing_indices;
           Alcotest.test_case "dead worker: orphan rescued, shard stolen"
             `Quick test_dead_worker_rescue;
+          Alcotest.test_case "every index runs exactly once" `Quick
+            test_exactly_once;
         ] );
       ( "accounting",
         [
@@ -335,11 +278,6 @@ let () =
             test_busy_times_concurrent_reader;
           Alcotest.test_case "size-1 pool accounts inline runs" `Quick
             test_sequential_branch_busy;
-        ] );
-      ( "config",
-        [
-          Alcotest.test_case "FRONTIER_JOBS parsing and warnings" `Quick
-            test_jobs_from_env;
         ] );
       ( "clients",
         [

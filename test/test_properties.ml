@@ -29,6 +29,7 @@ let count =
   | None -> 100
 
 (* Long-lived pools shared by all properties (domains are expensive). *)
+let pool1 = Parallel.Pool.create 1
 let pool2 = Parallel.Pool.create 2
 let pool3 = Parallel.Pool.create 3
 let pool4 = Parallel.Pool.create 4
@@ -1004,7 +1005,7 @@ let prop_pool_primitives =
       let f x = (x * 31) mod 1009 in
       List.for_all
         (fun pool -> Parallel.Pool.map_array pool f a = Array.map f a)
-        [ Parallel.Pool.sequential; pool2; pool4 ])
+        [ pool1; pool2; pool4 ])
 
 (* ------------------------------------------------------------------ *)
 (* Fault injection: every Exhausted salvage path, under random seeds   *)
@@ -1061,7 +1062,7 @@ let prop_faulty_chase_is_prefix =
               dr = Chase.Engine.depth reference
               && Bool.equal (Chase.Engine.saturated run)
                    (Chase.Engine.saturated reference))
-        [ Parallel.Pool.sequential; pool2; pool4 ])
+        [ pool1; pool2; pool4 ])
 
 let prop_faulty_rewriting_is_sound =
   (* A rewriting interrupted by a guard trip keeps its store: every
@@ -1104,7 +1105,7 @@ let prop_pool_absorbs_injected_faults =
         (fun pool ->
           with_faults (1 + seed) (fun () ->
               Parallel.Pool.map_array pool f arr = expected))
-        [ Parallel.Pool.sequential; pool2; pool4 ])
+        [ pool1; pool2; pool4 ])
 
 let prop_pool_aggregates_real_errors =
   (* Genuine task failures (not injected, so the retry pass re-fails) are
@@ -1144,7 +1145,7 @@ let prop_pool_aggregates_real_errors =
                  | Error (Failure _, _), true -> true
                  | _ -> false)
                (List.init (Array.length arr) Fun.id))
-        [ Parallel.Pool.sequential; pool2; pool4 ])
+        [ pool1; pool2; pool4 ])
 
 let prop_faulty_answering_never_lies =
   (* End to end: certain answers computed under fault injection are a
