@@ -166,11 +166,12 @@ let print_engine_stats (h0, f0, g0, e0) =
     (f1.Frontier.Fact_set.delta_atoms - f0.Frontier.Fact_set.delta_atoms)
     (f1.Frontier.Fact_set.built_atoms - f0.Frontier.Fact_set.built_atoms);
   Fmt.pr "plan layer: %d leapfrog plans / %d seeks / %d gallops / %d \
-          tuples@."
+          tuples / %d views@."
     (e1.Frontier.Eval.plans - e0.Frontier.Eval.plans)
     (e1.Frontier.Eval.seeks - e0.Frontier.Eval.seeks)
     (e1.Frontier.Eval.gallops - e0.Frontier.Eval.gallops)
-    (e1.Frontier.Eval.emitted - e0.Frontier.Eval.emitted);
+    (e1.Frontier.Eval.emitted - e0.Frontier.Eval.emitted)
+    (f1.Frontier.Fact_set.views - f0.Frontier.Fact_set.views);
   Fmt.pr "fan-out gate: %d batches inline / %d fanned out@."
     (g1.Frontier.Pool.inline_batches - g0.Frontier.Pool.inline_batches)
     (g1.Frontier.Pool.fanout_batches - g0.Frontier.Pool.fanout_batches)

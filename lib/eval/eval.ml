@@ -32,7 +32,6 @@ let tuple_compare = List.compare Term.compare
    of the join a contiguous range. *)
 type patom = {
   rel : Symbol.t;
-  arity : int;
   kpos : int array;
   klev : int array;  (* level bound at key column k; -1 = rigid *)
   kid : int array;  (* term id expected at rigid key columns; -1 else *)
@@ -179,7 +178,6 @@ let compile_body ~flexible ~out atoms =
                keys;
              {
                rel = Atom.rel a;
-               arity;
                kpos = Array.map (fun (_, p, _) -> p) keys;
                klev = Array.map (fun (l, _, _) -> l) keys;
                kid = Array.map (fun (_, _, id) -> id) keys;
@@ -237,125 +235,6 @@ module Plan = struct
           Fmt.(array ~sep:(any " ") Term.pp)
           c.order c.nfree
 end
-
-(* ------------------------------------------------------------------ *)
-(* Prepared instances: sorted column views                             *)
-(* ------------------------------------------------------------------ *)
-
-module Prepared = struct
-  type rel_rows = { nrows : int; ids : int array (* row-major *) }
-
-  type t = {
-    fs : Fact_set.t;
-    lock : Mutex.t;
-        (* serializes the lazy builds below, so one view can be shared
-           across pool workers; the finished arrays are read-only *)
-    rows : (int, rel_rows) Hashtbl.t;  (* Symbol.id -> matrix *)
-    orders : (string, int array) Hashtbl.t;
-        (* (Symbol.id, kpos) -> row permutation sorted along kpos *)
-  }
-
-  let make fs =
-    {
-      fs;
-      lock = Mutex.create ();
-      rows = Hashtbl.create 16;
-      orders = Hashtbl.create 16;
-    }
-
-  let fact_set t = t.fs
-
-  let rel_rows_unlocked t rel arity =
-    let key = Symbol.id rel in
-    match Hashtbl.find_opt t.rows key with
-    | Some r -> r
-    | None ->
-        let buf = ref (Array.make 1024 0) in
-        let n = ref 0 in
-        let push id =
-          if !n = Array.length !buf then begin
-            let bigger = Array.make (2 * !n) 0 in
-            Array.blit !buf 0 bigger 0 !n;
-            buf := bigger
-          end;
-          !buf.(!n) <- id;
-          incr n
-        in
-        Fact_set.iter_rows t.fs rel (fun _atoms ids row ->
-            if arity = 0 then push 0
-            else
-              for p = 0 to arity - 1 do
-                push ids.((row * arity) + p)
-              done);
-        let width = max arity 1 in
-        let r = { nrows = !n / width; ids = Array.sub !buf 0 !n } in
-        Hashtbl.replace t.rows key r;
-        r
-
-  let rel_rows t rel arity =
-    Mutex.protect t.lock (fun () -> rel_rows_unlocked t rel arity)
-
-  let order t rel arity kpos =
-    let key =
-      String.concat ","
-        (string_of_int (Symbol.id rel)
-        :: Array.to_list (Array.map string_of_int kpos))
-    in
-    Mutex.protect t.lock @@ fun () ->
-    match Hashtbl.find_opt t.orders key with
-    | Some o -> o
-    | None ->
-        let { nrows; ids } = rel_rows_unlocked t rel arity in
-        let ord = Array.init nrows Fun.id in
-        let nk = Array.length kpos in
-        Array.sort
-          (fun a b ->
-            let rec go k =
-              if k = nk then Int.compare a b
-              else
-                let c =
-                  Int.compare
-                    ids.((a * arity) + kpos.(k))
-                    ids.((b * arity) + kpos.(k))
-                in
-                if c <> 0 then c else go (k + 1)
-            in
-            go 0)
-          ord;
-        Hashtbl.replace t.orders key ord;
-        ord
-end
-
-(* Prepared views are cached per fact set (physical identity, a small
-   move-to-front LRU): repeated queries against one instance — the
-   answer pipeline's evaluate-then-compare passes, repeated CQ calls on
-   a chase result, a benchmark's repetitions — amortize the sorted-view
-   build exactly as the register machine amortizes its join index
-   inside [Fact_set]. Small sets skip the cache: their build is cheaper than
-   the eviction pressure they would put on the million-fact entries. The
-   size is only taken on a miss: [Fact_set.cardinal] walks the whole
-   set, which on a cached instance costs more than a point query. *)
-let prepared_cache_max = 4
-let prepared_cache_min_facts = 4096
-let prepared_cache : (Fact_set.t * Prepared.t) list ref = ref []
-let prepared_lock = Mutex.create ()
-
-let prepared_for fs =
-  Mutex.protect prepared_lock (fun () ->
-      match List.find_opt (fun (k, _) -> k == fs) !prepared_cache with
-      | Some (_, p) ->
-          prepared_cache :=
-            (fs, p) :: List.filter (fun (k, _) -> k != fs) !prepared_cache;
-          p
-      | None ->
-          let p = Prepared.make fs in
-          if Fact_set.cardinal fs >= prepared_cache_min_facts then
-            prepared_cache :=
-              (fs, p)
-              :: List.filteri
-                   (fun i _ -> i < prepared_cache_max - 1)
-                   !prepared_cache;
-          p)
 
 (* ------------------------------------------------------------------ *)
 (* The leapfrog join                                                   *)
@@ -521,26 +400,26 @@ let join_level rt cursors parts lev vals k =
    and stop at the first join row. One fuel unit is drawn per distinct
    tuple; the seek counter polls the guard for deadline/cancellation.
    Tuples are sorted at the end — the same sorted-distinct contract as
-   [Cq.answers]. *)
-let run_compiled ?guard ?limit c prepared =
+   [Cq.answers]. The sorted views come from the fact set, which builds
+   each (relation, key order) once and keeps it for its lifetime. *)
+let run_compiled ?guard ?limit c f =
   Atomic.incr c_plans;
   let rt = { guard; steps = 0; gallops = 0; emitted = 0 } in
   let acc = ref [] in
-  let finish tripped =
-    Atomic.set c_seeks (Atomic.get c_seeks + rt.steps);
-    Atomic.set c_gallops (Atomic.get c_gallops + rt.gallops);
-    Atomic.set c_emitted (Atomic.get c_emitted + rt.emitted);
-    (List.sort_uniq tuple_compare !acc, tripped)
+  let finish () =
+    ignore (Atomic.fetch_and_add c_seeks rt.steps);
+    ignore (Atomic.fetch_and_add c_gallops rt.gallops);
+    ignore (Atomic.fetch_and_add c_emitted rt.emitted);
+    List.sort_uniq tuple_compare !acc
   in
   try
     let cursors =
       Array.map
         (fun pa ->
-          let rows = Prepared.rel_rows prepared pa.rel pa.arity in
-          let ord = Prepared.order prepared pa.rel pa.arity pa.kpos in
+          let ids, width, ord = Fact_set.sorted_view f pa.rel pa.kpos in
           {
-            c_ids = rows.Prepared.ids;
-            c_arity = max pa.arity 1;
+            c_ids = ids;
+            c_arity = width;
             c_ord = ord;
             c_kpos = pa.kpos;
             c_klev = pa.klev;
@@ -553,7 +432,7 @@ let run_compiled ?guard ?limit c prepared =
         c.patoms
     in
     if not (Array.for_all (fun cur -> narrow_rigid rt cur) cursors) then
-      finish false
+      finish ()
     else begin
       let vals = Array.make (max 1 c.nvars) 0 in
       let seen : (int list, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -592,11 +471,9 @@ let run_compiled ?guard ?limit c prepared =
               go (lev + 1) && lev >= suffix_start)
       in
       ignore (go 0);
-      finish false
+      finish ()
     end
-  with
-  | Trip -> finish true
-  | Limit -> finish false
+  with Trip | Limit -> finish ()
 
 (* ------------------------------------------------------------------ *)
 (* Fallback for bodies the leapfrog compiler declines                  *)
@@ -609,70 +486,70 @@ let run_compiled ?guard ?limit c prepared =
 let fallback_problem p target =
   Homomorphism.make ~flexible:p.p_flexible ~pattern:p.p_pattern ~target ()
 
-let run_fallback ?guard p prepared =
-  let seen = ref 0 in
+(* One fuel unit per distinct projected tuple, as on the leapfrog path;
+   the guard's deadline and cancellation are polled every
+   [Guard.poll_mask]+1 homomorphisms. A trip keeps the tuples drawn so
+   far, each a real answer. *)
+let run_fallback ?guard p f =
+  let seen : (int list, unit) Hashtbl.t = Hashtbl.create 64 in
+  let homs = ref 0 in
   let acc = ref [] in
-  let tripped = ref false in
   (try
-     Homomorphism.iter (fallback_problem p (Prepared.fact_set prepared))
-       (fun m ->
-         incr seen;
+     Homomorphism.iter (fallback_problem p f) (fun m ->
+         incr homs;
          (match guard with
-         | Some g ->
-             if !seen land Guard.poll_mask = 0 && Guard.check g <> None
-             then raise Trip
-         | None -> ());
-         acc := List.map (fun v -> Term.Map.find v m) p.p_out :: !acc)
-   with Trip -> tripped := true);
-  (List.sort_uniq tuple_compare !acc, !tripped)
+         | Some g when !homs land Guard.poll_mask = 0 && Guard.check g <> None
+           ->
+             raise Trip
+         | _ -> ());
+         let tuple = List.map (fun v -> Term.Map.find v m) p.p_out in
+         let key = List.map (fun (t : Term.t) -> t.Term.id) tuple in
+         if not (Hashtbl.mem seen key) then begin
+           Hashtbl.add seen key ();
+           (match guard with
+           | Some g when Guard.spend g 1 <> None -> raise Trip
+           | _ -> ());
+           acc := tuple :: !acc
+         end)
+   with Trip -> ());
+  List.sort tuple_compare !acc
 
-let run_plan ?guard ?limit p prepared =
+let run_plan ?guard p f =
   match p.p_compiled with
-  | Some c -> run_compiled ?guard ?limit c prepared
-  | None -> run_fallback ?guard p prepared
+  | Some c -> run_compiled ?guard c f
+  | None -> run_fallback ?guard p f
 
 let outcome_of ?guard tuples =
   match guard with
   | Some g -> Guard.outcome g ~complete:tuples ~partial:tuples
   | None -> Guard.Complete tuples
 
-let run ?guard p prepared =
-  let tuples, _ = run_plan ?guard p prepared in
-  outcome_of ?guard tuples
-
 (* Boolean existence: an empty answer prefix and a tuple limit of one,
    so the join stops at the first witness. The fallback uses the
    register machine's own early-exit [exists]. *)
-let exists_cq q prepared =
+let boolean_holds q f =
   let p = plan_of ~out:[] q in
   match p.p_compiled with
-  | Some c ->
-      let tuples, _ = run_compiled ~limit:1 c prepared in
-      tuples <> []
-  | None ->
-      Homomorphism.exists (fallback_problem p (Prepared.fact_set prepared))
+  | Some c -> run_compiled ~limit:1 c f <> []
+  | None -> Homomorphism.exists (fallback_problem p f)
 
 (* ------------------------------------------------------------------ *)
 (* CQ / UCQ entry points                                               *)
 (* ------------------------------------------------------------------ *)
 
 let answers_outcome ?guard q f =
-  run ?guard (Plan.compile q) (prepared_for f)
+  outcome_of ?guard (run_plan ?guard (Plan.compile q) f)
 
 let answers ?guard q f =
   match answers_outcome ?guard q f with
   | Guard.Complete ts -> ts
   | Guard.Exhausted { partial; _ } -> partial
 
-let boolean_holds q f = exists_cq q (prepared_for f)
-
 let ucq_answers_outcome ?guard u f =
-  let prepared = prepared_for f in
   let seen : (int list, unit) Hashtbl.t = Hashtbl.create 256 in
   let acc = ref [] in
   List.iter
     (fun d ->
-      let tuples, _ = run_plan ?guard (Plan.compile d) prepared in
       List.iter
         (fun tuple ->
           let key = List.map (fun (t : Term.t) -> t.Term.id) tuple in
@@ -680,7 +557,7 @@ let ucq_answers_outcome ?guard u f =
             Hashtbl.add seen key ();
             acc := tuple :: !acc
           end)
-        tuples)
+        (run_plan ?guard (Plan.compile d) f))
     (Ucq.disjuncts u);
   outcome_of ?guard (List.sort tuple_compare !acc)
 
@@ -689,6 +566,4 @@ let ucq_answers ?guard u f =
   | Guard.Complete ts -> ts
   | Guard.Exhausted { partial; _ } -> partial
 
-let ucq_boolean_holds u f =
-  let prepared = prepared_for f in
-  Ucq.exists (fun d -> exists_cq d prepared) u
+let ucq_boolean_holds u f = Ucq.exists (fun d -> boolean_holds d f) u

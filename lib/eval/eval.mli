@@ -8,7 +8,10 @@
     an atom with the ordered prefix whenever possible), per-atom
     key-column permutations fixed at plan time (rigid slots first), and
     per-variable iterator frontiers intersected with galloping
-    (exponential-probe) seeks. A
+    (exponential-probe) seeks. The sorted views belong to the fact set
+    ({!Fact_set.sorted_view}): each (relation, key order) is sorted once
+    per instance and freed with it, so repeated queries against one
+    instance pay no sort, however many instances are in use. A
     [Ucq.t] evaluates as a union of plans sharing one dedup table, so a
     tuple produced by an early disjunct is never re-emitted.
 
@@ -48,41 +51,17 @@ module Plan : sig
   val pp : t Fmt.t
 end
 
-(** A fact set prepared for repeated plan runs: per-relation row-major
-    argument-id matrices plus sorted row permutations, built lazily per
-    (relation, key order) under a per-view mutex, so pool workers can
-    share one view. The CQ/UCQ entry points below cache views per fact
-    set (physical identity, small LRU) — repeated queries against one
-    instance amortize the sort the same way {!Fact_set} amortizes its
-    join index. *)
-module Prepared : sig
-  type t
-
-  val make : Fact_set.t -> t
-  val fact_set : t -> Fact_set.t
-end
-
-val run :
-  ?guard:Guard.t ->
-  Plan.t ->
-  Prepared.t ->
-  (Term.t list list, Term.t list list) Guard.outcome
-(** Execute a plan: the distinct tuples of values of the plan's answer
-    variables (in [Cq.free] order), sorted as {!Cq.answers}
-    sorts. Guard checkpoints run at {!Guard.poll_mask} spacing on the
-    seek counter and one fuel unit is drawn per emitted tuple; a trip
-    salvages the tuples found so far — every one is a real answer
-    (sound, possibly incomplete). *)
-
 (** {1 CQ / UCQ evaluation}
 
     Drop-in equivalents of [Cq.answers]/[Cq.boolean_holds] and their
     UCQ counterparts, executing through plans. *)
 
 val answers : ?guard:Guard.t -> Cq.t -> Fact_set.t -> Term.t list list
-(** All distinct answer tuples, like {!Cq.answers}. On a guard trip the
-    partial (sound) tuple list is returned; use {!answers_outcome} to
-    observe the trip. *)
+(** All distinct answer tuples of [Cq.free], like {!Cq.answers}. One
+    fuel unit is drawn per distinct tuple, and the guard's deadline and
+    cancellation are polled at {!Guard.poll_mask} spacing. On a guard
+    trip the partial (sound) tuple list is returned; use
+    {!answers_outcome} to observe the trip. *)
 
 val answers_outcome :
   ?guard:Guard.t ->
@@ -94,7 +73,7 @@ val boolean_holds : Cq.t -> Fact_set.t -> bool
 
 val ucq_answers : ?guard:Guard.t -> Ucq.t -> Fact_set.t -> Term.t list list
 (** Distinct answers of the union, evaluated disjunct by disjunct over
-    one shared {!Prepared} view with early cross-disjunct dedup. *)
+    the fact set's sorted views with early cross-disjunct dedup. *)
 
 val ucq_answers_outcome :
   ?guard:Guard.t ->

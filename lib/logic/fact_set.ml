@@ -42,6 +42,7 @@ type counters = {
   removed_atoms : int;
   posting_probes : int;
   posting_intersections : int;
+  views : int;
 }
 
 let c_builds = Atomic.make 0
@@ -52,6 +53,7 @@ let c_shrinks = Atomic.make 0
 let c_removed_atoms = Atomic.make 0
 let c_posting_probes = Atomic.make 0
 let c_posting_intersections = Atomic.make 0
+let c_views = Atomic.make 0
 
 let counters () =
   {
@@ -63,6 +65,7 @@ let counters () =
     removed_atoms = Atomic.get c_removed_atoms;
     posting_probes = Atomic.get c_posting_probes;
     posting_intersections = Atomic.get c_posting_intersections;
+    views = Atomic.get c_views;
   }
 
 (* ------------------------------------------------------------------ *)
@@ -347,7 +350,18 @@ let term_occurs layers (term : Term.t) =
 (* Fact sets                                                           *)
 (* ------------------------------------------------------------------ *)
 
-type t = { set : Atom.Set.t; mutable index : index_state }
+(* A sorted view of one relation for the leapfrog join: the relation's
+   row-major id slab [v_ids], and the row permutation [v_perm] sorted
+   along the key order [v_kpos]. *)
+type view = { v_sid : int; v_kpos : int array; v_ids : int array; v_perm : int array }
+
+type t = {
+  set : Atom.Set.t;
+  mutable index : index_state;
+  mutable views : view list;
+      (* built on first use by [sorted_view]; never shared with derived
+         sets *)
+}
 
 and index_state =
   | Unbuilt
@@ -358,7 +372,7 @@ and index_state =
          built once and shared — and never built at all if this set's
          index is never needed (e.g. a chase's final stage). *)
 
-let of_set set = { set; index = Unbuilt }
+let of_set set = { set; index = Unbuilt; views = [] }
 let empty = of_set Atom.Set.empty
 let of_list l = of_set (Atom.Set.of_list l)
 let to_set t = t.set
@@ -404,7 +418,7 @@ let derive ~delta ~ndelta parent set' =
     ignore (Atomic.fetch_and_add c_delta_atoms ndelta);
     let layer = layer_of_list delta ndelta in
     let domain = List.fold_left domain_add_atom idx.domain delta in
-    { set = set'; index = Built (cons_layer idx layer domain) }
+    { set = set'; index = Built (cons_layer idx layer domain); views = [] }
   end
   else of_set set'
 
@@ -436,6 +450,7 @@ let union a b =
       {
         set = Atom.Set.union base.set other.set;
         index = Lazy_extend { base; other };
+        views = [];
       }
     else
       let delta = Atom.Set.elements (Atom.Set.diff other.set base.set) in
@@ -458,6 +473,7 @@ let union_disjoint a b =
       {
         set = Atom.Set.union base.set other.set;
         index = Lazy_extend { base; other };
+        views = [];
       }
 
 let diff a b =
@@ -510,12 +526,13 @@ let diff a b =
       {
         set = Atom.Set.diff a.set b.set;
         index = Built { layers; n_layers = List.length layers; domain };
+        views = [];
       }
     end
 
 let remove a t =
   if not (Atom.Set.mem a t.set) then t
-  else diff t { set = Atom.Set.singleton a; index = Unbuilt }
+  else diff t (of_set (Atom.Set.singleton a))
 
 let inter a b = of_set (Atom.Set.inter a.set b.set)
 let subset a b = Atom.Set.subset a.set b.set
@@ -539,6 +556,65 @@ let iter_rows t rel f =
         f b.atoms b.ids row
       done)
     (rel_buckets (index t) (Symbol.id rel))
+
+(* Sorted views live in the set they index and die with it. A lookup
+   reads [t.views] without a lock (a single-word read of an immutable
+   list, the same benign race as [index]); a build sorts outside the
+   lock and publishes under [views_lock], re-checking first, so two
+   domains never lose each other's views. The slab is the index's own
+   bucket when the relation sits in one layer, and is concatenated once
+   (newest layer first, the {!iter_rows} order) and shared by every key
+   order otherwise. Nullary relations get width-1 rows of zeros. *)
+let views_lock = Mutex.create ()
+
+let find_view views sid kpos =
+  List.find_opt (fun v -> v.v_sid = sid && v.v_kpos = kpos) views
+
+let rel_slab t sid arity =
+  match List.find_opt (fun v -> v.v_sid = sid) t.views with
+  | Some v -> v.v_ids
+  | None -> (
+      match rel_buckets (index t) sid with
+      | bs when arity = 0 ->
+          Array.make (List.fold_left (fun n (b : bucket) -> n + b.n) 0 bs) 0
+      | [ b ] -> b.ids
+      | bs -> Array.concat (List.map (fun (b : bucket) -> b.ids) bs))
+
+let build_view t sid arity kpos =
+  let width = max arity 1 in
+  let ids = rel_slab t sid arity in
+  let perm = Array.init (Array.length ids / width) Fun.id in
+  let nk = Array.length kpos in
+  Array.sort
+    (fun a b ->
+      let rec go k =
+        if k = nk then Int.compare a b
+        else
+          let c =
+            Int.compare ids.((a * width) + kpos.(k)) ids.((b * width) + kpos.(k))
+          in
+          if c <> 0 then c else go (k + 1)
+      in
+      go 0)
+    perm;
+  Atomic.incr c_views;
+  { v_sid = sid; v_kpos = kpos; v_ids = ids; v_perm = perm }
+
+let sorted_view t rel kpos =
+  let sid = Symbol.id rel and arity = Symbol.arity rel in
+  let v =
+    match find_view t.views sid kpos with
+    | Some v -> v
+    | None ->
+        let v = build_view t sid arity kpos in
+        Mutex.protect views_lock (fun () ->
+            match find_view t.views sid kpos with
+            | Some v -> v
+            | None ->
+                t.views <- v :: t.views;
+                v)
+  in
+  (v.v_ids, max arity 1, v.v_perm)
 
 (* The compiled join's candidate enumeration: [bound_pos]/[bound_ids]
    hold [nb] (position, term id) constraints in caller-owned scratch

@@ -17,7 +17,10 @@
 
     A layer stores each fact once per relation — interned into the
     process-wide {!Arena} — with sorted row {e postings} per
-    (position, term). *)
+    (position, term).
+
+    A set also owns the sorted views the leapfrog join reads
+    ({!sorted_view}), built on first use and freed with the set. *)
 
 type t
 
@@ -63,6 +66,20 @@ val iter_rows :
     argument-id slab — [ids.(row * arity + pos)] is the hash-consed id
     of argument [pos] of [atoms.(row)]. The arrays are the index's own
     frozen storage: do not mutate them. *)
+
+val sorted_view : t -> Symbol.t -> int array -> int array * int * int array
+(** [sorted_view t rel kpos] is [(ids, width, perm)]: the facts of [rel]
+    as a row-major id slab [ids] of rows of [width] ints
+    ([ids.(row * width + pos)] is the id of argument [pos]; a nullary
+    relation gets width-1 rows), in the {!iter_rows} order, and the row
+    permutation [perm] sorted lexicographically along the argument
+    positions [kpos] (ties by row). Built on first use and kept in [t]
+    for its lifetime: a later call with the same [rel] and [kpos] returns
+    the same arrays. A relation held in one index layer uses that
+    layer's slab without a copy; one spread over several layers is
+    concatenated once and shared by its key orders. Sets derived from
+    [t] start with no views. Safe to call from several domains. Forces
+    the index. Do not mutate the arrays. *)
 
 val iter_join_candidates :
   t ->
@@ -115,6 +132,7 @@ type counters = {
   posting_probes : int;  (** join-index lookups (per layer, per constraint) *)
   posting_intersections : int;
       (** sorted-posting merge-intersections in {!iter_join_candidates} *)
+  views : int;  (** sorted permutations built by {!sorted_view} *)
 }
 
 val counters : unit -> counters

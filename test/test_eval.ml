@@ -129,23 +129,26 @@ let test_ucq_union_dedup () =
         (Ucq.holds u er [ v ]))
     (Term.Set.elements (Fact_set.domain er))
 
-let test_fallback_plan () =
-  (* A functional argument with a variable inside cannot be keyed by the
-     sorted join, so the plan falls back to the register-machine search.
-     Terms match atomically: [f(y)] matches only itself (as in a query
-     body used as a containment target). *)
-  let a = Term.const "a" and b = Term.const "b" and c = Term.const "c" in
-  let f t = Term.app "f" [ t ] in
+(* A functional argument with a variable inside cannot be keyed by the
+   sorted join, so the plan falls back to the register-machine search.
+   Terms match atomically: [f(y)] matches only itself (as in a query
+   body used as a containment target). *)
+let a = Term.const "a"
+let b = Term.const "b"
+let c = Term.const "c"
+let f t = Term.app "f" [ t ]
+
+let fallback_query, fallback_inst =
   let e2 = Theories.Zoo.e2 in
-  let inst =
+  ( Cq.make ~free:[ x ] [ Atom.make e2 [ x; f y ] ],
     Fact_set.of_list
       [
-        Atom.make e2 [ a; f y ];
-        Atom.make e2 [ b; f b ];
-        Atom.make e2 [ c; f y ];
-      ]
-  in
-  let q = Cq.make ~free:[ x ] [ Atom.make e2 [ x; f y ] ] in
+        Atom.make e2 [ a; f y ]; Atom.make e2 [ b; f b ]; Atom.make e2 [ c; f y ];
+      ] )
+
+let test_fallback_plan () =
+  let e2 = Theories.Zoo.e2 in
+  let q = fallback_query and inst = fallback_inst in
   Alcotest.(check bool) "not compiled" false
     (Eval.Plan.compiled (Eval.Plan.compile q));
   let answers = Eval.answers q inst in
@@ -195,6 +198,23 @@ let test_guard_partial_is_sound () =
           Alcotest.(check bool) "cancelled partial sound" true
             (List.exists (fun t -> List.compare Term.compare t tuple = 0) full))
         partial)
+
+(* The fallback plan draws one fuel unit per distinct tuple too: the
+   query of [test_fallback_plan] has two answers, so one unit trips. *)
+let test_fallback_spends_fuel () =
+  let q = fallback_query and inst = fallback_inst in
+  let full = Eval.answers q inst in
+  Alcotest.(check int) "two answers" 2 (List.length full);
+  match Eval.answers_outcome ~guard:(Guard.create ~fuel:1 ()) q inst with
+  | Guard.Complete _ -> Alcotest.fail "expected a fuel trip"
+  | Guard.Exhausted { partial; cause; _ } ->
+      Alcotest.(check bool) "fuel cause" true (cause = Guard.Fuel);
+      Alcotest.(check int) "one tuple per fuel unit" 1 (List.length partial);
+      List.iter
+        (fun tuple ->
+          Alcotest.(check bool) "partial tuple is a real answer" true
+            (mem_tuple tuple full))
+        partial
 
 (* Containment is the register machine's job: a check against a
    128-atom target (an E-path, or a width-8 E/R grid prefix) decides
@@ -248,6 +268,103 @@ let test_counters_move () =
   Alcotest.(check int) "emitted = distinct answers" (List.length answers)
     (c.Eval.emitted - c0.Eval.emitted)
 
+(* The counters are shared by every domain: two domains evaluating the
+   same query k times each add exactly 2k runs' worth of seeks. Many
+   short runs make lost updates likely if the counters are not added
+   atomically. The second instance is fresh, so both domains also race
+   to build its views. *)
+let test_counters_concurrent () =
+  let inst () =
+    Theories.Instances.erdos_renyi Theories.Zoo.e2 ~seed:23 ~nodes:8
+      ~edges:16
+  in
+  let q =
+    Cq.make ~free:[ x ]
+      [ Atom.make Theories.Zoo.e2 [ x; y ]; Atom.make Theories.Zoo.e2 [ y; z ];
+        Atom.make Theories.Zoo.e2 [ z; x ] ]
+  in
+  let seeks () = (Eval.counters ()).Eval.seeks in
+  let s0 = seeks () in
+  let expected = Eval.answers q (inst ()) in
+  let one = seeks () - s0 in
+  Alcotest.(check bool) "a run seeks" true (one > 0);
+  let shared = inst () in
+  let k = 10_000 in
+  let s1 = seeks () in
+  let run () = List.init k (fun _ -> Eval.answers q shared) in
+  let d1 = Domain.spawn run and d2 = Domain.spawn run in
+  let results = Domain.join d1 @ Domain.join d2 in
+  Alcotest.(check int) "no lost seeks" (2 * k * one) (seeks () - s1);
+  List.iter (Alcotest.check tuples "same answers" expected) results
+
+let views () = (Fact_set.counters ()).Fact_set.views
+
+(* Six instances, more than the old four-entry view cache held, queried
+   round-robin: the second round sorts nothing. *)
+let test_views_once_per_instance () =
+  let e = Theories.Zoo.e2 in
+  let insts =
+    List.init 6 (fun i ->
+        Theories.Instances.erdos_renyi e ~seed:(31 + i) ~nodes:60 ~edges:500)
+  in
+  let u =
+    Ucq.of_disjuncts_unchecked
+      [
+        Cq.make ~free:[ x ] [ Atom.make e [ x; y ]; Atom.make e [ y; x ] ];
+        Cq.make ~free:[ x ]
+          [ Atom.make e [ x; y ]; Atom.make e [ y; z ]; Atom.make e [ z; x ] ];
+      ]
+  in
+  let round () = List.map (Eval.ucq_answers u) insts in
+  let v0 = views () in
+  let first = round () in
+  Alcotest.(check bool) "round one builds views" true (views () > v0);
+  let v1 = views () in
+  let second = round () in
+  Alcotest.(check int) "round two builds no view" v1 (views ());
+  List.iter2 (Alcotest.check tuples "same answers") first second;
+  List.iter2
+    (fun inst got ->
+      let reference =
+        List.sort_uniq (List.compare Term.compare)
+          (List.concat_map (fun d -> Cq.answers d inst) (Ucq.disjuncts u))
+      in
+      Alcotest.check tuples "= Cq.answers" reference got)
+    insts first
+
+(* A set derived from an evaluated one starts without views: each
+   derived set answers like [Cq.answers] on its own facts. *)
+let test_derived_views () =
+  let e = Theories.Zoo.e2 in
+  let f = Theories.Instances.erdos_renyi e ~seed:41 ~nodes:30 ~edges:120 in
+  let q =
+    Cq.make ~free:[ x; y ] [ Atom.make e [ x; z ]; Atom.make e [ z; y ] ]
+  in
+  let before = Eval.answers q f in
+  Alcotest.check tuples "base" (Cq.answers q f) before;
+  let fresh = Atom.make e [ Term.const "new0"; Term.const "new1" ] in
+  let edge = List.hd (Fact_set.atoms f) in
+  let added = Fact_set.add fresh (Fact_set.add
+      (Atom.make e [ Atom.arg edge 1; Term.const "new0" ]) f) in
+  let removed = Fact_set.diff f (Fact_set.of_list [ edge ]) in
+  List.iter
+    (fun (name, g) ->
+      let got = Eval.answers q g in
+      Alcotest.check tuples name (Cq.answers q g) got;
+      Alcotest.(check bool) (name ^ " differs from the base") false
+        (List.equal (List.equal Term.equal) got before))
+    [ ("add", added); ("diff", removed) ];
+  Alcotest.check tuples "base unchanged" before (Eval.answers q f);
+  (* Unary and nullary relations (width-1 rows) through a derived set. *)
+  let p1 = Symbol.make "P" ~arity:1 and z0 = Symbol.make "Z" ~arity:0 in
+  let qz = Cq.make ~free:[ x ] [ Atom.make p1 [ x ]; Atom.make z0 [] ] in
+  let pz = Fact_set.of_list [ Atom.make p1 [ a ]; Atom.make z0 [] ] in
+  Alcotest.check tuples "nullary present" [ [ a ] ] (Eval.answers qz pz);
+  let pz' = Fact_set.add (Atom.make p1 [ b ]) pz in
+  Alcotest.check tuples "unary added" [ [ a ]; [ b ] ] (Eval.answers qz pz');
+  Alcotest.check tuples "nullary removed" []
+    (Eval.answers qz (Fact_set.diff pz' (Fact_set.of_list [ Atom.make z0 [] ])))
+
 let () =
   Alcotest.run "eval"
     [
@@ -264,11 +381,22 @@ let () =
         [
           Alcotest.test_case "partial answers are sound" `Quick
             test_guard_partial_is_sound;
+          Alcotest.test_case "fallback plans spend fuel" `Quick
+            test_fallback_spends_fuel;
         ] );
       ( "integration",
         [
           Alcotest.test_case "containment runs no plan" `Quick
             test_containment_runs_no_plan;
           Alcotest.test_case "counters" `Quick test_counters_move;
+          Alcotest.test_case "counters from two domains" `Quick
+            test_counters_concurrent;
+        ] );
+      ( "views",
+        [
+          Alcotest.test_case "views are built once per instance" `Quick
+            test_views_once_per_instance;
+          Alcotest.test_case "derived sets get their own views" `Quick
+            test_derived_views;
         ] );
     ]
