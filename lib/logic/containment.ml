@@ -15,9 +15,9 @@ exception Found
 (* Is there a homomorphism of [atoms] into [target] extending [init]?
    One register-machine search with an early exit at the first
    solution. *)
-let has_hom ?injective ~init ~flexible atoms target =
+let has_hom ~init ~flexible atoms target =
   try
-    Homomorphism.iter_multi ?injective ~init ~flexible
+    Homomorphism.iter_multi ~init ~flexible
       ~pattern:(List.map (fun a -> (a, target)) atoms)
       ~domain_bindings:[]
       (fun _ -> raise Found);
@@ -76,32 +76,7 @@ let implies q1 q2 =
 
 let equivalent q1 q2 = implies q1 q2 && implies q2 q1
 
-(* Injectivity couples the components of the pattern, so [isomorphic]
-   cannot be solved one component at a time. Invariants still apply as
-   *prescreens*: the 1-WL color-refinement arrays must agree (this is
-   what separates same-shape queries that differ only in which symmetric
-   node carries a distinguishing atom — the dominant refutation case when
-   classifying markings), and an isomorphism is in particular a
-   homomorphism each way, so both directions must be hom-feasible. The
-   search itself then runs in injective mode, failing a clashing binding
-   the moment it is attempted instead of enumerating every (mostly
-   non-injective) homomorphism and filtering afterwards. *)
-let isomorphic q1 q2 =
-  Cq.size q1 = Cq.size q2
-  && List.length (Cq.vars q1) = List.length (Cq.vars q2)
-  && String.equal (Cq.iso_key q1) (Cq.iso_key q2)
-  && List.length (Cq.free q1) = List.length (Cq.free q2)
-  && Cq.wl_equal q1 q2
-  && Cq.hom_feasible ~from:q1 ~into:q2
-  && Cq.hom_feasible ~from:q2 ~into:q1
-  &&
-  let init =
-    List.fold_left2
-      (fun m v w -> Term.Map.add v w m)
-      Term.Map.empty (Cq.free q1) (Cq.free q2)
-  in
-  has_hom ~injective:true ~init ~flexible:(Cq.var_set q1) (Cq.atoms q1)
-    (Cq.as_fact_set q2)
+let isomorphic q1 q2 = Cq.canon_id q1 = Cq.canon_id q2
 
 let core_of_query q =
   let redundant q atom =

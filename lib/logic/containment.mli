@@ -24,7 +24,9 @@ val equivalent : Cq.t -> Cq.t -> bool
 
 val isomorphic : Cq.t -> Cq.t -> bool
 (** Equality up to renaming of bound variables (free variables correspond
-    positionally). *)
+    positionally): [Cq.canon_id q1 = Cq.canon_id q2]. The canonical id is
+    complete, so no search runs here beyond computing the two ids, each
+    once per query. *)
 
 val core_of_query : Cq.t -> Cq.t
 (** Remove redundant body atoms until none is redundant: the core of the

@@ -9,11 +9,10 @@ type t = {
   mutable profile : int array option;  (* cached distance profile *)
   mutable ecomps : Atom.t list list option;
       (* cached existential-connectivity components of the body *)
-  mutable wl : int array option;  (* cached [wl_colors] *)
 }
 
-(* Atomic: fresh variables are minted from worker domains during parallel
-   rewriting saturation. *)
+(* Atomic, so that [fresh_var] is safe from any domain. Its callers in
+   the library, the UCQ rewriting and the marked process, run on one. *)
 let gensym = Atomic.make 0
 
 let fresh_var ?(prefix = "v") () =
@@ -64,7 +63,6 @@ let make ~free atoms =
     anchors = -1;
     profile = None;
     ecomps = None;
-    wl = None;
   }
 
 let free q = q.free
@@ -240,131 +238,6 @@ let hom_feasible ~from ~into =
   && anchor_mask from land lnot (anchor_mask into) = 0
   && profile_dominated ~from ~into
 
-(* ------------------------------------------------------------------ *)
-(* Isomorphism invariant: 1-WL color refinement                        *)
-(* ------------------------------------------------------------------ *)
-
-(* The fingerprints above are necessary conditions for a *homomorphism*
-   and keep only extremal statistics (minimal distances), so they cannot
-   tell apart queries that differ in which of several interchangeable
-   atoms sits where — e.g. two markings of symmetric branches. One round
-   of Weisfeiler-Leman color refinement per node does: every node keeps
-   its own joint view of relation, position and neighborhood, and the
-   positionally distinct colors of the answer variables propagate
-   outward, separating the branches.
-
-   Nodes are the direct-argument terms of the body; edges connect the
-   co-arguments of each atom, labeled by (relation, position, position).
-   Initial colors are isomorphism-invariant under the engine's notion
-   (bound variables renamable, free variables positional, ground terms
-   literal): answer variables by position, ground terms by hash-consed
-   id, bound variables by their multiset of (relation, position)
-   occurrence slots, and non-ground functional terms coarsely by head
-   symbol and arity (their bound arguments are renamable, so their ids
-   must not leak in). Refinement folds the old color with the sorted
-   neighbor signatures; since the old color is folded in, the partition
-   only ever splits, so it is stable as soon as the number of distinct
-   colors stops growing — isomorphic queries then traverse identical
-   trajectories and end on the identical sorted color array, while
-   colliding arrays on non-isomorphic queries merely weaken the filter
-   (never lie). *)
-let wl_mix h x = ((h * 0x01000193) lxor x) land max_int
-
-let wl_colors q =
-  match q.wl with
-  | Some c -> c
-  | None ->
-      let free_index : (int, int) Hashtbl.t = Hashtbl.create 8 in
-      List.iteri
-        (fun i (v : Term.t) -> Hashtbl.replace free_index v.Term.id i)
-        q.free;
-      let index : (int, int) Hashtbl.t = Hashtbl.create 16 in
-      let rev_nodes = ref [] in
-      let node_of (t : Term.t) =
-        match Hashtbl.find_opt index t.Term.id with
-        | Some i -> i
-        | None ->
-            let i = Hashtbl.length index in
-            Hashtbl.add index t.Term.id i;
-            rev_nodes := t :: !rev_nodes;
-            i
-      in
-      List.iter
-        (fun a -> List.iter (fun t -> ignore (node_of t)) (Atom.args a))
-        q.atoms;
-      let n = Hashtbl.length index in
-      let nodes = Array.of_list (List.rev !rev_nodes) in
-      let tokens = Array.make n [] in
-      let adj = Array.make n [] in
-      List.iter
-        (fun a ->
-          let rel = Symbol.id (Atom.rel a) in
-          let args = Array.of_list (Atom.args a) in
-          Array.iteri
-            (fun i t ->
-              let vi = node_of t in
-              tokens.(vi) <- ((rel * 131) + i) :: tokens.(vi);
-              Array.iteri
-                (fun j u ->
-                  if j <> i then
-                    adj.(vi) <-
-                      ((((rel * 131) + i) * 131) + j, node_of u)
-                      :: adj.(vi))
-                args)
-            args)
-        q.atoms;
-      let color = Array.make n 0 in
-      Array.iteri
-        (fun i (t : Term.t) ->
-          color.(i) <-
-            (match t.Term.view with
-            | Term.Var _ -> (
-                match Hashtbl.find_opt free_index t.Term.id with
-                | Some pos -> wl_mix 0x9e3779b1 ((2 * pos) + 1)
-                | None ->
-                    List.fold_left wl_mix 0x85ebca6b
-                      (List.sort Int.compare tokens.(i)))
-            | Term.Const _ -> wl_mix 0x27220a95 (2 * t.Term.id)
-            | Term.App { fn; args } ->
-                if Term.vars t = [] then wl_mix 0x27220a95 (2 * t.Term.id)
-                else
-                  wl_mix
-                    (wl_mix 0x165667b1 (Hashtbl.hash fn))
-                    (List.length args)))
-        nodes;
-      let distinct () =
-        let s : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-        Array.iter (fun c -> Hashtbl.replace s c ()) color;
-        Hashtbl.length s
-      in
-      let rec refine rounds cnt =
-        if rounds < n && cnt < n then begin
-          let color' =
-            Array.mapi
-              (fun i c ->
-                List.fold_left wl_mix (wl_mix 0x2545f491 c)
-                  (List.sort Int.compare
-                     (List.map
-                        (fun (lbl, j) -> wl_mix lbl color.(j))
-                        adj.(i))))
-              color
-          in
-          Array.blit color' 0 color 0 n;
-          let cnt' = distinct () in
-          if cnt' > cnt then refine (rounds + 1) cnt'
-        end
-      in
-      refine 0 (distinct ());
-      Array.sort Int.compare color;
-      q.wl <- Some color;
-      color
-
-let wl_hash q = Array.fold_left wl_mix 0x1fd3 (wl_colors q)
-
-let wl_equal q1 q2 =
-  let c1 = wl_colors q1 and c2 = wl_colors q2 in
-  Array.length c1 = Array.length c2 && Array.for_all2 Int.equal c1 c2
-
 (* Connected components of the body under *shared existential
    variables in argument position* — exactly the coupling the search
    engine sees: answer variables are pre-bound (rigid), constants and
@@ -538,121 +411,310 @@ let iso_key q =
 (* Canonical identities                                                *)
 (* ------------------------------------------------------------------ *)
 
-(* A canonical *code* that determines the query up to renaming of bound
-   variables (free variables correspond positionally): an int-list
-   encoding of the atoms with ground terms represented by their
-   hash-consed ids, free variables tagged by position and bound variables
-   numbered by first occurrence along a deterministic traversal. Equal
-   codes therefore certify genuine isomorphism — unlike [iso_key], which
-   is only an invariant fingerprint and may collide — so the code can be
-   interned and the resulting id used as a sound dedup key.
+(* A canonical *code*: a byte string that two queries share exactly
+   when they are isomorphic — bound variables renamable, answer
+   variables corresponding by position, ground terms literal. Interned,
+   it names each isomorphism class by one process-wide int.
 
-   Encoded as ints rather than a string rendering because the rewriting
-   hot path canonizes every generated candidate: int conses are an order
-   of magnitude cheaper than string concatenation. Each term code is
-   self-delimiting (the tag determines its length, applications carry an
-   explicit argument count), so concatenated codes stay uniquely
-   decodable.
+   Each atom flattens to ints: its relation's id (which fixes its
+   arity), then one token per term, the kind folded into the low two
+   bits: a ground term is [4 * id], an answer variable
+   [4 * position + 1], a bound variable [4 * label + 2], and a
+   non-ground application [4 * fn + 3] (fn numbers the symbol with its
+   arity) followed by its arguments' tokens. Tokens are self-delimiting,
+   so the atoms, sorted and written as varints one after another,
+   determine the query up to the labelling of its bound variables.
 
-   The traversal order starts from an isomorphism-invariant pre-sort (so
-   that many — not all — renamings of the same query agree on the code;
-   misses only cost a cache entry, never a wrong answer). *)
+   The labelling comes from individualisation-refinement (McKay and
+   Piperno, "Practical graph isomorphism, II", arXiv 1301.1493). The
+   bound variables form an ordered partition, refined by 1-WL colour
+   refinement until it is stable: a cell splits by the multiset of its
+   members' occurrences (the atom's shape, the position, the cells of
+   the co-arguments), and the parts keep the cell's place in the order,
+   so refinement commutes with renaming. A discrete partition labels
+   each variable by its place: a leaf. Otherwise each member of the
+   first non-singleton cell is individualised in turn (put first in its
+   cell, the rest one place later) and the search recurses. The code is
+   the least leaf code; the leaves of isomorphic queries correspond, so
+   their least codes agree. Two leaves with equal codes reveal an
+   automorphism, which maps the path of one onto the other. A child in
+   the orbit of an explored sibling under the automorphisms fixing its
+   path spans the same codes and is skipped, or abandoned as soon as an
+   automorphism puts it there. *)
 
-(* Function symbols of non-ground applications, numbered process-wide so
-   that codes of distinct queries are comparable. Cold path: queries
-   rarely contain non-ground functional terms. *)
-let fn_codes : (string, int) Hashtbl.t = Hashtbl.create 16
+(* Function symbols of non-ground applications, numbered process-wide
+   with their arity so that codes of distinct queries are comparable.
+   Cold path: queries rarely contain non-ground functional terms. *)
+let fn_codes : (string * int, int) Hashtbl.t = Hashtbl.create 16
 let fn_lock = Mutex.create ()
 
-let fn_code fn =
+let fn_code fn arity =
   Mutex.protect fn_lock (fun () ->
-      match Hashtbl.find_opt fn_codes fn with
+      match Hashtbl.find_opt fn_codes (fn, arity) with
       | Some c -> c
       | None ->
           let c = Hashtbl.length fn_codes in
-          Hashtbl.add fn_codes fn c;
+          Hashtbl.add fn_codes (fn, arity) c;
           c)
 
+let mix h x = ((h * 0x01000193) lxor x) land max_int
+
+let scramble x =
+  let x = (x lxor (x lsr 31)) * 0x2545f4914f6cdd1d in
+  x lxor (x lsr 29)
+
+let rec put_varint b x =
+  if x < 0x80 then Buffer.add_char b (Char.unsafe_chr x)
+  else begin
+    Buffer.add_char b (Char.unsafe_chr (x land 0x7f lor 0x80));
+    put_varint b (x lsr 7)
+  end
+
 let canon_key q =
-  let free_index : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iteri
-    (fun i v -> Hashtbl.replace free_index v.Term.id i)
-    q.free;
-  (* Occurrence counts of bound variables, for the iso-invariant pre-sort. *)
-  let occ : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let rec count t =
+  let free = Array.of_list q.free in
+  let vertex_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  (* The token of a variable or constant. *)
+  let simple (t : Term.t) =
     match t.Term.view with
-    | Term.Const _ -> ()
-    | Term.Var _ ->
-        if not (Hashtbl.mem free_index t.Term.id) then
-          Hashtbl.replace occ t.Term.id
-            (1 + Option.value ~default:0 (Hashtbl.find_opt occ t.Term.id))
-    | Term.App { args; _ } -> List.iter count args
+    | Term.Const _ | Term.App _ -> 4 * t.Term.id
+    | Term.Var _ -> (
+        let i = ref 0 in
+        while !i < Array.length free && free.(!i).Term.id <> t.Term.id do
+          incr i
+        done;
+        if !i < Array.length free then (4 * !i) + 1
+        else
+          match Hashtbl.find vertex_of t.Term.id with
+          | v -> -v - 1
+          | exception Not_found ->
+              let v = Hashtbl.length vertex_of in
+              Hashtbl.add vertex_of t.Term.id v;
+              -v - 1)
   in
-  List.iter (fun a -> List.iter count (Atom.args a)) q.atoms;
-  (* Term codes: ground -> (0, hash-consed id); free var -> (1, position);
-     bound var -> (2, occurrence count [pre] / first-occurrence number
-     [final]); non-ground application -> (3, fn, #args, arg codes...). *)
-  let code_term var_code =
-    let rec go acc t =
-      match t.Term.view with
-      | Term.Const _ -> 0 :: t.Term.id :: acc
-      | Term.Var _ -> (
-          match Hashtbl.find_opt free_index t.Term.id with
-          | Some i -> 1 :: i :: acc
-          | None -> 2 :: var_code t.Term.id :: acc)
-      | Term.App { fn; args } ->
-          if Term.vars t = [] then 0 :: t.Term.id :: acc
-          else
-            3 :: fn_code fn :: List.length args
-            :: List.fold_right (fun a acc -> go acc a) args acc
+  (* Atom templates: tokens as above, bound variable [v] as [-v - 1]. *)
+  let rec tokens (t : Term.t) acc =
+    match t.Term.view with
+    | Term.App { fn; args } when Term.vars t <> [] ->
+        ((4 * fn_code fn (List.length args)) + 3)
+        :: List.fold_right tokens args acc
+    | _ -> simple t :: acc
+  in
+  let template (a : Atom.t) =
+    let args = a.Atom.args in
+    if Array.exists Term.is_functional args then
+      Array.of_list (Symbol.id a.Atom.rel :: Array.fold_right tokens args [])
+    else
+      let toks = Array.make (Array.length args + 1) (Symbol.id a.Atom.rel) in
+      for i = 0 to Array.length args - 1 do
+        toks.(i + 1) <- simple args.(i)
+      done;
+      toks
+  in
+  let atoms = Array.of_list (List.map template q.atoms) in
+  let k = Hashtbl.length vertex_of in
+  (* Per atom, the positions of its bound variables and a hash of the
+     rest of it. *)
+  let var_pos =
+    Array.map
+      (fun toks ->
+        let n = ref 0 in
+        Array.iter (fun x -> if x < 0 then incr n) toks;
+        let vp = Array.make !n 0 in
+        n := 0;
+        Array.iteri
+          (fun j x ->
+            if x < 0 then begin
+              vp.(!n) <- j;
+              incr n
+            end)
+          toks;
+        vp)
+      atoms
+  in
+  let shape =
+    Array.map
+      (Array.fold_left
+         (fun h x -> mix h (if x >= 0 then x + 1 else 0))
+         0x811c9dc5)
+      atoms
+  in
+  (* The atoms under [label], sorted, as varints. *)
+  let leaf_code label =
+    let token x = if x >= 0 then x else (4 * label.(-x - 1)) + 2 in
+    let by_tokens a b =
+      let ta = atoms.(a) and tb = atoms.(b) in
+      let n = min (Array.length ta) (Array.length tb) in
+      let i = ref 0 and c = ref 0 in
+      while !c = 0 && !i < n do
+        c := Int.compare (token ta.(!i)) (token tb.(!i));
+        incr i
+      done;
+      if !c <> 0 then !c else Int.compare (Array.length ta) (Array.length tb)
     in
-    go
+    let sorted = Array.init (Array.length atoms) Fun.id in
+    Array.sort by_tokens sorted;
+    let b = Buffer.create (8 * Array.length atoms) in
+    Array.iter
+      (fun a ->
+        let toks = atoms.(a) in
+        for i = 0 to Array.length toks - 1 do
+          put_varint b (token toks.(i))
+        done)
+      sorted;
+    Buffer.contents b
   in
-  let code_atom var_code a =
-    Symbol.id (Atom.rel a)
-    :: Atom.arity a
-    :: List.fold_right
-         (fun t acc -> code_term var_code acc t)
-         (Atom.args a) []
+  (* A partition is [colour] (vertex -> start of its cell in [order])
+     and [order] (the vertices, cell by cell). A round splits each cell
+     by its members' occurrence multisets, summed as scrambled hashes
+     into [sg]; the parts keep the cell's place, in hash order. *)
+  let sg = Array.make k 0 in
+  let refine colour order =
+    let rec round cells =
+      Array.fill sg 0 k 0;
+      Array.iteri
+        (fun a toks ->
+          let vp = var_pos.(a) in
+          let h = ref shape.(a) in
+          for i = 0 to Array.length vp - 1 do
+            h := mix !h colour.(-toks.(vp.(i)) - 1)
+          done;
+          for i = 0 to Array.length vp - 1 do
+            let v = -toks.(vp.(i)) - 1 in
+            sg.(v) <- sg.(v) + scramble (mix !h vp.(i))
+          done)
+        atoms;
+      (* Insertion sort: [order] is already sorted by cell. *)
+      for i = 1 to k - 1 do
+        let v = order.(i) in
+        let cv = colour.(v) and sv = sg.(v) in
+        let j = ref (i - 1) in
+        while
+          !j >= 0
+          &&
+          let u = order.(!j) in
+          colour.(u) = cv && sg.(u) > sv
+        do
+          order.(!j + 1) <- order.(!j);
+          decr j
+        done;
+        order.(!j + 1) <- v
+      done;
+      (* Renumber in place: [pc]/[ps] are the previous vertex's old
+         colour and hash, [nc] its new colour. *)
+      let pc = ref (-1) and ps = ref 0 and nc = ref 0 and n = ref 0 in
+      Array.iteri
+        (fun i v ->
+          if colour.(v) <> !pc || sg.(v) <> !ps then begin
+            nc := i;
+            incr n
+          end;
+          pc := colour.(v);
+          ps := sg.(v);
+          colour.(v) <- !nc)
+        order;
+      if !n > cells && !n < k then round !n
+    in
+    if k > 1 then begin
+      let cells = ref 1 in
+      for i = 1 to k - 1 do
+        if colour.(order.(i)) <> colour.(order.(i - 1)) then incr cells
+      done;
+      if !cells < k then round !cells
+    end
   in
-  let ordered =
-    List.map snd
-      (List.stable_sort
-         (fun (ka, _) (kb, _) -> List.compare Int.compare ka kb)
-         (List.map
-            (fun a -> (code_atom (fun id -> Hashtbl.find occ id) a, a))
-            q.atoms))
+  let best = ref None and first = ref None in
+  let autos = ref [] in
+  let path = Array.make (k + 1) 0 in
+  let explored = Array.make (k + 1) [] in
+  let exception Backjump of int in
+  (* Is [w] in the orbit of a child explored at [depth], under the
+     automorphisms found so far that fix the path above it? *)
+  let covered depth w =
+    explored.(depth) <> []
+    &&
+    let parent = Array.init k Fun.id in
+    let rec find x = if parent.(x) = x then x else find parent.(x) in
+    let rec fixes g i =
+      i >= depth || (g.(path.(i)) = path.(i) && fixes g (i + 1))
+    in
+    List.iter
+      (fun g ->
+        if fixes g 0 then
+          Array.iteri
+            (fun x y ->
+              let rx = find x and ry = find y in
+              if rx <> ry then parent.(rx) <- ry)
+            g)
+      !autos;
+    let r = find w in
+    List.exists (fun u -> find u = r) explored.(depth)
   in
-  let numbering : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  let number id =
-    match Hashtbl.find_opt numbering id with
-    | Some n -> n
-    | None ->
-        let n = Hashtbl.length numbering in
-        Hashtbl.add numbering id n;
-        n
+  let leaf depth label =
+    let code = leaf_code label in
+    (* [other]'s leaf and this one have equal codes: the map between
+       their equally labelled vertices is an automorphism. Abandon the
+       highest subtree on the path that it shows to be redundant. *)
+    let automorphism (_, other) =
+      let inv = Array.make k 0 in
+      Array.iteri (fun v l -> inv.(l) <- v) label;
+      autos := Array.map (fun l -> inv.(l)) other :: !autos;
+      for j = 0 to depth - 1 do
+        if covered j path.(j) then raise (Backjump j)
+      done
+    in
+    match (!first, !best) with
+    | Some f, Some b ->
+        if String.equal code (fst f) then automorphism f
+        else
+          let c = String.compare code (fst b) in
+          if c = 0 then automorphism b
+          else if c < 0 then best := Some (code, label)
+    | _ ->
+        first := Some (code, label);
+        best := Some (code, label)
   in
-  List.concat_map (code_atom number) ordered
+  let rec search depth colour order =
+    refine colour order;
+    let rec target p =
+      if p + 1 >= k then None
+      else if colour.(order.(p + 1)) = p then Some p
+      else target (p + 1)
+    in
+    match target 0 with
+    | None -> leaf depth colour
+    | Some c ->
+        let stop = ref (c + 1) in
+        while !stop < k && colour.(order.(!stop)) = c do
+          incr stop
+        done;
+        explored.(depth) <- [];
+        for p = c to !stop - 1 do
+          let w = order.(p) in
+          if not (covered depth w) then begin
+            path.(depth) <- w;
+            let colour' = Array.copy colour and order' = Array.copy order in
+            for i = c + 1 to !stop - 1 do
+              colour'.(order.(i)) <- c + 1
+            done;
+            colour'.(order.(c)) <- c + 1;
+            colour'.(w) <- c;
+            order'.(p) <- order.(c);
+            order'.(c) <- w;
+            (try search (depth + 1) colour' order'
+             with Backjump j when j = depth -> ());
+            explored.(depth) <- w :: explored.(depth)
+          end
+        done
+  in
+  search 0 (Array.make k 0) (Array.init k Fun.id);
+  match !best with Some (code, _) -> code | None -> assert false
 
-(* Interning canonical codes gives each isomorphism class (up to the
-   traversal-order caveat above) a process-wide integer identity. The
-   table hashes the whole code: the polymorphic [Hashtbl.hash] reads only
-   a list's first ten elements — about the first atom's relation, arity
-   and arguments — and the codes of one rewriting mostly share that
-   prefix, so they would share a bucket and every lookup would walk a
-   chain of hundreds. The fold is finished by [Hashtbl.hash] on the int,
-   which mixes the high bits into the low ones the bucket index uses. *)
-module Code_table = Hashtbl.Make (struct
-  type t = int list
-
-  let equal = List.equal Int.equal
-  let hash code = Hashtbl.hash (List.fold_left wl_mix 0x811c9dc5 code)
-end)
-
-let canon_table : int Code_table.t = Code_table.create 1024
+(* Interning canonical codes gives each isomorphism class a process-wide
+   integer identity. The codes are strings, which the stdlib
+   [Hashtbl.hash] reads whole, so codes that share a long prefix still
+   spread over the buckets. *)
+let canon_table : (string, int) Hashtbl.t = Hashtbl.create 1024
 let canon_lock = Mutex.create ()
-let canon_next = ref 0
 
 let canon_id q =
   if q.canon_id >= 0 then q.canon_id
@@ -660,19 +722,18 @@ let canon_id q =
     let key = canon_key q in
     let id =
       Mutex.protect canon_lock (fun () ->
-          match Code_table.find_opt canon_table key with
+          match Hashtbl.find_opt canon_table key with
           | Some id -> id
           | None ->
-              let id = !canon_next in
-              incr canon_next;
-              Code_table.add canon_table key id;
+              let id = Hashtbl.length canon_table in
+              Hashtbl.add canon_table key id;
               id)
     in
     q.canon_id <- id;
     id
 
 let canon_table_stats () =
-  Mutex.protect canon_lock (fun () -> Code_table.stats canon_table)
+  Mutex.protect canon_lock (fun () -> Hashtbl.stats canon_table)
 
 let pp ppf q =
   let pp_atoms = Fmt.list ~sep:(Fmt.any ", ") Atom.pp in

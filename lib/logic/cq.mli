@@ -16,7 +16,6 @@ type t = private {
   mutable profile : int array option;  (** cached [hom_profile] *)
   mutable ecomps : Atom.t list list option;
       (** cached [body_components] *)
-  mutable wl : int array option;  (** cached [wl_colors] *)
 }
 
 val make : free:Term.t list -> Atom.t list -> t
@@ -68,24 +67,6 @@ val hom_feasible : from:t -> into:t -> bool
     {e counts} are deliberately not compared: a homomorphism may collapse
     atoms, so counts of [from] bound nothing in [into]. *)
 
-val wl_colors : t -> int array
-(** Sorted stable colors of a 1-Weisfeiler-Leman refinement over the
-    body's direct-argument terms (edges labeled by relation and argument
-    positions; answer variables colored by position, ground terms by
-    identity, bound variables by their occurrence slots, non-ground
-    functional terms coarsely by head symbol and arity). Equal for
-    isomorphic queries; unlike the extremal-statistics fingerprints it
-    separates queries that differ only in which of several symmetric
-    nodes carries a distinguishing atom. Cached. *)
-
-val wl_hash : t -> int
-(** [wl_colors] folded to one int — an isomorphism-invariant hash
-    suitable for bucketing (collisions possible, never unequal hashes on
-    isomorphic queries). *)
-
-val wl_equal : t -> t -> bool
-(** Equality of [wl_colors]: a necessary condition for isomorphism. *)
-
 val body_components : t -> Atom.t list list
 (** Connected components of the body atoms under shared existential
     variables in argument position (answer variables, constants and
@@ -126,26 +107,33 @@ val refresh : ?prefix:string -> t -> t * Term.t Term.Int_map.t
     the renaming. Used to avoid capture in the rewriting engine. *)
 
 val iso_key : t -> string
-(** A cheap isomorphism-invariant fingerprint: equal for isomorphic queries,
-    used to bucket before expensive isomorphism checks. The converse fails:
-    non-isomorphic queries may share a fingerprint. *)
+(** A string render of the query, invariant under renaming of bound
+    variables. Isomorphic queries share it, but non-isomorphic ones may
+    too, so it decides nothing; it is kept as a digest line (the
+    repository benchmark hashes a UCQ's sorted renders). Use
+    {!canon_id} to compare queries. *)
 
 val canon_id : t -> int
-(** The interned id of a canonical rendering of the query. Sound as an
-    identity: [canon_id q1 = canon_id q2] certifies that [q1] and [q2] are
-    isomorphic (equal up to renaming of bound variables, free variables
-    positional) — which makes the id the rewriting's dedup key: a
-    candidate whose id was seen before is covered, with no containment
-    check. Not complete: isomorphic queries whose canonical traversals
-    tie-break differently may get distinct ids (a missed dedup, never a
-    wrong answer). Computed lazily and cached on the query. *)
+(** The interned id of the query's canonical code. Complete:
+    [canon_id q1 = canon_id q2] holds exactly when [q1] and [q2] are
+    isomorphic — equal up to renaming of bound variables, with answer
+    variables corresponding by position and constants and ground terms
+    kept. Every isomorphism decision in the library is this comparison:
+    {!Containment.isomorphic}, the rewriting's dedup, the marked
+    process's store and the normalisation's nullary predicates.
+
+    The code comes from a canonical labelling of the bound variables by
+    individualisation-refinement with automorphism pruning; on queries
+    whose colour refinement already separates every bound variable it
+    is one refinement and one sort. Computed lazily and cached on the
+    query; ids are process-wide and never reused. *)
 
 val canon_table_stats : unit -> Hashtbl.statistics
 (** Bucket statistics of the process-wide table that interns canonical
-    codes for {!canon_id}. The table hashes every element of a code, so
-    codes that differ only far from their start still spread over the
-    buckets; [max_bucket_length] is the longest chain a lookup can walk.
-    Instrumentation only. *)
+    codes for {!canon_id}. Codes are byte strings, which the stdlib hash
+    reads whole, so codes that differ only far from their start still
+    spread over the buckets; [max_bucket_length] is the longest chain a
+    lookup can walk. Instrumentation only. *)
 
 val pp : t Fmt.t
 

@@ -74,7 +74,7 @@ let counters () =
    come first, ties keep that order, and nothing is pruned. The chase's fresh-null naming follows this order, which is
    what keeps chase stages bit-identical across runs and [-j]. *)
 let iter_multi ?(init = Term.Map.empty) ?(image_ok = default_image_ok)
-    ?prefer ?(injective = false) ~flexible ~pattern ~domain_bindings f =
+    ?prefer ~flexible ~pattern ~domain_bindings f =
   (* -- compile: registers, slot arrays, pools ---------------------- *)
   let reg_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
   let reg_vars = ref [] in
@@ -129,30 +129,13 @@ let iter_multi ?(init = Term.Map.empty) ?(image_ok = default_image_ok)
   let removed = Array.make (max 1 m) 0 in
   let rsp = ref 0 in
   let has_image_ok = not (image_ok == default_image_ok) in
-  (* -- init: preload registers, injectivity base ------------------- *)
-  let init_ids =
-    if injective then
-      Array.of_list
-        (Term.Map.fold (fun _ (u : Term.t) acc -> u.Term.id :: acc) init [])
-    else [||]
-  in
-  let n_init_ids = Array.length init_ids in
+  (* -- init: preload registers ------------------------------------ *)
   Term.Map.iter
     (fun (v : Term.t) (u : Term.t) ->
       match Hashtbl.find_opt reg_of v.Term.id with
       | Some r -> reg_val.(r) <- u.Term.id
       | None -> ())
     init;
-  (* Is [uid] already an image — of [init] or of a bound register? *)
-  let inj_clash uid =
-    let rec scan_init i =
-      i < n_init_ids && (Array.unsafe_get init_ids i = uid || scan_init (i + 1))
-    in
-    let rec scan_reg r =
-      r < nregs && (Array.unsafe_get reg_val r = uid || scan_reg (r + 1))
-    in
-    scan_init 0 || scan_reg 0
-  in
   let ops = ref 0 and nodes = ref 0 and sols = ref 0 in
   let emit () =
     incr sols;
@@ -180,10 +163,7 @@ let iter_multi ?(init = Term.Map.empty) ?(image_ok = default_image_ok)
         let terms = d_pool_terms.(k) in
         for i = 0 to Array.length ids - 1 do
           let uid = ids.(i) in
-          if
-            ((not has_image_ok) || image_ok d_var.(k) terms.(i))
-            && not (injective && inj_clash uid)
-          then begin
+          if (not has_image_ok) || image_ok d_var.(k) terms.(i) then begin
             reg_val.(r) <- uid;
             bind_domain (k + 1);
             reg_val.(r) <- -1
@@ -257,11 +237,10 @@ let iter_multi ?(init = Term.Map.empty) ?(image_ok = default_image_ok)
               let v = Array.unsafe_get reg_val r in
               if v >= 0 then v = uid && go (pos + 1)
               else if
-                (has_image_ok
+                has_image_ok
                 && not
                      (image_ok reg_var.(r)
-                        (Array.unsafe_get atoms row).Atom.args.(pos)))
-                || (injective && inj_clash uid)
+                        (Array.unsafe_get atoms row).Atom.args.(pos))
               then false
               else begin
                 reg_val.(r) <- uid;
@@ -307,17 +286,9 @@ let iter_multi ?(init = Term.Map.empty) ?(image_ok = default_image_ok)
     ignore (Atomic.fetch_and_add c_reg_ops !ops);
     ignore (Atomic.fetch_and_add c_solutions !sols)
   in
-  if Term.Map.for_all (fun v u -> image_ok v u) init then begin
-    let distinct_ok =
-      (not injective)
-      || Term.Set.cardinal
-           (Term.Map.fold (fun _ u s -> Term.Set.add u s) init Term.Set.empty)
-         = Term.Map.cardinal init
-    in
-    if distinct_ok then
-      (* [Stop] (and any caller exception) must not lose the counters. *)
-      Fun.protect ~finally:flush (fun () -> solve m)
-  end
+  if Term.Map.for_all (fun v u -> image_ok v u) init then
+    (* [Stop] (and any caller exception) must not lose the counters. *)
+    Fun.protect ~finally:flush (fun () -> solve m)
 
 let iter p f =
   let pool =

@@ -47,7 +47,6 @@ val iter_multi :
   ?init:mapping ->
   ?image_ok:(Term.t -> Term.t -> bool) ->
   ?prefer:(Atom.t -> int) ->
-  ?injective:bool ->
   flexible:Term.Set.t ->
   pattern:(Atom.t * Fact_set.t) list ->
   domain_bindings:(Term.t * Term.t list) list ->
@@ -55,12 +54,7 @@ val iter_multi :
   unit
 (** Generalized engine: each pattern atom carries its own target (the
     semi-naive chase partitions body atoms between old/delta/full stages)
-    and each domain variable its own candidate pool. [injective]
-    (default false) restricts the enumeration to mappings with
-    pairwise-distinct images ([init]
-    included), pruning a clashing binding the moment it is attempted —
-    the same mappings a post-hoc injectivity filter would keep, without
-    exhausting the non-injective search space first. *)
+    and each domain variable its own candidate pool. *)
 
 val apply : mapping -> flexible:Term.Set.t -> Atom.t -> Atom.t
 (** Apply a mapping to an atom, positionally and atomically: each argument

@@ -269,9 +269,9 @@ let to_cq q =
   else Some (Cq.make ~free:(dedup_terms (List.map snd q.free)) q.atoms)
 
 let tagged_cq q =
-  (* Cached: the rewriting process probes its seen-store with the tagged
-     encoding on every generated query, and the encoding in turn carries
-     the CQ-level caches (iso keys, canonical ids, fingerprints). *)
+  (* Cached: the marked process keys its seen-store by the canonical id
+     of this encoding ([class_key]) for every generated query, and the
+     encoding caches that id. *)
   match q.tagged with
   | Some t -> t
   | None ->
@@ -303,20 +303,9 @@ let alias_pattern q =
 
 let aliased q = List.exists2 (fun i j -> i <> j) (alias_pattern q) (List.mapi (fun i _ -> i) q.free)
 
-let equal_upto_iso q1 q2 =
-  Array.length q1.levels = Array.length q2.levels
-  && Array.for_all2 Symbol.equal q1.levels q2.levels
-  && alias_pattern q1 = alias_pattern q2
-  &&
-  match (tagged_cq q1, tagged_cq q2) with
-  | None, None -> true
-  | Some c1, Some c2 ->
-      (* Equal canonical ids certify isomorphism without a search (the
-         common rediscovery case); distinct ids decide nothing — the
-         canonical code is sound but not complete — so fall back to the
-         full injective-homomorphism test. *)
-      Cq.canon_id c1 = Cq.canon_id c2 || Containment.isomorphic c1 c2
-  | None, Some _ | Some _, None -> false
+let class_key q =
+  ( alias_pattern q,
+    match tagged_cq q with Some cq -> Cq.canon_id cq | None -> -1 )
 
 let tuple_admissible q tuple =
   if List.length tuple <> List.length q.free then None

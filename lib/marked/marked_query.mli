@@ -83,7 +83,12 @@ val tagged_cq : t -> Cq.t option
 (** Encoding for isomorphism tests: the CQ extended with a unary
     [MARKED] atom per marked variable. [None] when trivial. *)
 
-val equal_upto_iso : t -> t -> bool
+val class_key : t -> int list * int
+(** The isomorphism class: for each answer position the first position
+    sharing its representative, and the {!Cq.canon_id} of {!tagged_cq}
+    ([-1] when trivial). Two marked queries over the same levels share
+    the key exactly when they are equal up to renaming of variables,
+    markings and answer aliasing included. *)
 
 val aliased : t -> bool
 (** Two answer variables share a representative. *)

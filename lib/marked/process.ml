@@ -30,36 +30,21 @@ let dedup_terms l =
   in
   List.rev rev
 
-(* Iso-aware membership in a bucketed store of marked queries. The
-   fingerprint key is complete for isomorphism (isomorphic queries share
-   it), so only the bucket needs the expensive pairwise test — and that
-   test short-circuits on equal canonical ids inside
-   [Marked_query.equal_upto_iso]. The key is the 1-WL hash mixed with
-   the atom count: the WL colors separate same-shape queries whose
-   marks sit on different symmetric branches — the dominant population
-   at depth — keeping buckets near-singleton, and unlike the string
-   [Cq.iso_key] render the hash is one int per classified query (the
-   render was the single largest cost of the E2/E3 process runs). A
-   hash collision between non-isomorphic queries only costs the bucket
-   probe an extra refuting isomorphism test, never a wrong answer. *)
+(* The seen-store: one entry per isomorphism class of marked query,
+   keyed by [Marked_query.class_key] (alias pattern and the complete
+   canonical id of the tagged CQ). Equal keys are isomorphism, so
+   membership is one hash lookup and no pairwise test runs. *)
 module Store = struct
-  type t = (int, Marked_query.t list) Hashtbl.t
+  type t = (int list * int, Marked_query.t) Hashtbl.t
 
   let create () : t = Hashtbl.create 64
 
-  let key q =
-    match Marked_query.tagged_cq q with
-    | Some cq -> (Cq.wl_hash cq * 131) lxor Cq.size cq
-    | None -> min_int
-
-  (* Membership test and insertion in one probe: the key computation
-     and the bucket lookup are paid once per classified query. *)
+  (* Insert [q] unless its class is present; [true] when inserted. *)
   let add_if_absent (store : t) q =
-    let k = key q in
-    let bucket = Option.value ~default:[] (Hashtbl.find_opt store k) in
-    if List.exists (Marked_query.equal_upto_iso q) bucket then false
+    let k = Marked_query.class_key q in
+    if Hashtbl.mem store k then false
     else begin
-      Hashtbl.replace store k (q :: bucket);
+      Hashtbl.add store k q;
       true
     end
 end
@@ -68,8 +53,9 @@ let checkpoint_kind = "marked"
 
 (* One marked query per snapshot line: the free (original, representative)
    pairs, the marked set, and the atoms — [Marked_query.make] revalidates
-   on decode. Canonical ids and WL fingerprints are process-local caches
-   and are never serialized; the store is re-warmed by re-insertion. *)
+   on decode. Canonical ids are process-local and never serialized; the
+   resumed store is rebuilt by re-inserting every saved query, which
+   recomputes their keys. *)
 let mq_to_string mq =
   let module Codec = Checkpoint.Codec in
   Codec.concat
@@ -112,9 +98,7 @@ let mq_of_string ~levels s =
 let encode_state ~round ~levels ~q ~max_steps ~stats ~seen ~finished ~trivial
     ~frontier =
   let module Codec = Checkpoint.Codec in
-  let seen_lines =
-    Hashtbl.fold (fun _ bucket acc -> List.rev_append bucket acc) seen []
-  in
+  let seen_lines = Hashtbl.fold (fun _ mq acc -> mq :: acc) seen [] in
   {
     Checkpoint.Snapshot.kind = checkpoint_kind;
     round;

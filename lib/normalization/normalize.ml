@@ -9,35 +9,26 @@ type t = {
 }
 
 (* Registry of nullary predicates: one [M_phi] per isomorphism class of the
-   separated body fragment [phi]. *)
-type m_registry = {
-  mutable entries : (Cq.t option * Symbol.t) list;
-      (* [None] is the empty fragment, [M_emptyset]. *)
-  mutable count : int;
-}
+   separated body fragment [phi], keyed by the fragment's canonical id
+   ([-1] for the empty fragment, [M_emptyset]). Symbols are numbered in
+   order of first sight. *)
+type m_registry = (int, Symbol.t) Hashtbl.t
 
-let m_symbol registry phi_atoms =
-  let found =
-    List.find_opt
-      (fun (repr, _) ->
-        match (repr, phi_atoms) with
-        | None, [] -> true
-        | Some cq, _ :: _ ->
-            Containment.isomorphic cq (Cq.make ~free:[] phi_atoms)
-        | None, _ :: _ | Some _, [] -> false)
-      registry.entries
+let m_symbol (registry : m_registry) phi_atoms =
+  let key =
+    match phi_atoms with
+    | [] -> -1
+    | _ :: _ -> Cq.canon_id (Cq.make ~free:[] phi_atoms)
   in
-  match found with
-  | Some (_, sym) -> sym
+  match Hashtbl.find_opt registry key with
+  | Some sym -> sym
   | None ->
-      registry.count <- registry.count + 1;
       let sym =
-        Symbol.make (Printf.sprintf "M_%d" registry.count) ~arity:0
+        Symbol.make
+          (Printf.sprintf "M_%d" (Hashtbl.length registry + 1))
+          ~arity:0
       in
-      let repr =
-        match phi_atoms with [] -> None | _ :: _ -> Some (Cq.make ~free:[] phi_atoms)
-      in
-      registry.entries <- (repr, sym) :: registry.entries;
+      Hashtbl.add registry key sym;
       sym
 
 (* Split a body into the connected part containing the frontier and the
@@ -75,7 +66,7 @@ let normalize ?guard ?budget theory =
   if List.exists (fun r -> Tgd.dom_vars r <> []) (Theory.rules theory) then
     None
   else
-    let registry = { entries = []; count = 0 } in
+    let registry : m_registry = Hashtbl.create 8 in
     (* STEP ONE: rewrite the bodies of the existential rules. *)
     let t_i =
       List.fold_left
@@ -155,9 +146,9 @@ let normalize ?guard ?budget theory =
               Theory.make ~name:(Theory.name theory ^ "#III") t_iii_rules
             in
             let nullary =
-              List.fold_left
-                (fun acc (_, sym) -> Symbol.Set.add sym acc)
-                Symbol.Set.empty registry.entries
+              Hashtbl.fold
+                (fun _ sym acc -> Symbol.Set.add sym acc)
+                registry Symbol.Set.empty
             in
             Some
               {

@@ -41,13 +41,14 @@ type result = {
    subsumed), every later candidate with the same canonical form is
    covered too and can be dropped without any containment checks. The
    table is run-local (keyed on [Cq.canon_id]) and holds the ids of raw
-   candidates and of their cores alike: an id names an isomorphism class,
-   isomorphic raw candidates have isomorphic cores, and a raw candidate
-   is equivalent to its core, so either id certifies the candidate is
-   covered. A raw hit therefore skips [Containment.core_of_query]; most
-   candidates are such hits. Each id maps to the size of the core it
-   stands for, so a hit applies the size budget to the same number the
-   cored candidate would show. *)
+   candidates and of their cores alike: an id names exactly one
+   isomorphism class, isomorphic raw candidates have isomorphic cores,
+   and a raw candidate is equivalent to its core, so either id certifies
+   the candidate is covered. Since the id is complete, every candidate
+   isomorphic to one seen before hits here, on its raw id, and skips
+   [Containment.core_of_query]; most candidates are such hits. Each id
+   maps to the size of the core it stands for, so a hit applies the size
+   budget to the same number the cored candidate would show. *)
 let make_dedup () =
   let seen : (int, int) Hashtbl.t = Hashtbl.create 512 in
   let core_size q = Hashtbl.find_opt seen (Cq.canon_id q) in
@@ -88,9 +89,10 @@ let split_batch = Saturation.split_batch
    The live-id table makes the worklist's "was this disjunct subsumed
    since it was enqueued?" probe one hash lookup instead of an
    O(frontier) scan. The probe is exact: two live disjuncts never share a
-   canonical id (an isomorphic candidate is subsumed at insertion), and a
-   killed disjunct's class can never re-enter the store (its killer — or,
-   transitively, the killer's killer — still covers every isomorphic
+   canonical id (an isomorphic candidate is dropped by the dedup, or,
+   against a store preloaded on resume, subsumed at insertion), and a
+   killed disjunct's class can never re-enter the store (its killer —
+   or, transitively, the killer's killer — still covers every isomorphic
    copy). *)
 type store = { idx : Ucq_index.t; live : (int, unit) Hashtbl.t }
 

@@ -236,6 +236,56 @@ let test_canon_codes_share_prefix () =
     true
     (stats.Hashtbl.max_bucket_length <= 32)
 
+(* Variables [prefix]0 .. [prefix](n-1), the [i]th created placed at
+   position [perm i]. Fresh names get increasing term ids, and [Cq.make]
+   sorts the body by them, so two placements of one structure list
+   their atoms in different orders. *)
+let placed_vars prefix n perm =
+  let a = Array.make n (v (prefix ^ "_unused")) in
+  for i = 0 to n - 1 do
+    a.(perm i) <- v (Printf.sprintf "%s%d" prefix i)
+  done;
+  a
+
+(* Directed cycles of length [len] over consecutive runs of [vars]. *)
+let directed_cycles len vars =
+  List.init (Array.length vars) (fun i ->
+      let base = i - (i mod len) in
+      atom e [ vars.(i); vars.(base + ((i + 1 - base) mod len)) ])
+
+let test_canon_id_six_cycle_vs_triangles () =
+  (* Every variable has one E-successor and one E-predecessor in both
+     queries, so colour refinement alone cannot tell them apart. *)
+  let six = Cq.make ~free:[] (directed_cycles 6 (placed_vars "hex" 6 Fun.id)) in
+  let triangles =
+    Cq.make ~free:[] (directed_cycles 3 (placed_vars "tri" 6 Fun.id))
+  in
+  Alcotest.(check bool) "different ids" false
+    (Cq.canon_id six = Cq.canon_id triangles);
+  Alcotest.(check bool) "not isomorphic" false
+    (Containment.isomorphic six triangles)
+
+let test_canon_id_renamed_six_cycle () =
+  let six = Cq.make ~free:[] (directed_cycles 6 (placed_vars "hexa" 6 Fun.id)) in
+  let renamed =
+    Cq.make ~free:[]
+      (directed_cycles 6 (placed_vars "hexb" 6 (fun i -> ((5 * i) + 2) mod 6)))
+  in
+  Alcotest.(check int) "same id" (Cq.canon_id six) (Cq.canon_id renamed)
+
+let test_canon_id_eight_triangles () =
+  (* 8 disjoint directed triangles: 3^8 * 8! leaves of the search tree
+     give the same code; automorphism pruning visits a few dozen. *)
+  let one =
+    Cq.make ~free:[] (directed_cycles 3 (placed_vars "tria" 24 Fun.id))
+  in
+  let other =
+    Cq.make ~free:[]
+      (directed_cycles 3
+         (placed_vars "trib" 24 (fun i -> ((7 * i) + 3) mod 24)))
+  in
+  Alcotest.(check int) "same id" (Cq.canon_id one) (Cq.canon_id other)
+
 let test_containment () =
   let x = v "x" and y = v "y" and z = v "z" in
   (* q1 = E(x,y),E(y,z) "path of 2"; q2 = E(x,y) "edge" — boolean. *)
@@ -648,6 +698,12 @@ let () =
           Alcotest.test_case "connectivity" `Quick test_cq_connectivity;
           Alcotest.test_case "canonical codes sharing a long prefix" `Quick
             test_canon_codes_share_prefix;
+          Alcotest.test_case "canonical ids: 6-cycle vs two triangles" `Quick
+            test_canon_id_six_cycle_vs_triangles;
+          Alcotest.test_case "canonical ids: renamed 6-cycle" `Quick
+            test_canon_id_renamed_six_cycle;
+          Alcotest.test_case "canonical ids: 8 disjoint triangles" `Quick
+            test_canon_id_eight_triangles;
         ] );
       ( "containment",
         [

@@ -190,9 +190,10 @@ let naive_implies target pattern =
   | None -> false
   | Some init -> naive_hom_exists ~init (Cq.atoms pattern) (Cq.atoms target)
 
-(* [Containment.isomorphic q1 q2]: an injective variable mapping, answer
-   variables positionally, that carries the body of [q1] onto exactly the
-   body of [q2]. *)
+(* [Containment.isomorphic q1 q2]: an injective mapping of variables to
+   variables, answer variables positionally, that carries the body of
+   [q1] onto exactly the body of [q2]. Constants are kept: a variable
+   never maps to one. *)
 let naive_isomorphic q1 q2 =
   Cq.size q1 = Cq.size q2
   &&
@@ -208,7 +209,9 @@ let naive_isomorphic q1 q2 =
              (Cq.atoms q1))
       in
       List.exists
-        (fun m -> Atom.Set.equal (image m) body2)
+        (fun m ->
+          Term.Map.for_all (fun _ y -> Term.is_var y) m
+          && Atom.Set.equal (image m) body2)
         (naive_homs ~init ~injective:true (Cq.atoms q1) (Cq.atoms q2))
 
 (* ------------------------------------------------------------------ *)
@@ -535,7 +538,10 @@ let prop_implies_matches_naive =
 
 let prop_isomorphic_matches_naive =
   (* Random pairs are rarely isomorphic, so each case also checks a copy
-     of the first query decoded through a permuted variable pool. *)
+     of the first query decoded through a permuted variable pool, and a
+     renaming of it to fresh variables (whose new term ids reorder the
+     body [Cq.make] sorts). Equal canonical ids must agree with the naive
+     search on all three pairs. *)
   QCheck.Test.make ~count
     ~name:"Containment.isomorphic = naive bijection search"
     QCheck.(pair cq_arb cq_arb)
@@ -547,9 +553,14 @@ let prop_isomorphic_matches_naive =
             Term.var (Printf.sprintf "y%d" ((((i mod 4) * 3) + 1) mod 4)))
           enc1
       in
+      let renamed = fst (Cq.refresh ~prefix:"iso" q1) in
+      let ids_agree a b =
+        Bool.equal (Cq.canon_id a = Cq.canon_id b) (naive_isomorphic a b)
+      in
       Bool.equal (Containment.isomorphic q1 q2) (naive_isomorphic q1 q2)
       && Containment.isomorphic q1 copy
-      && naive_isomorphic q1 copy)
+      && naive_isomorphic q1 copy
+      && ids_agree q1 q2 && ids_agree q1 copy && ids_agree q1 renamed)
 
 (* ------------------------------------------------------------------ *)
 (* Theorem 1: answering via rewriting = answering via the chase        *)
