@@ -18,10 +18,11 @@ check:
 
 # Fault matrix (mirrored by the CI fault-matrix job): replay the
 # property suite under three deterministic fault schedules
-# (FRONTIER_FAULTS seeds task exceptions, worker deaths, and simulated
-# deadline/memory trips), then drive the CLI's degraded mode — a
-# non-terminating chase under --timeout must print a partial result and
-# exit 2 — at -j1 and -j4, and an unreadable @file must exit 3.
+# (FRONTIER_FAULTS seeds forced deadline/memory trips at guard
+# checkpoints and checkpoint IO faults), then drive the CLI's degraded
+# mode — a non-terminating chase under --timeout must print a partial
+# result and exit 2 — at -j1 and -j4, and an unreadable @file must
+# exit 3.
 check-faults: build
 	for seed in 1 7 42; do \
 	  echo "== FRONTIER_FAULTS=$$seed =="; \

@@ -222,8 +222,9 @@ let print_checkpoint_stats () =
 (* One report per engine result, shared by the command that starts a run
    and by [resume], so a resumed run prints what the original command
    prints. [es0] is the {!engine_stats_before} sample taken before the
-   run; the [--stats] lines report the work done since then. *)
-let print_chase_run ~stats es0 run =
+   run; the [--stats] lines report the work done since then. [pool] is
+   the run's private pool, so its busy times are this run's. *)
+let print_chase_run ~stats ~pool es0 run =
   Fmt.pr "chase: %d stages%s%s@."
     (Frontier.Chase_engine.depth run)
     (if Frontier.Chase_engine.saturated run then " (saturated)" else "")
@@ -237,6 +238,12 @@ let print_chase_run ~stats es0 run =
   if stats then begin
     Fmt.pr "%a@." Frontier.Saturation.Stats.pp
       (Frontier.Chase_engine.kernel_stats run);
+    Fmt.pr "pool: %d domain%s, busy %s s@." (Frontier.Pool.size pool)
+      (if Frontier.Pool.size pool = 1 then "" else "s")
+      (String.concat " "
+         (Array.to_list
+            (Array.map (Printf.sprintf "%.3f")
+               (Frontier.Pool.busy_times pool))));
     print_engine_stats es0;
     print_checkpoint_stats ()
   end
@@ -318,7 +325,7 @@ let chase_cmd =
                 Frontier.Chase_engine.run ~pool ~guard ~max_depth:depth
                   ~max_atoms ?checkpoint t d
               in
-              print_chase_run ~stats es0 run;
+              print_chase_run ~stats ~pool es0 run;
               Frontier.Chase_engine.result run
           | "oblivious" ->
               let r =
@@ -382,7 +389,7 @@ let chase_cmd =
       & info [ "stats" ]
           ~doc:
             "Print per-stage work counters (triggers, derived atoms, wall \
-             time, per-domain busy time) plus the flat-arena engine \
+             time), the run's per-domain busy time, plus the flat-arena engine \
              telemetry: arena size, compiled-join searches and register \
              ops, posting-list probes, and the parallel cost gate's \
              inline/fan-out batch split.")
@@ -763,7 +770,7 @@ let resume_cmd =
             Fmt.epr "resume failed: %s@." (Printexc.to_string e);
             exit exit_internal
         | Ok (`Chase run) ->
-            print_chase_run ~stats es0 run;
+            print_chase_run ~stats ~pool es0 run;
             finish guard
         | Ok (`Rewrite r) ->
             print_rewrite_result ~stats es0 r;

@@ -160,6 +160,9 @@ let run_from ?pool ?guard ?(max_depth = 50)
   let guard =
     match guard with Some g -> g | None -> Guard.unlimited ()
   in
+  let pool =
+    match pool with Some p -> p | None -> Parallel.Pool.create 1
+  in
   let initial = List.hd (List.rev stages0) in
   let base_round = List.length deltas0 in
   let stages = ref stages0 in
@@ -220,7 +223,7 @@ let run_from ?pool ?guard ?(max_depth = 50)
     let locals =
       Parallel.Pool.map_array ~guard
         ?est_s:(if est_s > 0. then Some est_s else None)
-        ctx.Saturation.pool
+        pool
         (fun (rule, part) ->
           let local = ref [] in
           let triggers = ref 0 in
@@ -339,7 +342,7 @@ let run_from ?pool ?guard ?(max_depth = 50)
     | last :: _ -> [ Fact_set.of_list last ]
   in
   let verdict, stats =
-    Saturation.run ?pool ~guard ~drain:Saturation.All ~max_rounds:max_depth
+    Saturation.run ~guard ~drain:Saturation.All ~max_rounds:max_depth
       ~record_rounds:true ~base_round ?checkpoint ~init ~step ()
   in
   let saturated, interrupted =

@@ -36,6 +36,9 @@ let run_oblivious ?pool ?guard
   let guard =
     match guard with Some g -> g | None -> Guard.unlimited ()
   in
+  let pool =
+    match pool with Some p -> p | None -> Parallel.Pool.create 1
+  in
   let facts = ref d in
   let steps = ref 0 in
   let capped = ref None in
@@ -43,7 +46,7 @@ let run_oblivious ?pool ?guard
   (* One kernel round per oblivious stage over a unit worklist: the
      evolving fact set lives in [facts]; saturation is signalled by
      returning no successor item. *)
-  let step (ctx : Saturation.ctx) _batch =
+  let step (_ : Saturation.ctx) _batch =
     let discard =
       { Saturation.next = []; tally = Saturation.Stats.zero;
         stop = false; commit = false }
@@ -61,7 +64,7 @@ let run_oblivious ?pool ?guard
          deterministic). *)
       ignore (Fact_set.domain !facts);
       let per_rule =
-        Parallel.Pool.map_array ~guard ctx.Saturation.pool
+        Parallel.Pool.map_array ~guard pool
           (fun (rule_index, rule) ->
             let local = ref Atom.Set.empty in
             let seen = ref 0 in
@@ -106,7 +109,7 @@ let run_oblivious ?pool ?guard
     end
   in
   let verdict, _ =
-    Saturation.run ?pool ~guard ~max_rounds:max_depth ~record_rounds:false
+    Saturation.run ~guard ~max_rounds:max_depth ~record_rounds:false
       ~init:[ () ] ~step ()
   in
   let saturated, interrupted =
@@ -131,7 +134,7 @@ let run_core ?pool ?guard ?(max_rounds = 20) ?(max_atoms = 100_000) theory
   let rounds = ref 0 in
   let stopped = ref None in
   (* One kernel round per "model-check, then step-and-fold" iteration. *)
-  let step (ctx : Saturation.ctx) _batch =
+  let step (_ : Saturation.ctx) _batch =
     let discard =
       { Saturation.next = []; tally = Saturation.Stats.zero;
         stop = false; commit = false }
@@ -145,7 +148,7 @@ let run_core ?pool ?guard ?(max_rounds = 20) ?(max_atoms = 100_000) theory
         stop = false; commit = true }
     else begin
       let stepped =
-        Engine.run ~pool:ctx.Saturation.pool ~guard ~max_depth:1 ~max_atoms
+        Engine.run ?pool ~guard ~max_depth:1 ~max_atoms
           theory !current
       in
       match Engine.interrupted stepped with
@@ -169,7 +172,7 @@ let run_core ?pool ?guard ?(max_rounds = 20) ?(max_atoms = 100_000) theory
     end
   in
   let verdict, _ =
-    Saturation.run ?pool ~guard ~max_rounds ~record_rounds:false
+    Saturation.run ~guard ~max_rounds ~record_rounds:false
       ~init:[ () ] ~step ()
   in
   let saturated, interrupted =

@@ -109,17 +109,13 @@ let outcome g ~complete ~partial =
 (* ------------------------------------------------------------------ *)
 
 module Faults = struct
-  exception Injected_fault of int
-
   type schedule = {
     seed : int;
-    raise_period : int option;  (* every k-th pool claim raises *)
-    die_period : int option;  (* every m-th claim: the worker dies *)
     trip_period : int option;  (* every n-th guard checkpoint trips *)
     trip_cause : cause;
     (* IO faults, consulted only by the checkpoint snapshot layer (their
-       counter is separate from claims/checks, so adding them never
-       perturbs the compute-path schedules of existing seeds). *)
+       counter is separate from checkpoints, so they never perturb the
+       compute-path schedule of a seed). *)
     torn_period : int option;  (* every k-th snapshot write is torn *)
     fsync_fail_period : int option;  (* every m-th fsync raises ENOSPC *)
     corrupt_period : int option;  (* every n-th snapshot read corrupts *)
@@ -128,8 +124,6 @@ module Faults = struct
   let none =
     {
       seed = 0;
-      raise_period = None;
-      die_period = None;
       trip_period = None;
       trip_cause = Deadline;
       torn_period = None;
@@ -150,14 +144,12 @@ module Faults = struct
     if seed = 0 then none
     else
       let h k = mix (seed + (k * 0x1000003)) in
-      (* 1..7: a nonempty subset of {raise, die, trip}. *)
+      (* [kinds] is drawn from 1..7 and its 4-bit turns the forced trips
+         on. Its two low bits select nothing; the draw keeps its range so
+         that every seed keeps its trip and IO schedule. *)
       let kinds = 1 + (h 0 mod 7) in
       {
         seed;
-        raise_period =
-          (if kinds land 1 <> 0 then Some (2 + (h 1 mod 9)) else None);
-        die_period =
-          (if kinds land 2 <> 0 then Some (2 + (h 2 mod 9)) else None);
         trip_period =
           (if kinds land 4 <> 0 then Some (5 + (h 3 mod 50)) else None);
         trip_cause = (if h 4 land 1 = 0 then Deadline else Memory);
@@ -196,16 +188,14 @@ module Faults = struct
         | Some seed -> of_seed seed
         | None -> none)
 
-  (* The installed schedule plus process-wide claim / checkpoint
-     counters. The counters restart at [install] so a given seed
-     replays the same fault positions. *)
+  (* The installed schedule plus process-wide checkpoint / IO counters.
+     The counters restart at [install] so a given seed replays the same
+     fault positions. *)
   let state = Atomic.make none
-  let claims = Atomic.make 0
   let checks = Atomic.make 0
   let io_ops = Atomic.make 0
 
   let install schedule =
-    Atomic.set claims 0;
     Atomic.set checks 0;
     Atomic.set io_ops 0;
     Atomic.set state schedule
@@ -217,40 +207,24 @@ module Faults = struct
     let parts =
       List.filter_map Fun.id
         [
-             Option.map
-               (Printf.sprintf "task exception every %d claims")
-               s.raise_period;
-             Option.map
-               (Printf.sprintf "worker death every %d claims")
-               s.die_period;
-             Option.map
-               (fun p ->
-                 Printf.sprintf "forced %s trip every %d checkpoints"
-                   (cause_to_string s.trip_cause)
-                   p)
-               s.trip_period;
-             Option.map
-               (Printf.sprintf "torn snapshot write every %d IO writes")
-               s.torn_period;
-             Option.map
-               (Printf.sprintf "ENOSPC fsync every %d IO fsyncs")
-               s.fsync_fail_period;
+          Option.map
+            (fun p ->
+              Printf.sprintf "forced %s trip every %d checkpoints"
+                (cause_to_string s.trip_cause)
+                p)
+            s.trip_period;
+          Option.map
+            (Printf.sprintf "torn snapshot write every %d IO writes")
+            s.torn_period;
+          Option.map
+            (Printf.sprintf "ENOSPC fsync every %d IO fsyncs")
+            s.fsync_fail_period;
           Option.map
             (Printf.sprintf "corrupt snapshot read every %d IO reads")
             s.corrupt_period;
         ]
     in
     if parts = [] then "no fault injection" else String.concat ", " parts
-
-  let claim_fate ~worker =
-    let s = Atomic.get state in
-    if s.seed = 0 then `Run
-    else
-      let n = 1 + Atomic.fetch_and_add claims 1 in
-      let hits = function Some p -> n mod p = 0 | None -> false in
-      if hits s.raise_period then `Raise n
-      else if hits s.die_period && worker > 0 then `Die
-      else `Run
 
   let forced_trip () =
     let s = Atomic.get state in

@@ -118,18 +118,12 @@ val mem_mask : int
 (** {1 Deterministic fault injection}
 
     A seeded, process-wide schedule of synthetic failures, consulted by
-    {!check} and by [Parallel.Pool] task claims. Everything is derived
-    from one integer seed (the [FRONTIER_FAULTS] environment variable,
-    or {!Faults.install} directly), so a failing run is replayable. The
-    injected faults:
+    {!check} and by the [Checkpoint] snapshot layer. Everything is
+    derived from one integer seed (the [FRONTIER_FAULTS] environment
+    variable, or {!Faults.install} directly), so a failing run is
+    replayable. The injected faults:
 
     {ul
-    {- {e task exceptions}: a pool task raises [Injected_fault] at its
-       claim — exercising the [Task_errors] aggregation path;}
-    {- {e worker death}: a worker domain abandons its claimed index and
-       stops claiming — exercising orphan redistribution (at pool size 1
-       the coordinator never dies; the schedule degrades to inline
-       sequential execution);}
     {- {e simulated deadline/memory trips}: a guard checkpoint trips as
        if the deadline had passed or the ceiling been hit — exercising
        every [Exhausted] salvage path without waiting for real
@@ -141,10 +135,6 @@ val mem_mask : int
        checksum-validation and degradation ladder without real disk
        failures.}} *)
 module Faults : sig
-  exception Injected_fault of int
-  (** Raised by a pool task whose claim the schedule selected; the
-      payload is the process-wide claim number. *)
-
   type schedule
 
   val none : schedule
@@ -153,8 +143,8 @@ module Faults : sig
   val of_seed : int -> schedule
   (** Deterministically derive a schedule from a seed: the seed's low
       bits select which fault kinds are active and the injection periods
-      (every k-th claim raises / every m-th claim dies / the n-th
-      checkpoint trips). Seed 0 is {!none}. *)
+      (every n-th checkpoint trips, every k-th IO operation of a kind
+      fails). Seed 0 is {!none}. *)
 
   val from_env : unit -> schedule
   (** [FRONTIER_FAULTS] parsed as an integer seed; {!none} when unset
@@ -173,8 +163,8 @@ module Faults : sig
       corrupted. Omitted arguments keep the schedule's derived values. *)
 
   val install : schedule -> unit
-  (** Make the schedule current, resetting the process-wide claim and
-      checkpoint counters (so runs are replayable). [install none]
+  (** Make the schedule current, resetting the process-wide checkpoint
+      and IO counters (so runs are replayable). [install none]
       turns injection off. *)
 
   val current : unit -> schedule
@@ -183,13 +173,7 @@ module Faults : sig
   val describe : schedule -> string
   (** Human-readable summary of what the schedule injects. *)
 
-  (** {2 Hooks (used by [Guard.check] and [Parallel.Pool])} *)
-
-  val claim_fate : worker:int -> [ `Run | `Raise of int | `Die ]
-  (** Consulted once per pool task claim. [`Raise k] directs the task
-      wrapper to raise [Injected_fault k]; [`Die] directs a non-zero
-      worker to abandon the claim and stop (the coordinator, worker 0,
-      never dies — it is the rescue path). *)
+  (** {2 Hooks (used by [Guard.check] and [Checkpoint])} *)
 
   val forced_trip : unit -> cause option
   (** Consulted once per guard checkpoint: [Some Deadline] / [Some

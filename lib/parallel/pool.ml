@@ -7,37 +7,16 @@
    fixes the merge order once and for all — the caller's task order —
    independently of which domain claimed what.
 
-   Degraded-mode hardening: per-index slots hold [Ok]/[Error] results, a
-   task exception never poisons the batch (all failures are aggregated
-   into [Task_errors] with their backtraces after one inline retry), a
-   worker that dies mid-job (fault injection's [`Die] fate) leaves its
-   single claimed index to the coordinator's rescue pass — the rest of
-   the batch is claimed by the surviving workers — and guard
-   cancellation stops workers from claiming further tasks: the
-   coordinator alone finishes the job, with guard-aware task bodies
-   early-exiting at their own checkpoints. *)
-
-exception
-  Task_errors of (int * exn * Printexc.raw_backtrace) list
-    (* (task index, exception, backtrace), sorted by index; every entry
-       failed twice: once in its claiming domain and once in the
-       coordinator's inline retry *)
-
-let () =
-  Printexc.register_printer (function
-    | Task_errors errors ->
-        Some
-          (Printf.sprintf "Pool.Task_errors [%s]"
-             (String.concat "; "
-                (List.map
-                   (fun (i, e, _) ->
-                     Printf.sprintf "task %d: %s" i (Printexc.to_string e))
-                   errors)))
-    | _ -> None)
+   Each task runs exactly once. A task exception lands in its slot with
+   its backtrace; the batch still runs to the end, and the lowest-index
+   failure is re-raised afterwards, so the exception a caller sees does
+   not depend on which domain ran which task. Guard cancellation stops
+   workers from claiming further tasks: the coordinator alone finishes
+   the job, with guard-aware task bodies early-exiting at their own
+   checkpoints. *)
 
 type job = {
-  run : int -> fate:[ `Run | `Raise of int ] -> unit;
-      (* execute task [i] (or record its injected failure); never raises *)
+  run : int -> unit;  (* execute task [i] into its slot; never raises *)
   n : int;
   next : int Atomic.t;
       (* the next unclaimed index; claims past [n] are harmless (the
@@ -45,9 +24,6 @@ type job = {
          fetch-and-add is needed *)
   cancelled : unit -> bool;  (* workers stop claiming once true *)
   mutable completed : int;  (* tasks finished; protected by the pool mutex *)
-  mutable orphans : int list;
-      (* indices claimed and then abandoned by a dying worker, awaiting
-         the coordinator's rescue pass; protected by the pool mutex *)
 }
 
 type t = {
@@ -57,6 +33,9 @@ type t = {
          A pool oversubscribing a small machine can still *run* wide jobs
          correctly, but fanning out cannot make them faster — the cost
          gate treats [eff = 1] as "never fan out". *)
+  gated : bool;
+      (* [false] only for [Internal.create_fanout]: every batch of two or
+         more tasks fans out *)
   mutex : Mutex.t;
   work : Condition.t;  (* workers: a new job was posted *)
   finished : Condition.t;  (* coordinator: progress on the job *)
@@ -73,37 +52,28 @@ type t = {
 
 let now () = Unix.gettimeofday ()
 
-(* Claim and run tasks until the cursor passes the end, the guard is
+(* Claim and run tasks until the cursor passes the end or the guard is
    cancelled (workers only — the coordinator must keep going so the job
-   always completes), or the fault schedule kills this worker. The
-   completion count (not a per-worker barrier) is what the coordinator
-   waits on, so it never matters which workers ever woke up for a given
-   job; a dying worker hands its claimed index over as an orphan and the
-   others claim the rest. *)
+   always completes). The completion count (not a per-worker barrier) is
+   what the coordinator waits on, so it never matters which workers ever
+   woke up for a given job. *)
 let drain pool job worker =
   let t0 = now () in
   let rec loop done_count =
-    if worker > 0 && job.cancelled () then (done_count, None)
+    if worker > 0 && job.cancelled () then done_count
     else
       let i = Atomic.fetch_and_add job.next 1 in
-      if i >= job.n then (done_count, None)
-      else
-        match Guard.Faults.claim_fate ~worker with
-        | `Die -> (done_count, Some i)
-        | (`Run | `Raise _) as fate ->
-            job.run i ~fate;
-            loop (done_count + 1)
+      if i >= job.n then done_count
+      else begin
+        job.run i;
+        loop (done_count + 1)
+      end
   in
-  let did, orphan = loop 0 in
+  let did = loop 0 in
   let dt = now () -. t0 in
   Mutex.lock pool.mutex;
   pool.busy.(worker) <- pool.busy.(worker) +. dt;
   job.completed <- job.completed + did;
-  (match orphan with
-  | Some i -> job.orphans <- i :: job.orphans
-  | None -> ());
-  (* Wake the coordinator on any exit: completion, cancellation bail-out,
-     or death — it re-evaluates and rescues orphans as needed. *)
   Condition.broadcast pool.finished;
   Mutex.unlock pool.mutex
 
@@ -132,9 +102,8 @@ let worker_loop pool worker =
 
 (* A conservative stand-in until (and unless) the dispatch
    microbenchmark runs: about what a cross-domain dispatch costs on a
-   mainstream machine. Used as-is when measurement is skipped (size-1
-   pools; fault-injection runs, where the measurement's task claims
-   would shift the deterministic fault schedule). *)
+   mainstream machine. Used as-is by size-1 pools, which never
+   measure. *)
 let default_overhead_s = 1e-4
 
 (* The dispatch-overhead microbenchmark, installed after [run_all] is
@@ -161,15 +130,15 @@ let ensure_workers pool =
         List.init (pool.size - 1) (fun k ->
             Domain.spawn (fun () -> worker_loop pool (k + 1)));
     Mutex.unlock pool.mutex;
-    if spawn && not (Guard.Faults.active ()) then
-      pool.dispatch_overhead_s <- !calibrator pool
+    if spawn then pool.dispatch_overhead_s <- !calibrator pool
   end
 
-let create requested =
+let make ~gated requested =
   let size = max 1 requested in
   {
     size;
     eff = min size (Domain.recommended_domain_count ());
+    gated;
     mutex = Mutex.create ();
     work = Condition.create ();
     finished = Condition.create ();
@@ -181,6 +150,7 @@ let create requested =
     dispatch_overhead_s = default_overhead_s;
   }
 
+let create = make ~gated:true
 let size pool = pool.size
 
 let shutdown pool =
@@ -191,24 +161,15 @@ let shutdown pool =
   List.iter Domain.join pool.domains;
   pool.domains <- []
 
-(* Execute task [i] into its slot, catching everything: a real task
-   exception and an injected one both land as [Error] — the caller
-   retries those inline before giving up on them. *)
+(* Execute task [i] into its slot, catching everything: the batch runs
+   to the end before any failure is re-raised. *)
 let exec_into (type a b) (f : a -> b) (tasks : a array)
-    (slots : (b, exn * Printexc.raw_backtrace) result option array) i
-    ~fate =
-  match fate with
-  | `Raise claim ->
-      slots.(i) <-
-        Some
-          (Error
-             ( Guard.Faults.Injected_fault claim,
-               Printexc.get_callstack 16 ))
-  | `Run -> (
-      match f tasks.(i) with
-      | r -> slots.(i) <- Some (Ok r)
-      | exception e ->
-          slots.(i) <- Some (Error (e, Printexc.get_raw_backtrace ())))
+    (slots : (b, exn * Printexc.raw_backtrace) result option array) i =
+  slots.(i) <-
+    Some
+      (match f tasks.(i) with
+      | r -> Ok r
+      | exception e -> Error (e, Printexc.get_raw_backtrace ()))
 
 (* ------------------------------------------------------------------ *)
 (* Cost gate                                                           *)
@@ -234,10 +195,9 @@ let exec_into (type a b) (f : a -> b) (tasks : a array)
 
    The gate changes scheduling only, never results: every client
    already requires cross-[-j] determinism, and inline execution is the
-   size-1 code path those contracts are stated against. The pool tests
-   reach the fan-out and dead-worker paths on one core through
-   [Internal.map_array_fanout], which bypasses the gate for its own batch
-   only. *)
+   size-1 code path those contracts are stated against. The tests reach
+   the fan-out path with deliberately tiny batches through
+   [Internal.create_fanout] pools, which never consult the gate. *)
 
 (* Threshold, as a multiple of the measured dispatch overhead: a batch
    has to be worth several dispatches before the pool pays for one. *)
@@ -256,33 +216,22 @@ let gate_counters () =
 
 let dispatch_overhead_s pool = pool.dispatch_overhead_s
 
-(* The degraded-mode core: run every task, rescue orphans inline, retry
-   failed slots once (transient/injected failures recover; deterministic
-   ones stay [Error]). Always returns a fully populated slot per index.
-   [est_s] is the
-   caller's estimate of the whole batch's sequential cost, consumed by
-   the cost gate; [force_fanout] bypasses the gate (the creation-time
-   overhead measurement must go through the real dispatch path). *)
+(* Run every task once, then re-raise the lowest-index failure.
+   [est_s] is the caller's estimate of the whole batch's sequential cost,
+   consumed by the cost gate; [force_fanout] bypasses the gate (the
+   creation-time overhead measurement must go through the real dispatch
+   path). *)
 let run_all (type a b) ?guard ?est_s ?(force_fanout = false)
-    pool (f : a -> b) (tasks : a array) :
-    (b, exn * Printexc.raw_backtrace) result array =
+    pool (f : a -> b) (tasks : a array) : b array =
   let n = Array.length tasks in
   let slots : (b, exn * Printexc.raw_backtrace) result option array =
     Array.make n None
   in
   let exec = exec_into f tasks slots in
-  (* Inline execution of one index: the coordinator is the only worker,
-     so injected worker death degrades to a no-op and cancellation is
-     handled inside the (guard-aware) task bodies. *)
-  let run_one i =
-    match Guard.Faults.claim_fate ~worker:0 with
-    | (`Run | `Raise _) as fate -> exec i ~fate
-    | `Die -> exec i ~fate:`Run (* the coordinator never dies *)
-  in
   let run_inline lo =
     let t0 = now () in
     for i = lo to n - 1 do
-      run_one i
+      exec i
     done;
     let dt = now () -. t0 in
     Mutex.lock pool.mutex;
@@ -295,7 +244,7 @@ let run_all (type a b) ?guard ?est_s ?(force_fanout = false)
     ensure_workers pool;
     let job =
       {
-        run = (fun i ~fate -> exec (lo + i) ~fate);
+        run = (fun i -> exec (lo + i));
         n = n - lo;
         next = Atomic.make 0;
         cancelled =
@@ -303,7 +252,6 @@ let run_all (type a b) ?guard ?est_s ?(force_fanout = false)
           | Some g -> fun () -> Guard.cancelled g
           | None -> fun () -> false);
         completed = 0;
-        orphans = [];
       }
     in
     Mutex.lock pool.mutex;
@@ -313,36 +261,14 @@ let run_all (type a b) ?guard ?est_s ?(force_fanout = false)
     Mutex.unlock pool.mutex;
     drain pool job 0;
     Mutex.lock pool.mutex;
-    let rec wait () =
-      if job.completed >= job.n then ()
-      else if job.orphans <> [] then begin
-        (* Rescue a dead worker's abandoned claims: run them inline in
-           the coordinator (fault-free by construction — the rescue path
-           does not consult the fault schedule). Only the index the dead
-           worker had already claimed lands here; the rest of the batch
-           was claimed by the surviving workers. *)
-        let orphans = job.orphans in
-        job.orphans <- [];
-        Mutex.unlock pool.mutex;
-        let t0 = now () in
-        List.iter (fun i -> job.run i ~fate:`Run) orphans;
-        let dt = now () -. t0 in
-        Mutex.lock pool.mutex;
-        pool.busy.(0) <- pool.busy.(0) +. dt;
-        job.completed <- job.completed + List.length orphans;
-        wait ()
-      end
-      else begin
-        Condition.wait pool.finished pool.mutex;
-        wait ()
-      end
-    in
-    wait ();
+    while job.completed < job.n do
+      Condition.wait pool.finished pool.mutex
+    done;
     pool.job <- None;
     Mutex.unlock pool.mutex
   in
   if pool.size = 1 || n <= 1 then run_inline 0
-  else if force_fanout then fan_out 0
+  else if force_fanout || not pool.gated then fan_out 0
   else begin
     let gate = gate_factor *. pool.dispatch_overhead_s in
     if pool.eff <= 1 then begin
@@ -366,7 +292,7 @@ let run_all (type a b) ?guard ?est_s ?(force_fanout = false)
           let t0 = now () in
           let i = ref 0 in
           while !i < n && now () -. t0 < gate do
-            run_one !i;
+            exec !i;
             incr i
           done;
           let dt = now () -. t0 in
@@ -387,31 +313,24 @@ let run_all (type a b) ?guard ?est_s ?(force_fanout = false)
             end
           end
   end;
-  (* Inline retry of failed tasks: an injected or otherwise transient
-     exception recovers here; a deterministic one fails again and is
-     reported. Tasks must therefore be effect-free or idempotent. *)
-  Array.iteri
-    (fun i slot ->
-      match slot with
-      | Some (Error _) -> exec i ~fate:`Run
-      | Some (Ok _) -> ()
-      | None -> assert false (* every index was run or rescued *))
-    slots;
-  Array.map (function Some r -> r | None -> assert false) slots
+  (* [Array.map] visits the slots in index order, so the first [Error]
+     it meets is the lowest-index failure. *)
+  Array.map
+    (function
+      | Some (Ok r) -> r
+      | Some (Error (e, bt)) -> Printexc.raise_with_backtrace e bt
+      | None -> assert false (* every index ran *))
+    slots
 
 (* One fan-out of trivial tasks measures the pool's fixed dispatch cost;
    the minimum over a handful of runs discards scheduler noise (and the
-   first run's domain-startup latency). Skipped under an active fault
-   schedule — the measurement's task claims would shift the
-   deterministic injection points of the actual workload. *)
+   first run's domain-startup latency). *)
 let measure_dispatch_overhead pool =
   let tasks = Array.make (4 * pool.size) () in
   let best = ref infinity in
   for _ = 1 to 5 do
     let t0 = now () in
-    ignore
-      (run_all ~force_fanout:true pool (fun () -> ()) tasks
-        : (unit, exn * Printexc.raw_backtrace) result array);
+    ignore (run_all ~force_fanout:true pool (fun () -> ()) tasks : unit array);
     let dt = now () -. t0 in
     if dt < !best then best := dt
   done;
@@ -419,23 +338,8 @@ let measure_dispatch_overhead pool =
 
 let () = calibrator := measure_dispatch_overhead
 
-let map_array_result ?guard ?est_s pool f tasks =
-  if Array.length tasks = 0 then [||] else run_all ?guard ?est_s pool f tasks
-
-let errors_of_slots slots =
-  Array.to_list slots
-  |> List.mapi (fun i slot -> (i, slot))
-  |> List.filter_map (function
-       | i, Error (e, bt) -> Some (i, e, bt)
-       | _, Ok _ -> None)
-
-let values_or_raise slots =
-  let errors = errors_of_slots slots in
-  if errors <> [] then raise (Task_errors errors);
-  Array.map (function Ok r -> r | Error _ -> assert false) slots
-
 let map_array ?guard ?est_s pool f tasks =
-  values_or_raise (map_array_result ?guard ?est_s pool f tasks)
+  if Array.length tasks = 0 then [||] else run_all ?guard ?est_s pool f tasks
 
 let busy_times pool =
   Mutex.lock pool.mutex;
@@ -453,7 +357,5 @@ let reset_busy pool =
 (* ------------------------------------------------------------------ *)
 
 module Internal = struct
-  let map_array_fanout ?guard pool f tasks =
-    if Array.length tasks = 0 then [||]
-    else values_or_raise (run_all ?guard ~force_fanout:true pool f tasks)
+  let create_fanout = make ~gated:false
 end

@@ -1,12 +1,11 @@
-(** A pool of OCaml 5 domains, hardened for degraded-mode operation.
+(** A pool of OCaml 5 domains for the chase sweeps.
 
     The pool executes arrays of independent tasks. Every worker of a job
     claims the next index through one shared atomic cursor
     (fetch-and-add) until the cursor passes the end. Because the cursor
     only moves forward, "the cursor is past the end" is a stable
-    condition, so no index can be lost to a scheduling race — including
-    the remainder of a batch whose worker died mid-job, which the
-    survivors claim like any other index. Results are written into
+    condition, so no index can be lost to a scheduling race, and each
+    task runs exactly once. Results are written into
     per-index slots, so the merged output is in task order regardless of
     which domain ran what. This is what makes the parallel chase
     deterministic: callers fix a task order, and the pool guarantees the
@@ -22,27 +21,15 @@
     caller, so [~pool:(Pool.create 1)] is observationally the sequential
     code path.
 
-    Failure containment: a task that raises does {e not} poison the batch.
-    Its per-index slot records the exception with its backtrace, every
-    other task still runs, the coordinator retries each failed index once
-    inline (recovering transient and injected faults), and only then are
-    the surviving failures aggregated into a single {!Task_errors}. A
-    worker "killed" by the fault-injection schedule ({!Guard.Faults})
-    abandons only the index it had already claimed — rescued inline by the
-    coordinator — while the unclaimed remainder of the batch is claimed by
-    the surviving workers; at pool size 1 all of this degenerates to plain
-    sequential execution. Because failed or orphaned tasks may be
-    re-executed, tasks must be effect-free or idempotent.
+    Failures: a task that raises does not stop the batch. Its per-index
+    slot records the exception with its backtrace, every other task still
+    runs, and then the lowest-index failure is re-raised — the exception
+    [Array.map] would raise, whichever domain ran which task.
 
     Tasks must not themselves call into the same pool (no nesting), and the
     shared structures they read must be published before [map_array] is
     called (the job hand-off is a memory barrier: anything written by the
     caller before [map_array] is visible to the workers). *)
-
-exception Task_errors of (int * exn * Printexc.raw_backtrace) list
-(** All task failures of one batch — [(task index, exception, backtrace)],
-    sorted by task index. Raised by {!map_array} after the barrier, once
-    every task has run and each failed one has been retried inline. *)
 
 type t
 
@@ -64,9 +51,9 @@ val shutdown : t -> unit
 
 val map_array :
   ?guard:Guard.t -> ?est_s:float -> t -> ('a -> 'b) -> 'a array -> 'b array
-(** Parallel [Array.map] with deterministic output order. If tasks raise,
-    the remaining tasks still run, failed indices are retried inline, and
-    the surviving failures are re-raised together as {!Task_errors} after
+(** Parallel [Array.map] with deterministic output order. Each task runs
+    exactly once. If tasks raise, the remaining tasks still run, and the
+    lowest-index task's exception is re-raised with its backtrace after
     the barrier. With [?guard], workers stop claiming new tasks once the
     guard is cancelled; the coordinator finishes the remaining tasks
     inline (guard-aware task bodies early-exit at their own checkpoints),
@@ -77,16 +64,6 @@ val map_array :
     cost in seconds, consumed by the cost gate (see below):
     an estimate below the gate threshold skips both the fan-out and the
     gate's own probe phase; a large one fans out immediately. *)
-
-val map_array_result :
-  ?guard:Guard.t ->
-  ?est_s:float ->
-  t ->
-  ('a -> 'b) ->
-  'a array ->
-  ('b, exn * Printexc.raw_backtrace) result array
-(** Degraded-mode variant of {!map_array}: never raises {!Task_errors};
-    each persistent per-task failure stays in its slot as [Error]. *)
 
 (** {1 Cost-gated fan-out}
 
@@ -106,10 +83,8 @@ val map_array_result :
 
 val dispatch_overhead_s : t -> float
 (** The measured fixed cost of one fan-out through this pool, in
-    seconds. Size-1 pools, pools that have never fanned a batch out, and
-    pools whose workers first spawned under an active fault-injection
-    schedule (where the microbenchmark would shift the deterministic
-    claim numbering) report a conservative default. *)
+    seconds. Size-1 pools and pools that have never fanned a batch out
+    report a conservative default. *)
 
 type gate_counters = {
   inline_batches : int;
@@ -134,10 +109,9 @@ val reset_busy : t -> unit
 
     Not part of the stable API. *)
 module Internal : sig
-  val map_array_fanout :
-    ?guard:Guard.t -> t -> ('a -> 'b) -> 'a array -> 'b array
-  (** {!map_array} with the cost gate bypassed for this batch: any batch
-      of two or more tasks on a pool of size > 1 goes to the workers,
-      even on one core — the only way to reach the fan-out and
-      dead-worker paths with deliberately tiny tasks. *)
+  val create_fanout : int -> t
+  (** {!create} without the cost gate: every batch of two or more tasks
+      on a pool of size > 1 goes to the workers, even on one core — the
+      way tests reach the fan-out path with deliberately tiny tasks.
+      Its batches do not move {!gate_counters}. *)
 end

@@ -80,8 +80,6 @@ let finalize ~aux ~ucq ~outcome ~steps ~generated ~containment_checks
     kernel_stats;
   }
 
-let split_batch = Saturation.split_batch
-
 (* The evolving minimal UCQ: a subsumption index ([Ucq_index]) whose
    fingerprints are probed before any containment search, plus the
    canonical ids of the live disjuncts.

@@ -123,8 +123,3 @@ val outcome_of_result : result -> guard:Guard.t -> (result, result) Guard.outcom
 val rs : ?budget:budget -> Theory.t -> Cq.t -> int option
 (** [rs_T(q)] of Section 7: the maximal disjunct size of the full rewriting;
     [None] when the rewriting did not complete within budget. *)
-
-val split_batch : int -> 'a list -> 'a list * 'a list
-(** [split_batch n l = (first n elements of l, the rest)], both in order.
-    Tail-recursive — safe on frontiers of arbitrary length. Exposed for
-    testing. *)

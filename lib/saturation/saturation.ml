@@ -25,7 +25,6 @@ module Stats = struct
     frontier : int;
     tally : tally;
     wall_s : float;
-    domain_busy_s : float array;
   }
 
   type t = {
@@ -35,19 +34,12 @@ module Stats = struct
     per_round : round array;
   }
 
-  let pp_busy ppf busy =
-    if Array.exists (fun b -> b > 0.0005) busy then begin
-      Format.fprintf ppf " [busy";
-      Array.iter (fun b -> Format.fprintf ppf " %.3f" b) busy;
-      Format.fprintf ppf "]"
-    end
-
   let pp_round ppf r =
     Format.fprintf ppf
       "round %d: frontier %d, expanded %d -> %d generated, %d admitted (%d \
-       deduped), %.3fs%a"
+       deduped), %.3fs"
       r.index r.frontier r.tally.expanded r.tally.generated r.tally.admitted
-      r.tally.deduped r.wall_s pp_busy r.domain_busy_s
+      r.tally.deduped r.wall_s
 
   let pp ppf s =
     Array.iter (fun r -> Format.fprintf ppf "%a@\n" pp_round r) s.per_round;
@@ -62,7 +54,7 @@ end
 
 type verdict = Saturated | Stopped | Tripped of Guard.cause
 
-type ctx = { pool : Parallel.Pool.t; guard : Guard.t; round : int }
+type ctx = { guard : Guard.t; round : int }
 
 type 'w step_result = {
   next : 'w list;
@@ -78,17 +70,6 @@ type 'w checkpoint = {
   min_interval_s : float;
   save : round:int -> final:bool -> 'w array -> unit;
 }
-
-(* Tail-recursive frontier split: [split_batch n l] is [(first n, rest)]
-   in order. A saturation frontier can hold millions of items, too deep
-   for non-tail recursion. *)
-let split_batch n l =
-  let rec go n acc = function
-    | [] -> (List.rev acc, [])
-    | rest when n <= 0 -> (List.rev acc, rest)
-    | x :: rest -> go (n - 1) (x :: acc) rest
-  in
-  go n [] l
 
 (* The worklist: a flat array-backed FIFO. Items live in
    [buf.(head .. tail - 1)]; a round's batch is one [Array.sub] off the
@@ -138,13 +119,8 @@ let queue_take q k =
   q.head <- q.head + m;
   batch
 
-let run ?pool ?guard ?(drain = All) ?(max_rounds = max_int)
+let run ?guard ?(drain = All) ?(max_rounds = max_int)
     ?(record_rounds = true) ?(base_round = 0) ?checkpoint ~init ~step () =
-  (* A private size-1 pool by default: independent runs must not
-     cross-contaminate each other's busy accounting. *)
-  let pool =
-    match pool with Some p -> p | None -> Parallel.Pool.create 1
-  in
   let guard = match guard with Some g -> g | None -> Guard.unlimited () in
   let rounds = ref 0 in
   let totals = ref Stats.zero in
@@ -208,10 +184,7 @@ let run ?pool ?guard ?(drain = All) ?(max_rounds = max_int)
             finish Stopped
           else
             let batch = queue_take q want in
-            let ctx = { pool; guard; round = base_round + !rounds + 1 } in
-            let busy0 =
-              if record_rounds then Parallel.Pool.busy_times pool else [||]
-            in
+            let ctx = { guard; round = base_round + !rounds + 1 } in
             let t0 = if record_rounds then Unix.gettimeofday () else 0. in
             let res = step ctx batch in
             if not res.commit then begin
@@ -228,20 +201,15 @@ let run ?pool ?guard ?(drain = All) ?(max_rounds = max_int)
             else begin
               incr rounds;
               totals := Stats.add !totals res.tally;
-              if record_rounds then begin
-                let busy1 = Parallel.Pool.busy_times pool in
+              if record_rounds then
                 per_round :=
                   {
                     Stats.index = base_round + !rounds;
                     frontier = Array.length batch;
                     tally = res.tally;
                     wall_s = Unix.gettimeofday () -. t0;
-                    domain_busy_s =
-                      Array.init (Array.length busy1) (fun i ->
-                          busy1.(i) -. busy0.(i));
                   }
-                  :: !per_round
-              end;
+                  :: !per_round;
               queue_push_list q res.next;
               cadence_save ();
               (* A trip raised inside the committed round (typically

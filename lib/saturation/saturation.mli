@@ -65,9 +65,6 @@ module Stats : sig
     frontier : int;  (** worklist items handed to the step *)
     tally : tally;
     wall_s : float;  (** wall-clock seconds for the round *)
-    domain_busy_s : float array;
-        (** per-domain busy seconds inside the round (index 0 = caller);
-            [[||]] when the run recorded no pool activity *)
   }
 
   type t = {
@@ -81,7 +78,7 @@ module Stats : sig
 
   val pp_round : Format.formatter -> round -> unit
   (** One line: [round N: frontier F, expanded E -> G generated, A
-      admitted (D deduped), T s [busy ...]]. The shared rendering behind
+      admitted (D deduped), T s]. The shared rendering behind
       every [--stats] flag. *)
 
   val pp : Format.formatter -> t -> unit
@@ -99,7 +96,6 @@ type verdict =
           round, or by a [spend] within a committed one) *)
 
 type ctx = {
-  pool : Parallel.Pool.t;  (** for fanning the step's work out *)
   guard : Guard.t;  (** the sticky trip account the step must poll *)
   round : int;  (** 1-based number of the round being attempted *)
 }
@@ -144,7 +140,6 @@ type 'w checkpoint = {
 }
 
 val run :
-  ?pool:Parallel.Pool.t ->
   ?guard:Guard.t ->
   ?drain:drain ->
   ?max_rounds:int ->
@@ -155,19 +150,16 @@ val run :
   step:(ctx -> 'w array -> 'w step_result) ->
   unit ->
   verdict * Stats.t
-(** Defaults: [pool] a {e private} size-1 pool (so independent runs never
-    share busy accounting), [guard] unlimited,
-    [drain = All], [max_rounds = max_int], [record_rounds = true] (pass
-    [false] on one-item-per-round drains over huge frontiers — recording
-    a round per item would allocate proportionally).
+(** Defaults: [guard] unlimited, [drain = All], [max_rounds = max_int],
+    [record_rounds = true] (pass [false] on one-item-per-round drains
+    over huge frontiers — recording a round per item would allocate
+    proportionally).
 
     The step receives its batch as an array — a contiguous slice of the
     frontier in FIFO order; it must not mutate it.
 
-    Every round sees the supplied pool in [ctx.pool]. Only the chase
-    sweeps fan their steps out through it; the [At_most] clients (the
-    UCQ rewriting, the marked process, the termination probe) run their
-    steps sequentially and pass no pool.
+    The kernel knows no domain pool: a step that fans its work out (the
+    chase sweeps) holds its own.
 
     Round protocol, in order: (1) empty frontier — [Saturated]; (2)
     [max_rounds] committed rounds reached — [Stopped]; (3) guard
@@ -205,7 +197,3 @@ val outcome :
     [Complete]; [Tripped cause] is [Exhausted] with that cause;
     [Stopped] is [Exhausted] with [stopped_cause] (clients map their
     legacy step/depth budgets to {!Guard.Fuel} here). *)
-
-val split_batch : int -> 'a list -> 'a list * 'a list
-(** [split_batch n l = (first n elements of l, the rest)], both in
-    order. Tail-recursive — safe on frontiers of arbitrary length. *)

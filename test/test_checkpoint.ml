@@ -93,7 +93,8 @@ let sample round =
     sections = [ ("lines", [ "a"; "b c" ]); ("empty", []) ];
   }
 
-let pool4 = Parallel.Pool.create 4
+(* A pool without the cost gate, so the -j4 resume really fans out. *)
+let pool4 = Parallel.Pool.Internal.create_fanout 4
 
 let with_faults schedule f =
   Guard.Faults.install schedule;

@@ -92,20 +92,17 @@ let test_faults_deterministic () =
     "same seed, same schedule"
     (Guard.Faults.describe (Guard.Faults.of_seed 42))
     (Guard.Faults.describe (Guard.Faults.of_seed 42));
-  let fates schedule =
+  let trips schedule =
     Guard.Faults.install schedule;
-    let fs =
-      List.init 64 (fun _ ->
-          match Guard.Faults.claim_fate ~worker:1 with
-          | `Run -> "r"
-          | `Raise k -> Printf.sprintf "x%d" k
-          | `Die -> "d")
-    in
+    let ts = List.init 64 (fun _ -> Guard.Faults.forced_trip ()) in
     Guard.Faults.install Guard.Faults.none;
-    String.concat "" fs
+    ts
   in
   let s = Guard.Faults.of_seed 7 in
-  Alcotest.(check string) "replayable fate sequence" (fates s) (fates s);
+  Alcotest.(check bool) "seed 7 forces trips" true
+    (List.exists Option.is_some (trips s));
+  Alcotest.(check (list cause_opt))
+    "replayable trip sequence" (trips s) (trips s);
   Guard.Faults.install Guard.Faults.none;
   Alcotest.(check bool) "none is inactive" false (Guard.Faults.active ())
 
@@ -320,10 +317,7 @@ let test_kernel_million_item_frontier () =
   check_verdict "chunked" Saturation.Saturated v2;
   Alcotest.(check int) "ten chunks" 10 s2.Saturation.Stats.rounds;
   Alcotest.(check int) "all expanded in chunks" n
-    s2.Saturation.Stats.totals.Saturation.Stats.expanded;
-  let first, rest = Saturation.split_batch (n - 1) init in
-  Alcotest.(check int) "split_batch prefix" (n - 1) (List.length first);
-  Alcotest.(check (list int)) "split_batch remainder" [ n ] rest
+    s2.Saturation.Stats.totals.Saturation.Stats.expanded
 
 (* ------------------------------------------------------------------ *)
 (* Chase integration                                                   *)

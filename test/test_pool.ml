@@ -1,18 +1,17 @@
 (* Unit tests for the domain pool: the fan-out paths (batches smaller
-   than the pool, task errors, dead workers, exactly-once claims), the
-   busy-time accounting under concurrent readers, and the rewriting
+   than the pool, task errors, exactly-once claims), the busy-time
+   accounting under concurrent readers and in a chase, and the rewriting
    engines' ignored [?pool]. The cross-scheduling determinism properties
    live in test_properties.ml; these tests pin the mechanisms. *)
 
 open Parallel
 
-(* These tests pin the fan-out mechanisms themselves (claiming, dead
-   workers, busy accounting). The cost gate would route their
-   deliberately tiny batches inline — always on a one-core box — so they
-   go through [Pool.Internal]'s forced fan-out entry point, which
-   bypasses the gate for that one batch. *)
-let pool4 = Pool.create 4
-let map_array = Pool.Internal.map_array_fanout
+(* These tests pin the fan-out mechanisms themselves (claiming, busy
+   accounting). The cost gate would route their deliberately tiny
+   batches inline — always on a one-core box — so they run on
+   [Pool.Internal.create_fanout] pools, which fan out every batch. *)
+let pool4 = Pool.Internal.create_fanout 4
+let map_array = Pool.map_array
 
 (* Which domains ran a batch's tasks. [task f] records the running
    domain, and until a second domain has shown up (or [timeout_s] has
@@ -44,13 +43,6 @@ let check_fanned_out what domains =
   if domains () < 2 then
     Alcotest.failf "%s ran inline on one domain; want a fan-out" what
 
-let contains_sub hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-  in
-  go 0
-
 (* ------------------------------------------------------------------ *)
 (* Map correctness                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -70,54 +62,37 @@ let test_map_matches_sequential () =
       if n >= 2 then check_fanned_out (Printf.sprintf "n=%d" n) domains)
     [ 0; 1; 2; 3; 5; 16; 1000 ]
 
-let test_task_errors_lists_failing_indices () =
-  let tasks = Array.init 20 (fun i -> i) in
-  match
-    map_array pool4
-      (fun i -> if i mod 3 = 0 then failwith "boom" else i)
-      tasks
-  with
-  | _ -> Alcotest.fail "expected Task_errors"
-  | exception Pool.Task_errors errors ->
-      Alcotest.(check (list int))
-        "exactly the deterministic failures"
-        [ 0; 3; 6; 9; 12; 15; 18 ]
-        (List.map (fun (i, _, _) -> i) errors)
-
-(* ------------------------------------------------------------------ *)
-(* Dead-worker rescue                                                  *)
-(* ------------------------------------------------------------------ *)
-
-let test_dead_worker_rescue () =
-  (* Pick a fault schedule that kills workers (any seed whose derived
-     schedule has an active death period). Worker deaths abandon one
-     claimed index each — the coordinator rescues those — while the rest
-     of the batch must be claimed by the survivors; the result has to
-     come out identical to the sequential map anyway. *)
-  let die_seed =
-    let rec find s =
-      if s > 10_000 then Alcotest.fail "no die-active fault seed found"
-      else if
-        contains_sub
-          (Guard.Faults.describe (Guard.Faults.of_seed s))
-          "worker death"
-      then s
-      else find (s + 1)
-    in
-    find 1
-  in
-  Fun.protect
-    ~finally:(fun () -> Guard.Faults.install Guard.Faults.none)
-    (fun () ->
-      Guard.Faults.install (Guard.Faults.of_seed die_seed);
-      let tasks = Array.init 500 (fun i -> i) in
-      let task, domains = spread () in
-      let got = map_array pool4 (task (fun i -> i * 7)) tasks in
-      Alcotest.(check (array int))
-        "all indices survive worker deaths"
-        (Array.map (fun i -> i * 7) tasks)
-        got;
-      check_fanned_out "the fault-injected batch" domains)
+let test_lowest_failure_reraised () =
+  (* Tasks 5, 8, 11, ... fail. Every task still runs once, and the
+     exception that surfaces is task 5's — the one [Array.map] raises —
+     whichever domain ran it. *)
+  let pool1 = Pool.create 1 and pool2 = Pool.Internal.create_fanout 2 in
+  List.iter
+    (fun pool ->
+      let n = 40 in
+      let size = Pool.size pool in
+      let runs = Array.init n (fun _ -> Atomic.make 0) in
+      (* A size-1 pool runs inline: nothing to wait for. *)
+      let task, domains = spread ~timeout_s:(if size > 1 then 5. else 0.) () in
+      let f i =
+        Atomic.incr runs.(i);
+        if i >= 5 && i mod 3 = 2 then failwith (string_of_int i) else i
+      in
+      (match map_array pool (task f) (Array.init n Fun.id) with
+      | _ -> Alcotest.failf "size %d: expected a task failure" size
+      | exception Failure msg ->
+          Alcotest.(check string)
+            (Printf.sprintf "size %d: lowest failing index" size)
+            "5" msg);
+      Array.iteri
+        (fun i c ->
+          Alcotest.(check int)
+            (Printf.sprintf "size %d: index %d runs" size i)
+            1 (Atomic.get c))
+        runs;
+      if size > 1 then check_fanned_out (Printf.sprintf "size %d" size) domains)
+    [ pool1; pool2; pool4 ];
+  Pool.shutdown pool2
 
 (* ------------------------------------------------------------------ *)
 (* Exactly-once claims                                                 *)
@@ -188,6 +163,21 @@ let test_sequential_branch_busy () =
   let after = (Pool.busy_times p).(0) in
   Alcotest.(check bool) "inline run accumulates busy time" true
     (after >= 0.)
+
+let test_chase_busy_on_worker () =
+  (* The chase is the pool's client: its sweeps on a fan-out pool must
+     put work on worker 1, not only on the coordinator. *)
+  let pool = Pool.Internal.create_fanout 2 in
+  let _, _, grid = Theories.Instances.path Theories.Zoo.g2 8 in
+  ignore
+    (Chase.Engine.run ~pool ~max_depth:6 ~max_atoms:400_000 Theories.Zoo.t_d
+       grid);
+  let busy = Pool.busy_times pool in
+  Pool.shutdown pool;
+  Alcotest.(check bool)
+    (Printf.sprintf "worker 1 busy %.6f s > 0" busy.(1))
+    true
+    (busy.(1) > 0.)
 
 (* ------------------------------------------------------------------ *)
 (* The rewriting engines take no pool                                  *)
@@ -265,10 +255,10 @@ let () =
         [
           Alcotest.test_case "map = sequential map (incl. empty victims)"
             `Quick test_map_matches_sequential;
-          Alcotest.test_case "Task_errors lists the failing indices" `Quick
-            test_task_errors_lists_failing_indices;
-          Alcotest.test_case "dead worker: orphan rescued, shard stolen"
-            `Quick test_dead_worker_rescue;
+          Alcotest.test_case
+            "map_array re-raises the lowest failing index's exception, the \
+             same one at pool sizes 1/2/4"
+            `Quick test_lowest_failure_reraised;
           Alcotest.test_case "every index runs exactly once" `Quick
             test_exactly_once;
         ] );
@@ -278,6 +268,8 @@ let () =
             test_busy_times_concurrent_reader;
           Alcotest.test_case "size-1 pool accounts inline runs" `Quick
             test_sequential_branch_busy;
+          Alcotest.test_case "a fan-out chase keeps worker 1 busy" `Quick
+            test_chase_busy_on_worker;
         ] );
       ( "clients",
         [

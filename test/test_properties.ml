@@ -28,11 +28,14 @@ let count =
   | Some s -> ( match int_of_string_opt s with Some n when n > 0 -> n | _ -> 100)
   | None -> 100
 
-(* Long-lived pools shared by all properties (domains are expensive). *)
+(* Long-lived pools shared by all properties (domains are expensive).
+   The wider ones have no cost gate: the gate would run most of these
+   small batches inline, and the cross-[-j] properties would then compare
+   the sequential path with itself. *)
 let pool1 = Parallel.Pool.create 1
-let pool2 = Parallel.Pool.create 2
-let pool3 = Parallel.Pool.create 3
-let pool4 = Parallel.Pool.create 4
+let pool2 = Parallel.Pool.Internal.create_fanout 2
+let pool3 = Parallel.Pool.Internal.create_fanout 3
+let pool4 = Parallel.Pool.Internal.create_fanout 4
 
 (* ------------------------------------------------------------------ *)
 (* Generators: everything is encoded as ints so shrinking works        *)
@@ -81,6 +84,17 @@ let decode_query atoms =
 
 let atom_arb = QCheck.(triple (int_bound 2) (int_bound 5) (int_bound 5))
 
+(* A CQ body has at least one atom, so a body arbitrary must never shrink
+   to []: [Cq.make] would raise inside the shrinker and hide the real
+   counterexample. *)
+let nonempty (arb : 'a list QCheck.arbitrary) =
+  match arb.QCheck.shrink with
+  | None -> arb
+  | Some shrink ->
+      QCheck.set_shrink
+        (fun l yield -> shrink l (fun l' -> if l' <> [] then yield l'))
+        arb
+
 let theory_arb =
   QCheck.(
     list_of_size Gen.(1 -- 4)
@@ -93,7 +107,7 @@ let instance_arb =
       (list_of_size Gen.(0 -- 3) (pair (int_bound 4) (int_bound 4)))
       (list_of_size Gen.(0 -- 3) (int_bound 4)))
 
-let query_arb = QCheck.(list_of_size Gen.(1 -- 2) atom_arb)
+let query_arb = nonempty QCheck.(list_of_size Gen.(1 -- 2) atom_arb)
 
 (* ------------------------------------------------------------------ *)
 (* The naive homomorphism enumerator                                   *)
@@ -495,7 +509,27 @@ let decode_cq ?(var = body_var) (atoms_enc, f0, f1) =
   decode_cq_free ~var (List.map (decode_atom var) atoms_enc) f0 f1
 
 let cq_arb =
-  QCheck.(triple (list_of_size Gen.(1 -- 4) atom_arb) bool bool)
+  QCheck.(triple (nonempty (list_of_size Gen.(1 -- 4) atom_arb)) bool bool)
+
+let test_bodies_shrink_nonempty () =
+  (* Walk two levels of the shrink tree of a few sampled bodies. *)
+  let rand = Random.State.make [| 42 |] in
+  let check : 'a. string -> 'a QCheck.arbitrary -> ('a -> _ list) -> unit =
+   fun name arb body ->
+    let shrink = Option.get arb.QCheck.shrink in
+    let rec walk depth v =
+      if depth > 0 then
+        shrink v (fun v' ->
+            if body v' = [] then
+              Alcotest.failf "%s shrinks to an empty body" name;
+            walk (depth - 1) v')
+    in
+    for _ = 1 to 20 do
+      walk 2 (arb.QCheck.gen rand)
+    done
+  in
+  check "query_arb" query_arb Fun.id;
+  check "cq_arb" cq_arb (fun (atoms, _, _) -> atoms)
 
 let prop_ucq_store_minimal =
   (* The index-backed [of_list] and an [add_minimal] chain must keep the
@@ -1039,10 +1073,10 @@ let with_faults seed f =
   Fun.protect ~finally:(fun () -> Guard.Faults.install Guard.Faults.none) f
 
 let prop_faulty_chase_is_prefix =
-  (* Whatever the schedule injects — task exceptions, worker deaths,
-     simulated deadline/memory trips — the chase either completes with
-     exactly the fault-free stages or stops early with a stage-exact
-     prefix of them (aborted sweeps are discarded whole). *)
+  (* Whatever the schedule injects — simulated deadline/memory trips at
+     stage boundaries or inside a sweep's tasks — the chase either
+     completes with exactly the fault-free stages or stops early with a
+     stage-exact prefix of them (aborted sweeps are discarded whole). *)
   QCheck.Test.make ~count
     ~name:"fault-injected chase = stage-exact prefix of fault-free chase"
     QCheck.(triple small_nat theory_arb instance_arb)
@@ -1068,8 +1102,7 @@ let prop_faulty_chase_is_prefix =
           | Some _ -> true
           | None ->
               (* No trip fired: the run must be indistinguishable from the
-                 fault-free one (injected task faults are absorbed by the
-                 pool's retry and orphan-rescue paths). *)
+                 fault-free one. *)
               dr = Chase.Engine.depth reference
               && Bool.equal (Chase.Engine.saturated run)
                    (Chase.Engine.saturated reference))
@@ -1101,61 +1134,38 @@ let prop_faulty_rewriting_is_sound =
             (Ucq.disjuncts partial.Rewriting.Rewrite.ucq)
       | _ -> true)
 
-let prop_pool_absorbs_injected_faults =
-  (* Injected task exceptions recover through the coordinator's retry
-     pass; worker deaths recover through orphan redistribution. Under any
-     schedule, [map_array] must still return exactly the right answers. *)
+let prop_pool_reraises_lowest_failure =
+  (* Every task runs once, failing or not, and the exception that
+     surfaces is the lowest failing index's own — the one [Array.map]
+     raises — at every pool size. *)
   QCheck.Test.make ~count
-    ~name:"map_array under any fault schedule = Array.map"
-    QCheck.(pair small_nat (list int))
-    (fun (seed, l) ->
-      let f x = (x * 7) + 1 in
-      let arr = Array.of_list l in
-      let expected = Array.map f arr in
-      List.for_all
-        (fun pool ->
-          with_faults (1 + seed) (fun () ->
-              Parallel.Pool.map_array pool f arr = expected))
-        [ pool1; pool2; pool4 ])
-
-let prop_pool_aggregates_real_errors =
-  (* Genuine task failures (not injected, so the retry pass re-fails) are
-     aggregated into one [Task_errors], index-sorted, with one entry per
-     failing index — never a bare exception from whichever task lost the
-     race. *)
-  QCheck.Test.make ~count
-    ~name:"Task_errors lists exactly the failing indices, in order"
+    ~name:
+      "map_array re-raises the lowest failing index's exception, the same \
+       one at pool sizes 1/2/4"
     QCheck.(list (pair small_int bool))
     (fun l ->
       let arr = Array.of_list l in
       let f (x, fail) = if fail then failwith (string_of_int x) else x * 2 in
-      let expected_idx =
-        List.concat
-          (List.mapi (fun i (_, fail) -> if fail then [ i ] else []) l)
+      let expected =
+        match Array.map f arr with
+        | res -> Ok res
+        | exception Failure msg -> Error msg
       in
       List.for_all
         (fun pool ->
-          (match Parallel.Pool.map_array pool f arr with
-          | res -> expected_idx = [] && res = Array.map f arr
-          | exception Parallel.Pool.Task_errors errs ->
-              List.map (fun (i, _, _) -> i) errs = expected_idx
-              && List.for_all
-                   (fun (i, e, _) ->
-                     match e with
-                     | Failure s -> s = string_of_int (fst arr.(i))
-                     | _ -> false)
-                   errs)
-          &&
-          (* The Result-returning variant never raises and agrees slotwise. *)
-          let slots = Parallel.Pool.map_array_result pool f arr in
-          Array.length slots = Array.length arr
-          && List.for_all
-               (fun i ->
-                 match (slots.(i), snd arr.(i)) with
-                 | Ok y, false -> y = f arr.(i)
-                 | Error (Failure _, _), true -> true
-                 | _ -> false)
-               (List.init (Array.length arr) Fun.id))
+          let runs = Atomic.make 0 in
+          let got =
+            match
+              Parallel.Pool.map_array pool
+                (fun t ->
+                  Atomic.incr runs;
+                  f t)
+                arr
+            with
+            | res -> Ok res
+            | exception Failure msg -> Error msg
+          in
+          got = expected && Atomic.get runs = Array.length arr)
         [ pool1; pool2; pool4 ])
 
 let prop_faulty_answering_never_lies =
@@ -1216,6 +1226,9 @@ let prop_faulty_portfolio_never_lies =
         [ None; Some pool4 ])
 
 let () =
+  if Sys.getenv_opt "FRONTIER_FAULTS" <> None then
+    Printf.printf "FRONTIER_FAULTS=%d base schedule: %s\n%!" fault_seed_base
+      (Guard.Faults.describe (Guard.Faults.of_seed fault_seed_base));
   Alcotest.run "properties"
     [
       ( "differential",
@@ -1257,15 +1270,19 @@ let () =
               ~rand:(Random.State.make [| seed |])
               (prop_core_matches_restart seed))
           [ 1; 7; 42 ] );
+      ( "generators",
+        [
+          Alcotest.test_case "CQ bodies never shrink to []" `Quick
+            test_bodies_shrink_nonempty;
+        ] );
       ( "pool",
-        [ QCheck_alcotest.to_alcotest prop_pool_primitives ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_pool_primitives; prop_pool_reraises_lowest_failure ] );
       ( "faults",
         List.map QCheck_alcotest.to_alcotest
           [
             prop_faulty_chase_is_prefix;
             prop_faulty_rewriting_is_sound;
-            prop_pool_absorbs_injected_faults;
-            prop_pool_aggregates_real_errors;
             prop_faulty_answering_never_lies;
             prop_faulty_portfolio_never_lies;
           ] );

@@ -184,26 +184,6 @@ let test_e28_completes_with_growing_rew () =
         (Ucq.cardinal r.Rewrite.ucq))
     [ 1; 2; 3 ]
 
-let test_split_batch_large_frontier () =
-  (* A divergent saturation accumulates frontiers far beyond the stack
-     depth a naive [List.take]-style split would survive; [split_batch]
-     must stay tail-recursive and order-preserving at that scale. *)
-  let n = 1_000_000 in
-  let l = List.init n Fun.id in
-  let batch, rest = Rewrite.split_batch 600_000 l in
-  Alcotest.(check int) "batch size" 600_000 (List.length batch);
-  Alcotest.(check int) "rest size" 400_000 (List.length rest);
-  Alcotest.(check int) "batch starts at head" 0 (List.hd batch);
-  Alcotest.(check int) "rest continues in order" 600_000 (List.hd rest);
-  Alcotest.(check bool) "concatenation restores the frontier" true
-    (List.equal Int.equal l (batch @ rest));
-  let all, none = Rewrite.split_batch (n + 1) l in
-  Alcotest.(check bool) "oversized batch takes everything" true
-    (List.equal Int.equal l all && none = []);
-  let empty, everything = Rewrite.split_batch 0 l in
-  Alcotest.(check bool) "zero batch defers everything" true
-    (empty = [] && List.equal Int.equal l everything)
-
 (* ------------------------------------------------------------------ *)
 (* Rewriting vs chase: the Theorem 1 equivalence, on random instances  *)
 (* ------------------------------------------------------------------ *)
@@ -384,8 +364,6 @@ let () =
             test_rew_selfloop_loopcut;
           Alcotest.test_case "rs linear for T_p" `Quick test_rs_linear_growth;
           Alcotest.test_case "example 41 diverges" `Quick test_nonbdd_diverges;
-          Alcotest.test_case "split_batch on a huge frontier" `Quick
-            test_split_batch_large_frontier;
           Alcotest.test_case "example 28 ladder" `Quick
             test_e28_completes_with_growing_rew;
           Alcotest.test_case "backward shy (footnote 30)" `Quick
