@@ -364,6 +364,10 @@ let () =
             test_rew_selfloop_loopcut;
           Alcotest.test_case "rs linear for T_p" `Quick test_rs_linear_growth;
           Alcotest.test_case "example 41 diverges" `Quick test_nonbdd_diverges;
+          (* Index 4 is kept filled so the numbered cases around it keep
+             their indices. *)
+          Alcotest.test_case "runs in one process are independent" `Quick
+            test_runs_are_independent;
           Alcotest.test_case "example 28 ladder" `Quick
             test_e28_completes_with_growing_rew;
           Alcotest.test_case "backward shy (footnote 30)" `Quick
@@ -372,8 +376,6 @@ let () =
             test_loopcut_paths_counters;
           Alcotest.test_case "size budget on a deduplicated candidate" `Quick
             test_size_budget_on_deduped_candidate;
-          Alcotest.test_case "runs in one process are independent" `Quick
-            test_runs_are_independent;
         ] );
       ( "chase agreement",
         [
