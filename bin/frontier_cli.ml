@@ -131,10 +131,8 @@ let parse_query s = Frontier.Parse.query (read_source s)
 
 (* Engine telemetry for [--stats], one schema for every subcommand
    (chase, rewrite, answer): the process-wide tallies are sampled before
-   the run and printed as deltas, plus the arena's absolute size (the
-   store is append-only and process-wide, so a delta would undersell
-   it). bench tables rely on the lines being identical across paths —
-   add new telemetry here, not in a command. *)
+   the run and printed as deltas. bench tables rely on the lines being
+   identical across paths — add new telemetry here, not in a command. *)
 let engine_stats_before () =
   ( Frontier.Homomorphism.counters (),
     Frontier.Fact_set.counters (),
@@ -142,14 +140,10 @@ let engine_stats_before () =
     Frontier.Eval.counters () )
 
 let print_engine_stats (h0, f0, g0, e0) =
-  let a = Frontier.Arena.stats Frontier.Arena.global in
   let h1 = Frontier.Homomorphism.counters () in
   let f1 = Frontier.Fact_set.counters () in
   let g1 = Frontier.Pool.gate_counters () in
   let e1 = Frontier.Eval.counters () in
-  Fmt.pr "arena: %d spans / %d ints / %.2f MiB@." a.Frontier.Arena.spans
-    a.Frontier.Arena.ints
-    (float_of_int a.Frontier.Arena.bytes /. 1024. /. 1024.);
   Fmt.pr "compiled joins: %d searches / %d nodes / %d register ops / %d \
           solutions@."
     (h1.Frontier.Homomorphism.searches - h0.Frontier.Homomorphism.searches)

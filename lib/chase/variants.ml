@@ -187,12 +187,24 @@ let run_core ?pool ?guard ?(max_rounds = 20) ?(max_atoms = 100_000) theory
 (* Restricted (standard) chase                                         *)
 (* ------------------------------------------------------------------ *)
 
-let null_counter = Atomic.make 0
+(* The largest [k] of a [_null<k>] constant in [terms], or 0. A run
+   numbers its nulls from one past it, so equal inputs give equal
+   results and no minted null collides with an input constant. *)
+let max_null terms =
+  let index (t : Term.t) =
+    match t.Term.view with
+    | Term.Const s when String.starts_with ~prefix:"_null" s ->
+        let digits = String.sub s 5 (String.length s - 5) in
+        if String.for_all (fun ch -> ch >= '0' && ch <= '9') digits then
+          int_of_string_opt digits
+        else None
+    | _ -> None
+  in
+  Term.Set.fold
+    (fun t m -> match index t with Some k -> max m k | None -> m)
+    terms 0
 
-let fresh_null () =
-  Term.const (Printf.sprintf "_null%d" (1 + Atomic.fetch_and_add null_counter 1))
-
-let restricted_apply rule sigma =
+let restricted_apply fresh_null rule sigma =
   let subst =
     Term.subst_of_bindings
       (List.map (fun w -> (w, fresh_null ())) (Tgd.exist_vars rule)
@@ -208,6 +220,11 @@ let run_restricted ?guard ?(max_applications = 10_000)
   let facts = ref d in
   let steps = ref 0 in
   let saturated = ref false in
+  let last_null = ref (max_null (Fact_set.domain d)) in
+  let fresh_null () =
+    incr last_null;
+    Term.const (Printf.sprintf "_null%d" !last_null)
+  in
   let rec first_violation = function
     | [] -> None
     | rule :: rest -> (
@@ -239,7 +256,7 @@ let run_restricted ?guard ?(max_applications = 10_000)
             stop = false; commit = true }
       | Some (rule, sigma) ->
           incr steps;
-          let head = restricted_apply rule sigma in
+          let head = restricted_apply fresh_null rule sigma in
           facts :=
             List.fold_left
               (fun fs atom -> Fact_set.add atom fs)

@@ -41,7 +41,6 @@ module Containment = Logic.Containment
 module Tgd = Logic.Tgd
 module Theory = Logic.Theory
 module Homomorphism = Logic.Homomorphism
-module Arena = Logic.Arena
 module Render = Logic.Render
 
 module Eval = Eval

@@ -201,7 +201,6 @@ module Faults = struct
     Atomic.set state schedule
 
   let current () = Atomic.get state
-  let active () = (Atomic.get state).seed <> 0
 
   let describe s =
     let parts =

@@ -168,7 +168,6 @@ module Faults : sig
       turns injection off. *)
 
   val current : unit -> schedule
-  val active : unit -> bool
 
   val describe : schedule -> string
   (** Human-readable summary of what the schedule injects. *)

@@ -13,15 +13,14 @@
    most of the set (filter, inter, large diffs) return an unindexed set
    whose index is rebuilt lazily on first use.
 
-   Each fact is interned once into the global {!Arena} (one flat int
-   span per atom, process-wide). A layer keeps a single packed table per
-   relation ([atoms], the contiguous [ids] slab projected from the arena
-   spans, and the arena ids [arows]), and its join index is a table of
-   *postings* — ascending [int array]s of rows into the relation table,
-   keyed exactly on the hash-consed term id, so a single-constraint
-   lookup needs no post-filtering. A posting costs one int per (fact,
-   position), and multi-constraint joins intersect two sorted postings
-   instead of scanning and filtering.
+   A layer holds each fact once: a single packed table per relation
+   ([atoms] and the contiguous row-major [ids] slab of their argument
+   term ids), and its join index is a table of *postings* — ascending
+   [int array]s of rows into the relation table, keyed exactly on the
+   hash-consed term id, so a single-constraint lookup needs no
+   post-filtering. A posting costs one int per (fact, position), and
+   multi-constraint joins intersect two sorted postings instead of
+   scanning and filtering.
 
    Enumeration order is canonical: a relation table lists a layer's facts
    newest-first and each posting visits matching rows in that same
@@ -38,8 +37,6 @@ type counters = {
   built_atoms : int;
   extends : int;
   delta_atoms : int;
-  shrinks : int;
-  removed_atoms : int;
   posting_probes : int;
   posting_intersections : int;
   views : int;
@@ -49,8 +46,6 @@ let c_builds = Atomic.make 0
 let c_built_atoms = Atomic.make 0
 let c_extends = Atomic.make 0
 let c_delta_atoms = Atomic.make 0
-let c_shrinks = Atomic.make 0
-let c_removed_atoms = Atomic.make 0
 let c_posting_probes = Atomic.make 0
 let c_posting_intersections = Atomic.make 0
 let c_views = Atomic.make 0
@@ -61,8 +56,6 @@ let counters () =
     built_atoms = Atomic.get c_built_atoms;
     extends = Atomic.get c_extends;
     delta_atoms = Atomic.get c_delta_atoms;
-    shrinks = Atomic.get c_shrinks;
-    removed_atoms = Atomic.get c_removed_atoms;
     posting_probes = Atomic.get c_posting_probes;
     posting_intersections = Atomic.get c_posting_intersections;
     views = Atomic.get c_views;
@@ -78,11 +71,9 @@ let counters () =
    inner loop — reject a candidate fact because some argument does not
    match — runs entirely over the contiguous [ids] slab (one int compare
    per constraint, cache-line friendly) instead of chasing
-   [Atom.t -> Term.t] pointers per position per fact. [arows.(row)] is
-   the row's atom id in {!Arena.global} (the [ids] slab is exactly the
-   concatenation of those spans' argument slots). [n] is cached: seed
-   selection compares table sizes, which must not cost anything. *)
-type bucket = { n : int; atoms : Atom.t array; ids : int array; arows : int array }
+   [Atom.t -> Term.t] pointers per position per fact. [n] is cached:
+   seed selection compares table sizes, which must not cost anything. *)
+type bucket = { n : int; atoms : Atom.t array; ids : int array }
 
 type layer = {
   lsize : int;  (* atoms in this layer *)
@@ -113,17 +104,15 @@ let pack_bucket arity p =
   let n = p.pn in
   let atoms = Array.make n (List.hd p.pitems) in
   let ids = Array.make (n * arity) 0 in
-  let arows = Array.make n 0 in
   List.iteri
     (fun row (a : Atom.t) ->
       atoms.(row) <- a;
-      arows.(row) <- Arena.intern Arena.global a;
       let args = a.Atom.args in
       for pos = 0 to arity - 1 do
         ids.((row * arity) + pos) <- args.(pos).Term.id
       done)
     p.pitems;
-  { n; atoms; ids; arows }
+  { n; atoms; ids }
 
 (* The join index of one relation table: ascending row postings per
    (term, position), read straight off the packed [ids] slab. *)
@@ -180,7 +169,6 @@ let merge_append (v : bucket) (old : bucket) =
     n = v.n + old.n;
     atoms = Array.append v.atoms old.atoms;
     ids = Array.append v.ids old.ids;
-    arows = Array.append v.arows old.arows;
   }
 
 let merge_layers newer older =
@@ -488,8 +476,6 @@ let diff a b =
     if n_removed = 0 then a
     else if 4 * n_removed > Atom.Set.cardinal a.set then plain ()
     else begin
-      Atomic.incr c_shrinks;
-      ignore (Atomic.fetch_and_add c_removed_atoms n_removed);
       (* Rebuild exactly the layers that contain removed atoms; the
          others are shared untouched. *)
       let layers =

@@ -15,8 +15,8 @@
     (filter, inter, large diffs) return an unindexed set whose index is
     lazily rebuilt on first use.
 
-    A layer stores each fact once per relation — interned into the
-    process-wide {!Arena} — with sorted row {e postings} per
+    A layer stores each fact once: per relation, its [Atom.t] and its
+    row of argument term ids, with sorted row {e postings} per
     (position, term).
 
     A set also owns the sorted views the leapfrog join reads
@@ -127,8 +127,6 @@ type counters = {
   built_atoms : int;  (** atoms indexed by full builds *)
   extends : int;  (** incremental index extensions *)
   delta_atoms : int;  (** atoms added to an existing index *)
-  shrinks : int;  (** incremental index removals *)
-  removed_atoms : int;  (** atoms removed from an existing index *)
   posting_probes : int;  (** join-index lookups (per layer, per constraint) *)
   posting_intersections : int;
       (** sorted-posting merge-intersections in {!iter_join_candidates} *)

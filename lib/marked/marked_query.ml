@@ -200,14 +200,6 @@ let remark q ~marked =
     marked;
   { q with marked; tagged = None }
 
-let of_cq ~levels q ~marked =
-  let marked =
-    Term.Set.union marked (Term.Set.of_list (Cq.free q))
-  in
-  make ~levels
-    ~free:(List.map (fun v -> (v, v)) (Cq.free q))
-    ~marked (Cq.atoms q)
-
 let vars q = dedup_terms (List.map snd q.free @ List.concat_map Atom.vars q.atoms)
 
 let level_of q a =

@@ -47,7 +47,6 @@ val remark : t -> marked:Term.Set.t -> t
     {!make} does. It shares [q]'s body analysis instead of recomputing
     it. *)
 
-val of_cq : levels:Symbol.t array -> Cq.t -> marked:Term.Set.t -> t
 val vars : t -> Term.t list
 val level_of : t -> Atom.t -> int
 (** Index [i] such that the atom's relation is [levels.(i)]. *)

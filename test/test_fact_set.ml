@@ -1,11 +1,11 @@
-(* Unit tests for the flat atom arena and the arena-mode fact-set index:
-   interning (hash-consing, growth past the initial capacity), span
-   decoding, the [to_atom] bounds contract, and the posting-list paths
-   behind [Fact_set.iter_join_candidates] — empty and singleton postings,
-   duplicate-position atoms like R(a,a), and the merge-intersection of
-   two sorted postings. The differential properties (chase and rewriting
-   against naive references) live in test_properties.ml; these tests pin
-   the data structure itself. *)
+(* Unit tests for the packed fact-set index: the posting-list paths
+   behind [Fact_set.iter_join_candidates] — empty and singleton
+   postings, duplicate-position atoms like R(a,a), the
+   merge-intersection of two sorted postings, merged LSM layers — and
+   the lifetime of indexed facts, which the index must not keep alive
+   once their set is dropped. The differential properties (chase and
+   rewriting against naive references) live in test_properties.ml; these
+   tests pin the data structure itself. *)
 
 open Logic
 
@@ -15,97 +15,6 @@ let p1 = Symbol.make "AR_p1" ~arity:1
 let c i = Term.const (Printf.sprintf "ar_c%d" i)
 
 let atom_t = Alcotest.testable Atom.pp Atom.equal
-
-(* ------------------------------------------------------------------ *)
-(* Interning: hash-consing and span decoding                           *)
-(* ------------------------------------------------------------------ *)
-
-let test_intern_hash_consing () =
-  let a = Arena.create ~initial:16 () in
-  let at = Atom.make r2 [ c 1; c 2 ] in
-  let id1 = Arena.intern a at in
-  let id2 = Arena.intern a at in
-  Alcotest.(check int) "same atom, same id" id1 id2;
-  (* A structurally equal atom built separately interns to the same id
-     (atom-level hash-consing over hash-consed terms). *)
-  let id3 = Arena.intern a (Atom.make r2 [ c 1; c 2 ]) in
-  Alcotest.(check int) "equal atom, same id" id1 id3;
-  let id4 = Arena.intern a (Atom.make r2 [ c 2; c 1 ]) in
-  Alcotest.(check bool) "different atom, different id" true (id1 <> id4);
-  Alcotest.(check int) "two spans interned" 2 (Arena.spans a)
-
-let test_span_decoding () =
-  let a = Arena.create ~initial:4 () in
-  let atoms =
-    [
-      Atom.make p1 [ c 0 ];
-      Atom.make r2 [ c 1; c 1 ];
-      Atom.make s3 [ c 1; c 2; c 3 ];
-    ]
-  in
-  let ids = List.map (Arena.intern a) atoms in
-  List.iter2
-    (fun at id ->
-      Alcotest.check atom_t "to_atom round-trips" at (Arena.to_atom a id);
-      Alcotest.(check int)
-        "rel_id is the relation's Symbol.id"
-        (Symbol.id (Atom.rel at))
-        (Arena.rel_id a id);
-      Alcotest.(check int)
-        "arity slot" (Symbol.arity (Atom.rel at)) (Arena.arity a id);
-      List.iteri
-        (fun pos t ->
-          Alcotest.(check int)
-            (Printf.sprintf "arg %d is the term id" pos)
-            (Term.hash t) (Arena.arg a id pos))
-        (Atom.args at))
-    atoms ids;
-  (* Spans are dense and contiguous: ints = sum of (2 + arity). *)
-  Alcotest.(check int) "span storage" (3 + 4 + 5) (Arena.ints a);
-  let st = Arena.stats a in
-  Alcotest.(check int) "stats.spans" 3 st.Arena.spans;
-  Alcotest.(check int) "stats.ints" 12 st.Arena.ints;
-  Alcotest.(check bool) "stats.bytes covers the spans" true
-    (st.Arena.bytes >= 12 * 8)
-
-let test_growth_past_initial_capacity () =
-  (* A tiny initial capacity forces both the span storage and the
-     per-atom metadata through several doublings; every previously
-     issued id must stay decodable afterwards. *)
-  let a = Arena.create ~initial:4 () in
-  let n = 2_000 in
-  let mk i =
-    if i mod 3 = 0 then Atom.make p1 [ c i ]
-    else if i mod 3 = 1 then Atom.make r2 [ c i; c (i + 1) ]
-    else Atom.make s3 [ c i; c (i + 1); c (i + 2) ]
-  in
-  let ids = List.init n (fun i -> (i, Arena.intern a (mk i))) in
-  Alcotest.(check int) "all distinct atoms interned" n (Arena.spans a);
-  List.iter
-    (fun (i, id) ->
-      Alcotest.check atom_t
-        (Printf.sprintf "atom %d survives growth" i)
-        (mk i) (Arena.to_atom a id))
-    ids;
-  (* Re-interning after growth still hash-conses. *)
-  List.iter
-    (fun (i, id) ->
-      Alcotest.(check int) "stable id" id (Arena.intern a (mk i)))
-    ids
-
-let test_to_atom_bounds () =
-  let a = Arena.create ~initial:4 () in
-  let check_invalid id =
-    match Arena.to_atom a id with
-    | _ -> Alcotest.failf "to_atom %d on a 1-span arena should raise" id
-    | exception Invalid_argument _ -> ()
-  in
-  check_invalid 0;
-  ignore (Arena.intern a (Atom.make p1 [ c 0 ]));
-  ignore (Arena.to_atom a 0);
-  check_invalid 1;
-  check_invalid (-1);
-  check_invalid max_int
 
 (* ------------------------------------------------------------------ *)
 (* Posting lists through [Fact_set.iter_join_candidates]               *)
@@ -220,17 +129,30 @@ let test_join_candidates_across_merged_layers () =
   check_against_candidates "merged layers, both bound" !t r2
     [ (0, c 3); (1, c 3) ]
 
+(* ------------------------------------------------------------------ *)
+(* Lifetime                                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* Build a fresh atom and an indexed set holding it, and return only a
+   weak pointer to the atom: once the set is dropped, nothing else may
+   keep the atom alive. *)
+let indexed_then_dropped () =
+  let at = Atom.make r2 [ c 900; Term.const "fs_lifetime" ] in
+  let t = Fact_set.of_list [ at ] in
+  ignore (Sys.opaque_identity (Fact_set.domain t));
+  let w = Weak.create 1 in
+  Weak.set w 0 (Some at);
+  w
+
+let test_dropped_set_frees_atoms () =
+  let w = (Sys.opaque_identity indexed_then_dropped) () in
+  Gc.full_major ();
+  Gc.full_major ();
+  Alcotest.(check bool) "atom collected" false (Weak.check w 0)
+
 let () =
-  Alcotest.run "arena"
+  Alcotest.run "fact_set"
     [
-      ( "intern",
-        [
-          Alcotest.test_case "hash-consing" `Quick test_intern_hash_consing;
-          Alcotest.test_case "span decoding" `Quick test_span_decoding;
-          Alcotest.test_case "growth past initial capacity" `Quick
-            test_growth_past_initial_capacity;
-          Alcotest.test_case "to_atom bounds" `Quick test_to_atom_bounds;
-        ] );
       ( "postings",
         [
           Alcotest.test_case "empty and singleton" `Quick
@@ -241,5 +163,11 @@ let () =
             test_join_candidates_intersection_path;
           Alcotest.test_case "merged LSM layers" `Quick
             test_join_candidates_across_merged_layers;
+        ] );
+      ( "lifetime",
+        [
+          Alcotest.test_case
+            "an indexed fact set's atoms are collectable once it is dropped"
+            `Quick test_dropped_set_frees_atoms;
         ] );
     ]

@@ -104,7 +104,9 @@ let test_faults_deterministic () =
   Alcotest.(check (list cause_opt))
     "replayable trip sequence" (trips s) (trips s);
   Guard.Faults.install Guard.Faults.none;
-  Alcotest.(check bool) "none is inactive" false (Guard.Faults.active ())
+  Alcotest.(check (list cause_opt))
+    "none forces no trip" (List.init 64 (fun _ -> None))
+    (List.init 64 (fun _ -> Guard.Faults.forced_trip ()))
 
 (* ------------------------------------------------------------------ *)
 (* The saturation kernel                                               *)

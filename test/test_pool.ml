@@ -125,24 +125,40 @@ let test_exactly_once () =
 let test_busy_times_concurrent_reader () =
   Pool.reset_busy pool4;
   let stop = Atomic.make false in
+  let reads = Atomic.make 0 in
   let reader =
     Domain.spawn (fun () ->
-        let reads = ref 0 in
         while not (Atomic.get stop) do
           let b = Pool.busy_times pool4 in
           assert (Array.length b = Pool.size pool4);
           Array.iter (fun t -> assert (t >= 0.)) b;
-          incr reads
-        done;
-        !reads)
+          Atomic.incr reads
+        done)
   in
-  let tasks = Array.init 2_000 (fun i -> i) in
-  for _ = 1 to 5 do
-    ignore (map_array pool4 (fun i -> i + 1) tasks)
-  done;
-  Atomic.set stop true;
-  let reads = Domain.join reader in
-  Alcotest.(check bool) "reader made progress" true (reads > 0);
+  (* The reader domain may first be scheduled after a fixed number of
+     batches is over. So the batches start after its first read and go
+     on until it has read while they ran, up to a generous cap. *)
+  let deadline = Unix.gettimeofday () +. 30. in
+  let in_time () = Unix.gettimeofday () < deadline in
+  let seen =
+    Fun.protect
+      ~finally:(fun () ->
+        Atomic.set stop true;
+        Domain.join reader)
+      (fun () ->
+        while Atomic.get reads = 0 && in_time () do
+          Domain.cpu_relax ()
+        done;
+        let seen = Atomic.get reads in
+        let tasks = Array.init 2_000 (fun i -> i) in
+        let batches = ref 0 in
+        while (!batches < 5 || Atomic.get reads <= seen) && in_time () do
+          ignore (map_array pool4 (fun i -> i + 1) tasks);
+          incr batches
+        done;
+        seen)
+  in
+  Alcotest.(check bool) "reader made progress" true (Atomic.get reads > seen);
   let busy = Pool.busy_times pool4 in
   Alcotest.(check int) "one slot per worker" (Pool.size pool4)
     (Array.length busy);

@@ -46,6 +46,33 @@ let test_restricted_respects_existing_witnesses () =
   Alcotest.(check int) "no applications" 0 r.Chase.Variants.steps;
   Alcotest.(check int) "unchanged" 2 (Fact_set.cardinal r.Chase.Variants.facts)
 
+let test_restricted_runs_are_equal () =
+  (* Nulls are numbered per run, so two runs on one input agree. *)
+  let d = Fact_set.of_list [ atom Theories.Zoo.person [ c "abel" ] ] in
+  let run () =
+    (Chase.Variants.run_restricted Theories.Zoo.t_spouse d).Chase.Variants.facts
+  in
+  let r1 = run () in
+  let r2 = run () in
+  Alcotest.(check bool) "equal fact sets" true (Fact_set.equal r1 r2)
+
+let test_restricted_avoids_input_nulls () =
+  (* The input already names [_null1]: abel's spouse must be a new null,
+     not [_null1], so both persons get a spouse of their own. *)
+  let d =
+    Fact_set.of_list
+      [ atom Theories.Zoo.person [ c "abel" ];
+        atom Theories.Zoo.person [ c "_null1" ] ]
+  in
+  let r = Chase.Variants.run_restricted Theories.Zoo.t_spouse d in
+  let facts = r.Chase.Variants.facts in
+  Alcotest.(check bool) "saturates" true r.Chase.Variants.saturated;
+  Alcotest.(check bool) "abel is not paired with the input's _null1" false
+    (Fact_set.mem (atom Theories.Zoo.knows [ c "abel"; c "_null1" ]) facts);
+  Alcotest.(check int) "two minted nulls" 2
+    (Term.Set.cardinal
+       (Term.Set.diff (Fact_set.domain facts) (Fact_set.domain d)))
+
 (* ------------------------------------------------------------------ *)
 (* Oblivious chase                                                     *)
 (* ------------------------------------------------------------------ *)
@@ -328,6 +355,10 @@ let () =
             test_restricted_diverges_on_loopcut;
           Alcotest.test_case "respects witnesses" `Quick
             test_restricted_respects_existing_witnesses;
+          Alcotest.test_case "two runs on the same input are equal" `Quick
+            test_restricted_runs_are_equal;
+          Alcotest.test_case "input nulls are not minted again" `Quick
+            test_restricted_avoids_input_nulls;
         ] );
       ( "oblivious",
         [
