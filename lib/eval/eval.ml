@@ -241,7 +241,24 @@ end
 (* ------------------------------------------------------------------ *)
 
 exception Trip
-exception Limit
+
+(* The answer sink of one evaluation: every plan of a CQ or a UCQ adds
+   into the same [seen] table, so a tuple is hashed, charged one fuel
+   unit and kept once, whichever disjunct finds it first. *)
+type sink = {
+  s_guard : Guard.t option;
+  seen : (int list, unit) Hashtbl.t;
+  mutable acc : Term.t list list;
+}
+
+(* Add a tuple new to the sink; a fuel trip raises [Trip] before it is
+   kept, so the sink holds exactly one tuple per fuel unit drawn. *)
+let keep s key tuple =
+  (match s.s_guard with
+  | Some g when Guard.spend g 1 <> None -> raise Trip
+  | _ -> ());
+  Hashtbl.add s.seen key ();
+  s.acc <- tuple :: s.acc
 
 type cursor = {
   c_ids : int array;
@@ -260,7 +277,6 @@ type rt = {
   guard : Guard.t option;
   mutable steps : int;
   mutable gallops : int;
-  mutable emitted : int;
 }
 
 let cval cur k r = cur.c_ids.((cur.c_ord.(r) * cur.c_arity) + cur.c_kpos.(k))
@@ -392,88 +408,66 @@ let join_level rt cursors parts lev vals k =
     ps;
   !stop
 
-(* Run a compiled plan: enumerate the full join in elimination order and
-   project each row onto the answer slots, deduplicating as rows arrive
-   (the elimination order is chosen for join locality, not for emission
-   grouping, so the same projection can recur). [limit] stops the
-   enumeration after that many distinct tuples — existence checks pass 1
-   and stop at the first join row. One fuel unit is drawn per distinct
-   tuple; the seek counter polls the guard for deadline/cancellation.
-   Tuples are sorted at the end — the same sorted-distinct contract as
-   [Cq.answers]. The sorted views come from the fact set, which builds
-   each (relation, key order) once and keeps it for its lifetime. *)
-let run_compiled ?guard ?limit c f =
+(* Run a compiled plan into the sink [s]: enumerate the join in
+   elimination order and project each row onto the answer slots. The
+   levels from [suffix_start] on are purely existential. Once every
+   answer level is bound, a tuple already in the sink is skipped without
+   searching the suffix, and a new one needs one witness row, so the
+   suffix stops at its first completed row. The elimination order is
+   chosen for join locality, not for emission grouping, so a projection
+   can recur inside one plan as well as across the plans of a UCQ. The
+   seek counter polls the guard for deadline and cancellation. The
+   sorted views come from the fact set, which builds each (relation, key
+   order) once and keeps it for its lifetime. *)
+let run_compiled s c f =
   Atomic.incr c_plans;
-  let rt = { guard; steps = 0; gallops = 0; emitted = 0 } in
-  let acc = ref [] in
-  let finish () =
+  let rt = { guard = s.s_guard; steps = 0; gallops = 0 } in
+  let flush () =
     ignore (Atomic.fetch_and_add c_seeks rt.steps);
-    ignore (Atomic.fetch_and_add c_gallops rt.gallops);
-    ignore (Atomic.fetch_and_add c_emitted rt.emitted);
-    List.sort_uniq tuple_compare !acc
+    ignore (Atomic.fetch_and_add c_gallops rt.gallops)
   in
-  try
-    let cursors =
-      Array.map
-        (fun pa ->
-          let ids, width, ord = Fact_set.sorted_view f pa.rel pa.kpos in
-          {
-            c_ids = ids;
-            c_arity = width;
-            c_ord = ord;
-            c_kpos = pa.kpos;
-            c_klev = pa.klev;
-            c_kid = pa.kid;
-            c_nk = Array.length pa.kpos;
-            lo = 0;
-            hi = Array.length ord;
-            depth = 0;
-          })
-        c.patoms
+  Fun.protect ~finally:flush @@ fun () ->
+  let cursors =
+    Array.map
+      (fun pa ->
+        let ids, width, ord = Fact_set.sorted_view f pa.rel pa.kpos in
+        {
+          c_ids = ids;
+          c_arity = width;
+          c_ord = ord;
+          c_kpos = pa.kpos;
+          c_klev = pa.klev;
+          c_kid = pa.kid;
+          c_nk = Array.length pa.kpos;
+          lo = 0;
+          hi = Array.length ord;
+          depth = 0;
+        })
+      c.patoms
+  in
+  if Array.for_all (fun cur -> narrow_rigid rt cur) cursors then begin
+    let vals = Array.make (max 1 c.nvars) 0 in
+    let suffix_start =
+      Array.fold_left (fun m lev -> max m (lev + 1)) 0 c.out_levels
     in
-    if not (Array.for_all (fun cur -> narrow_rigid rt cur) cursors) then
-      finish ()
-    else begin
-      let vals = Array.make (max 1 c.nvars) 0 in
-      let seen : (int list, unit) Hashtbl.t = Hashtbl.create 64 in
-      let emit () =
-        let key =
-          Array.to_list (Array.map (fun lev -> vals.(lev)) c.out_levels)
-        in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.add seen key ();
-          rt.emitted <- rt.emitted + 1;
-          (match guard with
-          | Some g -> ignore (Guard.spend g 1)
-          | None -> ());
-          acc := List.map Term.of_id key :: !acc;
-          match limit with
-          | Some l when rt.emitted >= l -> raise Limit
-          | _ -> ()
-        end
-      in
-      (* Levels past the last answer variable are purely existential:
-         one witness settles them, so the join at those levels stops at
-         its first completed row instead of enumerating them all. *)
-      let suffix_start =
-        Array.fold_left (fun m lev -> max m (lev + 1)) 0 c.out_levels
-      in
-      (* [go lev] returns whether its subtree completed at least one
-         row; a level inside the suffix stops iterating its values as
-         soon as one of them completed a row. *)
-      let rec go lev =
-        if lev >= c.nvars then begin
-          emit ();
-          true
-        end
-        else
-          join_level rt cursors c.parts lev vals (fun () ->
-              go (lev + 1) && lev >= suffix_start)
-      in
-      ignore (go 0);
-      finish ()
-    end
-  with Trip | Limit -> finish ()
+    (* [witness lev]: whether the levels from [lev] on complete a row. *)
+    let rec witness lev =
+      lev >= c.nvars
+      || join_level rt cursors c.parts lev vals (fun () -> witness (lev + 1))
+    in
+    let rec go lev =
+      if lev < suffix_start then
+        ignore
+          (join_level rt cursors c.parts lev vals (fun () ->
+               go (lev + 1);
+               false))
+      else
+        let key = Array.fold_right (fun l k -> vals.(l) :: k) c.out_levels [] in
+        if (not (Hashtbl.mem s.seen key)) && witness lev then
+          keep s key (List.map Term.of_id key)
+    in
+    go 0
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Fallback for bodies the leapfrog compiler declines                  *)
@@ -486,84 +480,61 @@ let run_compiled ?guard ?limit c f =
 let fallback_problem p target =
   Homomorphism.make ~flexible:p.p_flexible ~pattern:p.p_pattern ~target ()
 
-(* One fuel unit per distinct projected tuple, as on the leapfrog path;
-   the guard's deadline and cancellation are polled every
-   [Guard.poll_mask]+1 homomorphisms. A trip keeps the tuples drawn so
-   far, each a real answer. *)
-let run_fallback ?guard p f =
-  let seen : (int list, unit) Hashtbl.t = Hashtbl.create 64 in
+(* Project each homomorphism into the sink [s]. The guard's deadline and
+   cancellation are polled every [Guard.poll_mask]+1 homomorphisms. *)
+let run_fallback s p f =
   let homs = ref 0 in
-  let acc = ref [] in
-  (try
-     Homomorphism.iter (fallback_problem p f) (fun m ->
-         incr homs;
-         (match guard with
-         | Some g when !homs land Guard.poll_mask = 0 && Guard.check g <> None
-           ->
-             raise Trip
-         | _ -> ());
-         let tuple = List.map (fun v -> Term.Map.find v m) p.p_out in
-         let key = List.map (fun (t : Term.t) -> t.Term.id) tuple in
-         if not (Hashtbl.mem seen key) then begin
-           Hashtbl.add seen key ();
-           (match guard with
-           | Some g when Guard.spend g 1 <> None -> raise Trip
-           | _ -> ());
-           acc := tuple :: !acc
-         end)
-   with Trip -> ());
-  List.sort tuple_compare !acc
+  Homomorphism.iter (fallback_problem p f) (fun m ->
+      incr homs;
+      (match s.s_guard with
+      | Some g when !homs land Guard.poll_mask = 0 && Guard.check g <> None ->
+          raise Trip
+      | _ -> ());
+      let tuple = List.map (fun v -> Term.Map.find v m) p.p_out in
+      let key = List.map (fun (t : Term.t) -> t.Term.id) tuple in
+      if not (Hashtbl.mem s.seen key) then keep s key tuple)
 
-let run_plan ?guard p f =
-  match p.p_compiled with
-  | Some c -> run_compiled ?guard c f
-  | None -> run_fallback ?guard p f
+(* One evaluation: run [plans] in turn into one sink and sort its tuples
+   once. A trip stops the evaluation where it is; every tuple kept so
+   far is a real answer. *)
+let evaluate ?guard f plans =
+  let s = { s_guard = guard; seen = Hashtbl.create 64; acc = [] } in
+  (try
+     Seq.iter
+       (fun p ->
+         match p.p_compiled with
+         | Some c -> run_compiled s c f
+         | None -> run_fallback s p f)
+       plans
+   with Trip -> ());
+  ignore (Atomic.fetch_and_add c_emitted (Hashtbl.length s.seen));
+  List.sort tuple_compare s.acc
 
 let outcome_of ?guard tuples =
   match guard with
   | Some g -> Guard.outcome g ~complete:tuples ~partial:tuples
   | None -> Guard.Complete tuples
 
-(* Boolean existence: an empty answer prefix and a tuple limit of one,
-   so the join stops at the first witness. The fallback uses the
-   register machine's own early-exit [exists]. *)
+(* Boolean existence: an empty projection, so the join stops at the
+   first witness. The fallback uses the register machine's own
+   early-exit [exists]. *)
 let boolean_holds q f =
   let p = plan_of ~out:[] q in
   match p.p_compiled with
-  | Some c -> run_compiled ~limit:1 c f <> []
+  | Some _ -> evaluate f (Seq.return p) <> []
   | None -> Homomorphism.exists (fallback_problem p f)
 
 (* ------------------------------------------------------------------ *)
 (* CQ / UCQ entry points                                               *)
 (* ------------------------------------------------------------------ *)
 
-let answers_outcome ?guard q f =
-  outcome_of ?guard (run_plan ?guard (Plan.compile q) f)
+let answers ?guard q f = evaluate ?guard f (Seq.return (Plan.compile q))
 
-let answers ?guard q f =
-  match answers_outcome ?guard q f with
-  | Guard.Complete ts -> ts
-  | Guard.Exhausted { partial; _ } -> partial
-
-let ucq_answers_outcome ?guard u f =
-  let seen : (int list, unit) Hashtbl.t = Hashtbl.create 256 in
-  let acc = ref [] in
-  List.iter
-    (fun d ->
-      List.iter
-        (fun tuple ->
-          let key = List.map (fun (t : Term.t) -> t.Term.id) tuple in
-          if not (Hashtbl.mem seen key) then begin
-            Hashtbl.add seen key ();
-            acc := tuple :: !acc
-          end)
-        (run_plan ?guard (Plan.compile d) f))
-    (Ucq.disjuncts u);
-  outcome_of ?guard (List.sort tuple_compare !acc)
+let answers_outcome ?guard q f = outcome_of ?guard (answers ?guard q f)
 
 let ucq_answers ?guard u f =
-  match ucq_answers_outcome ?guard u f with
-  | Guard.Complete ts -> ts
-  | Guard.Exhausted { partial; _ } -> partial
+  evaluate ?guard f (Seq.map Plan.compile (List.to_seq (Ucq.disjuncts u)))
+
+let ucq_answers_outcome ?guard u f = outcome_of ?guard (ucq_answers ?guard u f)
 
 let ucq_boolean_holds u f = Ucq.exists (fun d -> boolean_holds d f) u

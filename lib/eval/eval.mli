@@ -3,7 +3,7 @@
     Rewriting turns an ontology-mediated query into a UCQ; this module
     is the half that {e executes} the result against data. A CQ compiles
     into a worst-case-optimal, leapfrog-style multiway join over sorted
-    per-column views of the fact set's arena rows: one global variable
+    per-column views of the fact set's rows of term ids: one global variable
     elimination order (connectivity-greedy — each next variable shares
     an atom with the ordered prefix whenever possible), per-atom
     key-column permutations fixed at plan time (rigid slots first), and
@@ -11,9 +11,16 @@
     (exponential-probe) seeks. The sorted views belong to the fact set
     ({!Fact_set.sorted_view}): each (relation, key order) is sorted once
     per instance and freed with it, so repeated queries against one
-    instance pay no sort, however many instances are in use. A
-    [Ucq.t] evaluates as a union of plans sharing one dedup table, so a
-    tuple produced by an early disjunct is never re-emitted.
+    instance pay no sort, however many instances are in use.
+
+    Each evaluation has one answer sink: a single dedup table and its
+    tuple list, sorted once at the end. A [Ucq.t] runs every disjunct's
+    plan, compiled or fallback, into the same sink, and a CQ is the
+    one-plan case. Once a compiled plan has bound every answer variable,
+    a tuple already in the sink is skipped at once (known-answer
+    pruning), without searching the purely existential levels for a
+    witness; this holds inside one plan as well as across disjuncts, so
+    a tuple found by an early disjunct is never produced again.
 
     This module evaluates CQs and UCQs over instances and nothing else.
     A body the leapfrog compiler cannot represent (see
@@ -45,7 +52,7 @@ module Plan : sig
   (** The global variable elimination order: connectivity-greedy from
       the most-occurring variable, so each level's frontier is
       constrained by the levels above it. Answer tuples are projections
-      of the full join, deduplicated as rows are emitted. Empty for
+      of the join, deduplicated in the evaluation's sink. Empty for
       fallback plans. *)
 
   val pp : t Fmt.t
@@ -58,10 +65,11 @@ end
 
 val answers : ?guard:Guard.t -> Cq.t -> Fact_set.t -> Term.t list list
 (** All distinct answer tuples of [Cq.free], like {!Cq.answers}. One
-    fuel unit is drawn per distinct tuple, and the guard's deadline and
-    cancellation are polled at {!Guard.poll_mask} spacing. On a guard
-    trip the partial (sound) tuple list is returned; use
-    {!answers_outcome} to observe the trip. *)
+    fuel unit is drawn per tuple new to the evaluation's table, and the
+    guard's deadline and cancellation are polled at {!Guard.poll_mask}
+    spacing. Both plan kinds stop at the trip: fuel [k] keeps exactly
+    [k] tuples. On a guard trip the partial (sound) tuple list is
+    returned; use {!answers_outcome} to observe the trip. *)
 
 val answers_outcome :
   ?guard:Guard.t ->
@@ -72,8 +80,9 @@ val answers_outcome :
 val boolean_holds : Cq.t -> Fact_set.t -> bool
 
 val ucq_answers : ?guard:Guard.t -> Ucq.t -> Fact_set.t -> Term.t list list
-(** Distinct answers of the union, evaluated disjunct by disjunct over
-    the fact set's sorted views with early cross-disjunct dedup. *)
+(** Distinct answers of the union: every disjunct's plan runs into one
+    answer sink, so fuel is drawn once per distinct tuple of the union
+    and a trip stops the remaining disjuncts. *)
 
 val ucq_answers_outcome :
   ?guard:Guard.t ->
@@ -93,7 +102,10 @@ type counters = {
   plans : int;  (** leapfrog plans executed *)
   seeks : int;  (** iterator seek operations *)
   gallops : int;  (** exponential-probe doubling steps inside seeks *)
-  emitted : int;  (** answer tuples emitted (pre-dedup) *)
+  emitted : int;
+      (** tuples new to their evaluation's table: the evaluation's
+          distinct answers (one for a true {!boolean_holds} on a
+          compiled plan) *)
 }
 
 val counters : unit -> counters

@@ -216,6 +216,42 @@ let test_fallback_spends_fuel () =
             (mem_tuple tuple full))
         partial
 
+(* A compiled plan stops at the fuel trip: fuel k keeps exactly k
+   tuples, each a real answer. A UCQ draws one unit per tuple new to its
+   evaluation's table, so two overlapping disjuncts complete on exactly
+   as many units as they have distinct answers. *)
+let test_fuel_stops_at_trip () =
+  let e = Theories.Zoo.e2 in
+  let er = Theories.Instances.erdos_renyi e ~seed:17 ~nodes:60 ~edges:900 in
+  let path = Cq.make ~free:[ x; y ] [ Atom.make e [ x; z ]; Atom.make e [ z; y ] ] in
+  let full = Eval.answers path er in
+  List.iter
+    (fun k ->
+      match Eval.answers_outcome ~guard:(Guard.create ~fuel:k ()) path er with
+      | Guard.Complete _ -> Alcotest.fail "expected a fuel trip"
+      | Guard.Exhausted { partial; cause; _ } ->
+          Alcotest.(check bool) "fuel cause" true (cause = Guard.Fuel);
+          Alcotest.(check int) "one tuple per fuel unit" k (List.length partial);
+          List.iter
+            (fun tuple ->
+              Alcotest.(check bool) "partial tuple is a real answer" true
+                (mem_tuple tuple full))
+            partial)
+    [ 1; 25 ];
+  let edge = Cq.make ~free:[ x; y ] [ Atom.make e [ x; y ] ] in
+  let u = Ucq.of_disjuncts_unchecked [ path; edge ] in
+  let all = Eval.ucq_answers u er in
+  let n = List.length all in
+  Alcotest.(check bool) "the disjuncts overlap" true
+    (n < List.length full + List.length (Eval.answers edge er));
+  (match Eval.ucq_answers_outcome ~guard:(Guard.create ~fuel:n ()) u er with
+  | Guard.Complete ts -> Alcotest.check tuples "complete on n units" all ts
+  | Guard.Exhausted _ -> Alcotest.fail "n units must suffice");
+  match Eval.ucq_answers_outcome ~guard:(Guard.create ~fuel:(n - 1) ()) u er with
+  | Guard.Complete _ -> Alcotest.fail "n - 1 units must trip"
+  | Guard.Exhausted { partial; _ } ->
+      Alcotest.(check int) "n - 1 tuples" (n - 1) (List.length partial)
+
 (* Containment is the register machine's job: a check against a
    128-atom target (an E-path, or a width-8 E/R grid prefix) decides
    the right verdict without compiling a single plan. *)
@@ -383,6 +419,8 @@ let () =
             test_guard_partial_is_sound;
           Alcotest.test_case "fallback plans spend fuel" `Quick
             test_fallback_spends_fuel;
+          Alcotest.test_case "fuel stops compiled plans at the trip" `Quick
+            test_fuel_stops_at_trip;
         ] );
       ( "integration",
         [

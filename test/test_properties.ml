@@ -921,6 +921,69 @@ let prop_core_matches_restart seed =
           && not (List.exists (redundant core) (Cq.atoms core)))
         (decode_family_cqs seed enc))
 
+(* One dedup table per UCQ evaluation: 1-4 disjuncts with answer
+   variable x0 over a generated theory's signature, on an instance drawn
+   for that theory, against the sorted union of [Cq.answers]. Every
+   disjunct is anchored on the same binary atom [L(x0, x1)], so their
+   answers overlap. The instance also holds [L(a, f(w))] for every
+   [L(a, b)]; with [fb] set, the first disjunct is anchored on
+   [L(x0, f(w))] instead, which the leapfrog compiler declines, so a
+   fallback plan and compiled plans feed one table. *)
+let prop_eval_ucq_one_table =
+  QCheck.Test.make ~count
+    ~name:
+      "Eval.ucq_answers = sorted union of Cq.answers, compiled and fallback \
+       plans in one table"
+    QCheck.(
+      quad (int_bound 4) (int_bound 999)
+        (list_of_size Gen.(1 -- 4)
+           (list_of_size Gen.(0 -- 2)
+              (triple (int_bound 7) (int_bound 5) (int_bound 5))))
+        bool)
+    (fun (family, seed, bodies, fb) ->
+      (* The list shrinker does not keep the generator's minimum size. *)
+      QCheck.assume (bodies <> []);
+      let theory =
+        (List.nth generator_families (family mod List.length generator_families))
+          ~seed ~rels:2 ~rules:4
+      in
+      let sig_ = Array.of_list (theory_signature theory) in
+      match Array.find_opt (fun s -> Symbol.arity s = 2) sig_ with
+      | None -> QCheck.assume_fail ()
+      | Some anchor ->
+          let fw = Term.app "f" [ Term.var "w" ] in
+          let base =
+            Theories.Generators.random_instance_for ~seed theory ~nodes:6
+              ~facts:24
+          in
+          let inst =
+            Fact_set.union base
+              (Fact_set.of_list
+                 (List.filter_map
+                    (fun a ->
+                      if Symbol.equal (Atom.rel a) anchor then
+                        Some (Atom.make anchor [ Atom.arg a 0; fw ])
+                      else None)
+                    (Fact_set.atoms base)))
+          in
+          let atom (s, a, b) =
+            let rel = sig_.(s mod Array.length sig_) in
+            Atom.make rel
+              (List.init (Symbol.arity rel) (fun i ->
+                   body_var (if i = 0 then a else b)))
+          in
+          let disjunct i enc =
+            let second = if fb && i = 0 then fw else body_var 1 in
+            Cq.make ~free:[ body_var 0 ]
+              (Atom.make anchor [ body_var 0; second ] :: List.map atom enc)
+          in
+          let ds = List.mapi disjunct bodies in
+          (not fb || not (Eval.Plan.compiled (Eval.Plan.compile (List.hd ds))))
+          && equal_tuple_lists
+               (Eval.ucq_answers (Ucq.of_disjuncts_unchecked ds) inst)
+               (List.sort_uniq tuple_compare
+                  (List.concat_map (fun d -> Cq.answers d inst) ds)))
+
 (* ------------------------------------------------------------------ *)
 (* Containment on mid-sized targets                                    *)
 (* ------------------------------------------------------------------ *)
@@ -1255,6 +1318,7 @@ let () =
             prop_eval_answers_match_naive;
             prop_eval_ucq_matches_naive;
             prop_eval_zoo_answers_agree;
+            prop_eval_ucq_one_table;
           ] );
       ( "containment",
         List.map

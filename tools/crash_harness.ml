@@ -71,6 +71,16 @@ let child_sink dir = function
   | Marked -> Checkpoint.sink ~every:1 ~min_interval_s:0.05 dir
   | Chase | Rewrite -> Checkpoint.sink ~every:1 ~min_interval_s:0. dir
 
+(* How long the kill loop sleeps between looks at the snapshot
+   directory (each look is a readdir). The marked child snapshots at
+   most every 50 ms and runs for minutes, so 5 ms polls still kill it
+   within a tenth of its snapshot interval and cost the parent little.
+   The chase and rewrite children commit a round in well under 5 ms
+   (at 5 ms the Example 28 rewriting finished its four rounds before
+   the first poll), so they keep 0.5 ms polls; their trials last under
+   a second each. *)
+let poll_interval = function Marked -> 0.005 | Chase | Rewrite -> 0.0005
+
 let run_child dir w =
   let sink = child_sink dir w in
   (match w with
@@ -216,7 +226,7 @@ let one_trial ~base ~seed ~trial w ~ref_result =
           ignore (Unix.waitpid [] pid)
         end
         else begin
-          Unix.sleepf 0.0005;
+          Unix.sleepf (poll_interval w);
           watch ()
         end
       in
