@@ -55,17 +55,19 @@ check-portfolio: build
 # and in-process resume-differential suite, then real SIGKILL
 # crash/resume trials — each trial forks a child running with
 # checkpointing on, kills it at a seeded saturation round, resumes
-# through the supervisor in the parent, and compares against an
+# from the newest valid snapshot in the parent, and compares against an
 # uninterrupted reference (chase: bit-identical stages; rewriting
-# engines: UCQ-equivalent). Chase and rewrite trials are cheap; the
-# marked trials replay phi_R^5 end to end, so their count stays small.
+# engines: the same disjuncts in the same order up to renaming). A
+# trial the 120 s deadline kills before its target fails. Chase and
+# rewrite trials are cheap; the marked trials replay phi_R^5 end to
+# end (9 trials, ~85 s on 2 cores).
 # Passing trials clean up after themselves; failing trials leave their
 # snapshot directories under _crash/ for post-mortem (CI uploads them).
 check-resume: build
 	dune exec test/test_checkpoint.exe
 	dune exec tools/crash_harness.exe -- --dir _crash --workload chase --trials 5 1 7 42
 	dune exec tools/crash_harness.exe -- --dir _crash --workload rewrite --trials 5 1 7 42
-	dune exec tools/crash_harness.exe -- --dir _crash --workload marked --trials 1 1 7 42
+	dune exec tools/crash_harness.exe -- --dir _crash --workload marked --trials 3 1 7 42
 
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt

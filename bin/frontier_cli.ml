@@ -82,8 +82,8 @@ let words_of_mb mb = mb * 1024 * 1024 / (Sys.word_size / 8)
    token flipped by Ctrl-C or SIGTERM, so an interrupted run still prints
    its partial result (and --stats) on the way out — and, when a
    checkpoint sink is active, the kernel's final save runs before exit,
-   so a supervised orchestrator that SIGTERMs a pod gets a resumable
-   snapshot. Both signals share the partial-output exit code 2. *)
+   so an orchestrator that SIGTERMs a pod gets a resumable snapshot.
+   Both signals share the partial-output exit code 2. *)
 let with_guard ~timeout ~max_memory_mb f =
   let cancel = Atomic.make false in
   let guard =
@@ -178,6 +178,9 @@ let handle f =
   | Invalid_argument msg | Sys_error msg ->
       Fmt.epr "error: %s@." msg;
       exit exit_internal
+  | Frontier.Checkpoint.Codec.Error msg ->
+      Fmt.epr "error: malformed snapshot content: %s@." msg;
+      exit exit_internal
 
 (* Durability flags, shared by chase / rewrite / marked-rewrite. *)
 let checkpoint_dir_arg =
@@ -191,8 +194,8 @@ let checkpoint_dir_arg =
 
 let checkpoint_every_arg =
   let doc =
-    "Snapshot at every N-th committed saturation round (subject to a \
-     0.5s wall-clock throttle between writes)."
+    "Snapshot at every N-th committed saturation round, once at least \
+     0.5s have passed since the previous snapshot write ended."
   in
   Arg.(value & opt int 1 & info [ "checkpoint-every" ] ~doc)
 
@@ -693,121 +696,77 @@ let marked_rewrite_cmd =
       $ memory_arg $ checkpoint_dir_arg $ checkpoint_every_arg)
 
 let resume_cmd =
-  let run dir jobs stats timeout max_memory_mb max_attempts checkpoint_every
-      =
+  let run dir jobs stats timeout max_memory_mb checkpoint_every =
     handle (fun () ->
         with_pool jobs (fun pool ->
         with_guard ~timeout ~max_memory_mb (fun guard ->
-        if Frontier.Checkpoint.Snapshot.list ~dir = [] then begin
-          Fmt.epr "resume: no snapshots in %s@." dir;
-          exit exit_internal
-        end;
-        (* The resumed run keeps checkpointing into the same directory, so
-           each supervised attempt that makes progress shrinks the replay
-           the next attempt has to do. *)
+        let module S = Frontier.Checkpoint.Snapshot in
+        let snap, path =
+          match S.load_latest ~dir with
+          | Some found, rejected ->
+              if rejected > 0 then
+                Fmt.epr "resume: degraded past %d invalid snapshot%s@."
+                  rejected
+                  (if rejected = 1 then "" else "s");
+              found
+          | None, rejected ->
+              Fmt.epr "resume: no valid snapshot in %s (%d rejected)@." dir
+                rejected;
+              exit exit_internal
+        in
+        if stats then
+          Fmt.pr "resume: from %s (round %d)@." (Filename.basename path)
+            snap.S.round;
+        (* The resumed run keeps checkpointing into the same directory. *)
         let sink = Frontier.Checkpoint.sink ~every:checkpoint_every dir in
         let es0 = engine_stats_before () in
-        let outcome, report =
-          Frontier.Checkpoint.Supervisor.run ~max_attempts
-            ~on_event:(fun line -> Fmt.epr "supervisor: %s@." line)
-            ~dir
-            (fun ~resume ->
-              match resume with
-              | None ->
-                  invalid_arg
-                    "every snapshot in the directory was rejected \
-                     (checksum/version); cold start needs the original \
-                     chase/rewrite/marked-rewrite invocation"
-              | Some snap ->
-                  let kind = snap.Frontier.Checkpoint.Snapshot.kind in
-                  if kind = Frontier.Chase_engine.checkpoint_kind then
-                    `Chase
-                      (Frontier.Chase_engine.resume ~pool ~guard
-                         ~checkpoint:sink snap)
-                  else if kind = Frontier.Rewrite.checkpoint_kind then
-                    `Rewrite
-                      (Frontier.Rewrite.resume ~guard ~checkpoint:sink snap)
-                  else if kind = Frontier.Marked_process.checkpoint_kind
-                  then
-                    `Marked
-                      (Frontier.Marked_process.resume ~guard
-                         ~checkpoint:sink snap)
-                  else
-                    invalid_arg
-                      (Printf.sprintf "unknown snapshot kind %S" kind))
-        in
-        if stats then begin
-          Fmt.pr
-            "supervisor: %d attempt%s, resumed from round %s, %d rejected \
-             snapshot%s, %d cold start%s, %.2fs backoff@."
-            report.Frontier.Checkpoint.Supervisor.attempts
-            (if report.Frontier.Checkpoint.Supervisor.attempts = 1 then ""
-             else "s")
-            (match
-               report.Frontier.Checkpoint.Supervisor.resumed_round
-             with
-            | Some r -> string_of_int r
-            | None -> "<cold>")
-            report.Frontier.Checkpoint.Supervisor.rejected_snapshots
-            (if
-               report.Frontier.Checkpoint.Supervisor.rejected_snapshots = 1
-             then ""
-             else "s")
-            report.Frontier.Checkpoint.Supervisor.cold_starts
-            (if report.Frontier.Checkpoint.Supervisor.cold_starts = 1 then
-               ""
-             else "s")
-            report.Frontier.Checkpoint.Supervisor.slept_s
-        end;
-        match outcome with
-        | Error e ->
-            Fmt.epr "resume failed: %s@." (Printexc.to_string e);
-            exit exit_internal
-        | Ok (`Chase run) ->
-            print_chase_run ~stats ~pool es0 run;
-            finish guard
-        | Ok (`Rewrite r) ->
-            print_rewrite_result ~stats es0 r;
-            finish guard;
-            if r.Frontier.Rewrite.outcome <> Frontier.Rewrite.Complete then
-              exit exit_exhausted
-        | Ok (`Marked res) ->
-            print_marked_result ~stats res;
-            finish guard;
-            if not res.Frontier.Marked_process.complete then
-              exit exit_exhausted)))
+        let kind = snap.S.kind in
+        if kind = Frontier.Chase_engine.checkpoint_kind then begin
+          let run =
+            Frontier.Chase_engine.resume ~pool ~guard ~checkpoint:sink snap
+          in
+          print_chase_run ~stats ~pool es0 run;
+          finish guard
+        end
+        else if kind = Frontier.Rewrite.checkpoint_kind then begin
+          let r = Frontier.Rewrite.resume ~guard ~checkpoint:sink snap in
+          print_rewrite_result ~stats es0 r;
+          finish guard;
+          if r.Frontier.Rewrite.outcome <> Frontier.Rewrite.Complete then
+            exit exit_exhausted
+        end
+        else if kind = Frontier.Marked_process.checkpoint_kind then begin
+          let res =
+            Frontier.Marked_process.resume ~guard ~checkpoint:sink snap
+          in
+          print_marked_result ~stats res;
+          finish guard;
+          if not res.Frontier.Marked_process.complete then
+            exit exit_exhausted
+        end
+        else invalid_arg (Printf.sprintf "unknown snapshot kind %S" kind))))
   in
   let dir =
     let doc = "Snapshot directory written by --checkpoint-dir." in
     Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR" ~doc)
-  in
-  let max_attempts =
-    Arg.(
-      value & opt int 3
-      & info [ "max-attempts" ]
-          ~doc:
-            "Supervised retries: on a failed attempt, back off \
-             exponentially, re-read the snapshot directory, and resume \
-             from the newest valid snapshot.")
   in
   let stats =
     Arg.(
       value & flag
       & info [ "stats" ]
           ~doc:
-            "Print the supervisor report (attempts, resumed round, \
-             rejected snapshots, backoff) plus the --stats report of the \
-             command that started the run.")
+            "Print the snapshot the run resumed from plus the --stats \
+             report of the command that started the run.")
   in
   Cmd.v
     (Cmd.info "resume"
        ~doc:
          "Continue an interrupted chase / rewrite / marked-rewrite run \
-          from its newest valid snapshot, with supervised retries and \
-          degradation to older snapshots on corruption")
+          from its newest valid snapshot, degrading to older snapshots \
+          on corruption")
     Term.(
       const run $ dir $ jobs_arg $ stats $ timeout_arg $ memory_arg
-      $ max_attempts $ checkpoint_every_arg)
+      $ checkpoint_every_arg)
 
 let classify_cmd =
   let run theory =

@@ -325,15 +325,10 @@ let run_from ?pool ?guard ?(max_depth = 50)
   let checkpoint =
     Option.map
       (fun sink ->
-        {
-          Saturation.every = sink.Checkpoint.every;
-          min_interval_s = sink.Checkpoint.min_interval_s;
-          save =
-            (fun ~round ~final:_ _frontier ->
-              Checkpoint.save_to sink
-                (encode_state ~round ~theory ~max_depth ~max_atoms
-                   ~stages:!stages ~deltas:!deltas ~info));
-        })
+        ( sink,
+          fun ~round _frontier ->
+            encode_state ~round ~theory ~max_depth ~max_atoms
+              ~stages:!stages ~deltas:!deltas ~info ))
       checkpoint_sink
   in
   let init =

@@ -1,5 +1,5 @@
-(* Crash-safe snapshots + supervisor. See checkpoint.mli for the
-   contract.
+(* Crash-safe snapshots, sinks and the codec. See checkpoint.mli for
+   the contract.
 
    Layout of a snapshot file:
 
@@ -59,6 +59,37 @@ let reset_counters () =
   Atomic.set rejected_reads_c 0
 
 (* ------------------------------------------------------------------ *)
+(* Netstrings                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* One field syntax for the snapshot payload and every [Codec]
+   encoding. A decode failure is [Codec.Error]; the snapshot reader
+   reports it as [Malformed]. *)
+
+exception Decode_error of string
+
+let err fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
+
+let ns b s =
+  Buffer.add_string b (string_of_int (String.length s));
+  Buffer.add_char b ':';
+  Buffer.add_string b s
+
+let take_ns s pos =
+  let n = String.length s in
+  let rec digits i acc seen =
+    if i >= n then err "unterminated length prefix"
+    else
+      match s.[i] with
+      | '0' .. '9' -> digits (i + 1) ((acc * 10) + Char.code s.[i] - 48) true
+      | ':' when seen -> (i + 1, acc)
+      | c -> err "bad length prefix char %C" c
+  in
+  let start, len = digits pos 0 false in
+  if start + len > n then err "field overruns input";
+  (String.sub s start len, start + len)
+
+(* ------------------------------------------------------------------ *)
 (* Snapshot files                                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -99,11 +130,6 @@ module Snapshot = struct
 
   (* -------------------- rendering -------------------- *)
 
-  let ns b s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-
   let check_line_free what s =
     if String.contains s '\n' then
       invalid_arg
@@ -142,33 +168,16 @@ module Snapshot = struct
 
   (* -------------------- parsing -------------------- *)
 
-  exception Parse of string
-
-  let take_ns s pos =
-    let n = String.length s in
-    let rec digits i acc seen =
-      if i >= n then raise (Parse "unterminated length prefix")
-      else
-        match s.[i] with
-        | '0' .. '9' ->
-            digits (i + 1) ((acc * 10) + Char.code s.[i] - 48) true
-        | ':' when seen -> (i + 1, acc)
-        | c -> raise (Parse (Printf.sprintf "bad length prefix char %C" c))
-    in
-    let start, len = digits pos 0 false in
-    if start + len > n then raise (Parse "field overruns input");
-    (String.sub s start len, start + len)
-
   let expect_prefix line p =
     let n = String.length p in
     if String.length line >= n && String.sub line 0 n = p then
       String.sub line n (String.length line - n)
-    else raise (Parse (Printf.sprintf "expected %S line" (String.trim p)))
+    else err "expected %S line" (String.trim p)
 
   let parse_int what s =
     match int_of_string_opt (String.trim s) with
     | Some i -> i
-    | None -> raise (Parse (Printf.sprintf "bad integer in %s" what))
+    | None -> err "bad integer in %s" what
 
   let parse_payload payload =
     let lines = String.split_on_char '\n' payload in
@@ -180,7 +189,7 @@ module Snapshot = struct
     | kind_l :: round_l :: rest ->
         let kind_f = expect_prefix kind_l "kind " in
         let kind, p = take_ns kind_f 0 in
-        if p <> String.length kind_f then raise (Parse "trailing kind bytes");
+        if p <> String.length kind_f then err "trailing kind bytes";
         let round = parse_int "round" (expect_prefix round_l "round ") in
         let meta = ref [] and sections = ref [] in
         let rec go = function
@@ -189,7 +198,7 @@ module Snapshot = struct
               let f = String.sub l 5 (String.length l - 5) in
               let k, p = take_ns f 0 in
               let v, p = take_ns f p in
-              if p <> String.length f then raise (Parse "trailing meta bytes");
+              if p <> String.length f then err "trailing meta bytes";
               meta := (k, v) :: !meta;
               go rest
           | l :: rest
@@ -200,23 +209,22 @@ module Snapshot = struct
                 parse_int "section count"
                   (String.sub f p (String.length f - p))
               in
-              if count < 0 then raise (Parse "negative section count");
+              if count < 0 then err "negative section count";
               let rec take k acc rest =
                 if k = 0 then (List.rev acc, rest)
                 else
                   match rest with
-                  | [] -> raise (Parse "section shorter than declared")
+                  | [] -> err "section shorter than declared"
                   | l :: rest -> take (k - 1) (l :: acc) rest
               in
               let body, rest = take count [] rest in
               sections := (name, body) :: !sections;
               go rest
-          | l :: _ ->
-              raise (Parse (Printf.sprintf "unrecognized line %S" l))
+          | l :: _ -> err "unrecognized line %S" l
         in
         go rest;
         { kind; round; meta = List.rev !meta; sections = List.rev !sections }
-    | _ -> raise (Parse "payload too short")
+    | _ -> err "payload too short"
 
   (* -------------------- files -------------------- *)
 
@@ -345,7 +353,7 @@ module Snapshot = struct
                                 else (
                                   match parse_payload payload with
                                   | t -> Ok t
-                                  | exception Parse m -> Error (Malformed m)))
+                                  | exception Decode_error m -> Error (Malformed m)))
                       | _ -> Error (Bad_checksum path)))
             | _ -> Error (Bad_magic path))
 
@@ -416,29 +424,7 @@ let save_to sink snap =
 (* ------------------------------------------------------------------ *)
 
 module Codec = struct
-  exception Error of string
-
-  let err fmt = Printf.ksprintf (fun s -> raise (Error s)) fmt
-
-  let ns b s =
-    Buffer.add_string b (string_of_int (String.length s));
-    Buffer.add_char b ':';
-    Buffer.add_string b s
-
-  let take_ns s pos =
-    let n = String.length s in
-    let rec digits i acc seen =
-      if i >= n then err "unterminated length prefix"
-      else
-        match s.[i] with
-        | '0' .. '9' ->
-            digits (i + 1) ((acc * 10) + Char.code s.[i] - 48) true
-        | ':' when seen -> (i + 1, acc)
-        | c -> err "bad length prefix char %C" c
-    in
-    let start, len = digits pos 0 false in
-    if start + len > n then err "field overruns input";
-    (String.sub s start len, start + len)
+  exception Error = Decode_error
 
   let concat fields =
     let b = Buffer.create 64 in
@@ -707,74 +693,4 @@ module Atomic_io = struct
     with e ->
       (try Sys.remove tmp with Sys_error _ -> ());
       raise e
-end
-
-(* ------------------------------------------------------------------ *)
-(* Supervisor                                                          *)
-(* ------------------------------------------------------------------ *)
-
-module Supervisor = struct
-  type report = {
-    attempts : int;
-    resumed_round : int option;
-    rejected_snapshots : int;
-    cold_starts : int;
-    slept_s : float;
-  }
-
-  let run ?(max_attempts = 3) ?(base_backoff_s = 0.05) ?(max_backoff_s = 2.0)
-      ?(should_retry = fun _ -> false) ?(on_event = fun _ -> ()) ~dir f =
-    let rejected_total = ref 0 in
-    let cold_starts = ref 0 in
-    let slept = ref 0.0 in
-    let resumed_round = ref None in
-    let report attempts =
-      {
-        attempts;
-        resumed_round = !resumed_round;
-        rejected_snapshots = !rejected_total;
-        cold_starts = !cold_starts;
-        slept_s = !slept;
-      }
-    in
-    let backoff attempt =
-      let d =
-        Float.min max_backoff_s
-          (base_backoff_s *. Float.pow 2.0 (float_of_int (attempt - 1)))
-      in
-      slept := !slept +. d;
-      Unix.sleepf d
-    in
-    let rec go attempt =
-      let snap, rejected = Snapshot.load_latest ~dir in
-      rejected_total := !rejected_total + rejected;
-      if rejected > 0 then
-        on_event
-          (Printf.sprintf "degraded past %d invalid snapshot%s" rejected
-             (if rejected = 1 then "" else "s"));
-      (match snap with
-       | Some (s, path) ->
-           resumed_round := Some s.Snapshot.round;
-           on_event
-             (Printf.sprintf "attempt %d: resuming from %s (round %d)" attempt
-                (Filename.basename path) s.Snapshot.round)
-       | None ->
-           resumed_round := None;
-           incr cold_starts;
-           on_event (Printf.sprintf "attempt %d: cold start" attempt));
-      match f ~resume:(Option.map fst snap) with
-      | v when attempt < max_attempts && should_retry v ->
-          on_event "transient outcome; retrying";
-          backoff attempt;
-          go (attempt + 1)
-      | v -> (Ok v, report attempt)
-      | exception e when attempt < max_attempts ->
-          on_event
-            (Printf.sprintf "attempt %d failed: %s" attempt
-               (Printexc.to_string e));
-          backoff attempt;
-          go (attempt + 1)
-      | exception e -> (Error e, report attempt)
-    in
-    go 1
 end

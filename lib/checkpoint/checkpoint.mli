@@ -1,5 +1,4 @@
-(** Crash-safe snapshots of saturation state, and the supervisor that
-    turns them into resumable runs.
+(** Crash-safe snapshots of saturation state.
 
     The paper's hardest workloads — deep chase towers (E2 [phi_R^5], E3
     [phi_I2^5]) and the long rewriting saturations of Theorems 5-6 — run
@@ -15,7 +14,14 @@
        lines the engines fill with {!Codec}-rendered state. A reader
        validates magic, version, payload length and checksum before
        surrendering a single byte of content, so a torn or corrupted
-       file is {e rejected}, never half-believed.}
+       file is {e rejected}, never half-believed. {!Snapshot.load_latest}
+       is the degradation ladder: the newest snapshot that validates,
+       else an older one — a corrupt checkpoint can cost time, never
+       correctness.}
+    {- {!type-sink}s: where and how often a run saves. The saturation
+       kernel ([Saturation.run]) is the one place that saves: it takes a
+       sink plus the engine's encoder and applies the sink's cadence and
+       throttle.}
     {- {!Codec}: deterministic text encodings for the hash-consed logic
        types (terms, atoms, CQs, mappings, rules, theories). Hash-consed
        ids are process-local, so snapshots never store them; decoding
@@ -23,12 +29,12 @@
        exactly what makes a resumed chase bit-identical (Observation 8:
        the Skolem naming convention derives names from head isomorphism
        types, so [Tgd.make] on the decoded rule rebuilds the very same
-       Skolem patterns).}
-    {- {!Supervisor}: capped-exponential-backoff retry around a
-       resumable run. Each attempt resumes from the newest snapshot that
-       validates; rejected snapshots degrade to the next-older one and
-       finally to a cold start — a corrupt checkpoint can cost time,
-       never correctness.}}
+       Skolem patterns).}}
+
+    A resume is {!Snapshot.load_latest} plus one match on the snapshot's
+    [kind], calling that engine's [resume]. There is no retry: the
+    engines are deterministic, so an exception on a resumed run (a bad
+    or wrong-kind snapshot) recurs on every attempt.
 
     Writes honour the seeded IO fault schedule ([Guard.Faults.io_fate]):
     a torn write truncates the payload before the rename (the file lands
@@ -92,8 +98,8 @@ module Snapshot : sig
   (** Walk {!list} newest-first and return the first snapshot that
       validates, plus the number of newer snapshots that were rejected
       on the way (the degradation count surfaced in [--stats]).
-      [None] means a cold start. Rejected files are left in place for
-      post-mortem. *)
+      [None] means no snapshot is left to resume from. Rejected files
+      are left in place for post-mortem. *)
 end
 
 (** {1 Sinks: where and how often engines save} *)
@@ -102,10 +108,10 @@ type sink = {
   dir : string;  (** snapshot directory (created by {!sink}) *)
   every : int;  (** save at every [every]-th committed round *)
   min_interval_s : float;
-      (** and no more often than this much wall time apart — the knob
-          that keeps fine-grained kernels (the marked process commits
-          hundreds of thousands of one-pop rounds) from spending their
-          run writing files *)
+      (** and only once this much wall time has passed since the
+          previous save {e ended} — the knob that keeps fine-grained
+          kernels (the marked process commits hundreds of thousands of
+          one-pop rounds) from spending their run writing files *)
   keep : int;  (** retain at most this many newest snapshots *)
 }
 
@@ -186,40 +192,4 @@ module Atomic_io : sig
   (** [write_file path contents]: write to a temp file in [path]'s
       directory, fsync, rename over [path]. Raises [Sys_error] /
       [Unix.Unix_error] on failure (the temp file is cleaned up). *)
-end
-
-(** {1 Supervisor: retry + resume} *)
-
-module Supervisor : sig
-  type report = {
-    attempts : int;  (** attempts made (1 = first try succeeded) *)
-    resumed_round : int option;
-        (** round of the snapshot the {e last} attempt resumed from;
-            [None] if it cold-started *)
-    rejected_snapshots : int;  (** total rejected across all attempts *)
-    cold_starts : int;  (** attempts that found no valid snapshot *)
-    slept_s : float;  (** total backoff time *)
-  }
-
-  val run :
-    ?max_attempts:int ->
-    ?base_backoff_s:float ->
-    ?max_backoff_s:float ->
-    ?should_retry:('a -> bool) ->
-    ?on_event:(string -> unit) ->
-    dir:string ->
-    (resume:Snapshot.t option -> 'a) ->
-    ('a, exn) result * report
-  (** [run ~dir f]: load the newest valid snapshot from [dir] (the
-      degradation ladder: newest → older → cold start) and call
-      [f ~resume]. If [f] raises, or returns a value [should_retry]
-      flags as transient (a tripped-guard partial the caller wants
-      retried, say), sleep a capped exponential backoff
-      ([base_backoff_s] doubling up to [max_backoff_s]; defaults 0.05 s
-      and 2 s) and try again — re-reading the directory, so progress
-      checkpointed by the failed attempt is kept — up to [max_attempts]
-      (default 3) in total. The final outcome is [Ok] with [f]'s value
-      or [Error] with the last exception; the report always comes back.
-      [on_event] receives one human-readable line per resume / failure /
-      retry decision. *)
 end

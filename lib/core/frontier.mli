@@ -118,12 +118,13 @@ module Guard = Guard
 
 module Checkpoint = Checkpoint
 (** Crash-safe durability: versioned, checksummed, atomically-written
-    snapshots of saturation state, the {!Checkpoint.Codec} text encodings
-    that make resumed chases bit-identical, and the
-    {!Checkpoint.Supervisor} retry-with-resume loop. Pass a
-    {!Checkpoint.sink} to {!Chase_engine.run}, {!Rewrite.rewrite}, or
-    {!Marked_process.run} and resume with the corresponding [resume]
-    entry point ([frontier resume] in the CLI). *)
+    snapshots of saturation state, the sinks the saturation kernel saves
+    through, and the {!Checkpoint.Codec} text encodings that make
+    resumed chases bit-identical. Pass a {!Checkpoint.sink} to
+    {!Chase_engine.run}, {!Rewrite.rewrite}, or {!Marked_process.run};
+    to resume, load the newest valid snapshot with
+    {!Checkpoint.Snapshot.load_latest} and hand it to the [resume] entry
+    point its [kind] names ([frontier resume] in the CLI). *)
 
 (** {1 Parsing} *)
 

@@ -94,11 +94,22 @@ let mq_of_string ~levels s =
    resumed run from re-admitting (and re-expanding) a query the
    interrupted run had already processed — unlike generic rewriting,
    store membership here is the only dedup, so dropping it would change
-   the result, not just the step count. *)
-let encode_state ~round ~levels ~q ~max_steps ~stats ~seen ~finished ~trivial
-    ~frontier =
+   the result, not just the step count. The store only grows and its
+   queries never change, so [lines] (class key -> snapshot line) renders
+   each class once per run: a snapshot renders only the classes added
+   since the previous one. *)
+let encode_state ~round ~levels ~q ~max_steps ~stats ~seen ~lines ~finished
+    ~trivial ~frontier =
   let module Codec = Checkpoint.Codec in
-  let seen_lines = Hashtbl.fold (fun _ mq acc -> mq :: acc) seen [] in
+  let line k mq =
+    match Hashtbl.find_opt lines k with
+    | Some l -> l
+    | None ->
+        let l = mq_to_string mq in
+        Hashtbl.add lines k l;
+        l
+  in
+  let seen_lines = Hashtbl.fold (fun k mq acc -> line k mq :: acc) seen [] in
   {
     Checkpoint.Snapshot.kind = checkpoint_kind;
     round;
@@ -121,7 +132,7 @@ let encode_state ~round ~levels ~q ~max_steps ~stats ~seen ~finished ~trivial
         ("frontier", List.map mq_to_string (Array.to_list frontier));
         ("finished", List.map mq_to_string finished);
         ("trivial", List.map mq_to_string trivial);
-        ("seen", List.map mq_to_string seen_lines);
+        ("seen", seen_lines);
       ];
   }
 
@@ -277,15 +288,11 @@ let run_from ?guard ?(max_steps = 200_000) ?(record_ranks = false)
   let checkpoint =
     Option.map
       (fun sink ->
-        {
-          Saturation.every = sink.Checkpoint.every;
-          min_interval_s = sink.Checkpoint.min_interval_s;
-          save =
-            (fun ~round ~final:_ frontier ->
-              Checkpoint.save_to sink
-                (encode_state ~round ~levels ~q ~max_steps ~stats:!stats
-                   ~seen ~finished:!finished ~trivial:!trivial ~frontier));
-        })
+        let lines = Hashtbl.create 64 in
+        ( sink,
+          fun ~round frontier ->
+            encode_state ~round ~levels ~q ~max_steps ~stats:!stats ~seen
+              ~lines ~finished:!finished ~trivial:!trivial ~frontier ))
       checkpoint_sink
   in
   let verdict, kernel_stats =

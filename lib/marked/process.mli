@@ -111,11 +111,12 @@ val resume :
     no already-processed query is re-admitted), the collected results
     and step counters are restored verbatim, and the live worklist
     resumes in queue order; [max_steps] defaults to the snapshot's
-    recorded value. The resumed result's rewriting, aliased, and trivial
-    sets equal an uninterrupted run's. [record_ranks] and [on_step] are
-    not available on resume — the pre-snapshot portion of a rank trace
-    is not serialized, and [kernel_stats] covers only the resumed
-    segment.
+    recorded value. The resumed rewriting has the same disjuncts in the
+    same order as an uninterrupted run's, up to variable renaming (equal
+    {!Cq.canon_id} lists), and the aliased and trivial sets have the
+    same sizes. [record_ranks] and [on_step] are not available on resume
+    — the pre-snapshot portion of a rank trace is not serialized — and
+    [kernel_stats] covers only the resumed segment.
 
     Raises [Invalid_argument] on a snapshot of a different kind and
     [Checkpoint.Codec.Error] on undecodable content. *)

@@ -12,16 +12,19 @@ let pairs run =
   let g_d = Gaifman.of_fact_set d in
   let g_ch = Gaifman.of_fact_set (Chase.Engine.result run) in
   let dom = Term.Set.elements (Fact_set.domain d) in
+  (* One BFS per source and graph; each partner is a lookup. *)
   let rec all_pairs = function
     | [] -> []
     | x :: rest ->
+        let from_d = Gaifman.distances_from g_d x
+        and from_ch = Gaifman.distances_from g_ch x in
         List.map
           (fun y ->
             {
               a = x;
               b = y;
-              dist_d = Gaifman.distance g_d x y;
-              dist_ch = Gaifman.distance g_ch x y;
+              dist_d = Term.Map.find_opt y from_d;
+              dist_ch = Term.Map.find_opt y from_ch;
             })
           rest
         @ all_pairs rest

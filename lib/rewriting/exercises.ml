@@ -20,17 +20,19 @@ let adjacency_contraction run =
   let g_d = Gaifman.of_fact_set d in
   let g_ch = Gaifman.of_fact_set (Chase.Engine.result run) in
   let worst = ref (Some 0) in
+  (* One BFS per constant with a chase neighbour above it in the
+     domain; each such neighbour is a lookup. *)
   Term.Set.iter
     (fun c ->
+      let from_c = lazy (Gaifman.distances_from g_d c) in
       Term.Set.iter
         (fun c' ->
-          if Term.compare c c' < 0 && Term.Set.mem c' (Gaifman.neighbours g_ch c)
-          then
-            match (!worst, Gaifman.distance g_d c c') with
+          if Term.compare c c' < 0 && Term.Set.mem c' dom then
+            match (!worst, Term.Map.find_opt c' (Lazy.force from_c)) with
             | Some w, Some dist -> worst := Some (max w dist)
             | _, None -> worst := None
             | None, _ -> ())
-        dom)
+        (Gaifman.neighbours g_ch c))
     dom;
   !worst
 

@@ -127,9 +127,10 @@ let checkpoint_kind = "rewrite"
    and never serialized; the run-local dedup table is reseeded from the
    decoded disjuncts, which is a subset of the ids the interrupted run
    had seen — the missing ones only cost re-checks through the insert
-   path, never a different UCQ (subsumption against the store is
-   monotone). Hence the resumed result is UCQ-{e equivalent}, not
-   bit-identical: the contract the differential suite checks. *)
+   path, never a different store (subsumption against the store is
+   monotone). Hence the resumed result has the same disjuncts in the
+   same order, up to variable renaming, while the counters differ: the
+   contract the differential suite checks. *)
 let encode_state ~round ~theory ~q ~budget ~steps ~store_disjuncts ~frontier
     =
   let module Codec = Checkpoint.Codec in
@@ -312,16 +313,11 @@ let rewrite_from ?guard ?(budget = default_budget) ?checkpoint:checkpoint_sink
   let checkpoint =
     Option.map
       (fun sink ->
-        {
-          Saturation.every = sink.Checkpoint.every;
-          min_interval_s = sink.Checkpoint.min_interval_s;
-          save =
-            (fun ~round ~final:_ frontier ->
-              Checkpoint.save_to sink
-                (encode_state ~round ~theory ~q ~budget ~steps:!steps
-                   ~store_disjuncts:(Ucq_index.disjuncts store.idx)
-                   ~frontier));
-        })
+        ( sink,
+          fun ~round frontier ->
+            encode_state ~round ~theory ~q ~budget ~steps:!steps
+              ~store_disjuncts:(Ucq_index.disjuncts store.idx)
+              ~frontier ))
       checkpoint_sink
   in
   let verdict, kernel_stats =

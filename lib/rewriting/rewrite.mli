@@ -104,12 +104,11 @@ val resume :
     store is preloaded without containment checks (a checkpointed store
     is already pairwise non-subsuming and minimization is monotone), the
     budget defaults to the snapshot's recorded one, and [steps] counting
-    continues from the snapshot. The resumed run's completed UCQ is
-    {!Ucq.equivalent} to an uninterrupted run's — not necessarily
-    syntactically identical: canonical CQ ids are process-local, so the
-    candidate dedup reseeds from the decoded store and frontier and some
-    duplicate candidates take the (verdict-identical) containment path
-    instead; [steps] and the counter totals may differ accordingly.
+    continues from the snapshot. The resumed run's completed UCQ has
+    the same disjuncts in the same order as an uninterrupted run's, up
+    to variable renaming (equal {!Cq.canon_id} lists). [generated],
+    [containment_checks], [dedup_hits] and [kernel_stats] cover only the
+    resumed segment.
 
     Raises [Invalid_argument] on a snapshot of a different kind and
     [Checkpoint.Codec.Error] on undecodable content. *)

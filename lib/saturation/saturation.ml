@@ -65,12 +65,6 @@ type 'w step_result = {
 
 type drain = All | At_most of (unit -> int)
 
-type 'w checkpoint = {
-  every : int;
-  min_interval_s : float;
-  save : round:int -> final:bool -> 'w array -> unit;
-}
-
 (* The worklist: a flat array-backed FIFO. Items live in
    [buf.(head .. tail - 1)]; a round's batch is one [Array.sub] off the
    head, productions append at the tail, and growth compacts the live
@@ -127,38 +121,40 @@ let run ?guard ?(drain = All) ?(max_rounds = max_int)
   let per_round = ref [] in
   let t_start = Unix.gettimeofday () in
   let q = queue_of_list init in
-  (* Durability hooks. A cadence save fires after a committed round when
-     the *absolute* round number (resumed segments count from
-     [base_round]) hits the [every] stride and at least [min_interval_s]
-     has passed — the throttle that keeps one-pop-per-round drains from
-     spending their run writing files. A final save fires on any
-     non-[Saturated] finish so a budget stop, guard trip, or
-     cancellation always leaves the freshest resumable state behind;
-     it is skipped when the cadence save already captured this exact
-     round. Saturated runs save nothing — there is nothing to resume. *)
-  let last_save_t = ref (Unix.gettimeofday ()) in
+  (* Durability. A cadence save fires after a committed round when the
+     *absolute* round number (resumed segments count from [base_round])
+     hits the sink's [every] stride and at least [min_interval_s] has
+     passed since the previous save *ended* — timing from its start
+     would let one save longer than the interval make every later round
+     save. A final save fires on any non-[Saturated] finish so a budget
+     stop, guard trip, or cancellation always leaves the freshest
+     resumable state behind; it is skipped when the cadence save already
+     captured this exact round. Saturated runs save nothing — there is
+     nothing to resume. *)
+  let last_save_end = ref (Unix.gettimeofday ()) in
   let last_saved_round = ref (-1) in
-  let frontier_snapshot () = Array.sub q.buf q.head (queue_length q) in
+  let save (sink, encode) abs =
+    Checkpoint.save_to sink
+      (encode ~round:abs (Array.sub q.buf q.head (queue_length q)));
+    last_save_end := Unix.gettimeofday ();
+    last_saved_round := abs
+  in
   let cadence_save () =
     match checkpoint with
     | None -> ()
-    | Some c ->
+    | Some ((sink, _) as c) ->
         let abs = base_round + !rounds in
-        if abs mod c.every = 0 then begin
-          let now = Unix.gettimeofday () in
-          if now -. !last_save_t >= c.min_interval_s then begin
-            c.save ~round:abs ~final:false (frontier_snapshot ());
-            last_save_t := now;
-            last_saved_round := abs
-          end
-        end
+        if
+          abs mod sink.Checkpoint.every = 0
+          && Unix.gettimeofday () -. !last_save_end
+             >= sink.Checkpoint.min_interval_s
+        then save c abs
   in
   let finish verdict =
     (match (checkpoint, verdict) with
     | Some c, (Stopped | Tripped _) ->
         let abs = base_round + !rounds in
-        if !last_saved_round <> abs then
-          c.save ~round:abs ~final:true (frontier_snapshot ())
+        if !last_saved_round <> abs then save c abs
     | _ -> ());
     ( verdict,
       {

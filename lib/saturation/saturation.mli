@@ -119,33 +119,14 @@ type drain =
           worklist); a non-positive answer stops the run ([Stopped]) —
           the hook is how clients express step budgets *)
 
-(** The durability hook: how a client asks the kernel to emit resumable
-    snapshots of the worklist at round boundaries. The kernel only owns
-    the frontier and the round number — the [save] callback is where the
-    client serializes its own evolving state (fact stages, disjunct
-    store, ...) alongside the frontier array it is handed. *)
-type 'w checkpoint = {
-  every : int;
-      (** save when the absolute round number is a multiple of this *)
-  min_interval_s : float;
-      (** ... and at least this much wall time passed since the last
-          save — the throttle for one-item-per-round drains that commit
-          hundreds of thousands of rounds *)
-  save : round:int -> final:bool -> 'w array -> unit;
-      (** called with the absolute committed-round number and the
-          frontier {e after} that round's productions were enqueued;
-          [final] marks the save fired at a non-[Saturated] finish
-          (budget stop, guard trip, cancellation). Must not raise —
-          durability is best-effort (see [Checkpoint.save_to]). *)
-}
-
 val run :
   ?guard:Guard.t ->
   ?drain:drain ->
   ?max_rounds:int ->
   ?record_rounds:bool ->
   ?base_round:int ->
-  ?checkpoint:'w checkpoint ->
+  ?checkpoint:
+    Checkpoint.sink * (round:int -> 'w array -> Checkpoint.Snapshot.t) ->
   init:'w list ->
   step:(ctx -> 'w array -> 'w step_result) ->
   unit ->
@@ -168,7 +149,7 @@ val run :
     [commit = false] — round discarded (the batch goes back on the
     frontier head), verdict from the sticky guard state ([Stopped] if
     somehow untripped); (7) round committed: stats accumulated, [next]
-    enqueued, a due [checkpoint] cadence save fires, then the sticky
+    enqueued, a due cadence save fires, then the sticky
     guard state is consulted ([Tripped] keeps the committed round),
     then [stop] — [Stopped].
 
@@ -181,10 +162,18 @@ val run :
     bit-identical). [Stats.t] itself stays segment-local: [rounds] and
     the tallies count only work done by this call.
 
-    Every non-[Saturated] finish with a [checkpoint] installed emits a
-    last snapshot of the current frontier (skipped only when the cadence
-    save already captured that exact round), so trips, budget stops, and
-    SIGINT/SIGTERM cancellations always leave resumable state behind. *)
+    Durability: with [checkpoint = (sink, encode)] the kernel is the one
+    place that saves. After a committed round whose absolute number is a
+    multiple of [sink.every], and at least [sink.min_interval_s] after
+    the previous save {e ended}, it calls [encode ~round] on the frontier
+    {e after} that round's productions were enqueued and hands the
+    snapshot to {!Checkpoint.save_to} (which never raises). [encode] is
+    where the client serializes its own evolving state (fact stages,
+    disjunct store, ...) alongside that frontier. Every non-[Saturated]
+    finish also saves the current frontier (skipped only when the
+    cadence save already captured that exact round), so trips, budget
+    stops, and SIGINT/SIGTERM cancellations always leave resumable state
+    behind. *)
 
 val outcome :
   verdict ->

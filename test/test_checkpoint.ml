@@ -2,10 +2,11 @@
    round-trips and rejection paths (magic/version/length/checksum),
    injected IO faults driving the degradation ladder (torn write,
    ENOSPC, corrupt read), codec round-trips for the hash-consed logic
-   types, the supervisor's retry/resume/degrade behaviour, and —
-   the acceptance contract — resume differentials against uninterrupted
-   references: bit-identical chase stages (at pool sizes 1 and 4) and
-   UCQ-equivalent rewritings from every snapshot round.
+   types, the saturation kernel's save throttle, and — the acceptance
+   contract — resume differentials against uninterrupted references:
+   bit-identical chase stages (at pool sizes 1 and 4) and, for the
+   rewriting engines, the same disjuncts in the same order up to
+   variable renaming from every snapshot round.
 
    Real SIGKILL trials live in tools/crash_harness.ml (make
    check-resume); these tests cover the same resume paths in-process,
@@ -339,83 +340,52 @@ let test_atomic_io () =
     (Array.to_list (Sys.readdir dir))
 
 (* ------------------------------------------------------------------ *)
-(* Supervisor                                                          *)
+(* The kernel's save throttle                                          *)
 (* ------------------------------------------------------------------ *)
 
-let test_supervisor_retries_then_succeeds () =
-  let dir = fresh_dir "sup-retry" in
-  let calls = ref 0 in
-  let result, report =
-    Checkpoint.Supervisor.run ~max_attempts:5 ~base_backoff_s:1e-4
-      ~max_backoff_s:1e-3 ~dir (fun ~resume ->
-        incr calls;
-        Alcotest.(check bool) "cold start" true (resume = None);
-        if !calls < 3 then failwith "transient";
-        !calls)
+(* ~100 one-item rounds of ~1 ms under a sink throttled to 20 ms, with
+   an encoder that takes 50 ms. The throttle counts from the end of the
+   previous save, so each cadence save starts at least 20 ms after the
+   last one ended; counted from its start, every round after the first
+   slow save would save. *)
+let test_throttle_counts_from_save_end () =
+  let dir = fresh_dir "throttle" in
+  let sink = Checkpoint.sink ~every:1 ~min_interval_s:0.02 dir in
+  let saves = ref [] in
+  let encode ~round _frontier =
+    let t0 = Unix.gettimeofday () in
+    Unix.sleepf 0.05;
+    saves := (t0, Unix.gettimeofday ()) :: !saves;
+    { (sample round) with Checkpoint.Snapshot.sections = [] }
   in
-  (match result with
-  | Ok n -> Alcotest.(check int) "third attempt's value" 3 n
-  | Error e -> Alcotest.failf "supervisor gave up: %s" (Printexc.to_string e));
-  Alcotest.(check int) "attempts" 3 report.Checkpoint.Supervisor.attempts;
-  Alcotest.(check int) "cold starts" 3 report.Checkpoint.Supervisor.cold_starts;
-  Alcotest.(check bool)
-    "no resume round" true
-    (report.Checkpoint.Supervisor.resumed_round = None)
-
-let test_supervisor_resumes_newest () =
-  let dir = fresh_dir "sup-resume" in
-  List.iter (fun r -> ignore (write_exn ~dir (sample r))) [ 1; 2 ];
-  let result, report =
-    Checkpoint.Supervisor.run ~dir (fun ~resume ->
-        match resume with
-        | Some t -> t.Checkpoint.Snapshot.round
-        | None -> Alcotest.fail "expected a snapshot")
+  let step _ctx batch =
+    Unix.sleepf 0.001;
+    let i = batch.(0) in
+    {
+      Saturation.next = (if i < 100 then [ i + 1 ] else []);
+      tally = Saturation.Stats.zero;
+      stop = false;
+      commit = true;
+    }
   in
-  Alcotest.(check bool) "ran once" true (result = Ok 2);
-  Alcotest.(check bool)
-    "report names the round" true
-    (report.Checkpoint.Supervisor.resumed_round = Some 2)
-
-let test_supervisor_degrades_past_corruption () =
-  let dir = fresh_dir "sup-degrade" in
-  List.iter (fun r -> ignore (write_exn ~dir (sample r))) [ 1; 2 ];
-  flip_last_byte (snd (List.hd (Checkpoint.Snapshot.list ~dir)));
-  let result, report =
-    Checkpoint.Supervisor.run ~dir (fun ~resume ->
-        match resume with
-        | Some t -> t.Checkpoint.Snapshot.round
-        | None -> Alcotest.fail "expected degradation, not cold start")
+  let verdict, _ =
+    Saturation.run ~drain:(Saturation.At_most (fun () -> 1))
+      ~record_rounds:false ~checkpoint:(sink, encode) ~init:[ 0 ] ~step ()
   in
-  Alcotest.(check bool) "resumed round 1" true (result = Ok 1);
-  Alcotest.(check int)
-    "rejection reported" 1 report.Checkpoint.Supervisor.rejected_snapshots
-
-let test_supervisor_gives_up () =
-  let dir = fresh_dir "sup-exhaust" in
-  let result, report =
-    Checkpoint.Supervisor.run ~max_attempts:3 ~base_backoff_s:1e-4
-      ~max_backoff_s:1e-3 ~dir (fun ~resume:_ -> failwith "always down")
+  Alcotest.(check bool) "saturated" true (verdict = Saturation.Saturated);
+  let saves = List.rev !saves in
+  Alcotest.(check bool) "several cadence saves" true (List.length saves >= 2);
+  let rec gaps = function
+    | (_, ended) :: ((started, _) :: _ as rest) ->
+        (started -. ended) :: gaps rest
+    | _ -> []
   in
-  (match result with
-  | Error (Failure m) -> Alcotest.(check string) "last exception" "always down" m
-  | Error e -> Alcotest.failf "unexpected %s" (Printexc.to_string e)
-  | Ok _ -> Alcotest.fail "succeeded against an always-failing run");
-  Alcotest.(check int) "all attempts used" 3 report.Checkpoint.Supervisor.attempts
-
-let test_supervisor_should_retry () =
-  let dir = fresh_dir "sup-transient" in
-  let calls = ref 0 in
-  let result, report =
-    Checkpoint.Supervisor.run ~max_attempts:5 ~base_backoff_s:1e-4
-      ~max_backoff_s:1e-3
-      ~should_retry:(fun n -> n < 2)
-      ~dir
-      (fun ~resume:_ ->
-        incr calls;
-        !calls)
-  in
-  Alcotest.(check bool) "accepted the second value" true (result = Ok 2);
-  Alcotest.(check int) "retried once" 2 report.Checkpoint.Supervisor.attempts
+  List.iter
+    (fun gap ->
+      Alcotest.(check bool)
+        (Printf.sprintf "save starts %.4f s after the last ended" gap)
+        true (gap >= 0.02))
+    (gaps saves)
 
 (* ------------------------------------------------------------------ *)
 (* Resume differentials against uninterrupted references               *)
@@ -495,13 +465,16 @@ let rw_snaps =
           (Lazy.force rw_query));
      Checkpoint.Snapshot.list ~dir)
 
+(* The same disjuncts in the same order, up to variable renaming. *)
+let canon_ids u = List.map Cq.canon_id (Ucq.disjuncts u)
+
 let rw_resume_matches path =
   let resumed = Rewriting.Rewrite.resume (read_exn path) in
   let reference = Lazy.force rw_ref in
   (reference.Rewriting.Rewrite.outcome = Rewriting.Rewrite.Complete)
   = (resumed.Rewriting.Rewrite.outcome = Rewriting.Rewrite.Complete)
-  && Ucq.equivalent reference.Rewriting.Rewrite.ucq
-       resumed.Rewriting.Rewrite.ucq
+  && canon_ids reference.Rewriting.Rewrite.ucq
+     = canon_ids resumed.Rewriting.Rewrite.ucq
 
 let test_rewrite_resume_every_round () =
   let snaps = Lazy.force rw_snaps in
@@ -511,12 +484,12 @@ let test_rewrite_resume_every_round () =
   List.iter
     (fun (round, path) ->
       Alcotest.(check bool)
-        (Printf.sprintf "UCQ-equivalent resuming from round %d" round)
+        (Printf.sprintf "same disjuncts resuming from round %d" round)
         true (rw_resume_matches path))
     snaps
 
-(* QCheck differential: a random snapshot round, resumed, is always
-   UCQ-equivalent to the uninterrupted reference. *)
+(* QCheck differential: a random snapshot round, resumed, always yields
+   the uninterrupted reference's disjuncts in its order. *)
 let prop_rewrite_resume_any_round =
   QCheck.Test.make ~count:10
     ~name:"rewrite: resume from a random snapshot round"
@@ -544,8 +517,8 @@ let marked_resume_matches path =
   let resumed = Marked.Process.resume (read_exn path) in
   let reference = Lazy.force marked_ref in
   reference.Marked.Process.complete = resumed.Marked.Process.complete
-  && Ucq.equivalent reference.Marked.Process.rewriting
-       resumed.Marked.Process.rewriting
+  && canon_ids reference.Marked.Process.rewriting
+     = canon_ids resumed.Marked.Process.rewriting
   && List.length reference.Marked.Process.trivial
      = List.length resumed.Marked.Process.trivial
   && List.length reference.Marked.Process.aliased
@@ -566,7 +539,7 @@ let test_marked_resume () =
     (fun i ->
       let round, path = List.nth snaps i in
       Alcotest.(check bool)
-        (Printf.sprintf "equivalent resuming from round %d" round)
+        (Printf.sprintf "same disjuncts resuming from round %d" round)
         true (marked_resume_matches path))
     picks
 
@@ -611,25 +584,17 @@ let () =
         ] );
       ( "atomic-io",
         [ Alcotest.test_case "write + overwrite" `Quick test_atomic_io ] );
-      ( "supervisor",
+      ( "throttling",
         [
-          Alcotest.test_case "retries then succeeds" `Quick
-            test_supervisor_retries_then_succeeds;
-          Alcotest.test_case "resumes newest snapshot" `Quick
-            test_supervisor_resumes_newest;
-          Alcotest.test_case "degrades past corruption" `Quick
-            test_supervisor_degrades_past_corruption;
-          Alcotest.test_case "gives up after max attempts" `Quick
-            test_supervisor_gives_up;
-          Alcotest.test_case "should_retry treats values as transient" `Quick
-            test_supervisor_should_retry;
+          Alcotest.test_case "cadence saves start after the last one ended"
+            `Quick test_throttle_counts_from_save_end;
         ] );
       ( "resume",
         [
           Alcotest.test_case "chase: every round, bit-identical" `Quick
             test_chase_resume_every_round;
           Alcotest.test_case "chase: -j4 resume" `Quick test_chase_resume_pool4;
-          Alcotest.test_case "rewrite: every round, UCQ-equivalent" `Quick
+          Alcotest.test_case "rewrite: every round, same disjuncts" `Quick
             test_rewrite_resume_every_round;
           QCheck_alcotest.to_alcotest prop_rewrite_resume_any_round;
           Alcotest.test_case "marked: store-preserving resume" `Quick

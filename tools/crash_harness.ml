@@ -6,11 +6,15 @@
    Each trial forks a real child process that runs the workload with
    checkpointing enabled, SIGKILLs it at a seeded-random saturation
    round (watching the snapshot directory for the target round to
-   appear), then resumes through {!Checkpoint.Supervisor} in the parent
-   and compares the completed result against an uninterrupted reference
-   run: bit-identical stages for the chase, equivalent UCQs (and equal
-   trivial/aliased counts) for the rewriting engines. Exit 1 on any
-   mismatch. Default seeds 1 7 42, 5 trials each.
+   appear), then resumes in the parent from the newest valid snapshot
+   ({!Checkpoint.Snapshot.load_latest}) and compares the completed
+   result against an uninterrupted reference run: bit-identical stages
+   for the chase; for the rewriting engines the same disjuncts in the
+   same order up to variable renaming (equal [Cq.canon_id] lists), and
+   equal trivial/aliased counts. A child that the 120 s deadline killed
+   before it reached its target fails the trial; a child that finishes
+   before its target passes, resumed from its last snapshot. Exit 1 on
+   any failure. Default seeds 1 7 42, 5 trials each.
 
    The workloads are the acceptance pair from the durability issue —
    the T_d chase over a G^8 path and the marked-query process on
@@ -73,7 +77,7 @@ let child_sink dir = function
 
 (* How long the kill loop sleeps between looks at the snapshot
    directory (each look is a readdir). The marked child snapshots at
-   most every 50 ms and runs for minutes, so 5 ms polls still kill it
+   most every 50 ms and runs for seconds, so 5 ms polls still kill it
    within a tenth of its snapshot interval and cost the parent little.
    The chase and rewrite children commit a round in well under 5 ms
    (at 5 ms the Example 28 rewriting finished its four rounds before
@@ -121,24 +125,23 @@ let reference w =
            (Lazy.force rewrite_theory)
            (Lazy.force rewrite_query))
 
+let canon_ids u = List.map Logic.Cq.canon_id (Logic.Ucq.disjuncts u)
+
 let resume_and_compare ~dir ~ref_result =
-  let outcome, report =
-    Checkpoint.Supervisor.run ~dir (fun ~resume ->
-        match resume with
-        | None -> failwith "no valid snapshot to resume from"
-        | Some snap -> (
-            match snap.Checkpoint.Snapshot.kind with
-            | k when k = Chase.Engine.checkpoint_kind ->
-                Chase_ref (Chase.Engine.resume snap)
-            | k when k = Marked.Process.checkpoint_kind ->
-                Marked_ref (Marked.Process.resume snap)
-            | k when k = Rewriting.Rewrite.checkpoint_kind ->
-                Rewrite_ref (Rewriting.Rewrite.resume snap)
-            | k -> failwith ("unknown snapshot kind " ^ k)))
-  in
-  match outcome with
-  | Error e -> Error (Printexc.to_string e, report)
-  | Ok resumed -> (
+  match Checkpoint.Snapshot.load_latest ~dir with
+  | None, rejected ->
+      Error (Printf.sprintf "no valid snapshot (%d rejected)" rejected)
+  | Some (snap, _), _ -> (
+      let resumed =
+        match snap.Checkpoint.Snapshot.kind with
+        | k when k = Chase.Engine.checkpoint_kind ->
+            Chase_ref (Chase.Engine.resume snap)
+        | k when k = Marked.Process.checkpoint_kind ->
+            Marked_ref (Marked.Process.resume snap)
+        | k when k = Rewriting.Rewrite.checkpoint_kind ->
+            Rewrite_ref (Rewriting.Rewrite.resume snap)
+        | k -> failwith ("unknown snapshot kind " ^ k)
+      in
       match (ref_result, resumed) with
       | Chase_ref a, Chase_ref b ->
           let stages_equal =
@@ -155,28 +158,28 @@ let resume_and_compare ~dir ~ref_result =
             done;
             !ok
           in
-          if stages_equal then Ok report
-          else Error ("chase stages differ after resume", report)
+          if stages_equal then Ok ()
+          else Error "chase stages differ after resume"
       | Marked_ref a, Marked_ref b ->
           if
             a.Marked.Process.complete = b.Marked.Process.complete
-            && Logic.Ucq.equivalent a.Marked.Process.rewriting
-                 b.Marked.Process.rewriting
+            && canon_ids a.Marked.Process.rewriting
+               = canon_ids b.Marked.Process.rewriting
             && List.length a.Marked.Process.trivial
                = List.length b.Marked.Process.trivial
             && List.length a.Marked.Process.aliased
                = List.length b.Marked.Process.aliased
-          then Ok report
-          else Error ("marked rewriting differs after resume", report)
+          then Ok ()
+          else Error "marked rewriting differs after resume"
       | Rewrite_ref a, Rewrite_ref b ->
           if
             (a.Rewriting.Rewrite.outcome = Rewriting.Rewrite.Complete)
             = (b.Rewriting.Rewrite.outcome = Rewriting.Rewrite.Complete)
-            && Logic.Ucq.equivalent a.Rewriting.Rewrite.ucq
-                 b.Rewriting.Rewrite.ucq
-          then Ok report
-          else Error ("ucq rewriting differs after resume", report)
-      | _ -> Error ("resumed a different workload kind", report))
+            && canon_ids a.Rewriting.Rewrite.ucq
+               = canon_ids b.Rewriting.Rewrite.ucq
+          then Ok ()
+          else Error "ucq rewriting differs after resume"
+      | _ -> Error "resumed a different workload kind")
 
 (* --- the kill loop --------------------------------------------------- *)
 
@@ -195,6 +198,8 @@ let rec rm_rf path =
   | _ -> Unix.unlink path
   | exception Unix.Unix_error (Unix.ENOENT, _, _) -> ()
 
+let deadline_s = 120.
+
 let one_trial ~base ~seed ~trial w ~ref_result =
   let dir =
     Filename.concat base
@@ -202,43 +207,49 @@ let one_trial ~base ~seed ~trial w ~ref_result =
   in
   rm_rf dir;
   let target = target_round seed trial w in
-  (match Unix.fork () with
-  | 0 -> ( try run_child dir w with _ -> Unix._exit 3)
-  | pid ->
-      (* Watch for the target round, then kill mid-flight. A child that
-         finishes first is fine: the trial degrades to resuming from its
-         last cadence snapshot. *)
-      let deadline = Unix.gettimeofday () +. 120. in
-      let rec watch () =
-        let alive =
-          match Unix.waitpid [ Unix.WNOHANG ] pid with
-          | 0, _ -> true
-          | _ -> false
-        in
-        if not alive then ()
-        else if
-          (match newest_round dir with
-          | Some r -> r >= target
-          | None -> false)
-          || Unix.gettimeofday () > deadline
-        then begin
+  let t0 = Unix.gettimeofday () in
+  (* [true] when the deadline, not the target, ended the child. *)
+  let by_deadline =
+    match Unix.fork () with
+    | 0 -> ( try run_child dir w with _ -> Unix._exit 3)
+    | pid ->
+        let kill () =
           (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
           ignore (Unix.waitpid [] pid)
-        end
-        else begin
-          Unix.sleepf (poll_interval w);
-          watch ()
-        end
-      in
-      watch ());
+        in
+        let reached () =
+          match newest_round dir with Some r -> r >= target | None -> false
+        in
+        let rec watch () =
+          match Unix.waitpid [ Unix.WNOHANG ] pid with
+          | 0, _ when reached () ->
+              kill ();
+              false
+          | 0, _ when Unix.gettimeofday () -. t0 > deadline_s ->
+              kill ();
+              true
+          | 0, _ ->
+              Unix.sleepf (poll_interval w);
+              watch ()
+          | _ -> false
+        in
+        watch ()
+  in
   match newest_round dir with
   | None -> Error ("child died before writing any snapshot", None)
+  | Some killed_at when by_deadline && killed_at < target ->
+      Error
+        ( Printf.sprintf "the %.0f s deadline killed the child first"
+            deadline_s,
+          Some (target, killed_at) )
   | Some killed_at -> (
       match resume_and_compare ~dir ~ref_result with
-      | Ok report ->
+      | Ok () ->
           rm_rf dir;
-          Ok (target, killed_at, report)
-      | Error (msg, report) -> Error (msg, Some (target, killed_at, report)))
+          Ok (target, killed_at, Unix.gettimeofday () -. t0)
+      | Error msg -> Error (msg, Some (target, killed_at))
+      | exception e ->
+          Error (Printexc.to_string e, Some (target, killed_at)))
 
 let () =
   let seeds = ref []
@@ -282,18 +293,17 @@ let () =
           for trial = 1 to !trials do
             incr total;
             match one_trial ~base:!base ~seed ~trial w ~ref_result with
-            | Ok (target, killed_at, report) ->
+            | Ok (target, killed_at, wall_s) ->
                 Printf.printf
                   "PASS %s seed=%d trial=%d: killed at round %d (target \
-                   %d), resumed in %d attempt(s)\n%!"
-                  (workload_name w) seed trial killed_at target
-                  report.Checkpoint.Supervisor.attempts
+                   %d), trial %.1f s\n%!"
+                  (workload_name w) seed trial killed_at target wall_s
             | Error (msg, detail) ->
                 incr failures;
                 Printf.printf "FAIL %s seed=%d trial=%d: %s%s\n%!"
                   (workload_name w) seed trial msg
                   (match detail with
-                  | Some (target, killed_at, _) ->
+                  | Some (target, killed_at) ->
                       Printf.sprintf " (killed at round %d, target %d)"
                         killed_at target
                   | None -> "")
