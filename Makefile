@@ -60,7 +60,12 @@ check-portfolio: build
 # engines: the same disjuncts in the same order up to renaming). A
 # trial the 120 s deadline kills before its target fails. Chase and
 # rewrite trials are cheap; the marked trials replay phi_R^5 end to
-# end (9 trials, ~85 s on 2 cores).
+# end (9 trials, ~85 s on 2 cores). Last, the printed text: a 50-step
+# marked-rewrite with checkpointing stops on its step budget (exit 2),
+# `frontier resume` of its directory stops on the same budget, and the
+# two outputs must be byte-identical (the resumed process interns the
+# terms in snapshot order, so this fails if printing follows intern
+# order).
 # Passing trials clean up after themselves; failing trials leave their
 # snapshot directories under _crash/ for post-mortem (CI uploads them).
 check-resume: build
@@ -68,6 +73,15 @@ check-resume: build
 	dune exec tools/crash_harness.exe -- --dir _crash --workload chase --trials 5 1 7 42
 	dune exec tools/crash_harness.exe -- --dir _crash --workload rewrite --trials 5 1 7 42
 	dune exec tools/crash_harness.exe -- --dir _crash --workload marked --trials 3 1 7 42
+	rm -rf _crash/resume-text && mkdir -p _crash/resume-text
+	dune exec bin/frontier_cli.exe -- marked-rewrite --steps 50 \
+	  --checkpoint-dir _crash/resume-text/ck \
+	  -q '(x,y) :- R(x,p1), R(p1,p2), R(p2,a), R(y,q1), R(q1,q2), R(q2,b), G(a,b)' \
+	  > _crash/resume-text/run.txt; test $$? -eq 2
+	dune exec bin/frontier_cli.exe -- resume _crash/resume-text/ck \
+	  > _crash/resume-text/resumed.txt; test $$? -eq 2
+	cmp _crash/resume-text/run.txt _crash/resume-text/resumed.txt
+	rm -rf _crash/resume-text
 
 bench:
 	dune exec bench/main.exe 2>&1 | tee bench_output.txt

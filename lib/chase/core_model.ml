@@ -12,32 +12,26 @@ let endomorphism_avoiding f ~keep ~avoid =
 
 let image_of f mapping ~flexible =
   (* A shrinking endomorphism typically moves a small fraction of the
-     atoms (the ones touching the avoided term), so update [f] by the
-     moved atoms instead of rebuilding: the fact-set index is then
-     maintained incrementally across the [core_of] shrink iterations.
-     When [f] is indexed, the join index enumerates exactly the atoms
-     touching a moved term; the untouched atoms — the vast majority of
-     a large model — are never visited at all. *)
+     atoms (the ones touching the avoided term), so only those are
+     imaged: the join index enumerates exactly the atoms touching a
+     moved term, and the untouched atoms — the vast majority of a large
+     model — are never visited. Both callers have built [f]'s index
+     already (they read its domain). The shrunk set is unindexed, so the
+     next [core_of] round rebuilds its index once. *)
   let moved =
     Term.Map.fold
       (fun v u acc -> if Term.equal v u then acc else Term.Set.add v acc)
       mapping Term.Set.empty
   in
   let touching =
-    if Fact_set.is_indexed f then
-      Atom.Set.elements
-        (Term.Set.fold
-           (fun v acc ->
-             List.fold_left
-               (fun acc a -> Atom.Set.add a acc)
-               acc
-               (Fact_set.atoms_with_term f v))
-           moved Atom.Set.empty)
-    else
-      List.filter
-        (fun a ->
-          List.exists (fun t -> Term.Set.mem t moved) (Atom.args a))
-        (Fact_set.atoms f)
+    Atom.Set.elements
+      (Term.Set.fold
+         (fun v acc ->
+           List.fold_left
+             (fun acc a -> Atom.Set.add a acc)
+             acc
+             (Fact_set.atoms_with_term f v))
+         moved Atom.Set.empty)
   in
   let removed = ref [] and added = ref [] in
   List.iter

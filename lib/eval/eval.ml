@@ -26,10 +26,11 @@ let tuple_compare = List.compare Term.compare
 (* ------------------------------------------------------------------ *)
 
 (* A compiled pattern atom: the key order [kpos] is a permutation of the
-   argument positions — rigid slots (constants and closed functional
-   terms) first, then variable slots by elimination level. Rows of the
-   relation, sorted lexicographically along [kpos], make every frontier
-   of the join a contiguous range. *)
+   argument positions — rigid slots (every argument that is not a query
+   variable: constants and functional terms, matched by hash-consed
+   identity) first, then variable slots by elimination level. Rows of
+   the relation, sorted lexicographically along [kpos], make every
+   frontier of the join a contiguous range. *)
 type patom = {
   rel : Symbol.t;
   kpos : int array;
@@ -37,7 +38,7 @@ type patom = {
   kid : int array;  (* term id expected at rigid key columns; -1 else *)
 }
 
-type compiled = {
+type plan = {
   nfree : int;
   out_levels : int array;  (* answer slot -> its level in the order *)
   nvars : int;
@@ -46,194 +47,152 @@ type compiled = {
   parts : int array array;  (* level -> indices of atoms binding it *)
 }
 
-(* A plan always keeps the pieces the register-machine search needs, so
-   a query the leapfrog compiler declines still runs (see [run_fallback]). *)
-type plan = {
-  p_flexible : Term.Set.t;
-  p_pattern : Atom.t list;
-  p_out : Term.t list;  (* answer variables, emission order *)
-  p_compiled : compiled option;
-}
-
-exception Not_compilable
-
-let compile_body ~flexible ~out atoms =
-  try
-    if atoms = [] then raise Not_compilable;
-    (* Classify each argument once: [`Rigid id] matches by hash-consed
-       identity, [`Var v] binds at [v]'s level. An argument that is
-       neither (a functional term with a bindable variable inside) needs
-       structural matching the sorted join cannot do — decline. *)
-    let classify (t : Term.t) =
-      if Term.Set.mem t flexible then `Var t
-      else if List.exists (fun v -> Term.Set.mem v flexible) (Term.vars t)
-      then raise Not_compilable
-      else `Rigid t.Term.id
-    in
-    let classified =
-      List.map
-        (fun a -> (a, List.map classify (Atom.args a)))
-        atoms
-    in
-    (* Occurrence stats (count, first occurrence) per variable, plus the
-       atoms each variable appears in, for the connectivity heuristic. *)
-    let occ : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
-    let var_atoms : (int, int list) Hashtbl.t = Hashtbl.create 16 in
-    let tick = ref 0 in
-    List.iteri
-      (fun ai (_, args) ->
-        List.iter
-          (function
-            | `Var (v : Term.t) ->
-                incr tick;
-                let n, first =
-                  Option.value ~default:(0, !tick)
-                    (Hashtbl.find_opt occ v.Term.id)
-                in
-                Hashtbl.replace occ v.Term.id (n + 1, first);
-                let atoms_of =
-                  Option.value ~default:[]
-                    (Hashtbl.find_opt var_atoms v.Term.id)
-                in
-                if not (List.mem ai atoms_of) then
-                  Hashtbl.replace var_atoms v.Term.id (ai :: atoms_of)
-            | `Rigid _ -> ())
-          args)
-      classified;
-    (* An answer variable that never occurs as a direct argument is not
-       coverable by the join. *)
-    List.iter
-      (fun (v : Term.t) ->
-        if not (Hashtbl.mem occ v.Term.id) then raise Not_compilable)
-      out;
-    let all_vars =
-      List.concat_map
-        (fun (_, args) ->
-          List.filter_map
-            (function `Var (v : Term.t) -> Some v | `Rigid _ -> None)
-            args)
-        classified
-      |> List.sort_uniq Term.compare
-    in
-    (* Connectivity-greedy elimination order: start from the
-       most-occurring variable, then always pick a variable sharing an
-       atom with the already-ordered prefix (most shared atoms first,
-       then occurrence count, then first occurrence). An order that
-       chased answer variables first instead would enumerate cross
-       products of unconnected candidates — |V|^2 work on a two-step
-       path query whose join has |E| rows. *)
-    let chosen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    let touched : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-    (* atom index -> touched once one of its variables is ordered *)
-    let shared (v : Term.t) =
-      List.fold_left
-        (fun n ai -> if Hashtbl.mem touched ai then n + 1 else n)
-        0
-        (Hashtbl.find var_atoms v.Term.id)
-    in
-    let pick () =
-      let best = ref None in
-      List.iter
-        (fun (v : Term.t) ->
-          if not (Hashtbl.mem chosen v.Term.id) then begin
-            let n, first = Hashtbl.find occ v.Term.id in
-            let key = (shared v, n, -first) in
-            match !best with
-            | Some (bkey, _) when compare key bkey <= 0 -> ()
-            | _ -> best := Some (key, v)
-          end)
-        all_vars;
-      match !best with
-      | Some (_, v) ->
-          Hashtbl.replace chosen v.Term.id ();
-          List.iter
-            (fun ai -> Hashtbl.replace touched ai ())
-            (Hashtbl.find var_atoms v.Term.id);
-          v
-      | None -> assert false
-    in
-    let order = Array.init (List.length all_vars) (fun _ -> pick ()) in
-    let nvars = Array.length order in
-    let nfree = List.length out in
-    let level : (int, int) Hashtbl.t = Hashtbl.create 16 in
-    Array.iteri
-      (fun i (v : Term.t) -> Hashtbl.replace level v.Term.id i)
-      order;
-    let patoms =
-      Array.of_list
-        (List.map
-           (fun (a, args) ->
-             let arity = Atom.arity a in
-             let args = Array.of_list args in
-             let keys =
-               Array.init arity (fun pos ->
-                   match args.(pos) with
-                   | `Rigid id -> (-1, pos, id)
-                   | `Var (v : Term.t) ->
-                       (Hashtbl.find level v.Term.id, pos, -1))
-             in
-             Array.sort
-               (fun (l1, p1, _) (l2, p2, _) ->
-                 if l1 <> l2 then Int.compare l1 l2 else Int.compare p1 p2)
-               keys;
-             {
-               rel = Atom.rel a;
-               kpos = Array.map (fun (_, p, _) -> p) keys;
-               klev = Array.map (fun (l, _, _) -> l) keys;
-               kid = Array.map (fun (_, _, id) -> id) keys;
-             })
-           classified)
-    in
-    let parts =
-      Array.init nvars (fun lev ->
-          let ps = ref [] in
-          Array.iteri
-            (fun i pa ->
-              if Array.exists (fun l -> l = lev) pa.klev then
-                ps := i :: !ps)
-            patoms;
-          Array.of_list (List.rev !ps))
-    in
-    if Array.exists (fun ps -> Array.length ps = 0) parts then
-      raise Not_compilable;
-    let out_levels =
-      Array.of_list
-        (List.map (fun (v : Term.t) -> Hashtbl.find level v.Term.id) out)
-    in
-    Some { nfree; out_levels; nvars; order; patoms; parts }
-  with Not_compilable -> None
-
-(* [out] is the projection: the answer variables for an answer plan,
-   none for an existence check. *)
+(* Total on [Cq.t]: the body is non-empty and every answer variable is a
+   direct argument of some atom ([Cq.make] checks both). [out] is the
+   projection: the answer variables for an answer plan, none for an
+   existence check. *)
 let plan_of ~out q =
   let flexible = Cq.var_set q and atoms = Cq.atoms q in
-  {
-    p_flexible = flexible;
-    p_pattern = atoms;
-    p_out = out;
-    p_compiled = compile_body ~flexible ~out atoms;
-  }
+  (* Classify each argument once: [`Var v] binds at [v]'s level, anything
+     else is [`Rigid id], matched by hash-consed identity — so [f(y)]
+     matches only the literal term [f(y)], as in the register machine. *)
+  let classify (t : Term.t) =
+    if Term.Set.mem t flexible then `Var t else `Rigid t.Term.id
+  in
+  let classified =
+    List.map (fun a -> (a, List.map classify (Atom.args a))) atoms
+  in
+  (* Occurrence stats (count, first occurrence) per variable, plus the
+     atoms each variable appears in, for the connectivity heuristic. *)
+  let occ : (int, int * int) Hashtbl.t = Hashtbl.create 16 in
+  let var_atoms : (int, int list) Hashtbl.t = Hashtbl.create 16 in
+  let tick = ref 0 in
+  List.iteri
+    (fun ai (_, args) ->
+      List.iter
+        (function
+          | `Var (v : Term.t) ->
+              incr tick;
+              let n, first =
+                Option.value ~default:(0, !tick)
+                  (Hashtbl.find_opt occ v.Term.id)
+              in
+              Hashtbl.replace occ v.Term.id (n + 1, first);
+              let atoms_of =
+                Option.value ~default:[]
+                  (Hashtbl.find_opt var_atoms v.Term.id)
+              in
+              if not (List.mem ai atoms_of) then
+                Hashtbl.replace var_atoms v.Term.id (ai :: atoms_of)
+          | `Rigid _ -> ())
+        args)
+    classified;
+  let all_vars =
+    List.concat_map
+      (fun (_, args) ->
+        List.filter_map
+          (function `Var (v : Term.t) -> Some v | `Rigid _ -> None)
+          args)
+      classified
+    |> List.sort_uniq Term.compare
+  in
+  (* Connectivity-greedy elimination order: start from the
+     most-occurring variable, then always pick a variable sharing an
+     atom with the already-ordered prefix (most shared atoms first,
+     then occurrence count, then first occurrence). An order that
+     chased answer variables first instead would enumerate cross
+     products of unconnected candidates — |V|^2 work on a two-step
+     path query whose join has |E| rows. *)
+  let chosen : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  let touched : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  (* atom index -> touched once one of its variables is ordered *)
+  let shared (v : Term.t) =
+    List.fold_left
+      (fun n ai -> if Hashtbl.mem touched ai then n + 1 else n)
+      0
+      (Hashtbl.find var_atoms v.Term.id)
+  in
+  let pick () =
+    let best = ref None in
+    List.iter
+      (fun (v : Term.t) ->
+        if not (Hashtbl.mem chosen v.Term.id) then begin
+          let n, first = Hashtbl.find occ v.Term.id in
+          let key = (shared v, n, -first) in
+          match !best with
+          | Some (bkey, _) when compare key bkey <= 0 -> ()
+          | _ -> best := Some (key, v)
+        end)
+      all_vars;
+    match !best with
+    | Some (_, v) ->
+        Hashtbl.replace chosen v.Term.id ();
+        List.iter
+          (fun ai -> Hashtbl.replace touched ai ())
+          (Hashtbl.find var_atoms v.Term.id);
+        v
+    | None -> assert false
+  in
+  let order = Array.init (List.length all_vars) (fun _ -> pick ()) in
+  let nvars = Array.length order in
+  let nfree = List.length out in
+  let level : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (v : Term.t) -> Hashtbl.replace level v.Term.id i)
+    order;
+  let patoms =
+    Array.of_list
+      (List.map
+         (fun (a, args) ->
+           let arity = Atom.arity a in
+           let args = Array.of_list args in
+           let keys =
+             Array.init arity (fun pos ->
+                 match args.(pos) with
+                 | `Rigid id -> (-1, pos, id)
+                 | `Var (v : Term.t) ->
+                     (Hashtbl.find level v.Term.id, pos, -1))
+           in
+           Array.sort
+             (fun (l1, p1, _) (l2, p2, _) ->
+               if l1 <> l2 then Int.compare l1 l2 else Int.compare p1 p2)
+             keys;
+           {
+             rel = Atom.rel a;
+             kpos = Array.map (fun (_, p, _) -> p) keys;
+             klev = Array.map (fun (l, _, _) -> l) keys;
+             kid = Array.map (fun (_, _, id) -> id) keys;
+           })
+         classified)
+  in
+  let parts =
+    Array.init nvars (fun lev ->
+        let ps = ref [] in
+        Array.iteri
+          (fun i pa ->
+            if Array.exists (fun l -> l = lev) pa.klev then
+              ps := i :: !ps)
+          patoms;
+        Array.of_list (List.rev !ps))
+  in
+  let out_levels =
+    Array.of_list
+      (List.map (fun (v : Term.t) -> Hashtbl.find level v.Term.id) out)
+  in
+  { nfree; out_levels; nvars; order; patoms; parts }
 
 module Plan = struct
   type t = plan
 
   let compile q = plan_of ~out:(Cq.free q) q
 
-  let compiled p = p.p_compiled <> None
-
-  let order p =
-    match p.p_compiled with
-    | Some c -> Array.to_list c.order
-    | None -> []
+  let order p = Array.to_list p.order
 
   let pp ppf p =
-    match p.p_compiled with
-    | None -> Fmt.pf ppf "<fallback plan: %d atoms>" (List.length p.p_pattern)
-    | Some c ->
-        Fmt.pf ppf "<leapfrog plan: %d atoms, order [%a], %d answer slots>"
-          (Array.length c.patoms)
-          Fmt.(array ~sep:(any " ") Term.pp)
-          c.order c.nfree
+    Fmt.pf ppf "<leapfrog plan: %d atoms, order [%a], %d answer slots>"
+      (Array.length p.patoms)
+      Fmt.(array ~sep:(any " ") Term.pp)
+      p.order p.nfree
 end
 
 (* ------------------------------------------------------------------ *)
@@ -408,7 +367,7 @@ let join_level rt cursors parts lev vals k =
     ps;
   !stop
 
-(* Run a compiled plan into the sink [s]: enumerate the join in
+(* Run a plan into the sink [s]: enumerate the join in
    elimination order and project each row onto the answer slots. The
    levels from [suffix_start] on are purely existential. Once every
    answer level is bound, a tuple already in the sink is skipped without
@@ -419,7 +378,7 @@ let join_level rt cursors parts lev vals k =
    seek counter polls the guard for deadline and cancellation. The
    sorted views come from the fact set, which builds each (relation, key
    order) once and keeps it for its lifetime. *)
-let run_compiled s c f =
+let run_plan s p f =
   Atomic.incr c_plans;
   let rt = { guard = s.s_guard; steps = 0; gallops = 0 } in
   let flush () =
@@ -443,70 +402,38 @@ let run_compiled s c f =
           hi = Array.length ord;
           depth = 0;
         })
-      c.patoms
+      p.patoms
   in
   if Array.for_all (fun cur -> narrow_rigid rt cur) cursors then begin
-    let vals = Array.make (max 1 c.nvars) 0 in
+    let vals = Array.make (max 1 p.nvars) 0 in
     let suffix_start =
-      Array.fold_left (fun m lev -> max m (lev + 1)) 0 c.out_levels
+      Array.fold_left (fun m lev -> max m (lev + 1)) 0 p.out_levels
     in
     (* [witness lev]: whether the levels from [lev] on complete a row. *)
     let rec witness lev =
-      lev >= c.nvars
-      || join_level rt cursors c.parts lev vals (fun () -> witness (lev + 1))
+      lev >= p.nvars
+      || join_level rt cursors p.parts lev vals (fun () -> witness (lev + 1))
     in
     let rec go lev =
       if lev < suffix_start then
         ignore
-          (join_level rt cursors c.parts lev vals (fun () ->
+          (join_level rt cursors p.parts lev vals (fun () ->
                go (lev + 1);
                false))
       else
-        let key = Array.fold_right (fun l k -> vals.(l) :: k) c.out_levels [] in
+        let key = Array.fold_right (fun l k -> vals.(l) :: k) p.out_levels [] in
         if (not (Hashtbl.mem s.seen key)) && witness lev then
           keep s key (List.map Term.of_id key)
     in
     go 0
   end
 
-(* ------------------------------------------------------------------ *)
-(* Fallback for bodies the leapfrog compiler declines                  *)
-(* ------------------------------------------------------------------ *)
-
-(* [compile_body] declines an empty body and an argument it cannot key
-   on (a functional term with a bindable variable inside, or an answer
-   variable with no direct occurrence). Those plans enumerate through
-   the register-machine search and project each homomorphism. *)
-let fallback_problem p target =
-  Homomorphism.make ~flexible:p.p_flexible ~pattern:p.p_pattern ~target ()
-
-(* Project each homomorphism into the sink [s]. The guard's deadline and
-   cancellation are polled every [Guard.poll_mask]+1 homomorphisms. *)
-let run_fallback s p f =
-  let homs = ref 0 in
-  Homomorphism.iter (fallback_problem p f) (fun m ->
-      incr homs;
-      (match s.s_guard with
-      | Some g when !homs land Guard.poll_mask = 0 && Guard.check g <> None ->
-          raise Trip
-      | _ -> ());
-      let tuple = List.map (fun v -> Term.Map.find v m) p.p_out in
-      let key = List.map (fun (t : Term.t) -> t.Term.id) tuple in
-      if not (Hashtbl.mem s.seen key) then keep s key tuple)
-
 (* One evaluation: run [plans] in turn into one sink and sort its tuples
    once. A trip stops the evaluation where it is; every tuple kept so
    far is a real answer. *)
 let evaluate ?guard f plans =
   let s = { s_guard = guard; seen = Hashtbl.create 64; acc = [] } in
-  (try
-     Seq.iter
-       (fun p ->
-         match p.p_compiled with
-         | Some c -> run_compiled s c f
-         | None -> run_fallback s p f)
-       plans
-   with Trip -> ());
+  (try Seq.iter (fun p -> run_plan s p f) plans with Trip -> ());
   ignore (Atomic.fetch_and_add c_emitted (Hashtbl.length s.seen));
   List.sort tuple_compare s.acc
 
@@ -516,13 +443,8 @@ let outcome_of ?guard tuples =
   | None -> Guard.Complete tuples
 
 (* Boolean existence: an empty projection, so the join stops at the
-   first witness. The fallback uses the register machine's own
-   early-exit [exists]. *)
-let boolean_holds q f =
-  let p = plan_of ~out:[] q in
-  match p.p_compiled with
-  | Some _ -> evaluate f (Seq.return p) <> []
-  | None -> Homomorphism.exists (fallback_problem p f)
+   first witness. *)
+let boolean_holds q f = evaluate f (Seq.return (plan_of ~out:[] q)) <> []
 
 (* ------------------------------------------------------------------ *)
 (* CQ / UCQ entry points                                               *)

@@ -15,17 +15,16 @@
 
     Each evaluation has one answer sink: a single dedup table and its
     tuple list, sorted once at the end. A [Ucq.t] runs every disjunct's
-    plan, compiled or fallback, into the same sink, and a CQ is the
-    one-plan case. Once a compiled plan has bound every answer variable,
+    plan into the same sink, and a CQ is the one-plan case. Once a plan
+    has bound every answer variable,
     a tuple already in the sink is skipped at once (known-answer
     pruning), without searching the purely existential levels for a
     witness; this holds inside one plan as well as across disjuncts, so
     a tuple found by an early disjunct is never produced again.
 
-    This module evaluates CQs and UCQs over instances and nothing else.
-    A body the leapfrog compiler cannot represent (see
-    {!Plan.compiled}) enumerates through the register-machine search
-    instead. The other matchers call the register machine
+    This module evaluates CQs and UCQs over instances and nothing else,
+    and every CQ runs on the leapfrog join. The other matchers call the
+    register machine
     ({!Homomorphism}) directly: containment checks, whose targets are
     query bodies of a few dozen atoms, and the chase's trigger rounds,
     whose enumeration order names fresh nulls. Point checks of one
@@ -39,21 +38,18 @@ module Plan : sig
   type t
 
   val compile : Cq.t -> t
-  (** Compile [q] into an executable plan. Queries the leapfrog engine
-      cannot represent (an argument that is neither a bindable variable
-      nor a closed term) compile to a fallback plan instead —
-      {!compiled} tells them apart. *)
-
-  val compiled : t -> bool
-  (** [true]: the plan runs on the leapfrog join; [false]: it
-      enumerates through the register-machine homomorphism search. *)
+  (** Compile [q] into a leapfrog plan; total on [Cq.t]. A query
+      variable in argument position binds at its level; every other
+      argument — a constant or a functional term, even one with a query
+      variable inside — is a rigid key matched by hash-consed identity,
+      as in the register-machine search: [E(x, f(y))] matches the fact
+      [E(a, f(y))] and not [E(b, f(b))]. *)
 
   val order : t -> Term.t list
   (** The global variable elimination order: connectivity-greedy from
       the most-occurring variable, so each level's frontier is
       constrained by the levels above it. Answer tuples are projections
-      of the join, deduplicated in the evaluation's sink. Empty for
-      fallback plans. *)
+      of the join, deduplicated in the evaluation's sink. *)
 
   val pp : t Fmt.t
 end
@@ -67,8 +63,8 @@ val answers : ?guard:Guard.t -> Cq.t -> Fact_set.t -> Term.t list list
 (** All distinct answer tuples of [Cq.free], like {!Cq.answers}. One
     fuel unit is drawn per tuple new to the evaluation's table, and the
     guard's deadline and cancellation are polled at {!Guard.poll_mask}
-    spacing. Both plan kinds stop at the trip: fuel [k] keeps exactly
-    [k] tuples. On a guard trip the partial (sound) tuple list is
+    spacing. The join stops at the trip: fuel [k] keeps exactly [k]
+    tuples. On a guard trip the partial (sound) tuple list is
     returned; use {!answers_outcome} to observe the trip. *)
 
 val answers_outcome :
@@ -99,13 +95,12 @@ val ucq_boolean_holds : Ucq.t -> Fact_set.t -> bool
     counters. Thread-safe. *)
 
 type counters = {
-  plans : int;  (** leapfrog plans executed *)
+  plans : int;  (** plans executed, one per CQ evaluated *)
   seeks : int;  (** iterator seek operations *)
   gallops : int;  (** exponential-probe doubling steps inside seeks *)
   emitted : int;
       (** tuples new to their evaluation's table: the evaluation's
-          distinct answers (one for a true {!boolean_holds} on a
-          compiled plan) *)
+          distinct answers (one for a true {!boolean_holds}) *)
 }
 
 val counters : unit -> counters

@@ -45,12 +45,14 @@ let make ~free atoms =
         invalid_arg "Cq.make: free answer position must be a variable")
     free;
   let atoms = Atom.Set.elements (Atom.Set.of_list atoms) in
-  let bv = Term.Set.of_list (body_vars atoms) in
+  (* An answer variable must be an argument of some atom: one nested
+     only inside a functional term has no position to be read from. *)
+  let args = Term.Set.of_list (List.concat_map Atom.terms atoms) in
   List.iter
     (fun v ->
-      if not (Term.Set.mem v bv) then
+      if not (Term.Set.mem v args) then
         invalid_arg
-          (Fmt.str "Cq.make: free variable %a does not occur in the body"
+          (Fmt.str "Cq.make: free variable %a is not an argument of the body"
              Term.pp v))
     free;
   {
@@ -735,19 +737,31 @@ let canon_id q =
 let canon_table_stats () =
   Mutex.protect canon_lock (fun () -> Hashtbl.stats canon_table)
 
+(* Printed text does not depend on the order terms were interned (which
+   [Term.compare], and so the body's [Atom.Set] order, follows): atoms
+   are listed sorted by their rendered text and the existential
+   variables in first-occurrence order over that list, so a resumed
+   process prints a decoded query exactly as the original run did. *)
 let pp ppf q =
+  let atoms =
+    List.map (fun a -> (Fmt.str "%a" Atom.pp a, a)) q.atoms
+    |> List.sort (fun (s, _) (s', _) -> String.compare s s')
+    |> List.map snd
+  in
+  let fv = Term.Set.of_list q.free in
+  let ev = List.filter (fun v -> not (Term.Set.mem v fv)) (body_vars atoms) in
   let pp_atoms = Fmt.list ~sep:(Fmt.any ", ") Atom.pp in
-  match (q.free, exist_vars q) with
+  match (q.free, ev) with
   | [], ev ->
       Fmt.pf ppf "{exists %a. %a}"
         (Fmt.list ~sep:(Fmt.any " ") Term.pp)
-        ev pp_atoms q.atoms
+        ev pp_atoms atoms
   | fv, [] ->
       Fmt.pf ppf "{(%a). %a}" (Fmt.list ~sep:(Fmt.any ",") Term.pp) fv pp_atoms
-        q.atoms
+        atoms
   | fv, ev ->
       Fmt.pf ppf "{(%a). exists %a. %a}"
         (Fmt.list ~sep:(Fmt.any ",") Term.pp)
         fv
         (Fmt.list ~sep:(Fmt.any " ") Term.pp)
-        ev pp_atoms q.atoms
+        ev pp_atoms atoms

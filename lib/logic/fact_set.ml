@@ -4,14 +4,15 @@
    layer is an immutable set of hash tables (per-relation facts and a
    (relation, position, term) join index) that is never mutated after
    construction, so layers are structurally shared between a set and the
-   sets derived from it. [add] and [union] cons a layer holding just the
-   delta onto the parent's stack, making the indexing cost of a growing
-   chase O(|delta|) per stage; lookups probe every layer (the stack is
-   kept shallow by deterministically merging the smallest adjacent pair
-   when it grows past a bound). Small [diff]s rebuild only the layers
-   that contain removed atoms and share the rest. Operations that churn
-   most of the set (filter, inter, large diffs) return an unindexed set
-   whose index is rebuilt lazily on first use.
+   sets derived from it. An index grows one way only: a disjoint union
+   ([union_disjoint], and [add] and [union] through it) puts the delta
+   side's layers in front of the base's stack, lazily, making the
+   indexing cost of a growing chase O(|delta|) per stage; lookups probe
+   every layer (the stack is kept shallow by deterministically merging
+   the smallest adjacent pair when it grows past a bound). Removals and
+   the other set operations never edit an index: they return an
+   unindexed set whose index is rebuilt on first use (a [diff] that
+   removes nothing returns its operand unchanged).
 
    A layer holds each fact once: a single packed table per relation
    ([atoms] and the contiguous row-major [ids] slab of their argument
@@ -85,7 +86,7 @@ type layer = {
 }
 
 (* Frozen after construction: every mutation of [l_rel]/[l_posts]
-   happens inside the [layer_of_*] / [merge_layers] builders below. *)
+   happens inside the [layer_of_iter] / [merge_layers] builders below. *)
 
 (* Mutable accumulator used only while a layer is being built; frozen
    into a packed [bucket] at the end. [pitems] is newest-first — packing
@@ -156,8 +157,6 @@ let layer_of_iter ~size iter =
     (fun sid b -> postings_of_bucket l_posts sid (Hashtbl.find arities sid) b)
     l_rel;
   { lsize = size; l_syms = !syms; l_rel; l_posts }
-
-let layer_of_list atoms n = layer_of_iter ~size:n (fun f -> List.iter f atoms)
 
 let layer_of_set set =
   layer_of_iter ~size:(Atom.Set.cardinal set) (fun f -> Atom.Set.iter f set)
@@ -264,12 +263,6 @@ let rec rebalance layers n =
     in
     rebalance layers' (n - 1)
 
-let cons_layer idx layer domain =
-  if layer.lsize = 0 then { idx with domain }
-  else
-    let layers, n_layers = rebalance (layer :: idx.layers) (idx.n_layers + 1) in
-    { layers; n_layers; domain }
-
 let domain_add_atom dom atom =
   (* Set.add returns the set itself (physically) when the element is
      already present, so the common rediscovered-term case is alloc-free. *)
@@ -289,50 +282,6 @@ let index_of_set set =
 
 let rel_buckets idx sid =
   List.filter_map (fun l -> Hashtbl.find_opt l.l_rel sid) idx.layers
-
-(* Does row [row] of [b] hold exactly [atom]'s arguments? All atoms of a
-   table share [atom]'s relation, so full id-row equality certifies
-   [Atom.equal] — a contiguous int scan, no pointer chasing. *)
-let row_is arity (b : bucket) row (atom : Atom.t) =
-  let args = atom.Atom.args in
-  let base = row * arity in
-  let rec go pos =
-    pos >= arity
-    || (b.ids.(base + pos) = args.(pos).Term.id && go (pos + 1))
-  in
-  go 0
-
-let layer_mem l atom =
-  let rel = Atom.rel atom in
-  let sid = Symbol.id rel in
-  let arity = Symbol.arity rel in
-  if arity = 0 then Hashtbl.mem l.l_rel sid
-  else
-    let a0 = (Atom.arg atom 0 : Term.t) in
-    match Hashtbl.find_opt l.l_posts (sid, a0.Term.id * arity) with
-    | None -> false
-    | Some rows -> (
-        match Hashtbl.find_opt l.l_rel sid with
-        | None -> false
-        | Some b -> Array.exists (fun row -> row_is arity b row atom) rows)
-
-(* Does [term] occur (in any position of any fact) under these layers?
-   Cold path, used only to maintain [domain] across removals. *)
-let term_occurs layers (term : Term.t) =
-  List.exists
-    (fun l ->
-      List.exists
-        (fun sym ->
-          let sid = Symbol.id sym in
-          let arity = Symbol.arity sym in
-          let rec probe pos =
-            pos < arity
-            && (Hashtbl.mem l.l_posts (sid, (term.Term.id * arity) + pos)
-               || probe (pos + 1))
-          in
-          probe 0)
-        l.l_syms)
-    layers
 
 (* ------------------------------------------------------------------ *)
 (* Fact sets                                                           *)
@@ -396,24 +345,6 @@ let rec index t =
       t.index <- Built i;
       i
 
-(* [derive ~delta ~ndelta parent set'] : the fact set [set'], with its
-   index extended from [parent]'s by consing a frozen layer of the
-   [delta] atoms when the parent is indexed. *)
-let derive ~delta ~ndelta parent set' =
-  if is_indexed parent then begin
-    let idx = index parent in
-    Atomic.incr c_extends;
-    ignore (Atomic.fetch_and_add c_delta_atoms ndelta);
-    let layer = layer_of_list delta ndelta in
-    let domain = List.fold_left domain_add_atom idx.domain delta in
-    { set = set'; index = Built (cons_layer idx layer domain); views = [] }
-  end
-  else of_set set'
-
-let add a t =
-  if Atom.Set.mem a t.set then t
-  else derive ~delta:[ a ] ~ndelta:1 t (Atom.Set.add a t.set)
-
 (* Extend the indexed (preferring the larger) side by the other's delta. *)
 let base_and_other a b =
   match (is_indexed a, is_indexed b) with
@@ -423,34 +354,12 @@ let base_and_other a b =
       if Atom.Set.cardinal a.set >= Atom.Set.cardinal b.set then (a, b)
       else (b, a)
 
-let union a b =
-  if is_empty a then b
-  else if is_empty b then a
-  else
-    let base, other = base_and_other a b in
-    (* With no index on either side, stay lazy. *)
-    if not (is_indexed base) then of_set (Atom.Set.union a.set b.set)
-    else if Atom.Set.disjoint a.set b.set then
-      (* Disjoint union: share the delta side's layers wholesale, and
-         lazily — each delta atom is indexed at most once per chase, and
-         not at all when the union's index is never consulted (a chase's
-         final stage). *)
-      {
-        set = Atom.Set.union base.set other.set;
-        index = Lazy_extend { base; other };
-        views = [];
-      }
-    else
-      let delta = Atom.Set.elements (Atom.Set.diff other.set base.set) in
-      if delta = [] then base
-      else
-        derive ~delta ~ndelta:(List.length delta) base
-          (Atom.Set.union base.set other.set)
-
-(* [union] for callers that know the operands share no atom (the chase
-   engine's freshly-derived delta): skips the disjointness walk. The
-   precondition is not checked — a violation would double atoms inside
-   index tables (the [set] itself stays correct). *)
+(* The one way an index grows: a disjoint union shares the delta side's
+   layers wholesale, and lazily — each delta atom is indexed at most once
+   per chase, and not at all when the union's index is never consulted
+   (a chase's final stage). With no index on either side, stay lazy. The
+   disjointness precondition is not checked — a violation would double
+   atoms inside index tables (the [set] itself stays correct). *)
 let union_disjoint a b =
   if is_empty a then b
   else if is_empty b then a
@@ -464,57 +373,22 @@ let union_disjoint a b =
         views = [];
       }
 
-let diff a b =
-  let plain () = of_set (Atom.Set.diff a.set b.set) in
-  if not (is_indexed a) then plain ()
+let add a t = if mem a t then t else union_disjoint t (of_list [ a ])
+
+let union a b =
+  if is_empty a then b
+  else if is_empty b then a
   else
-    let idx = index a in
-    let removed = Atom.Set.inter a.set b.set in
-    let n_removed = Atom.Set.cardinal removed in
-    (* Filtering most of the layers costs more than one lazy rebuild of
-       the (small) result: only shrink small deltas. *)
-    if n_removed = 0 then a
-    else if 4 * n_removed > Atom.Set.cardinal a.set then plain ()
-    else begin
-      (* Rebuild exactly the layers that contain removed atoms; the
-         others are shared untouched. *)
-      let layers =
-        List.filter_map
-          (fun l ->
-            if not (Atom.Set.exists (fun x -> layer_mem l x) removed) then
-              Some l
-            else
-              let kept =
-                Hashtbl.fold
-                  (fun _ (b : bucket) acc ->
-                    Array.fold_left
-                      (fun acc atom ->
-                        if Atom.Set.mem atom removed then acc
-                        else atom :: acc)
-                      acc b.atoms)
-                  l.l_rel []
-              in
-              match kept with
-              | [] -> None
-              | _ -> Some (layer_of_list kept (List.length kept)))
-          idx.layers
-      in
-      let domain =
-        Atom.Set.fold
-          (fun atom dom ->
-            List.fold_left
-              (fun dom term ->
-                if term_occurs layers term then dom
-                else Term.Set.remove term dom)
-              dom (Atom.args atom))
-          removed idx.domain
-      in
-      {
-        set = Atom.Set.diff a.set b.set;
-        index = Built { layers; n_layers = List.length layers; domain };
-        views = [];
-      }
-    end
+    let base, other = base_and_other a b in
+    if not (is_indexed base) then of_set (Atom.Set.union a.set b.set)
+    else union_disjoint base (of_set (Atom.Set.diff other.set base.set))
+
+(* Removal never edits an index: a disjoint [b] leaves [a] (index and
+   views) as it is, anything else yields an unindexed set rebuilt on
+   first use. *)
+let diff a b =
+  if Atom.Set.disjoint a.set b.set then a
+  else of_set (Atom.Set.diff a.set b.set)
 
 let remove a t =
   if not (Atom.Set.mem a t.set) then t
@@ -525,10 +399,6 @@ let subset a b = Atom.Set.subset a.set b.set
 let equal a b = Atom.Set.equal a.set b.set
 let filter f t = of_set (Atom.Set.filter f t.set)
 let domain t = (index t).domain
-
-let signature t =
-  Atom.Set.fold (fun a acc -> Symbol.Set.add (Atom.rel a) acc) t.set
-    Symbol.Set.empty
 
 let by_rel t rel =
   List.concat_map
@@ -549,7 +419,7 @@ let iter_rows t rel f =
    lock and publishes under [views_lock], re-checking first, so two
    domains never lose each other's views. The slab is the index's own
    bucket when the relation sits in one layer, and is concatenated once
-   (newest layer first, the {!iter_rows} order) and shared by every key
+   (newest layer first, the {!by_rel} order) and shared by every key
    order otherwise. Nullary relations get width-1 rows of zeros. *)
 let views_lock = Mutex.create ()
 
@@ -713,5 +583,10 @@ let restrict t allowed =
     (fun a -> List.for_all (fun term -> Term.Set.mem term allowed) (Atom.args a))
     t
 
+(* Sorted by rendered text, like [Cq.pp]: the printed set does not depend
+   on the order its terms were interned. *)
 let pp ppf t =
-  Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Atom.pp) (atoms t)
+  let lines =
+    List.sort String.compare (List.map (Fmt.str "%a" Atom.pp) (atoms t))
+  in
+  Fmt.pf ppf "@[<v>%a@]" (Fmt.list ~sep:Fmt.cut Fmt.string) lines

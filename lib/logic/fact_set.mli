@@ -7,13 +7,14 @@
 
     Indexes are maintained {e incrementally}: the index is a persistent
     stack of frozen (immutable after construction) hash-table layers,
-    structurally shared between a set and the sets derived from it. [add]
-    and [union] cons a layer holding just the delta onto the parent's
-    stack and small [diff]s rebuild only the layers containing removed
-    atoms, so a chase whose [full] set grows stage by stage pays
-    O(|delta|) indexing per stage. Operations that churn most of the set
-    (filter, inter, large diffs) return an unindexed set whose index is
-    lazily rebuilt on first use.
+    structurally shared between a set and the sets derived from it. It
+    grows one way only — a disjoint union ({!union_disjoint}, which
+    [add] and [union] go through) puts the delta's layers in front of
+    the base's stack, lazily — so a chase whose [full] set grows stage by
+    stage pays O(|delta|) indexing per stage. Removals and the other set
+    operations ([diff], [remove], [inter], [restrict]) return an
+    unindexed set whose index is rebuilt on first use; a [diff] that
+    removes nothing returns its operand, index and views included.
 
     A layer stores each fact once: per relation, its [Atom.t] and its
     row of argument term ids, with sorted row {e postings} per
@@ -38,42 +39,32 @@ val union : t -> t -> t
 
 val union_disjoint : t -> t -> t
 (** [union], for callers that already know the operands share no atom
-    (e.g. a chase stage's freshly-derived delta): skips the disjointness
-    walk that [union] performs before sharing index layers wholesale.
-    The precondition is not checked. *)
+    (e.g. a chase stage's freshly-derived delta): when either side is
+    indexed, the result's index is that side's extended by the other's
+    layers, built on first use. [union] reduces to it by first dropping
+    the atoms the base already holds. The precondition is not checked. *)
 
 val diff : t -> t -> t
 val inter : t -> t -> t
 val subset : t -> t -> bool
 val equal : t -> t -> bool
-val filter : (Atom.t -> bool) -> t -> t
 
 val domain : t -> Term.Set.t
 (** The active domain [dom(F)]: every term appearing in some fact. Terms are
     treated atomically (a Skolem term is one element; its subterms are not
     domain members unless they appear in argument position themselves). *)
 
-val signature : t -> Symbol.Set.t
-
 val by_rel : t -> Symbol.t -> Atom.t list
 (** All facts with the given relation symbol. *)
-
-val iter_rows :
-  t -> Symbol.t -> (Atom.t array -> int array -> int -> unit) -> unit
-(** [iter_rows t rel f] calls [f atoms ids row] for every fact of
-    relation [rel], newest index layer first, in the order of {!by_rel}.
-    [atoms] is the layer's fact table and [ids] its row-major
-    argument-id slab — [ids.(row * arity + pos)] is the hash-consed id
-    of argument [pos] of [atoms.(row)]. The arrays are the index's own
-    frozen storage: do not mutate them. *)
 
 val sorted_view : t -> Symbol.t -> int array -> int array * int * int array
 (** [sorted_view t rel kpos] is [(ids, width, perm)]: the facts of [rel]
     as a row-major id slab [ids] of rows of [width] ints
     ([ids.(row * width + pos)] is the id of argument [pos]; a nullary
-    relation gets width-1 rows), in the {!iter_rows} order, and the row
-    permutation [perm] sorted lexicographically along the argument
-    positions [kpos] (ties by row). Built on first use and kept in [t]
+    relation gets width-1 rows), newest index layer first, in the
+    {!by_rel} order, and the row permutation [perm] sorted
+    lexicographically along the argument positions [kpos] (ties by
+    row). Built on first use and kept in [t]
     for its lifetime: a later call with the same [rel] and [kpos] returns
     the same arrays. A relation held in one index layer uses that
     layer's slab without a copy; one spread over several layers is
@@ -89,10 +80,14 @@ val iter_join_candidates :
   nb:int ->
   (Atom.t array -> int array -> int -> unit) ->
   unit
-(** The compiled join engine's candidate enumeration: like {!iter_rows},
-    restricted by [nb] constraints [(bound_pos.(i), bound_ids.(i))] for
-    [i < nb] given as bare (position, term id) pairs in caller-owned
-    scratch arrays — no per-probe allocation. The visited rows are a
+(** The compiled join engine's candidate enumeration: [f atoms ids row]
+    for facts of [rel], where [atoms] is an index layer's fact table and
+    [ids] its row-major argument-id slab ([ids.(row * arity + pos)] is
+    the id of argument [pos] of [atoms.(row)]; frozen storage, do not
+    mutate), restricted by [nb] constraints
+    [(bound_pos.(i), bound_ids.(i))] for [i < nb] given as bare
+    (position, term id) pairs in caller-owned scratch arrays — no
+    per-probe allocation. The visited rows are a
     superset of the facts meeting every constraint (callers re-check
     every position on the [ids] slab); once filtered, they come in the
     {!by_rel} order whichever constraint seeds a layer's lookup. With two
@@ -105,11 +100,6 @@ val atoms_with_term : t -> Term.t -> Atom.t list
     the (relation, position, term) join index — one bucket probe per
     (layer, relation, position) instead of a scan of the whole set.
     Forces the index. *)
-
-val is_indexed : t -> bool
-(** Whether the set's index has (or shares) a built form — lets callers
-    choose between index-driven lookups and a plain scan without
-    triggering a from-scratch index build. *)
 
 val restrict : t -> Term.Set.t -> t
 (** The induced substructure on the given terms: keep the atoms whose every

@@ -286,6 +286,34 @@ let test_canon_id_eight_triangles () =
   in
   Alcotest.(check int) "same id" (Cq.canon_id one) (Cq.canon_id other)
 
+(* An answer variable nested only inside a functional term has no
+   argument position to be read from: [make] rejects it by name. *)
+let test_cq_free_var_nested () =
+  let x = v "x" and y = v "y" in
+  Alcotest.check_raises "nested free variable"
+    (Invalid_argument "Cq.make: free variable y is not an argument of the body")
+    (fun () ->
+      ignore (Cq.make ~free:[ y ] [ atom e [ x; Term.app "f" [ y ] ] ]))
+
+(* Printed text follows the rendered atoms, not the hash-cons ids: the
+   variables and relations are interned in reverse name order, so the
+   body's [Atom.Set] order is the reverse of the printed order. *)
+let test_cq_pp_ignores_intern_order () =
+  let rb = sym "PpOrderB" 2 in
+  let ra = sym "PpOrderA" 2 in
+  let z2 = v "pp_order_z" in
+  let z1 = v "pp_order_y" in
+  let z0 = v "pp_order_x" in
+  let q =
+    Cq.make ~free:[ z2 ]
+      [ atom rb [ z1; z2 ]; atom ra [ z0; z1 ]; atom ra [ z1; z2 ] ]
+  in
+  Alcotest.(check string) "sorted atoms, first-occurrence existentials"
+    "{(pp_order_z). exists pp_order_x pp_order_y. \
+     PpOrderA(pp_order_x,pp_order_y), PpOrderA(pp_order_y,pp_order_z), \
+     PpOrderB(pp_order_y,pp_order_z)}"
+    (Fmt.str "%a" Cq.pp q)
+
 let test_containment () =
   let x = v "x" and y = v "y" and z = v "z" in
   (* q1 = E(x,y),E(y,z) "path of 2"; q2 = E(x,y) "edge" — boolean. *)
@@ -704,6 +732,10 @@ let () =
             test_canon_id_renamed_six_cycle;
           Alcotest.test_case "canonical ids: 8 disjoint triangles" `Quick
             test_canon_id_eight_triangles;
+          Alcotest.test_case "free variable nested in a functional term"
+            `Quick test_cq_free_var_nested;
+          Alcotest.test_case "printing ignores intern order" `Quick
+            test_cq_pp_ignores_intern_order;
         ] );
       ( "containment",
         [
