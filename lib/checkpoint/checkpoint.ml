@@ -70,8 +70,14 @@ exception Decode_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Decode_error s)) fmt
 
+(* [Buffer.add_string b (string_of_int n)] for [n >= 0], without the
+   string. *)
+let rec add_decimal b n =
+  if n >= 10 then add_decimal b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
 let ns b s =
-  Buffer.add_string b (string_of_int (String.length s));
+  add_decimal b (String.length s);
   Buffer.add_char b ':';
   Buffer.add_string b s
 
@@ -520,7 +526,7 @@ module Codec = struct
     Buffer.add_char b 'A';
     ns b (Symbol.name (Atom.rel a));
     Buffer.add_char b '(';
-    List.iter (enc_term b) (Atom.args a);
+    Array.iter (enc_term b) a.Atom.args;
     Buffer.add_char b ')'
 
   let dec_atom s pos =
@@ -582,6 +588,52 @@ module Codec = struct
   let term_of_string s = finish "term" s (dec_term s 0)
   let atom_to_string a = to_string enc_atom a
   let atom_of_string s = finish "atom" s (dec_atom s 0)
+
+  (* Nested fields without a string per field: a writer keeps one
+     scratch buffer per nesting depth. A field is written into the
+     buffer one level down, then copied into its parent behind its
+     length. The bytes are those of the nested [concat] calls. *)
+  type writer = { mutable depth : int; mutable bufs : Buffer.t array }
+
+  let writer () = { depth = 0; bufs = [| Buffer.create 256 |] }
+
+  (* Open a field: the buffer one level down, cleared. *)
+  let push w =
+    let d = w.depth + 1 in
+    if d = Array.length w.bufs then
+      w.bufs <- Array.append w.bufs [| Buffer.create 256 |];
+    let inner = w.bufs.(d) in
+    Buffer.clear inner;
+    w.depth <- d;
+    inner
+
+  (* Close it: copy it into its parent behind its length. *)
+  let pop w =
+    let d = w.depth in
+    w.depth <- d - 1;
+    let inner = w.bufs.(d) and outer = w.bufs.(d - 1) in
+    add_decimal outer (Buffer.length inner);
+    Buffer.add_char outer ':';
+    Buffer.add_buffer outer inner
+
+  let field w f =
+    ignore (push w : Buffer.t);
+    f w;
+    pop w
+
+  let line w f =
+    w.depth <- 0;
+    Buffer.clear w.bufs.(0);
+    f w;
+    Buffer.contents w.bufs.(0)
+
+  let term_field w t =
+    enc_term (push w) t;
+    pop w
+
+  let atom_field w a =
+    enc_atom (push w) a;
+    pop w
 
   (* CQs: C(<free>)(<atoms>) — validated by Cq.make on decode. *)
 

@@ -165,6 +165,31 @@ module Codec : sig
   val atom_to_string : Atom.t -> string
   val atom_of_string : string -> Atom.t
 
+  (** {2 Nested fields through reused scratch}
+
+      [line w (fun w -> field w (fun w -> term_field w t))] is
+      [concat [ concat [ term_to_string t ] ]], byte for byte, but makes
+      no string per field: the writer keeps one scratch buffer per
+      nesting depth and copies each finished field into its parent.
+      Keep one writer for many lines (a whole snapshot); a writer is
+      not safe to share between domains. *)
+
+  type writer
+
+  val writer : unit -> writer
+
+  val line : writer -> (writer -> unit) -> string
+  (** The fields [f] writes, as one string. *)
+
+  val field : writer -> (writer -> unit) -> unit
+  (** One field holding the fields [f] writes. *)
+
+  val term_field : writer -> Term.t -> unit
+  (** The field [term_to_string t]. *)
+
+  val atom_field : writer -> Atom.t -> unit
+  (** The field [atom_to_string a]. *)
+
   val cq_to_string : Cq.t -> string
   val cq_of_string : string -> Cq.t
 

@@ -12,38 +12,24 @@ let solver_stats () =
 
 exception Found
 
-(* Is there a homomorphism of [atoms] into [target] extending [init]?
-   One register-machine search with an early exit at the first
-   solution. *)
-let has_hom ~init ~flexible atoms target =
-  try
-    Homomorphism.iter_multi ~init ~flexible
-      ~pattern:(List.map (fun a -> (a, target)) atoms)
-      ~domain_bindings:[]
-      (fun _ -> raise Found);
-    false
-  with Found -> true
-
 (* Solve the containment homomorphism [from -> into] one connected
    component of [from]'s body at a time: components share no bindable
    variable (answer variables are pre-bound, constants and functional
    terms rigid), so the conjunction holds iff each component embeds
    independently — a product of small searches with early exit instead
-   of one deep one. Components are tried smallest-first. *)
-let exists_decomposed ~from ~into ~init =
-  let flexible = Cq.var_set from in
-  let target = Cq.as_fact_set into in
-  let exists_component atoms = has_hom ~init ~flexible atoms target in
-  match Cq.body_components from with
-  | [ _ ] -> exists_component (Cq.atoms from)
-  | comps ->
-      Atomic.incr c_splits;
-      let by_size =
-        List.stable_sort
-          (fun a b -> Int.compare (List.length a) (List.length b))
-          comps
-      in
-      List.for_all exists_component by_size
+   of one deep one. [from]'s cached programs come smallest first; each
+   run stops at its first solution. *)
+let exists_decomposed ~from ~into =
+  let progs = Cq.hom_programs from in
+  if Array.length progs > 1 then Atomic.incr c_splits;
+  let targets = [| Cq.as_fact_set into |] and init = Cq.free into in
+  Array.for_all
+    (fun p ->
+      try
+        Homomorphism.run p ~targets ~init (fun _ -> raise Found);
+        false
+      with Found -> true)
+    progs
 
 (* Every [implies] call, for [memo_stats] (see the .mli). *)
 let c_checks = Atomic.make 0
@@ -66,13 +52,7 @@ let implies q1 q2 =
     Atomic.incr c_prescreened;
     false
   end
-  else
-    let init =
-      List.fold_left2
-        (fun m v w -> Term.Map.add v w m)
-        Term.Map.empty (Cq.free q2) (Cq.free q1)
-    in
-    exists_decomposed ~from:q2 ~into:q1 ~init
+  else exists_decomposed ~from:q2 ~into:q1
 
 let equivalent q1 q2 = implies q1 q2 && implies q2 q1
 

@@ -16,9 +16,11 @@ val implies : Cq.t -> Cq.t -> bool
     components of the pattern's Gaifman graph (solved independently,
     smallest first, with early exit on the first failing component), and
     each component is searched by the register machine
-    ({!Homomorphism.iter_multi}). No other engine is consulted, so the
-    verdict and its cost do not depend on which libraries a program
-    links. *)
+    ({!Homomorphism.run}). The pattern's programs are compiled once per
+    query and cached on it ({!Cq.hom_programs}): checking one query
+    against many targets compiles nothing after the first check. No
+    other engine is consulted, so the verdict and its cost do not
+    depend on which libraries a program links. *)
 
 val equivalent : Cq.t -> Cq.t -> bool
 

@@ -9,6 +9,8 @@ type t = {
   mutable profile : int array option;  (* cached distance profile *)
   mutable ecomps : Atom.t list list option;
       (* cached existential-connectivity components of the body *)
+  mutable progs : Homomorphism.program array option;
+      (* cached containment programs, one per component *)
 }
 
 (* Atomic, so that [fresh_var] is safe from any domain. Its callers in
@@ -25,17 +27,7 @@ let reserve_fresh n =
   in
   go ()
 
-let dedup_terms l =
-  let _, rev =
-    List.fold_left
-      (fun (seen, acc) x ->
-        if Term.Set.mem x seen then (seen, acc)
-        else (Term.Set.add x seen, x :: acc))
-      (Term.Set.empty, []) l
-  in
-  List.rev rev
-
-let body_vars atoms = dedup_terms (List.concat_map Atom.vars atoms)
+let body_vars atoms = Term.dedup (List.concat_map Atom.vars atoms)
 
 let make ~free atoms =
   if atoms = [] then invalid_arg "Cq.make: empty body";
@@ -56,7 +48,7 @@ let make ~free atoms =
              Term.pp v))
     free;
   {
-    free = dedup_terms free;
+    free = Term.dedup free;
     atoms;
     canon_id = -1;
     fs = None;
@@ -65,6 +57,7 @@ let make ~free atoms =
     anchors = -1;
     profile = None;
     ecomps = None;
+    progs = None;
   }
 
 let free q = q.free
@@ -72,7 +65,7 @@ let atoms q = q.atoms
 let size q = List.length q.atoms
 
 let vars q =
-  dedup_terms (q.free @ body_vars q.atoms)
+  Term.dedup (q.free @ body_vars q.atoms)
 
 let var_set q =
   (* Cached (benign race, as for [as_fact_set]): the containment hot path
@@ -299,6 +292,22 @@ let body_components q =
       in
       q.ecomps <- Some comps;
       comps
+
+let hom_programs q =
+  match q.progs with
+  | Some p -> p
+  | None ->
+      let flexible = var_set q in
+      let p =
+        Array.of_list
+          (List.map
+             (Homomorphism.compile ~flexible ~bound:q.free)
+             (List.stable_sort
+                (fun a b -> Int.compare (List.length a) (List.length b))
+                (body_components q)))
+      in
+      q.progs <- Some p;
+      p
 
 let exist_vars q =
   let fv = Term.Set.of_list q.free in

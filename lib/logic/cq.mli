@@ -16,6 +16,8 @@ type t = private {
   mutable profile : int array option;  (** cached [hom_profile] *)
   mutable ecomps : Atom.t list list option;
       (** cached [body_components] *)
+  mutable progs : Homomorphism.program array option;
+      (** cached [hom_programs] *)
 }
 
 val make : free:Term.t list -> Atom.t list -> t
@@ -74,6 +76,14 @@ val body_components : t -> Atom.t list list
     Atoms keep their body order inside each component; components are
     ordered by first atom. A homomorphism fixing the rigid terms exists
     iff one exists per component independently. Cached. *)
+
+val hom_programs : t -> Homomorphism.program array
+(** The containment search of this query as a pattern: one compiled
+    program per body component ([body_components]), smallest first (a
+    stable sort by atom count), each with the answer variables
+    pre-bound in [free] order and every variable flexible. Compiled on
+    first use and cached, so each query compiles its search once however
+    many targets it is checked against. *)
 
 val exist_vars : t -> Term.t list
 val is_boolean : t -> bool

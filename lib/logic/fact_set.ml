@@ -473,17 +473,17 @@ let sorted_view t rel kpos =
   (v.v_ids, max arity 1, v.v_perm)
 
 (* The compiled join's candidate enumeration: [bound_pos]/[bound_ids]
-   hold [nb] (position, term id) constraints in caller-owned scratch
-   arrays — no per-node allocation. Rows are visited without the bound
-   filter (the caller's register machine re-checks every position); the
-   seed constraint is chosen *per layer* (each layer's filtered candidate
-   order is canonical, so per-layer seeds never permute the final
-   enumeration). With at least two constraints and a non-trivial seed
+   hold [nb] (position, term id) constraints from index [off] on, in
+   caller-owned arrays — no per-node allocation. Rows are visited
+   without the bound filter (the caller's register machine re-checks
+   every position); the seed constraint is chosen *per layer* (each
+   layer's filtered candidate order is canonical, so per-layer seeds
+   never permute the final enumeration). With at least two constraints and a non-trivial seed
    posting, the two smallest postings are merge-intersected — ascending
    row walks, zero allocation — before the rows reach the caller. *)
 let intersect_min = 8
 
-let iter_join_candidates t rel ~bound_pos ~bound_ids ~nb f =
+let iter_join_candidates t rel ~bound_pos ~bound_ids ~off ~nb f =
   if nb = 0 then iter_rows t rel f
   else begin
     let idx = index t in
@@ -502,7 +502,7 @@ let iter_join_candidates t rel ~bound_pos ~bound_ids ~nb f =
             and sn = ref max_int
             and sn2 = ref max_int
             and dead = ref false in
-            for c = 0 to nb - 1 do
+            for c = off to off + nb - 1 do
               if not !dead then begin
                 incr probes;
                 match

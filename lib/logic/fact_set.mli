@@ -77,6 +77,7 @@ val iter_join_candidates :
   Symbol.t ->
   bound_pos:int array ->
   bound_ids:int array ->
+  off:int ->
   nb:int ->
   (Atom.t array -> int array -> int -> unit) ->
   unit
@@ -85,9 +86,9 @@ val iter_join_candidates :
     [ids] its row-major argument-id slab ([ids.(row * arity + pos)] is
     the id of argument [pos] of [atoms.(row)]; frozen storage, do not
     mutate), restricted by [nb] constraints
-    [(bound_pos.(i), bound_ids.(i))] for [i < nb] given as bare
-    (position, term id) pairs in caller-owned scratch arrays — no
-    per-probe allocation. The visited rows are a
+    [(bound_pos.(off + i), bound_ids.(off + i))] for [i < nb] given as
+    bare (position, term id) pairs in caller-owned arrays — no per-probe
+    allocation. The visited rows are a
     superset of the facts meeting every constraint (callers re-check
     every position on the [ids] slab); once filtered, they come in the
     {!by_rel} order whichever constraint seeds a layer's lookup. With two

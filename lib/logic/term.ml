@@ -162,6 +162,15 @@ end
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
 
+let dedup l =
+  let _, rev =
+    List.fold_left
+      (fun (seen, acc) x ->
+        if Set.mem x seen then (seen, acc) else (Set.add x seen, x :: acc))
+      (Set.empty, []) l
+  in
+  List.rev rev
+
 let subst_of_bindings bindings =
   List.fold_left (fun m (v, image) -> Int_map.add v.id image m) Int_map.empty
     bindings

@@ -65,6 +65,9 @@ val pp : t Fmt.t
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
 
+val dedup : t list -> t list
+(** The list without repeats, each term at its first occurrence. *)
+
 val subst_of_bindings : (t * t) list -> t Int_map.t
 (** Convenience: build a substitution keyed by term id from
     [(variable, image)] pairs. *)

@@ -8,17 +8,7 @@ type t = {
   skolemized_head : Atom.t list;
 }
 
-let dedup_terms l =
-  let _, rev =
-    List.fold_left
-      (fun (seen, acc) x ->
-        if Term.Set.mem x seen then (seen, acc)
-        else (Term.Set.add x seen, x :: acc))
-      (Term.Set.empty, []) l
-  in
-  List.rev rev
-
-let atom_list_vars atoms = dedup_terms (List.concat_map Atom.vars atoms)
+let atom_list_vars atoms = Term.dedup (List.concat_map Atom.vars atoms)
 
 let check_flat_atom what a =
   List.iter
@@ -36,7 +26,7 @@ let check_flat_atom what a =
    occurrence in the head ("y_i"), existential variables likewise ("w_j"). *)
 let head_isomorphism_type ~frontier_set head =
   let head_occurrence_order =
-    dedup_terms
+    Term.dedup
       (List.concat_map (fun a -> List.filter Term.is_var (Atom.args a)) head)
   in
   let frontier_order =
@@ -86,7 +76,7 @@ let make ?(name = "") ?(dom_vars = []) ~body ~head () =
              "Tgd.make: domain variable %a also occurs in a body atom"
              Term.pp v))
     dom_vars;
-  let universe = dedup_terms (body_atom_vars @ dom_vars) in
+  let universe = Term.dedup (body_atom_vars @ dom_vars) in
   let universe_set = Term.Set.of_list universe in
   let head_vars = atom_list_vars head in
   let frontier_set =
@@ -122,7 +112,7 @@ let head r = r.head
 let dom_vars r = r.dom_vars
 let frontier r = r.frontier
 let exist_vars r = r.exist_vars
-let body_vars r = dedup_terms (atom_list_vars r.body @ r.dom_vars)
+let body_vars r = Term.dedup (atom_list_vars r.body @ r.dom_vars)
 
 let signature r =
   List.fold_left
@@ -200,7 +190,7 @@ let satisfied_in r target = violating_trigger r target = None
 
 let refresh r =
   let all_vars =
-    dedup_terms (body_vars r @ atom_list_vars r.head)
+    Term.dedup (body_vars r @ atom_list_vars r.head)
   in
   let renaming =
     Term.subst_of_bindings

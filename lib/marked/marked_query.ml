@@ -33,21 +33,11 @@ let level_index levels rel =
   in
   go 0
 
-let dedup_terms l =
-  let _, rev =
-    List.fold_left
-      (fun (seen, acc) x ->
-        if Term.Set.mem x seen then (seen, acc)
-        else (Term.Set.add x seen, x :: acc))
-      (Term.Set.empty, []) l
-  in
-  List.rev rev
-
 (* Variables lying on a directed cycle: SCCs of size >= 2 or self-loops
    (Tarjan). *)
 let cycle_vars atoms =
   let succs = Hashtbl.create 16 in
-  let verts = dedup_terms (List.concat_map Atom.vars atoms) in
+  let verts = Term.dedup (List.concat_map Atom.vars atoms) in
   List.iter
     (fun a ->
       let s = Atom.arg a 0 and d = Atom.arg a 1 in
@@ -200,7 +190,7 @@ let remark q ~marked =
     marked;
   { q with marked; tagged = None }
 
-let vars q = dedup_terms (List.map snd q.free @ List.concat_map Atom.vars q.atoms)
+let vars q = Term.dedup (List.map snd q.free @ List.concat_map Atom.vars q.atoms)
 
 let level_of q a =
   match level_index q.levels (Atom.rel a) with
@@ -258,7 +248,7 @@ let all_markings ~levels q =
 
 let to_cq q =
   if q.atoms = [] then None
-  else Some (Cq.make ~free:(dedup_terms (List.map snd q.free)) q.atoms)
+  else Some (Cq.make ~free:(Term.dedup (List.map snd q.free)) q.atoms)
 
 let tagged_cq q =
   (* Cached: the marked process keys its seen-store by the canonical id
@@ -276,7 +266,7 @@ let tagged_cq q =
               (Term.Set.elements q.marked)
           in
           Some
-            (Cq.make ~free:(dedup_terms (List.map snd q.free)) (q.atoms @ tags))
+            (Cq.make ~free:(Term.dedup (List.map snd q.free)) (q.atoms @ tags))
       in
       q.tagged <- Some t;
       t

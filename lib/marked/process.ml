@@ -20,16 +20,6 @@ type result = {
   rank_trace : Rank.srk list option;
 }
 
-let dedup_terms l =
-  let _, rev =
-    List.fold_left
-      (fun (seen, acc) x ->
-        if Term.Set.mem x seen then (seen, acc)
-        else (Term.Set.add x seen, x :: acc))
-      (Term.Set.empty, []) l
-  in
-  List.rev rev
-
 (* The seen-store: one entry per isomorphism class of marked query,
    keyed by [Marked_query.class_key] (alias pattern and the complete
    canonical id of the tagged CQ). Equal keys are isomorphism, so
@@ -56,18 +46,20 @@ let checkpoint_kind = "marked"
    on decode. Canonical ids are process-local and never serialized; the
    resumed store is rebuilt by re-inserting every saved query, which
    recomputes their keys. *)
-let mq_to_string mq =
+let mq_to_string w mq =
   let module Codec = Checkpoint.Codec in
-  Codec.concat
-    [
-      Codec.list_to_string
-        (fun (o, r) ->
-          Codec.concat [ Codec.term_to_string o; Codec.term_to_string r ])
-        mq.Marked_query.free;
-      Codec.list_to_string Codec.term_to_string
-        (Term.Set.elements mq.Marked_query.marked);
-      Codec.list_to_string Codec.atom_to_string mq.Marked_query.atoms;
-    ]
+  Codec.line w (fun w ->
+      Codec.field w (fun w ->
+          List.iter
+            (fun (o, r) ->
+              Codec.field w (fun w ->
+                  Codec.term_field w o;
+                  Codec.term_field w r))
+            mq.Marked_query.free);
+      Codec.field w (fun w ->
+          Term.Set.iter (Codec.term_field w) mq.Marked_query.marked);
+      Codec.field w (fun w ->
+          List.iter (Codec.atom_field w) mq.Marked_query.atoms))
 
 let mq_of_string ~levels s =
   let module Codec = Checkpoint.Codec in
@@ -101,6 +93,8 @@ let mq_of_string ~levels s =
 let encode_state ~round ~levels ~q ~max_steps ~stats ~seen ~lines ~finished
     ~trivial ~frontier =
   let module Codec = Checkpoint.Codec in
+  let w = Codec.writer () in
+  let mq_to_string = mq_to_string w in
   let line k mq =
     match Hashtbl.find_opt lines k with
     | Some l -> l
@@ -410,7 +404,7 @@ let holds_via_rewriting result d tuple =
                match Marked_query.to_cq mq with
                | None -> true
                | Some cq ->
-                   let reps = dedup_terms (List.map snd mq.Marked_query.free) in
+                   let reps = Term.dedup (List.map snd mq.Marked_query.free) in
                    let tuple' =
                      List.map
                        (fun rep ->

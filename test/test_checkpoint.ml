@@ -324,6 +324,75 @@ let test_codec_reserves_fresh () =
         true (suffix > high)
   | _ -> Alcotest.fail "fresh_var did not return a variable"
 
+(* The marked process writes its snapshot lines through a
+   [Codec.writer]: nested fields in reused scratch buffers. Their bytes
+   must be those of the nested [concat] encoding (the format has one
+   version). A fixed query's lines are pinned, and a resume that saves
+   again at once must write them back unchanged. The variable names are
+   used nowhere else, so their term ids (which order the marked set)
+   follow the order they are made in here. *)
+let test_marked_lines_pinned () =
+  let module C = Checkpoint.Codec in
+  let x = Term.var "pin_x" and y = Term.var "pin_y" in
+  let z = Term.var "pin_z" and u = Term.var "pin_u" in
+  let r = Theories.Zoo.r2 and g = Theories.Zoo.g2 in
+  (* The writer against nested [concat], deeper than its first buffer,
+     with a functional term. *)
+  let fz = Term.app "f" [ z; Term.const "pin_c" ] in
+  let w = C.writer () in
+  Alcotest.(check string)
+    "writer = nested concat"
+    (C.concat
+       [
+         C.concat [ C.concat [ C.term_to_string fz ]; C.term_to_string x ];
+         C.atom_to_string (Atom.make r [ x; fz ]);
+       ])
+    (C.line w (fun w ->
+         C.field w (fun w ->
+             C.field w (fun w -> C.term_field w fz);
+             C.term_field w x);
+         C.atom_field w (Atom.make r [ x; fz ])));
+  let q =
+    Cq.make ~free:[ x; y ]
+      [ Atom.make r [ x; z ]; Atom.make r [ y; u ]; Atom.make g [ z; u ] ]
+  in
+  let save dir run =
+    let sink = Checkpoint.sink ~every:1 ~min_interval_s:0. ~keep:1 dir in
+    ignore (run sink : Marked.Process.result);
+    match Checkpoint.Snapshot.load_latest ~dir with
+    | Some (snap, _), _ -> snap
+    | None, _ -> Alcotest.fail "no snapshot saved"
+  in
+  let snap =
+    save (fresh_dir "marked-lines") (fun sink ->
+        Marked.Process.rewrite_td ~max_steps:0 ~checkpoint:sink q)
+  in
+  (* No step ran: the two live markings of [q] (x, y marked; then z
+     too), each as (free pairs)(marked set)(atoms). *)
+  let body =
+    "75:22:A1:G(v5:pin_zv5:pin_u)22:A1:R(v5:pin_xv5:pin_z)\
+     22:A1:R(v5:pin_yv5:pin_u)"
+  in
+  let free = "46:20:8:v5:pin_x8:v5:pin_x20:8:v5:pin_y8:v5:pin_y" in
+  Alcotest.(check (list string))
+    "frontier lines"
+    [
+      free ^ "20:8:v5:pin_x8:v5:pin_y" ^ body;
+      free ^ "30:8:v5:pin_x8:v5:pin_y8:v5:pin_z" ^ body;
+    ]
+    (Checkpoint.Snapshot.section snap "frontier");
+  let again =
+    save (fresh_dir "marked-lines-again") (fun sink ->
+        Marked.Process.resume ~max_steps:0 ~checkpoint:sink snap)
+  in
+  List.iter
+    (fun name ->
+      Alcotest.(check (list string))
+        (name ^ " lines written back")
+        (List.sort compare (Checkpoint.Snapshot.section snap name))
+        (List.sort compare (Checkpoint.Snapshot.section again name)))
+    [ "frontier"; "finished"; "trivial"; "seen" ]
+
 (* ------------------------------------------------------------------ *)
 (* Atomic plain-file writes                                            *)
 (* ------------------------------------------------------------------ *)
@@ -581,6 +650,8 @@ let () =
             test_codec_theory_chases_identically;
           Alcotest.test_case "decoding reserves fresh names" `Quick
             test_codec_reserves_fresh;
+          Alcotest.test_case "marked lines: pinned bytes, written back" `Quick
+            test_marked_lines_pinned;
         ] );
       ( "atomic-io",
         [ Alcotest.test_case "write + overwrite" `Quick test_atomic_io ] );

@@ -32,7 +32,7 @@ let join_filtered t rel bound =
     bound;
   let nb = List.length bound in
   let seen = ref [] in
-  Fact_set.iter_join_candidates t rel ~bound_pos ~bound_ids ~nb
+  Fact_set.iter_join_candidates t rel ~bound_pos ~bound_ids ~off:0 ~nb
     (fun atoms ids row ->
       let arity = Symbol.arity rel in
       let ok = ref true in

@@ -64,7 +64,7 @@ let candidates fs rel ~bound =
   in
   let nb = Array.length bound_pos in
   let acc = ref [] in
-  Fact_set.iter_join_candidates fs rel ~bound_pos ~bound_ids ~nb
+  Fact_set.iter_join_candidates fs rel ~bound_pos ~bound_ids ~off:0 ~nb
     (fun atoms ids row ->
       let ok = ref true in
       for i = 0 to nb - 1 do

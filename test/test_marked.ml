@@ -709,6 +709,62 @@ let test_lemma53_per_operation () =
   Alcotest.(check bool) "complete" true res.Marked.Process.complete;
   Alcotest.(check bool) "exercised many steps" true (!checks >= 10)
 
+(* The containment search's order, pinned. Every ordered pair of the
+   106 disjuncts of rew(phi_R^4) is one [Containment.implies] call. The
+   disjuncts are pairwise incomparable (the rewriting is minimal), so
+   [implies] holds exactly on the diagonal. The search counters over
+   these calls follow from the seed order the register machine takes
+   and the order it tries candidates in: a change to either moves them.
+   Both orders break ties by term ids, which depend on what the process
+   interned before, so the counts are taken in a child process that
+   runs only this after the module's own initialisation. *)
+let pin_env = "FRONTIER_CONTAINMENT_PIN"
+
+let containment_pin_counts () =
+  let _, _, phi = Theories.Zoo.phi_r 4 in
+  let res = Marked.Process.rewrite_td phi in
+  let ds = Array.of_list (Ucq.disjuncts res.Marked.Process.rewriting) in
+  if Array.length ds <> 106 then
+    Alcotest.failf "expected 106 disjuncts, got %d" (Array.length ds);
+  let before = Homomorphism.counters () in
+  Array.iteri
+    (fun i a ->
+      Array.iteri
+        (fun j b ->
+          if Containment.implies a b <> (i = j) then
+            Alcotest.failf "implies d%d d%d should be %b" i j (i = j))
+        ds)
+    ds;
+  let after = Homomorphism.counters () in
+  ( after.searches - before.searches,
+    after.nodes - before.nodes,
+    after.reg_ops - before.reg_ops )
+
+let () =
+  if Sys.getenv_opt pin_env <> None then begin
+    let searches, nodes, reg_ops = containment_pin_counts () in
+    Printf.printf "%d %d %d\n" searches nodes reg_ops;
+    exit 0
+  end
+
+let test_containment_search_pinned () =
+  let env = Array.append [| pin_env ^ "=1" |] (Unix.environment ()) in
+  let ic =
+    Unix.open_process_args_full Sys.executable_name
+      [| Sys.executable_name |] env
+  in
+  let out, _, _ = ic in
+  let line = input_line out in
+  (match Unix.close_process_full ic with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "the counting child failed: %s" line);
+  let searches, nodes, reg_ops =
+    Scanf.sscanf line "%d %d %d" (fun a b c -> (a, b, c))
+  in
+  Alcotest.(check int) "searches" 2_310 searches;
+  Alcotest.(check int) "nodes" 15_416 nodes;
+  Alcotest.(check int) "reg_ops" 26_424 reg_ops
+
 let () =
   Alcotest.run "marked"
     [
@@ -753,6 +809,8 @@ let () =
           Alcotest.test_case "half-free query" `Quick test_half_free_query;
           Alcotest.test_case "T_d^K in-degree analysis" `Quick
             test_tdk_indegree_analysis;
+          Alcotest.test_case "containment search order on phi_R^4" `Quick
+            test_containment_search_pinned;
         ] );
       ( "properties",
         [

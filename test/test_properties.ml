@@ -1103,6 +1103,129 @@ let prop_containment_across_cutoff seed =
       verdict = register_machine && verdict = naive_implies target pattern)
 
 (* ------------------------------------------------------------------ *)
+(* Containment through the per-query program cache                    *)
+(* ------------------------------------------------------------------ *)
+
+(* [Cq.hom_programs] compiles a query's containment search once and
+   keeps it; these properties check the reuse path. Terms: three
+   variables per group (group 0: x0..x2, group 1: x3, x4 — the third
+   pick repeats one), two constants and two functional terms. Atoms of
+   the two groups share no variable, so a body with atoms in both has
+   several components; a repeated pick makes a repeated variable. The
+   answer variables, x0 and x3 when picked and present, are rigid. *)
+let reuse_term group i =
+  match i mod 7 with
+  | j when j < 3 ->
+      Term.var
+        (Printf.sprintf "x%d" (if group = 0 then j else 3 + (j mod 2)))
+  | 3 -> const 0
+  | 4 -> const 1
+  | 5 -> Term.app "f" [ const 0 ]
+  | _ -> Term.app "f" [ Term.var (if group = 0 then "x1" else "x4") ]
+
+let reuse_atom_arb = QCheck.(triple (int_bound 2) (int_bound 6) (int_bound 6))
+
+(* A derived query: [mode] 0 is independent of the pivot; 1 is the
+   pivot's body plus the extra atoms (the pivot maps into it by the
+   identity); 2 is that with x2 merged into x1 (the pivot still maps
+   in). *)
+let reuse_cq_arb =
+  QCheck.(
+    quad (int_bound 2)
+      (nonempty (list_of_size Gen.(1 -- 3) reuse_atom_arb))
+      (list_of_size Gen.(0 -- 2) reuse_atom_arb)
+      (pair bool bool))
+
+let decode_reuse_cq ?pivot (mode, g0, g1, (f0, f1)) =
+  let extra =
+    List.map (decode_atom (reuse_term 0)) g0
+    @ List.map (decode_atom (reuse_term 1)) g1
+  in
+  let merge = Term.subst_of_bindings [ (Term.var "x2", Term.var "x1") ] in
+  let atoms =
+    match (pivot, mode mod 3) with
+    | None, _ | Some _, 0 -> extra
+    | Some pq, 1 -> Cq.atoms pq @ extra
+    | Some pq, _ -> List.map (Atom.subst merge) (Cq.atoms pq) @ extra
+  in
+  let args = Term.Set.of_list (List.concat_map Atom.args atoms) in
+  let free =
+    List.filter
+      (fun v -> Term.Set.mem v args)
+      ((if f0 then [ Term.var "x0" ] else [])
+      @ if f1 then [ Term.var "x3" ] else [])
+  in
+  Cq.make ~free atoms
+
+(* Fresh queries (empty caches): the pivot, then the queries derived
+   from it. *)
+let decode_reuse (pivot_enc, encs) =
+  let pivot = decode_reuse_cq pivot_enc in
+  (pivot, List.map (decode_reuse_cq ~pivot) encs)
+
+(* Every (target, pattern) pair of one pivot and its derived queries:
+   the pivot as the pattern of each, then as the target of each. *)
+let reuse_pairs (pivot, others) =
+  List.map (fun q -> (q, pivot)) others @ List.map (fun q -> (pivot, q)) others
+
+let reuse_arb =
+  QCheck.(
+    triple reuse_cq_arb
+      (list_of_size Gen.(2 -- 6) reuse_cq_arb)
+      (int_bound 1_000_000))
+
+let shuffle seed l =
+  let st = Random.State.make [| seed |] in
+  List.map snd
+    (List.sort compare (List.map (fun x -> (Random.State.bits st, x)) l))
+
+let prop_containment_cache_reuse =
+  QCheck.Test.make ~count
+    ~name:
+      "Containment.implies with cached programs = naive: one pattern vs k \
+       targets, k patterns vs one target, first use in random order"
+    reuse_arb
+    (fun (pivot_enc, encs, seed) ->
+      let pairs = reuse_pairs (decode_reuse (pivot_enc, encs)) in
+      List.for_all
+        (fun (target, pattern) ->
+          Bool.equal
+            (Containment.implies target pattern)
+            (naive_implies target pattern))
+        (shuffle seed pairs))
+
+let prop_containment_cache_two_domains =
+  QCheck.Test.make ~count
+    ~name:
+      "Containment.implies from two domains over shared queries = \
+       sequential verdicts"
+    reuse_arb
+    (fun (pivot_enc, encs, _) ->
+      let verdicts pairs =
+        List.map (fun (target, pattern) -> Containment.implies target pattern) pairs
+      in
+      let sequential = verdicts (reuse_pairs (decode_reuse (pivot_enc, encs))) in
+      (* A second decoding, so both domains race on the first use of
+         every cache. They start together and walk the same pairs in the
+         same order [passes] times, so their searches over the same
+         programs overlap. *)
+      let shared = reuse_pairs (decode_reuse (pivot_enc, encs)) in
+      let passes = 50 in
+      let ready = Atomic.make 0 in
+      let walk () =
+        Domain.spawn (fun () ->
+            Atomic.incr ready;
+            while Atomic.get ready < 2 do
+              Domain.cpu_relax ()
+            done;
+            List.init passes (fun _ -> verdicts shared))
+      in
+      let d1 = walk () and d2 = walk () in
+      let agree = List.for_all (fun v -> v = sequential) in
+      let v1 = Domain.join d1 and v2 = Domain.join d2 in
+      agree v1 && agree v2)
+
+(* ------------------------------------------------------------------ *)
 (* The pool primitives themselves                                      *)
 (* ------------------------------------------------------------------ *)
 
@@ -1326,7 +1449,10 @@ let () =
             QCheck_alcotest.to_alcotest
               ~rand:(Random.State.make [| seed |])
               (prop_containment_across_cutoff seed))
-          [ 1; 7; 42 ] );
+          [ 1; 7; 42 ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ prop_containment_cache_reuse; prop_containment_cache_two_domains ]
+      );
       ( "core",
         List.map
           (fun seed ->
