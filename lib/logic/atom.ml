@@ -32,18 +32,17 @@ let hash a =
     (fun acc t -> (acc * 31) + Term.hash t)
     (Symbol.id a.rel) a.args
 
-let dedup_preserving_order items =
-  let _, rev =
-    List.fold_left
-      (fun (seen, acc) t ->
-        if Term.Set.mem t seen then (seen, acc)
-        else (Term.Set.add t seen, t :: acc))
-      (Term.Set.empty, []) items
-  in
-  List.rev rev
+(* Arities are small: a scan of the terms kept so far replaces a set. *)
+let add_new keep acc t =
+  if keep t && not (List.exists (Term.equal t) acc) then t :: acc else acc
 
-let terms a = dedup_preserving_order (Array.to_list a.args)
-let vars a = dedup_preserving_order (List.concat_map Term.vars (Array.to_list a.args))
+let terms a = List.rev (Array.fold_left (add_new (fun _ -> true)) [] a.args)
+
+let vars a =
+  List.rev
+    (Array.fold_left
+       (fun acc t -> List.fold_left (add_new Term.is_var) acc (Term.vars t))
+       [] a.args)
 
 let subst m a = { a with args = Array.map (Term.subst m) a.args }
 

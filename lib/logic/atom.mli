@@ -22,7 +22,8 @@ val terms : t -> Term.t list
 (** Argument terms, each once, in positional order. *)
 
 val vars : t -> Term.t list
-(** Variables occurring (recursively) in the arguments, each once. *)
+(** Variables occurring (recursively) in the arguments, each once, in
+    first-occurrence order. *)
 
 val subst : Term.t Term.Int_map.t -> t -> t
 

@@ -73,28 +73,20 @@ let is_functional t =
 
 module Int_map = Map.Make (Int)
 
-let depth_cache : (int, int) Hashtbl.t = Hashtbl.create 1024
-let depth_lock = Mutex.create ()
-
-(* The memo table is consulted and updated under a lock, but the recursive
-   computation runs outside it: two domains may race to compute the same
-   depth, which is harmless (they agree), while the table itself stays
-   uncorrupted. *)
-let rec depth t =
-  match
-    Mutex.protect depth_lock (fun () -> Hashtbl.find_opt depth_cache t.id)
-  with
-  | Some d -> d
-  | None ->
-      let d =
-        match t.view with
-        | Const _ | Var _ -> 0
-        | App { args; _ } ->
-            1 + List.fold_left (fun acc a -> max acc (depth a)) 0 args
-      in
-      Mutex.protect depth_lock (fun () ->
-          Hashtbl.replace depth_cache t.id d);
-      d
+let depth t =
+  let memo = Hashtbl.create 16 in
+  let rec go t =
+    match t.view with
+    | Const _ | Var _ -> 0
+    | App { args; _ } -> (
+        match Hashtbl.find_opt memo t.id with
+        | Some d -> d
+        | None ->
+            let d = 1 + List.fold_left (fun acc a -> max acc (go a)) 0 args in
+            Hashtbl.add memo t.id d;
+            d)
+  in
+  go t
 
 let dag_size t =
   let seen = Hashtbl.create 16 in
@@ -111,40 +103,47 @@ let dag_size t =
   Hashtbl.length seen
 
 let vars t =
-  let seen = Hashtbl.create 16 in
-  let acc = ref [] in
-  let rec go t =
-    if not (Hashtbl.mem seen t.id) then begin
-      Hashtbl.add seen t.id ();
-      match t.view with
-      | Var _ -> acc := t :: !acc
-      | Const _ -> ()
-      | App { args; _ } -> List.iter go args
-    end
-  in
-  go t;
-  List.rev !acc
+  match t.view with
+  | Var _ -> [ t ]
+  | Const _ -> []
+  | App _ ->
+      let seen = Hashtbl.create 16 in
+      let acc = ref [] in
+      let rec go t =
+        if not (Hashtbl.mem seen t.id) then begin
+          Hashtbl.add seen t.id ();
+          match t.view with
+          | Var _ -> acc := t :: !acc
+          | Const _ -> ()
+          | App { args; _ } -> List.iter go args
+        end
+      in
+      go t;
+      List.rev !acc
 
 let subst m t =
-  let memo = Hashtbl.create 16 in
-  let rec go t =
-    match Int_map.find_opt t.id m with
-    | Some image -> image
-    | None -> (
-        match t.view with
-        | Const _ | Var _ -> t
-        | App { fn; args } -> (
-            match Hashtbl.find_opt memo t.id with
-            | Some t' -> t'
-            | None ->
-                let args' = List.map go args in
-                let t' =
-                  if List.for_all2 equal args args' then t else app fn args'
-                in
-                Hashtbl.add memo t.id t';
-                t'))
-  in
-  go t
+  match t.view with
+  | Const _ | Var _ -> Option.value ~default:t (Int_map.find_opt t.id m)
+  | App _ ->
+      let memo = Hashtbl.create 16 in
+      let rec go t =
+        match Int_map.find_opt t.id m with
+        | Some image -> image
+        | None -> (
+            match t.view with
+            | Const _ | Var _ -> t
+            | App { fn; args } -> (
+                match Hashtbl.find_opt memo t.id with
+                | Some t' -> t'
+                | None ->
+                    let args' = List.map go args in
+                    let t' =
+                      if List.for_all2 equal args args' then t else app fn args'
+                    in
+                    Hashtbl.add memo t.id t';
+                    t'))
+      in
+      go t
 
 let rec pp ppf t =
   match t.view with

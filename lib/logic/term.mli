@@ -45,7 +45,8 @@ val is_functional : t -> bool
 (** True exactly for [App] terms, i.e. chase-invented (Skolem) terms. *)
 
 val depth : t -> int
-(** Skolem-nesting depth: constants and variables have depth 0. Memoized. *)
+(** Skolem-nesting depth: constants and variables have depth 0. Memoized
+    per call, like {!dag_size}: shared subterms are visited once. *)
 
 val dag_size : t -> int
 (** Number of distinct subterms (the honest size of a hash-consed term). *)
@@ -58,7 +59,8 @@ module Int_map : Map.S with type key = int
 
 val subst : t Int_map.t -> t -> t
 (** [subst m t] replaces every subterm whose id is bound in [m] (in
-    practice: variables) by its image, sharing-aware (memoized per call). *)
+    practice: variables) by its image, sharing-aware (memoized per call;
+    a variable or constant is one lookup). *)
 
 val pp : t Fmt.t
 

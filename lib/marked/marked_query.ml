@@ -4,7 +4,7 @@ open Logic
    per body in [make] and shared by every marking of it ([remark]):
    reduce emits four markings of one body and [all_markings] up to 2^k. *)
 type analysis = {
-  cycles : Term.Set.t;  (* variables on a directed cycle: must be marked *)
+  cycles : Term.t list;  (* variables on a directed cycle: must be marked *)
   agree : Term.t list list;
       (* sources of >= 2 same-level in-edges into one variable: their
          markings must agree *)
@@ -18,8 +18,6 @@ type t = {
   free : (Term.t * Term.t) list;
   atoms : Atom.t list;
   marked : Term.Set.t;
-  mutable tagged : Cq.t option option;
-      (* cached [tagged_cq]; [None] = not yet computed *)
   analysis : analysis;  (* shared by the markings of one body *)
 }
 
@@ -33,123 +31,128 @@ let level_index levels rel =
   in
   go 0
 
-(* Variables lying on a directed cycle: SCCs of size >= 2 or self-loops
-   (Tarjan). *)
-let cycle_vars atoms =
-  let succs = Hashtbl.create 16 in
-  let verts = Term.dedup (List.concat_map Atom.vars atoms) in
-  List.iter
-    (fun a ->
-      let s = Atom.arg a 0 and d = Atom.arg a 1 in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt succs (Term.hash s)) in
-      Hashtbl.replace succs (Term.hash s) (d :: prev))
-    atoms;
-  let index = Hashtbl.create 16 in
-  let lowlink = Hashtbl.create 16 in
-  let on_stack = Hashtbl.create 16 in
-  let stack = ref [] in
-  let counter = ref 0 in
-  let result = ref Term.Set.empty in
-  let rec strongconnect v =
-    Hashtbl.replace index (Term.hash v) !counter;
-    Hashtbl.replace lowlink (Term.hash v) !counter;
+(* The body's variables sorted by term id: a variable's local number is
+   its index here, found by binary search ([local]; -1 when it is not in
+   the body). Lives for one [make] call. *)
+let number atoms =
+  let vars =
+    Array.of_list
+      (List.concat_map (fun a -> [ Atom.arg a 0; Atom.arg a 1 ]) atoms)
+  in
+  Array.sort Term.compare vars;
+  let n = ref 0 in
+  Array.iter
+    (fun t ->
+      if !n = 0 || not (Term.equal vars.(!n - 1) t) then begin
+        vars.(!n) <- t;
+        incr n
+      end)
+    vars;
+  Array.sub vars 0 !n
+
+let local vars t =
+  let rec go lo hi =
+    if lo >= hi then -1
+    else
+      let mid = (lo + hi) / 2 in
+      let c = Term.compare t vars.(mid) in
+      if c = 0 then mid else if c < 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length vars)
+
+(* Tarjan's strongly connected components over the local numbers:
+   the variables of SCCs of size >= 2 and of self-loops. *)
+let cycle_vars vars succs =
+  let n = Array.length vars in
+  let index = Array.make n (-1) and low = Array.make n 0 in
+  let on_stack = Array.make n false in
+  let stack = ref [] and counter = ref 0 and cycles = ref [] in
+  let rec connect v =
+    index.(v) <- !counter;
+    low.(v) <- !counter;
     incr counter;
     stack := v :: !stack;
-    Hashtbl.replace on_stack (Term.hash v) true;
+    on_stack.(v) <- true;
     List.iter
       (fun w ->
-        if not (Hashtbl.mem index (Term.hash w)) then begin
-          strongconnect w;
-          Hashtbl.replace lowlink (Term.hash v)
-            (min
-               (Hashtbl.find lowlink (Term.hash v))
-               (Hashtbl.find lowlink (Term.hash w)))
+        if index.(w) < 0 then begin
+          connect w;
+          low.(v) <- min low.(v) low.(w)
         end
-        else if Option.value ~default:false (Hashtbl.find_opt on_stack (Term.hash w))
-        then
-          Hashtbl.replace lowlink (Term.hash v)
-            (min
-               (Hashtbl.find lowlink (Term.hash v))
-               (Hashtbl.find index (Term.hash w))))
-      (Option.value ~default:[] (Hashtbl.find_opt succs (Term.hash v)));
-    if Hashtbl.find lowlink (Term.hash v) = Hashtbl.find index (Term.hash v)
-    then begin
-      (* Pop the SCC rooted at v. *)
-      let scc = ref [] in
-      let continue_ = ref true in
-      while !continue_ do
+        else if on_stack.(w) then low.(v) <- min low.(v) index.(w))
+      succs.(v);
+    if low.(v) = index.(v) then begin
+      let rec pop acc =
         match !stack with
-        | [] -> continue_ := false
         | w :: rest ->
             stack := rest;
-            Hashtbl.replace on_stack (Term.hash w) false;
-            scc := w :: !scc;
-            if Term.equal w v then continue_ := false
-      done;
-      match !scc with
-      | [ single ] ->
-          (* Self-loop? *)
-          if
-            List.exists (Term.equal single)
-              (Option.value ~default:[]
-                 (Hashtbl.find_opt succs (Term.hash single)))
-          then result := Term.Set.add single !result
-      | multiple -> List.iter (fun w -> result := Term.Set.add w !result) multiple
+            on_stack.(w) <- false;
+            if w = v then w :: acc else pop (w :: acc)
+        | [] -> assert false
+      in
+      match pop [] with
+      | [ w ] when not (List.mem w succs.(w)) -> ()
+      | scc -> List.iter (fun w -> cycles := vars.(w) :: !cycles) scc
     end
   in
-  List.iter
-    (fun v -> if not (Hashtbl.mem index (Term.hash v)) then strongconnect v)
-    verts;
-  !result
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then connect v
+  done;
+  !cycles
 
-let analyze levels atoms =
-  let groups = Hashtbl.create 16 in
-  let in_levels = Hashtbl.create 16 in
+let analyze levels atoms vars =
+  let k = Array.length levels and n = Array.length vars in
+  let succs = Array.make n [] in
+  (* sources of the level-[l] in-edges of [v] at [l * n + v] *)
+  let groups = Array.make (k * n) [] in
+  (* in-levels of [v] as a bitmask *)
+  let in_levels = Array.make n 0 in
   List.iter
     (fun a ->
       let l = Option.get (level_index levels (Atom.rel a)) in
-      let tgt = Atom.arg a 1 in
-      let key = (l, Term.hash tgt) in
-      let prev = Option.value ~default:[] (Hashtbl.find_opt groups key) in
-      Hashtbl.replace groups key (Atom.arg a 0 :: prev);
-      let ls =
-        Option.value ~default:(tgt, []) (Hashtbl.find_opt in_levels tgt.Term.id)
-      in
-      if not (List.mem l (snd ls)) then
-        Hashtbl.replace in_levels tgt.Term.id (tgt, l :: snd ls))
+      let s = local vars (Atom.arg a 0) and d = local vars (Atom.arg a 1) in
+      succs.(s) <- d :: succs.(s);
+      groups.((l * n) + d) <- Atom.arg a 0 :: groups.((l * n) + d);
+      in_levels.(d) <- in_levels.(d) lor (1 lsl l))
     atoms;
   let agree =
-    Hashtbl.fold
-      (fun _ sources acc ->
+    Array.fold_left
+      (fun acc sources ->
         match sources with _ :: _ :: _ -> sources :: acc | _ -> acc)
-      groups []
+      [] groups
   in
-  let must_mark =
-    if Array.length levels = 2 then []
-    else
-      Hashtbl.fold
-        (fun _ (tgt, ls) acc ->
-          match List.sort Int.compare ls with
-          | [] | [ _ ] -> acc
-          | [ a; b ] when b = a + 1 -> acc
-          | _ -> tgt :: acc)
-        in_levels []
-  in
-  { cycles = cycle_vars atoms; agree; must_mark }
+  let must_mark = ref [] in
+  if k > 2 then
+    Array.iteri
+      (fun v mask ->
+        let lowest = mask land (-mask) in
+        (* more than one level, and not two adjacent ones *)
+        if mask <> lowest && mask <> lowest lor (lowest lsl 1) then
+          must_mark := vars.(v) :: !must_mark)
+      in_levels;
+  { cycles = cycle_vars vars succs; agree; must_mark = !must_mark }
 
-let check_marking ~free ~var_set marked =
+(* Every representative is marked, and every marked variable is a
+   representative or passes [in_body]. *)
+let check_marking ~free ~in_body marked =
   List.iter
     (fun (_orig, rep) ->
       if not (Term.Set.mem rep marked) then
         invalid_arg "Marked_query.make: answer representative must be marked")
     free;
-  let rep_set = Term.Set.of_list (List.map snd free) in
-  if not (Term.Set.subset marked (Term.Set.union var_set rep_set)) then
-    invalid_arg "Marked_query.make: marked variables must occur in the query"
+  Term.Set.iter
+    (fun v ->
+      if not (in_body v || List.exists (fun (_, rep) -> Term.equal rep v) free)
+      then
+        invalid_arg
+          "Marked_query.make: marked variables must occur in the query")
+    marked
 
 let make ~levels ~free ~marked atoms =
   if Array.length levels < 2 then
     invalid_arg "Marked_query.make: need at least two levels";
+  if Array.length levels >= Sys.int_size then
+    invalid_arg "Marked_query.make: too many levels";
   let atoms = Atom.Set.elements (Atom.Set.of_list atoms) in
   List.iter
     (fun a ->
@@ -161,34 +164,32 @@ let make ~levels ~free ~marked atoms =
                Atom.pp a));
       if Atom.arity a <> 2 then
         invalid_arg "Marked_query.make: level relations must be binary";
-      List.iter
-        (fun t ->
-          if not (Term.is_var t) then
-            invalid_arg "Marked_query.make: only variables allowed")
-        (Atom.args a))
+      if not (Term.is_var (Atom.arg a 0) && Term.is_var (Atom.arg a 1)) then
+        invalid_arg "Marked_query.make: only variables allowed")
     atoms;
-  let var_set = Term.Set.of_list (List.concat_map Atom.vars atoms) in
+  let vars = number atoms in
+  let in_body v = local vars v >= 0 in
   List.iter
     (fun (_orig, rep) ->
-      if atoms <> [] && not (Term.Set.mem rep var_set) then
+      if atoms <> [] && not (in_body rep) then
         invalid_arg
           "Marked_query.make: answer representative must occur in the body")
     free;
-  check_marking ~free ~var_set marked;
-  {
-    levels;
-    free;
-    atoms;
-    marked;
-    tagged = None;
-    analysis = analyze levels atoms;
-  }
+  check_marking ~free ~in_body marked;
+  { levels; free; atoms; marked; analysis = analyze levels atoms vars }
+
+let occurs atoms v =
+  List.exists
+    (fun a -> Term.equal (Atom.arg a 0) v || Term.equal (Atom.arg a 1) v)
+    atoms
 
 let remark q ~marked =
+  (* [q.marked] is valid already: only the newly marked variables are
+     looked up in the body. *)
   check_marking ~free:q.free
-    ~var_set:(Term.Set.of_list (List.concat_map Atom.vars q.atoms))
+    ~in_body:(fun v -> Term.Set.mem v q.marked || occurs q.atoms v)
     marked;
-  { q with marked; tagged = None }
+  { q with marked }
 
 let vars q = Term.dedup (List.map snd q.free @ List.concat_map Atom.vars q.atoms)
 
@@ -200,8 +201,10 @@ let level_of q a =
 let atoms_at_level q i =
   List.filter (fun a -> level_of q a = i) q.atoms
 
+(* Representatives are always marked: only the body is looked at. *)
 let is_totally_marked q =
-  List.for_all (fun v -> Term.Set.mem v q.marked) (vars q)
+  let marked v = Term.Set.mem v q.marked in
+  List.for_all (fun a -> marked (Atom.arg a 0) && marked (Atom.arg a 1)) q.atoms
 
 let is_trivial q = q.atoms = []
 
@@ -213,7 +216,7 @@ let is_properly_marked q =
     (fun a -> (not (marked (Atom.arg a 1))) || marked (Atom.arg a 0))
     q.atoms
   (* (ii) cycles are marked *)
-  && Term.Set.for_all marked an.cycles
+  && List.for_all marked an.cycles
   (* (iii) same-level in-edges into one variable agree on their sources *)
   && List.for_all
        (function
@@ -250,27 +253,6 @@ let to_cq q =
   if q.atoms = [] then None
   else Some (Cq.make ~free:(Term.dedup (List.map snd q.free)) q.atoms)
 
-let tagged_cq q =
-  (* Cached: the marked process keys its seen-store by the canonical id
-     of this encoding ([class_key]) for every generated query, and the
-     encoding caches that id. *)
-  match q.tagged with
-  | Some t -> t
-  | None ->
-      let t =
-        if q.atoms = [] then None
-        else
-          let tags =
-            List.map
-              (fun v -> Atom.make marked_tag [ v ])
-              (Term.Set.elements q.marked)
-          in
-          Some
-            (Cq.make ~free:(Term.dedup (List.map snd q.free)) (q.atoms @ tags))
-      in
-      q.tagged <- Some t;
-      t
-
 let alias_pattern q =
   (* For each answer position, the first position sharing its rep. *)
   List.mapi
@@ -285,9 +267,19 @@ let alias_pattern q =
 
 let aliased q = List.exists2 (fun i j -> i <> j) (alias_pattern q) (List.mapi (fun i _ -> i) q.free)
 
+(* Built for the one lookup and dropped: the seen-store keeps a query per
+   class, so a cached encoding would double what it holds. *)
 let class_key q =
   ( alias_pattern q,
-    match tagged_cq q with Some cq -> Cq.canon_id cq | None -> -1 )
+    if q.atoms = [] then -1
+    else
+      let tags =
+        List.map
+          (fun v -> Atom.make marked_tag [ v ])
+          (Term.Set.elements q.marked)
+      in
+      Cq.canon_id
+        (Cq.make ~free:(Term.dedup (List.map snd q.free)) (q.atoms @ tags)) )
 
 let tuple_admissible q tuple =
   if List.length tuple <> List.length q.free then None

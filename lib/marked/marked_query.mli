@@ -17,20 +17,23 @@ open Logic
 type analysis
 (** The marking-independent analysis of a body for {!is_properly_marked}
     (directed cycles, same-level in-edge groups, in-level patterns),
-    computed by {!make} and shared by every marking made with
-    {!remark}. *)
+    computed by {!make} on the body's variables numbered locally and
+    shared by every marking made with {!remark}. *)
 
 type t = private {
   levels : Symbol.t array;
-      (** [levels.(i)] is [I_{i+1}]; length [K >= 2]. *)
+      (** [levels.(i)] is [I_{i+1}]; length [2 <= K < Sys.int_size]. *)
   free : (Term.t * Term.t) list;
       (** (original answer variable, current representative). *)
   atoms : Atom.t list;  (** binary atoms over [levels]; may be empty *)
   marked : Term.Set.t;  (** contains every representative of [free] *)
-  mutable tagged : Cq.t option option;
-      (** cached [tagged_cq]; [None] until first computed *)
   analysis : analysis;
 }
+(** A stored query holds its body, its marking and the body's analysis,
+    and no other derived state: variable sets and the tagged CQ of
+    {!class_key} are rebuilt by the call that needs them and dropped
+    after it. The marked process keeps one query per isomorphism class
+    for the whole run, so anything cached here is paid per class. *)
 
 val make :
   levels:Symbol.t array ->
@@ -78,16 +81,14 @@ val to_cq : t -> Cq.t option
 (** The underlying CQ with the representatives as answer variables;
     [None] when trivial (no atoms). *)
 
-val tagged_cq : t -> Cq.t option
-(** Encoding for isomorphism tests: the CQ extended with a unary
-    [MARKED] atom per marked variable. [None] when trivial. *)
-
 val class_key : t -> int list * int
 (** The isomorphism class: for each answer position the first position
-    sharing its representative, and the {!Cq.canon_id} of {!tagged_cq}
-    ([-1] when trivial). Two marked queries over the same levels share
-    the key exactly when they are equal up to renaming of variables,
-    markings and answer aliasing included. *)
+    sharing its representative, and the {!Cq.canon_id} of the query's CQ
+    extended with a unary [MARKED?] atom per marked variable ([-1] when
+    trivial); that CQ is built for the call and dropped. Two marked
+    queries over the same levels share the key exactly when they are
+    equal up to renaming of variables, markings and answer aliasing
+    included. *)
 
 val aliased : t -> bool
 (** Two answer variables share a representative. *)

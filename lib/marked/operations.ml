@@ -6,14 +6,10 @@ type classification =
   | Fuse of { level : int; z : Term.t; z' : Term.t }
   | Unsatisfiable
 
-let in_edges q x =
-  List.filter (fun a -> Term.equal (Atom.arg a 1) x) q.Marked_query.atoms
-
-let out_edges q x =
-  List.filter (fun a -> Term.equal (Atom.arg a 0) x) q.Marked_query.atoms
-
 let classify q x =
-  let ins = in_edges q x in
+  let ins =
+    List.filter (fun a -> Term.equal (Atom.arg a 1) x) q.Marked_query.atoms
+  in
   let with_levels =
     List.sort
       (fun (l1, _) (l2, _) -> Int.compare l2 l1)
@@ -38,24 +34,31 @@ let classify q x =
               Reduce { level = l1; red; green }
           | _ -> Unsatisfiable))
 
+(* The first unmarked variable of [Marked_query.vars] with no out-edge.
+   Answer representatives are marked and every source has an out-edge,
+   so it is the first unmarked target, in atom order, that is no
+   source. *)
 let maximal_var q =
-  let candidates =
-    List.filter
-      (fun v ->
-        (not (Term.Set.mem v q.Marked_query.marked)) && out_edges q v = [])
-      (Marked_query.vars q)
-  in
-  match candidates with
-  | [] -> None
-  | x :: _ -> Some (x, classify q x)
+  let atoms = q.Marked_query.atoms in
+  let sources = Term.Set.of_list (List.map (fun a -> Atom.arg a 0) atoms) in
+  List.find_map
+    (fun a ->
+      let v = Atom.arg a 1 in
+      if Term.Set.mem v q.Marked_query.marked || Term.Set.mem v sources then
+        None
+      else Some (v, classify q v))
+    atoms
 
 let remake q ~atoms ~marked ~free =
   (* Prune the marking to the surviving variables (plus representatives). *)
-  let var_set = Term.Set.of_list (List.concat_map Atom.vars atoms) in
-  let rep_set = Term.Set.of_list (List.map snd free) in
-  let surviving = Term.Set.union var_set rep_set in
+  let survives v =
+    List.exists (fun (_, rep) -> Term.equal rep v) free
+    || List.exists
+         (fun a -> Term.equal (Atom.arg a 0) v || Term.equal (Atom.arg a 1) v)
+         atoms
+  in
   Marked_query.make ~levels:q.Marked_query.levels ~free
-    ~marked:(Term.Set.inter marked surviving)
+    ~marked:(Term.Set.filter survives marked)
     atoms
 
 let apply q _x classification =

@@ -709,17 +709,32 @@ let test_lemma53_per_operation () =
   Alcotest.(check bool) "complete" true res.Marked.Process.complete;
   Alcotest.(check bool) "exercised many steps" true (!checks >= 10)
 
+(* Pinned counts that depend on term-id order are taken in a fresh child
+   process: the test binary re-runs itself with [FRONTIER_PIN] set, the
+   child prints one line after the module's own initialisation and
+   exits, and the parent reads that line. *)
+let pin_env = "FRONTIER_PIN"
+
+let pin_line pin =
+  let env = Array.append [| pin_env ^ "=" ^ pin |] (Unix.environment ()) in
+  let ic =
+    Unix.open_process_args_full Sys.executable_name
+      [| Sys.executable_name |] env
+  in
+  let out, _, _ = ic in
+  let line = input_line out in
+  (match Unix.close_process_full ic with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.failf "the counting child for %s failed: %s" pin line);
+  line
+
 (* The containment search's order, pinned. Every ordered pair of the
    106 disjuncts of rew(phi_R^4) is one [Containment.implies] call. The
    disjuncts are pairwise incomparable (the rewriting is minimal), so
    [implies] holds exactly on the diagonal. The search counters over
    these calls follow from the seed order the register machine takes
    and the order it tries candidates in: a change to either moves them.
-   Both orders break ties by term ids, which depend on what the process
-   interned before, so the counts are taken in a child process that
-   runs only this after the module's own initialisation. *)
-let pin_env = "FRONTIER_CONTAINMENT_PIN"
-
+   Both orders break ties by term ids. *)
 let containment_pin_counts () =
   let _, _, phi = Theories.Zoo.phi_r 4 in
   let res = Marked.Process.rewrite_td phi in
@@ -736,34 +751,60 @@ let containment_pin_counts () =
         ds)
     ds;
   let after = Homomorphism.counters () in
-  ( after.searches - before.searches,
-    after.nodes - before.nodes,
-    after.reg_ops - before.reg_ops )
+  Printf.sprintf "%d %d %d"
+    (after.searches - before.searches)
+    (after.nodes - before.nodes)
+    (after.reg_ops - before.reg_ops)
+
+(* The process's path on phi_R^n: its step counts by operation, the
+   improper markings it drops, the kernel's generated and admitted
+   queries, and the size of the rewriting. The maximal variable an
+   operation takes is the first candidate in term-id-dependent atom
+   order, so a change to that choice or to the operations moves them. *)
+let path_pin_counts n =
+  let _, _, phi = Theories.Zoo.phi_r n in
+  let res = Marked.Process.rewrite_td phi in
+  let s = res.Marked.Process.stats in
+  let k = res.Marked.Process.kernel_stats.Saturation.Stats.totals in
+  Printf.sprintf "%d %d %d %d %d %d %d %d" s.steps s.cut_steps s.fuse_steps
+    s.reduce_steps s.dropped_improper k.generated k.admitted
+    (List.length (Ucq.disjuncts res.Marked.Process.rewriting))
 
 let () =
-  if Sys.getenv_opt pin_env <> None then begin
-    let searches, nodes, reg_ops = containment_pin_counts () in
-    Printf.printf "%d %d %d\n" searches nodes reg_ops;
-    exit 0
-  end
+  match Sys.getenv_opt pin_env with
+  | None -> ()
+  | Some pin ->
+      print_endline
+        (match pin with
+        | "containment" -> containment_pin_counts ()
+        | "path 3" -> path_pin_counts 3
+        | "path 4" -> path_pin_counts 4
+        | _ -> "unknown pin " ^ pin);
+      exit 0
 
 let test_containment_search_pinned () =
-  let env = Array.append [| pin_env ^ "=1" |] (Unix.environment ()) in
-  let ic =
-    Unix.open_process_args_full Sys.executable_name
-      [| Sys.executable_name |] env
-  in
-  let out, _, _ = ic in
-  let line = input_line out in
-  (match Unix.close_process_full ic with
-  | Unix.WEXITED 0 -> ()
-  | _ -> Alcotest.failf "the counting child failed: %s" line);
   let searches, nodes, reg_ops =
-    Scanf.sscanf line "%d %d %d" (fun a b c -> (a, b, c))
+    Scanf.sscanf (pin_line "containment") "%d %d %d" (fun a b c -> (a, b, c))
   in
   Alcotest.(check int) "searches" 2_310 searches;
   Alcotest.(check int) "nodes" 15_416 nodes;
   Alcotest.(check int) "reg_ops" 26_424 reg_ops
+
+let test_process_path_pinned () =
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check (list int))
+        (Printf.sprintf
+           "phi_R^%d: steps cut fuse reduce improper generated admitted \
+            disjuncts"
+           n)
+        expected
+        (List.map int_of_string
+           (String.split_on_char ' ' (pin_line (Printf.sprintf "path %d" n)))))
+    [
+      (3, [ 144; 22; 28; 94; 270; 426; 132; 25 ]);
+      (4, [ 1_182; 126; 196; 860; 2_495; 3_762; 1_162; 106 ]);
+    ]
 
 let () =
   Alcotest.run "marked"
@@ -811,6 +852,8 @@ let () =
             test_tdk_indegree_analysis;
           Alcotest.test_case "containment search order on phi_R^4" `Quick
             test_containment_search_pinned;
+          Alcotest.test_case "process path on phi_R^3 and phi_R^4" `Quick
+            test_process_path_pinned;
         ] );
       ( "properties",
         [

@@ -17,6 +17,9 @@
      UCQ-equivalent);
    - rewriting-based answering against chase-based answering (the
      Theorem 1 contract), on random theories and on zoo-seeded instances.
+   - table-free reference versions of the term and atom primitives, and
+     a hash-table analysis of marked-query bodies against
+     [Marked_query.is_properly_marked].
 
    FRONTIER_QCHECK_COUNT scales the number of cases per property (default
    100; CI sets a smaller value to keep the suite fast). *)
@@ -1411,6 +1414,306 @@ let prop_faulty_portfolio_never_lies =
                   reference))
         [ None; Some pool4 ])
 
+(* ------------------------------------------------------------------ *)
+(* Term and atom primitives, and the marked-query analysis             *)
+(* ------------------------------------------------------------------ *)
+
+(* Reference versions of the term and atom primitives: plain structural
+   recursion and list scans, no tables, no fast paths. *)
+let ref_term_vars t =
+  let rec go acc (t : Term.t) =
+    match t.Term.view with
+    | Term.Var _ -> if List.exists (Term.equal t) acc then acc else t :: acc
+    | Term.Const _ -> acc
+    | Term.App { args; _ } -> List.fold_left go acc args
+  in
+  List.rev (go [] t)
+
+let rec ref_subst m (t : Term.t) =
+  match Term.Int_map.find_opt t.Term.id m with
+  | Some image -> image
+  | None -> (
+      match t.Term.view with
+      | Term.Const _ | Term.Var _ -> t
+      | Term.App { fn; args } -> Term.app fn (List.map (ref_subst m) args))
+
+let ref_dedup l =
+  List.rev
+    (List.fold_left
+       (fun acc t -> if List.exists (Term.equal t) acc then acc else t :: acc)
+       [] l)
+
+let ref_atom_terms a = ref_dedup (Atom.args a)
+let ref_atom_vars a = ref_dedup (List.concat_map ref_term_vars (Atom.args a))
+
+(* Terms up to depth 3 over four variables and three constants, with
+   nested applications whose arguments repeat a subterm. *)
+let term_gen =
+  QCheck.Gen.(
+    sized_size (0 -- 3)
+    @@ fix (fun self d ->
+           let leaf =
+             oneof
+               [
+                 map (fun i -> Term.var (Printf.sprintf "t%d" i)) (0 -- 3);
+                 map (fun i -> Term.const (Printf.sprintf "k%d" i)) (0 -- 2);
+               ]
+           in
+           if d = 0 then leaf
+           else
+             frequency
+               [
+                 (1, leaf);
+                 ( 3,
+                   self (d - 1) >>= fun t ->
+                   list_size (1 -- 3) (oneof [ return t; self (d - 1) ])
+                   >>= fun args ->
+                   map
+                     (fun f -> Term.app (Printf.sprintf "f%d" f) args)
+                     (0 -- 1) );
+               ]))
+
+let primitives_arb =
+  let open QCheck in
+  let print (ts, bindings) =
+    Fmt.str "terms [%a], subst [%a]"
+      (Fmt.list ~sep:(Fmt.any "; ") Term.pp)
+      ts
+      (Fmt.list ~sep:(Fmt.any "; ") (fun ppf (i, t) ->
+           Fmt.pf ppf "t%d -> %a" i Term.pp t))
+      bindings
+  in
+  make ~print
+    Gen.(
+      pair
+        (list_size (1 -- 4) term_gen)
+        (list_size (0 -- 3) (pair (0 -- 3) term_gen)))
+
+let prop_primitives_match_reference seed =
+  QCheck.Test.make ~count
+    ~name:
+      (Printf.sprintf
+         "Term.vars/subst, Atom.vars/terms = reference versions (seed %d)" seed)
+    primitives_arb
+    (fun (ts, bindings) ->
+      let m =
+        Term.subst_of_bindings
+          (List.map (fun (i, t) -> (Term.var (Printf.sprintf "t%d" i), t)) bindings)
+      in
+      let atom =
+        Atom.make (Symbol.make (Printf.sprintf "A%d" (List.length ts))
+                     ~arity:(List.length ts)) ts
+      in
+      List.for_all
+        (fun t ->
+          List.equal Term.equal (Term.vars t) (ref_term_vars t)
+          && Term.equal (Term.subst m t) (ref_subst m t))
+        ts
+      && List.equal Term.equal (Atom.terms atom) (ref_atom_terms atom)
+      && List.equal Term.equal (Atom.vars atom) (ref_atom_vars atom)
+      && List.equal Term.equal
+           (Atom.args (Atom.subst m atom))
+           (List.map (ref_subst m) ts))
+
+(* A naive oracle for [Marked_query.is_properly_marked]: the per-body
+   analysis on hash tables keyed by term (Tarjan over term-keyed tables,
+   same-level in-edge groups keyed by (level, target), in-level lists),
+   recomputed for every marking. *)
+let oracle_cycle_vars atoms =
+  let succs = Hashtbl.create 16 in
+  let verts = Term.dedup (List.concat_map Atom.vars atoms) in
+  List.iter
+    (fun a ->
+      let s = Atom.arg a 0 and d = Atom.arg a 1 in
+      let prev = Option.value ~default:[] (Hashtbl.find_opt succs (Term.hash s)) in
+      Hashtbl.replace succs (Term.hash s) (d :: prev))
+    atoms;
+  let succ v = Option.value ~default:[] (Hashtbl.find_opt succs (Term.hash v)) in
+  let index = Hashtbl.create 16 and lowlink = Hashtbl.create 16 in
+  let on_stack = Hashtbl.create 16 in
+  let stack = ref [] and counter = ref 0 and result = ref Term.Set.empty in
+  let rec strongconnect v =
+    let h = Term.hash v in
+    Hashtbl.replace index h !counter;
+    Hashtbl.replace lowlink h !counter;
+    incr counter;
+    stack := v :: !stack;
+    Hashtbl.replace on_stack h true;
+    List.iter
+      (fun w ->
+        let hw = Term.hash w in
+        if not (Hashtbl.mem index hw) then begin
+          strongconnect w;
+          Hashtbl.replace lowlink h
+            (min (Hashtbl.find lowlink h) (Hashtbl.find lowlink hw))
+        end
+        else if Option.value ~default:false (Hashtbl.find_opt on_stack hw) then
+          Hashtbl.replace lowlink h
+            (min (Hashtbl.find lowlink h) (Hashtbl.find index hw)))
+      (succ v);
+    if Hashtbl.find lowlink h = Hashtbl.find index h then begin
+      let scc = ref [] and continue_ = ref true in
+      while !continue_ do
+        match !stack with
+        | [] -> continue_ := false
+        | w :: rest ->
+            stack := rest;
+            Hashtbl.replace on_stack (Term.hash w) false;
+            scc := w :: !scc;
+            if Term.equal w v then continue_ := false
+      done;
+      match !scc with
+      | [ single ] ->
+          if List.exists (Term.equal single) (succ single) then
+            result := Term.Set.add single !result
+      | multiple -> List.iter (fun w -> result := Term.Set.add w !result) multiple
+    end
+  in
+  List.iter
+    (fun v -> if not (Hashtbl.mem index (Term.hash v)) then strongconnect v)
+    verts;
+  !result
+
+let oracle_level levels a =
+  let rec go i = if Symbol.equal levels.(i) (Atom.rel a) then i else go (i + 1) in
+  go 0
+
+(* The analysis: cycle variables, same-level in-edge groups, and the
+   variables whose in-levels are not at most two adjacent ones. *)
+let oracle_analysis levels atoms =
+  let groups = Hashtbl.create 16 and in_levels = Hashtbl.create 16 in
+  List.iter
+    (fun a ->
+      let l = oracle_level levels a and tgt = Atom.arg a 1 in
+      let key = (l, Term.hash tgt) in
+      let prev = Option.value ~default:[] (Hashtbl.find_opt groups key) in
+      Hashtbl.replace groups key (Atom.arg a 0 :: prev);
+      let ls =
+        Option.value ~default:(tgt, []) (Hashtbl.find_opt in_levels tgt.Term.id)
+      in
+      if not (List.mem l (snd ls)) then
+        Hashtbl.replace in_levels tgt.Term.id (tgt, l :: snd ls))
+    atoms;
+  let agree =
+    Hashtbl.fold
+      (fun _ sources acc ->
+        match sources with _ :: _ :: _ -> sources :: acc | _ -> acc)
+      groups []
+  in
+  let must_mark =
+    if Array.length levels = 2 then []
+    else
+      Hashtbl.fold
+        (fun _ (tgt, ls) acc ->
+          match List.sort Int.compare ls with
+          | [] | [ _ ] -> acc
+          | [ a; b ] when b = a + 1 -> acc
+          | _ -> tgt :: acc)
+        in_levels []
+  in
+  (oracle_cycle_vars atoms, agree, must_mark)
+
+let oracle_properly_marked (q : Marked.Marked_query.t) =
+  let cycles, agree, must_mark = oracle_analysis q.levels q.atoms in
+  let marked v = Term.Set.mem v q.marked in
+  List.for_all
+    (fun a -> (not (marked (Atom.arg a 1))) || marked (Atom.arg a 0))
+    q.atoms
+  && Term.Set.for_all marked cycles
+  && List.for_all
+       (function
+         | s :: rest -> List.for_all (fun s' -> marked s' = marked s) rest
+         | [] -> true)
+       agree
+  && List.for_all marked must_mark
+
+(* Bodies over K = 2, 3 or 4 levels and six variables: [(k, edges)]
+   with edges [(level, source, target)] decoded modulo K and 6, so
+   cycles, self-loops, same-level fan-in and non-adjacent in-levels all
+   come up. The answer variable is the first variable of the body. *)
+let marked_body_arb =
+  QCheck.(
+    pair (int_bound 2)
+      (list_of_size Gen.(1 -- 8)
+         (triple (int_bound 3) (int_bound 5) (int_bound 5))))
+
+(* What the draws of one seed covered: cycles through two or more
+   variables, self-loops, same-level fan-in, non-adjacent in-levels. *)
+type marked_coverage = {
+  mutable cycles : int;
+  mutable loops : int;
+  mutable fan_in : int;
+  mutable non_adjacent : int;
+}
+
+let prop_marking_matches_oracle seed cov =
+  QCheck.Test.make ~count
+    ~name:
+      (Printf.sprintf
+         "Marked_query.is_properly_marked = hash-table oracle on every \
+          marking, K = 2..4 (seed %d)"
+         seed)
+    marked_body_arb
+    (fun (k_enc, edges) ->
+      QCheck.assume (edges <> []);
+      let kk = 2 + k_enc in
+      let levels =
+        Array.init kk (fun i -> Symbol.make (Printf.sprintf "L%d" i) ~arity:2)
+      in
+      let var i = Term.var (Printf.sprintf "m%d" (i mod 6)) in
+      let atoms =
+        List.map
+          (fun (l, s, d) -> Atom.make levels.(l mod kk) [ var s; var d ])
+          edges
+      in
+      let cycles, agree, must_mark = oracle_analysis levels atoms in
+      let loops =
+        List.filter (fun a -> Term.equal (Atom.arg a 0) (Atom.arg a 1)) atoms
+      in
+      if Term.Set.exists
+           (fun v ->
+             not (List.exists (fun a -> Term.equal (Atom.arg a 0) v) loops))
+           cycles
+      then cov.cycles <- cov.cycles + 1;
+      if loops <> [] then cov.loops <- cov.loops + 1;
+      if agree <> [] then cov.fan_in <- cov.fan_in + 1;
+      if must_mark <> [] then cov.non_adjacent <- cov.non_adjacent + 1;
+      let body_vars = Term.dedup (List.concat_map Atom.vars atoms) in
+      let x = List.hd body_vars in
+      let free = [ (x, x) ] in
+      let base =
+        Marked.Marked_query.make ~levels ~free ~marked:(Term.Set.singleton x)
+          atoms
+      in
+      let rec subsets = function
+        | [] -> [ [] ]
+        | v :: rest ->
+            let smaller = subsets rest in
+            smaller @ List.map (fun s -> v :: s) smaller
+      in
+      List.for_all
+        (fun extra ->
+          let marked = Term.Set.of_list (x :: extra) in
+          let shared = Marked.Marked_query.remark base ~marked in
+          let fresh = Marked.Marked_query.make ~levels ~free ~marked atoms in
+          let expected = oracle_properly_marked fresh in
+          Marked.Marked_query.is_properly_marked shared = expected
+          && Marked.Marked_query.is_properly_marked fresh = expected)
+        (subsets (List.tl body_vars)))
+
+let test_marking_oracle seed () =
+  let cov = { cycles = 0; loops = 0; fan_in = 0; non_adjacent = 0 } in
+  QCheck.Test.check_exn
+    ~rand:(Random.State.make [| seed |])
+    (prop_marking_matches_oracle seed cov);
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "draws cover cycles (%d), self-loops (%d), same-level fan-in (%d), \
+        non-adjacent in-levels (%d)"
+       cov.cycles cov.loops cov.fan_in cov.non_adjacent)
+    true
+    (cov.cycles > 0 && cov.loops > 0 && cov.fan_in > 0 && cov.non_adjacent > 0)
+
 let () =
   if Sys.getenv_opt "FRONTIER_FAULTS" <> None then
     Printf.printf "FRONTIER_FAULTS=%d base schedule: %s\n%!" fault_seed_base
@@ -1460,6 +1763,20 @@ let () =
               ~rand:(Random.State.make [| seed |])
               (prop_core_matches_restart seed))
           [ 1; 7; 42 ] );
+      ( "primitives",
+        List.map
+          (fun seed ->
+            QCheck_alcotest.to_alcotest
+              ~rand:(Random.State.make [| seed |])
+              (prop_primitives_match_reference seed))
+          [ 1; 7; 42 ]
+        @ List.map
+            (fun seed ->
+              Alcotest.test_case
+                (Printf.sprintf "proper marking = hash-table oracle (seed %d)"
+                   seed)
+                `Quick (test_marking_oracle seed))
+            [ 1; 7; 42 ] );
       ( "generators",
         [
           Alcotest.test_case "CQ bodies never shrink to []" `Quick
