@@ -233,6 +233,9 @@ let print_chase_run ~stats ~pool es0 run =
       (Frontier.Fact_set.cardinal (Frontier.Chase_engine.stage run i))
   done;
   if stats then begin
+    Array.iter
+      (Fmt.pr "%a@." Frontier.Saturation.Stats.pp_round)
+      (Frontier.Chase_engine.stage_stats run);
     Fmt.pr "%a@." Frontier.Saturation.Stats.pp
       (Frontier.Chase_engine.kernel_stats run);
     Fmt.pr "pool: %d domain%s, busy %s s@." (Frontier.Pool.size pool)

@@ -53,7 +53,7 @@ let core_of ?guard ?(keep = Term.Set.empty) f =
      the current structure is the core (or, after a trip, a sound,
      possibly non-minimal retract). *)
   let state = ref f in
-  let step (_ : Saturation.ctx) _batch =
+  let step ~round:_ () =
     let f = !state in
     let dom = Fact_set.domain f in
     let candidates = Term.Set.elements (Term.Set.diff dom keep) in
@@ -84,8 +84,7 @@ let core_of ?guard ?(keep = Term.Set.empty) f =
           commit = true;
         }
   in
-  ignore
-    (Saturation.run ~guard ~record_rounds:false ~init:[ () ] ~step ());
+  ignore (Saturation.run ~guard ~init:[ () ] ~step ());
   !state
 
 let retract_onto f ~into ~keep =

@@ -24,6 +24,8 @@ type run = {
       (* derived atoms: first stage, creating applications; the list is
          mutated in place so a rediscovery costs one table probe *)
   stats : Saturation.Stats.t;
+  stage_stats : Saturation.Stats.round array;
+      (* one record per committed sweep of this segment, in stage order *)
 }
 
 (* The semi-naive trigger enumeration of a rule splits into independent
@@ -187,13 +189,8 @@ let run_from ?pool ?guard ?(max_depth = 50)
   let last_sweep_s = ref 0. in
   (* One kernel round per chase stage: the worklist item is the stage's
      delta, the step is the parallel semi-naive sweep, and the kernel owns
-     the boundary checkpoint, the aborted-sweep discard, and the stats. *)
-  let step (ctx : Saturation.ctx) batch =
-    let delta = match batch with [| d |] -> d | _ -> assert false in
-    let discard =
-      { Saturation.next = []; tally = Saturation.Stats.zero;
-        stop = false; commit = false }
-    in
+     the boundary checkpoint, the aborted-sweep discard, and the totals. *)
+  let sweep ~round delta =
     (* Force the lazy indexes of the shared fact sets *before* fanning out:
        workers only ever read them. *)
     ignore (Fact_set.domain !old_facts);
@@ -256,7 +253,7 @@ let run_from ?pool ?guard ?(max_depth = 50)
            productions are unsound as a stage, so discard them — the
            recorded stages remain exactly [Ch_0 .. Ch_i] for the last
            completed sweep [i]. *)
-        discard
+        Saturation.discard
     | None ->
         (* Partition into genuinely new atoms and rediscoveries; record all
            derivations either way, iterating the per-task locals in the
@@ -278,7 +275,7 @@ let run_from ?pool ?guard ?(max_depth = 50)
                   else begin
                     fresh := atom :: !fresh;
                     Atom_tbl.add info atom
-                      (ctx.Saturation.round, ref [ (rule, sigma) ])
+                      (round, ref [ (rule, sigma) ])
                   end)
             local
         done;
@@ -322,6 +319,22 @@ let run_from ?pool ?guard ?(max_depth = 50)
           { Saturation.next = [ delta' ]; tally; stop = false; commit = true }
         end
   in
+  (* The per-stage records: one per committed sweep, timed from step
+     entry to return. *)
+  let per_stage = ref [] in
+  let step ~round delta =
+    let t0 = Unix.gettimeofday () in
+    let res = sweep ~round delta in
+    if res.Saturation.commit then
+      per_stage :=
+        {
+          Saturation.Stats.index = round;
+          tally = res.Saturation.tally;
+          wall_s = Unix.gettimeofday () -. t0;
+        }
+        :: !per_stage;
+    res
+  in
   let checkpoint =
     Option.map
       (fun sink ->
@@ -337,8 +350,8 @@ let run_from ?pool ?guard ?(max_depth = 50)
     | last :: _ -> [ Fact_set.of_list last ]
   in
   let verdict, stats =
-    Saturation.run ~guard ~drain:Saturation.All ~max_rounds:max_depth
-      ~record_rounds:true ~base_round ?checkpoint ~init ~step ()
+    Saturation.run ~guard ~max_rounds:max_depth ~base_round ?checkpoint ~init
+      ~step ()
   in
   let saturated, interrupted =
     match verdict with
@@ -355,6 +368,7 @@ let run_from ?pool ?guard ?(max_depth = 50)
     guard;
     info;
     stats;
+    stage_stats = Array.of_list (List.rev !per_stage);
   }
 
 let run ?pool ?guard ?max_depth ?max_atoms ?checkpoint theory initial =
@@ -427,7 +441,7 @@ let resume ?pool ?guard ?max_depth ?max_atoms ?checkpoint snap =
 let theory r = r.theory
 let initial r = r.initial
 let kernel_stats r = r.stats
-let stage_stats r = r.stats.Saturation.Stats.per_round
+let stage_stats r = r.stage_stats
 let depth r = Array.length r.stages - 1
 let saturated r = r.saturated
 let interrupted r = r.interrupted

@@ -69,16 +69,20 @@ val resume :
     [Checkpoint.Codec.Error] on undecodable content. *)
 
 val kernel_stats : run -> Saturation.Stats.t
-(** The saturation kernel's per-round counters for the run: one round per
-    executed sweep ([expanded] = trigger homomorphisms enumerated,
-    [generated] = atom productions with rediscoveries, [admitted] = the
-    stage's fresh atoms). *)
+(** The saturation kernel's totals for the run: one round per executed
+    sweep ([expanded] = trigger homomorphisms enumerated, [generated] =
+    atom productions with rediscoveries, [admitted] = the stage's fresh
+    atoms). *)
 
 val stage_stats : run -> Saturation.Stats.round array
-(** [kernel_stats r].per_round: one entry per executed sweep, in stage
-    order. When the run saturated, the final entry is the
+(** One record per executed sweep, in stage order: its absolute round
+    number, its tally, and the wall time of the whole step (sweep and
+    merge). The engine keeps these itself (the kernel keeps no per-round
+    records); they are identical across pool sizes except for
+    [wall_s]. When the run saturated, the final entry is the
     fixpoint-confirming sweep (which derived nothing), so the array has
-    [depth r + 1] entries; otherwise [depth r]. *)
+    [depth r + 1] entries; otherwise [depth r]. Like {!kernel_stats},
+    a resumed run's records cover only the resumed segment. *)
 
 val theory : run -> Theory.t
 val initial : run -> Fact_set.t

@@ -18,8 +18,7 @@ let uniform_bound_on ?pool ?guard ?max_c ?lookahead ?max_atoms theory instances
      skips the remaining instances (the per-instance list stays a prefix
      and [all_ok] below turns false). *)
   let acc = ref [] in
-  let step (_ : Saturation.ctx) batch =
-    let d = match batch with [| d |] -> d | _ -> assert false in
+  let step ~round:_ d =
     (match
        core_terminates_on ?pool ?guard ?max_c ?lookahead ?max_atoms theory d
      with
@@ -32,10 +31,7 @@ let uniform_bound_on ?pool ?guard ?max_c ?lookahead ?max_atoms theory instances
       commit = true;
     }
   in
-  ignore
-    (Saturation.run ?guard
-       ~drain:(Saturation.At_most (fun () -> 1))
-       ~record_rounds:false ~init:instances ~step ());
+  ignore (Saturation.run ?guard ~init:instances ~step ());
   let per_instance = List.rev !acc in
   let all_ok = List.length per_instance = List.length instances in
   let bound =

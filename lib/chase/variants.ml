@@ -46,16 +46,12 @@ let run_oblivious ?pool ?guard
   (* One kernel round per oblivious stage over a unit worklist: the
      evolving fact set lives in [facts]; saturation is signalled by
      returning no successor item. *)
-  let step (_ : Saturation.ctx) _batch =
-    let discard =
-      { Saturation.next = []; tally = Saturation.Stats.zero;
-        stop = false; commit = false }
-    in
+  let step ~round:_ () =
     (* The historical atom cap, checked at round entry like the old
        loop condition: the round never runs. *)
     if Fact_set.cardinal !facts > max_atoms then begin
       capped := Some Guard.Fuel;
-      discard
+      Saturation.discard
     end
     else begin
       (* Publish the index before the fan-out; workers only read [!facts].
@@ -88,7 +84,7 @@ let run_oblivious ?pool ?guard
       | Some _ ->
           (* Discard the aborted sweep: [facts] stays the last completed
              stage, a sound prefix of the fault-free oblivious chase. *)
-          discard
+          Saturation.discard
       | None ->
           let additions =
             Array.fold_left Atom.Set.union Atom.Set.empty per_rule
@@ -109,8 +105,7 @@ let run_oblivious ?pool ?guard
     end
   in
   let verdict, _ =
-    Saturation.run ~guard ~max_rounds:max_depth ~record_rounds:false
-      ~init:[ () ] ~step ()
+    Saturation.run ~guard ~max_rounds:max_depth ~init:[ () ] ~step ()
   in
   let saturated, interrupted =
     match verdict with
@@ -134,15 +129,11 @@ let run_core ?pool ?guard ?(max_rounds = 20) ?(max_atoms = 100_000) theory
   let rounds = ref 0 in
   let stopped = ref None in
   (* One kernel round per "model-check, then step-and-fold" iteration. *)
-  let step (_ : Saturation.ctx) _batch =
-    let discard =
-      { Saturation.next = []; tally = Saturation.Stats.zero;
-        stop = false; commit = false }
-    in
+  let step ~round:_ () =
     if Fact_set.cardinal !current > max_atoms then
       (* The historical cap stops the run without a cause (the old loop
          condition simply failed). *)
-      discard
+      Saturation.discard
     else if Theory.satisfied_in theory !current then
       { Saturation.next = []; tally = Saturation.Stats.zero;
         stop = false; commit = true }
@@ -157,7 +148,7 @@ let run_core ?pool ?guard ?(max_rounds = 20) ?(max_atoms = 100_000) theory
              atom-cap trip is not a guard trip, so carry the cause out
              through [stopped]. *)
           stopped := Some cause;
-          discard
+          Saturation.discard
       | None ->
           incr rounds;
           let before = Fact_set.cardinal !current in
@@ -172,8 +163,7 @@ let run_core ?pool ?guard ?(max_rounds = 20) ?(max_atoms = 100_000) theory
     end
   in
   let verdict, _ =
-    Saturation.run ~guard ~max_rounds ~record_rounds:false
-      ~init:[ () ] ~step ()
+    Saturation.run ~guard ~max_rounds ~init:[ () ] ~step ()
   in
   let saturated, interrupted =
     match verdict with
@@ -233,21 +223,17 @@ let run_restricted ?guard ?(max_applications = 10_000)
         | None -> first_violation rest)
   in
   (* One kernel round per rule application over a unit worklist. *)
-  let step (_ : Saturation.ctx) _batch =
-    let discard =
-      { Saturation.next = []; tally = Saturation.Stats.zero;
-        stop = false; commit = false }
-    in
+  let step ~round:_ () =
     if !steps >= max_applications || Fact_set.cardinal !facts > max_atoms
     then
       (* The historical budgets stop the run without a cause (the old
          loop condition simply failed). *)
-      discard
+      Saturation.discard
     else if
       (* One checkpoint (and one fuel unit) per rule application; the
          kernel's post-discard status check surfaces the trip. *)
       Guard.spend guard 1 <> None
-    then discard
+    then Saturation.discard
     else
       match first_violation (Theory.rules theory) with
       | None ->
@@ -268,7 +254,7 @@ let run_restricted ?guard ?(max_applications = 10_000)
           { Saturation.next = [ () ]; tally; stop = false; commit = true }
   in
   let verdict, _ =
-    Saturation.run ~guard ~record_rounds:false ~init:[ () ] ~step ()
+    Saturation.run ~guard ~init:[ () ] ~step ()
   in
   let interrupted =
     match verdict with

@@ -103,8 +103,8 @@ module Saturation = Saturation
 (** The generic fixpoint kernel every saturation in this reproduction runs
     on: the chase stages, the rewriting worklist, the marked-query process,
     and the core/termination probes are all [Saturation.run] instances.
-    Its {!Saturation.Stats} record is the uniform per-round counter format
-    the CLI's [--stats] flags and the bench harness print. *)
+    Its {!Saturation.Stats} record is the uniform counter format the
+    CLI's [--stats] flags and the bench harness print. *)
 
 module Guard = Guard
 (** Process-wide resource governor: wall-clock deadlines, fuel accounts,

@@ -123,7 +123,7 @@ let encode_state ~round ~levels ~q ~max_steps ~stats ~seen ~lines ~finished
           Array.to_list
             (Array.map (fun l -> Codec.concat [ Symbol.name l ]) levels) );
         ("query", [ Codec.cq_to_string q ]);
-        ("frontier", List.map mq_to_string (Array.to_list frontier));
+        ("frontier", List.map mq_to_string frontier);
         ("finished", List.map mq_to_string finished);
         ("trivial", List.map mq_to_string trivial);
         ("seen", seen_lines);
@@ -219,65 +219,66 @@ let run_from ?guard ?(max_steps = 200_000) ?(record_ranks = false)
      live worklist is simply abandoned on a trip: the totally-marked
      queries collected so far form a sound partial rewriting (each came
      from finitely many rank-descending operations on a proper marking). *)
-  let step (_ : Saturation.ctx) batch =
-    let current = match batch with [| mq |] -> mq | _ -> assert false in
-    (* One checkpoint and one fuel unit per process step. *)
-    match Guard.spend guard 1 with
-    | Some _ ->
-        {
-          Saturation.next = [];
-          tally = Saturation.Stats.zero;
-          stop = true;
-          commit = false;
-        }
-    | None -> (
-        if record_ranks then ignore (Queue.pop mirror);
-        match Operations.maximal_var current with
-        | None ->
-            (* Lemma 55 guarantees a maximal variable for live queries. *)
-            invalid_arg "Process.run: live query without maximal variable"
-        | Some (x, classification) ->
-            stats :=
-              (let s = !stats in
-               match classification with
-               | Operations.Cut _ ->
-                   { s with steps = s.steps + 1; cut_steps = s.cut_steps + 1 }
-               | Operations.Fuse _ ->
-                   {
-                     s with
-                     steps = s.steps + 1;
-                     fuse_steps = s.fuse_steps + 1;
-                   }
-               | Operations.Reduce _ ->
-                   {
-                     s with
-                     steps = s.steps + 1;
-                     reduce_steps = s.reduce_steps + 1;
-                   }
-               | Operations.Unsatisfiable ->
-                   {
-                     s with
-                     steps = s.steps + 1;
-                     dropped_unsat = s.dropped_unsat + 1;
-                   });
-            let results = Operations.apply current x classification in
-            (match on_step with
-            | Some f -> f ~before:current ~classification ~results
-            | None -> ());
-            let new_live = List.filter_map classify_new results in
-            snapshot ();
-            {
-              Saturation.next = new_live;
-              tally =
-                Saturation.Stats.tally ~expanded:1
-                  ~generated:(List.length results)
-                  ~admitted:(List.length new_live)
-                  ~deduped:
-                    (List.length results - List.length new_live)
-                  ();
-              stop = false;
-              commit = true;
-            })
+  let step ~round:_ current =
+    (* The step budget comes first, before the fuel draw and the mirror
+       pop: a spent budget declines the query, which stays at the
+       frontier's head for the final snapshot. *)
+    if !stats.steps >= max_steps then Saturation.discard
+    else
+      (* One checkpoint and one fuel unit per process step. *)
+      match Guard.spend guard 1 with
+      | Some _ -> Saturation.discard
+      | None -> (
+          if record_ranks then ignore (Queue.pop mirror);
+          match Operations.maximal_var current with
+          | None ->
+              (* Lemma 55 guarantees a maximal variable for live queries. *)
+              invalid_arg "Process.run: live query without maximal variable"
+          | Some (x, classification) ->
+              stats :=
+                (let s = !stats in
+                 match classification with
+                 | Operations.Cut _ ->
+                     {
+                       s with
+                       steps = s.steps + 1;
+                       cut_steps = s.cut_steps + 1;
+                     }
+                 | Operations.Fuse _ ->
+                     {
+                       s with
+                       steps = s.steps + 1;
+                       fuse_steps = s.fuse_steps + 1;
+                     }
+                 | Operations.Reduce _ ->
+                     {
+                       s with
+                       steps = s.steps + 1;
+                       reduce_steps = s.reduce_steps + 1;
+                     }
+                 | Operations.Unsatisfiable ->
+                     {
+                       s with
+                       steps = s.steps + 1;
+                       dropped_unsat = s.dropped_unsat + 1;
+                     });
+              let results = Operations.apply current x classification in
+              (match on_step with
+              | Some f -> f ~before:current ~classification ~results
+              | None -> ());
+              let new_live = List.filter_map classify_new results in
+              snapshot ();
+              {
+                Saturation.next = new_live;
+                tally =
+                  Saturation.Stats.tally ~expanded:1
+                    ~generated:(List.length results)
+                    ~admitted:(List.length new_live)
+                    ~deduped:(List.length results - List.length new_live)
+                    ();
+                stop = false;
+                commit = true;
+              })
   in
   let checkpoint =
     Option.map
@@ -290,12 +291,7 @@ let run_from ?guard ?(max_steps = 200_000) ?(record_ranks = false)
       checkpoint_sink
   in
   let verdict, kernel_stats =
-    Saturation.run ~guard
-      ~drain:
-        (Saturation.At_most
-           (fun () -> if !stats.steps >= max_steps then 0 else 1))
-      ~record_rounds:false ~base_round ?checkpoint ~init:initial_live ~step
-      ()
+    Saturation.run ~guard ~base_round ?checkpoint ~init:initial_live ~step ()
   in
   let complete, interrupted =
     match verdict with

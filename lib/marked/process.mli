@@ -36,8 +36,8 @@ type result = {
   kernel_stats : Saturation.Stats.t;
       (** the saturation kernel's counters for the run ([expanded] =
           process steps taken, [generated] = operation results produced,
-          [admitted] = live queries enqueued); per-round entries are not
-          recorded — the process is a strict one-pop-per-round worklist *)
+          [admitted] = live queries enqueued); one kernel round per
+          process step *)
   rank_trace : Rank.srk list option;
 }
 

@@ -85,7 +85,6 @@ let empty_stats =
     Saturation.Stats.rounds = 0;
     totals = Saturation.Stats.zero;
     wall_s = 0.;
-    per_round = [||];
   }
 
 let chase_arm ?pool ?guard ?(max_depth = 40) ?(max_atoms = 200_000) t d q =

@@ -151,7 +151,7 @@ let encode_state ~round ~theory ~q ~budget ~steps ~store_disjuncts ~frontier
         ("query", [ Codec.cq_to_string q ]);
         ("store", List.map Codec.cq_to_string store_disjuncts);
         ( "frontier",
-          List.map Codec.cq_to_string (Array.to_list frontier) );
+          List.map Codec.cq_to_string frontier );
       ];
   }
 
@@ -206,10 +206,13 @@ let rewrite_from ?guard ?(budget = default_budget) ?checkpoint:checkpoint_sink
   in
   let outcome = ref Complete in
   let exception Budget_hit in
-  let step (_ : Saturation.ctx) batch =
-    let current = match batch with [| q' |] -> q' | _ -> assert false in
+  let step ~round:_ current =
+    (* The step budget comes first: a spent budget declines the disjunct
+       untouched, before any liveness probe or fuel draw, so it stays at
+       the frontier's head for the final snapshot. *)
+    if !steps >= budget.max_steps then Saturation.discard
     (* A disjunct subsumed since it was enqueued need not expand. *)
-    if not (is_live store current) then
+    else if not (is_live store current) then
       {
         Saturation.next = [];
         tally = Saturation.Stats.zero;
@@ -223,12 +226,7 @@ let rewrite_from ?guard ?(budget = default_budget) ?checkpoint:checkpoint_sink
       match Guard.spend guard 1 with
       | Some cause ->
           outcome := Guard_exhausted cause;
-          {
-            Saturation.next = [];
-            tally = Saturation.Stats.zero;
-            stop = true;
-            commit = false;
-          }
+          Saturation.discard
       | None -> (
           let candidates = Piece_unifier.one_step_theory current compiled in
           incr steps;
@@ -321,10 +319,7 @@ let rewrite_from ?guard ?(budget = default_budget) ?checkpoint:checkpoint_sink
       checkpoint_sink
   in
   let verdict, kernel_stats =
-    Saturation.run ~guard
-      ~drain:
-        (Saturation.At_most (fun () -> min 1 (budget.max_steps - !steps)))
-      ~record_rounds:false ~base_round ?checkpoint ~init ~step ()
+    Saturation.run ~guard ~base_round ?checkpoint ~init ~step ()
   in
   let outcome =
     match verdict with

@@ -59,8 +59,9 @@ type result = {
   kernel_stats : Saturation.Stats.t;
       (** the saturation kernel's counters for the run ([expanded] =
           frontier disjuncts expanded, i.e. [steps]; [admitted] =
-          disjuncts that entered the store); per-round entries are not
-          recorded — each round pops one disjunct *)
+          disjuncts that entered the store); each round pops one
+          disjunct, and a popped disjunct subsumed since it was enqueued
+          commits a round without a step *)
 }
 
 val rewrite :

@@ -6,7 +6,8 @@
    contract — resume differentials against uninterrupted references:
    bit-identical chase stages (at pool sizes 1 and 4) and, for the
    rewriting engines, the same disjuncts in the same order up to
-   variable renaming from every snapshot round.
+   variable renaming from every snapshot round and from every step-budget
+   stop.
 
    Real SIGKILL trials live in tools/crash_harness.ml (make
    check-resume); these tests cover the same resume paths in-process,
@@ -427,9 +428,8 @@ let test_throttle_counts_from_save_end () =
     saves := (t0, Unix.gettimeofday ()) :: !saves;
     { (sample round) with Checkpoint.Snapshot.sections = [] }
   in
-  let step _ctx batch =
+  let step ~round:_ i =
     Unix.sleepf 0.001;
-    let i = batch.(0) in
     {
       Saturation.next = (if i < 100 then [ i + 1 ] else []);
       tally = Saturation.Stats.zero;
@@ -438,8 +438,7 @@ let test_throttle_counts_from_save_end () =
     }
   in
   let verdict, _ =
-    Saturation.run ~drain:(Saturation.At_most (fun () -> 1))
-      ~record_rounds:false ~checkpoint:(sink, encode) ~init:[ 0 ] ~step ()
+    Saturation.run ~checkpoint:(sink, encode) ~init:[ 0 ] ~step ()
   in
   Alcotest.(check bool) "saturated" true (verdict = Saturation.Saturated);
   let saves = List.rev !saves in
@@ -557,6 +556,65 @@ let test_rewrite_resume_every_round () =
         true (rw_resume_matches path))
     snaps
 
+(* A step budget is a decline: the run stops with the budget-exhausting
+   item still at the head of its final snapshot's frontier. Resumed under
+   the default budget, that snapshot must finish like the uninterrupted
+   run: the same disjuncts in the same order and the same step count.
+   E^5 under T_loopcut pops two disjuncts that were subsumed after they
+   were enqueued (9 kernel rounds, 7 steps), and the budgets cover every
+   k below its step count, so some stops have such a disjunct at the
+   frontier's head. *)
+let loopcut_query = lazy (let _, _, q = Theories.Zoo.e_path_query 5 in q)
+
+let loopcut_ref =
+  lazy
+    (Rewriting.Rewrite.rewrite Theories.Zoo.t_loopcut
+       (Lazy.force loopcut_query))
+
+let test_rewrite_budget_resume () =
+  let reference = Lazy.force loopcut_ref in
+  let ref_steps = reference.Rewriting.Rewrite.steps in
+  let dead_heads = ref 0 in
+  for k = 1 to ref_steps - 1 do
+    let dir = fresh_dir (Printf.sprintf "rw-budget-%d" k) in
+    let budget = { Rewriting.Rewrite.default_budget with max_steps = k } in
+    let stopped =
+      Rewriting.Rewrite.rewrite ~budget
+        ~checkpoint:(Checkpoint.sink ~every:1_000_000 dir)
+        Theories.Zoo.t_loopcut (Lazy.force loopcut_query)
+    in
+    Alcotest.(check bool)
+      (Printf.sprintf "k = %d stops on its step budget" k)
+      true
+      (stopped.Rewriting.Rewrite.outcome = Rewriting.Rewrite.Step_budget);
+    let snap =
+      match Checkpoint.Snapshot.load_latest ~dir with
+      | Some (snap, _), _ -> snap
+      | None, _ -> Alcotest.failf "k = %d left no snapshot" k
+    in
+    let ids section =
+      List.map
+        (fun line -> Cq.canon_id (Checkpoint.Codec.cq_of_string line))
+        (Checkpoint.Snapshot.section snap section)
+    in
+    (match ids "frontier" with
+    | head :: _ when not (List.mem head (ids "store")) -> incr dead_heads
+    | _ -> ());
+    let resumed =
+      Rewriting.Rewrite.resume ~budget:Rewriting.Rewrite.default_budget snap
+    in
+    Alcotest.(check (list int))
+      (Printf.sprintf "k = %d: same disjuncts, same order" k)
+      (canon_ids reference.Rewriting.Rewrite.ucq)
+      (canon_ids resumed.Rewriting.Rewrite.ucq);
+    Alcotest.(check int)
+      (Printf.sprintf "k = %d: same steps" k)
+      ref_steps resumed.Rewriting.Rewrite.steps
+  done;
+  Alcotest.(check bool)
+    "some stop has a subsumed disjunct at the frontier's head" true
+    (!dead_heads > 0)
+
 (* QCheck differential: a random snapshot round, resumed, always yields
    the uninterrupted reference's disjuncts in its order. *)
 let prop_rewrite_resume_any_round =
@@ -665,6 +723,8 @@ let () =
           Alcotest.test_case "chase: every round, bit-identical" `Quick
             test_chase_resume_every_round;
           Alcotest.test_case "chase: -j4 resume" `Quick test_chase_resume_pool4;
+          Alcotest.test_case "rewrite: budget stop, resumed" `Quick
+            test_rewrite_budget_resume;
           Alcotest.test_case "rewrite: every round, same disjuncts" `Quick
             test_rewrite_resume_every_round;
           QCheck_alcotest.to_alcotest prop_rewrite_resume_any_round;

@@ -124,17 +124,15 @@ let check_verdict msg expected got =
 
 let test_kernel_saturates () =
   (* Count down from 5: six committed rounds (5..0), then a drained
-     worklist. *)
-  let step (_ : Saturation.ctx) batch =
-    let next =
-      List.concat_map
-        (fun n -> if n = 0 then [] else [ n - 1 ])
-        (Array.to_list batch)
-    in
+     worklist. Each step sees the absolute 1-based round number. *)
+  let seen = ref [] in
+  let step ~round n =
+    seen := round :: !seen;
+    let next = if n = 0 then [] else [ n - 1 ] in
     {
       Saturation.next;
       tally =
-        tally ~expanded:(Array.length batch) ~generated:(List.length next)
+        tally ~expanded:1 ~generated:(List.length next)
           ~admitted:(List.length next) ();
       stop = false;
       commit = true;
@@ -147,35 +145,35 @@ let test_kernel_saturates () =
     stats.Saturation.Stats.totals.Saturation.Stats.expanded;
   Alcotest.(check int) "admitted" 5
     stats.Saturation.Stats.totals.Saturation.Stats.admitted;
-  Alcotest.(check int) "per-round entries" 6
-    (Array.length stats.Saturation.Stats.per_round);
-  Array.iteri
-    (fun i (r : Saturation.Stats.round) ->
-      Alcotest.(check int) "1-based index" (i + 1) r.Saturation.Stats.index;
-      Alcotest.(check int) "frontier of 1" 1 r.Saturation.Stats.frontier)
-    stats.Saturation.Stats.per_round;
+  Alcotest.(check (list int)) "1-based round numbers" [ 1; 2; 3; 4; 5; 6 ]
+    (List.rev !seen);
+  (* [base_round] offsets the numbers a resumed run's steps see. *)
+  seen := [];
+  ignore (Saturation.run ~base_round:10 ~init:[ 1 ] ~step ());
+  Alcotest.(check (list int)) "absolute round numbers" [ 11; 12 ]
+    (List.rev !seen);
   (* Empty init never calls the step. *)
   let verdict0, stats0 =
     Saturation.run ~init:[]
-      ~step:(fun _ _ -> Alcotest.fail "step called on empty init")
+      ~step:(fun ~round:_ _ -> Alcotest.fail "step called on empty init")
       ()
   in
   check_verdict "empty init" Saturation.Saturated verdict0;
   Alcotest.(check int) "no rounds" 0 stats0.Saturation.Stats.rounds
 
+let forever ~round:_ n =
+  {
+    Saturation.next = [ n ];
+    tally = tally ~expanded:1 ();
+    stop = false;
+    commit = true;
+  }
+
 let test_kernel_stops () =
-  let forever (_ : Saturation.ctx) batch =
-    {
-      Saturation.next = Array.to_list batch;
-      tally = tally ~expanded:(Array.length batch) ();
-      stop = false;
-      commit = true;
-    }
-  in
   (* Client stop flag. *)
   let v1, s1 =
     Saturation.run ~init:[ 0 ]
-      ~step:(fun ctx batch -> { (forever ctx batch) with Saturation.stop = true })
+      ~step:(fun ~round n -> { (forever ~round n) with Saturation.stop = true })
       ()
   in
   check_verdict "stop flag" Saturation.Stopped v1;
@@ -183,25 +181,63 @@ let test_kernel_stops () =
   (* max_rounds. *)
   let v2, s2 = Saturation.run ~max_rounds:3 ~init:[ 0 ] ~step:forever () in
   check_verdict "max_rounds" Saturation.Stopped v2;
-  Alcotest.(check int) "three rounds ran" 3 s2.Saturation.Stats.rounds;
-  (* Drain hook answering non-positive. *)
-  let v3, s3 =
-    Saturation.run
-      ~drain:(Saturation.At_most (fun () -> 0))
-      ~init:[ 0 ] ~step:forever ()
-  in
-  check_verdict "dry drain hook" Saturation.Stopped v3;
-  Alcotest.(check int) "no round ran" 0 s3.Saturation.Stats.rounds
+  Alcotest.(check int) "three rounds ran" 3 s2.Saturation.Stats.rounds
 
-let test_kernel_trips () =
-  let forever (_ : Saturation.ctx) batch =
+let test_kernel_decline () =
+  (* A step budget of two: the step's first action declines its item
+     once the budget is spent. The verdict is [Stopped] (no trip), the
+     declined round is not counted, and the final save still carries the
+     declined item at the head of the frontier. *)
+  let g = Guard.unlimited () in
+  let steps = ref 0 in
+  let saves = ref [] in
+  let encode ~round frontier =
+    saves := (round, frontier) :: !saves;
     {
-      Saturation.next = Array.to_list batch;
-      tally = tally ~expanded:(Array.length batch) ();
-      stop = false;
-      commit = true;
+      Checkpoint.Snapshot.kind = "test";
+      round;
+      meta = [];
+      sections = [];
     }
   in
+  let sink =
+    Checkpoint.sink ~every:1000
+      (Filename.concat (Filename.get_temp_dir_name ()) "frontier-decline")
+  in
+  let step ~round:_ n =
+    if !steps >= 2 then Saturation.discard
+    else begin
+      incr steps;
+      {
+        Saturation.next = [ n + 10 ];
+        tally = tally ~expanded:1 ();
+        stop = false;
+        commit = true;
+      }
+    end
+  in
+  let v, s =
+    Saturation.run ~guard:g ~checkpoint:(sink, encode) ~init:[ 1; 2; 3 ] ~step
+      ()
+  in
+  check_verdict "declined, not tripped" Saturation.Stopped v;
+  Alcotest.(check bool) "guard untripped" true (Guard.status g = None);
+  Alcotest.(check int) "declined round not counted" 2
+    s.Saturation.Stats.rounds;
+  (match !saves with
+  | [ (round, frontier) ] ->
+      Alcotest.(check int) "final save at the last committed round" 2 round;
+      Alcotest.(check (list int)) "declined item heads the frontier"
+        [ 3; 11; 12 ] frontier
+  | _ -> Alcotest.fail "expected exactly one (final) save");
+  (* A decline on the very first round: nothing committed. *)
+  let v0, s0 =
+    Saturation.run ~init:[ 0 ] ~step:(fun ~round:_ _ -> Saturation.discard) ()
+  in
+  check_verdict "first-round decline" Saturation.Stopped v0;
+  Alcotest.(check int) "no committed round" 0 s0.Saturation.Stats.rounds
+
+let test_kernel_trips () =
   (* A pre-tripped guard stops at the first round boundary, for free. *)
   let g = Guard.create ~fuel:0 () in
   ignore (Guard.spend g 1);
@@ -212,9 +248,9 @@ let test_kernel_trips () =
   let g2 = Guard.create ~fuel:2 () in
   let v2, s2 =
     Saturation.run ~guard:g2 ~init:[ 0 ]
-      ~step:(fun ctx batch ->
+      ~step:(fun ~round n ->
         ignore (Guard.spend g2 1);
-        forever ctx batch)
+        forever ~round n)
       ()
   in
   check_verdict "spend trip, round kept" (Saturation.Tripped Guard.Fuel) v2;
@@ -223,7 +259,7 @@ let test_kernel_trips () =
   let g3 = Guard.create ~fuel:2 () in
   let v3, s3 =
     Saturation.run ~guard:g3 ~init:[ 0 ]
-      ~step:(fun ctx batch ->
+      ~step:(fun ~round n ->
         match Guard.spend g3 1 with
         | Some _ ->
             {
@@ -232,7 +268,7 @@ let test_kernel_trips () =
               stop = false;
               commit = false;
             }
-        | None -> forever ctx batch)
+        | None -> forever ~round n)
       ()
   in
   check_verdict "aborted round" (Saturation.Tripped Guard.Fuel) v3;
@@ -241,38 +277,11 @@ let test_kernel_trips () =
   Alcotest.(check int) "discarded tally not accumulated" 2
     s3.Saturation.Stats.totals.Saturation.Stats.expanded
 
-let test_kernel_outcome () =
-  let g = Guard.unlimited () in
-  (match
-     Saturation.outcome Saturation.Saturated ~guard:g ~complete:"c"
-       ~partial:"p" ~stopped_cause:Guard.Fuel
-   with
-  | Guard.Complete s -> Alcotest.(check string) "saturated = complete" "c" s
-  | Guard.Exhausted _ -> Alcotest.fail "Saturated mapped to Exhausted");
-  (match
-     Saturation.outcome Saturation.Stopped ~guard:g ~complete:"c" ~partial:"p"
-       ~stopped_cause:Guard.Fuel
-   with
-  | Guard.Complete _ -> Alcotest.fail "Stopped mapped to Complete"
-  | Guard.Exhausted { partial; cause = c; _ } ->
-      Alcotest.(check string) "partial threaded" "p" partial;
-      Alcotest.check cause "stopped cause" Guard.Fuel c);
-  match
-    Saturation.outcome
-      (Saturation.Tripped Guard.Deadline)
-      ~guard:g ~complete:"c" ~partial:"p" ~stopped_cause:Guard.Fuel
-  with
-  | Guard.Complete _ -> Alcotest.fail "Tripped mapped to Complete"
-  | Guard.Exhausted { cause = c; _ } ->
-      Alcotest.check cause "trip cause wins" Guard.Deadline c
-
 let test_kernel_fifo () =
-  (* One-at-a-time drain: new items queue behind the remaining frontier,
-     so the expansion order is breadth-first, like the worklists the
-     rewriting and the marked process used to hand-roll. *)
+  (* New items queue behind the remaining frontier, so the expansion
+     order is breadth-first. *)
   let order = ref [] in
-  let step (_ : Saturation.ctx) batch =
-    let n = match batch with [| n |] -> n | _ -> Alcotest.fail "batch size" in
+  let step ~round:_ n =
     order := n :: !order;
     {
       Saturation.next = (if n < 10 then [ n + 10 ] else []);
@@ -281,45 +290,30 @@ let test_kernel_fifo () =
       commit = true;
     }
   in
-  let v, _ =
-    Saturation.run
-      ~drain:(Saturation.At_most (fun () -> 1))
-      ~init:[ 1; 2; 3 ] ~step ()
-  in
+  let v, _ = Saturation.run ~init:[ 1; 2; 3 ] ~step () in
   check_verdict "drained" Saturation.Saturated v;
   Alcotest.(check (list int)) "FIFO order" [ 1; 2; 3; 11; 12; 13 ]
     (List.rev !order)
 
 let test_kernel_million_item_frontier () =
   (* The tail-recursion acceptance bar: a million-item frontier must
-     drain without stack overflow, whole (drain All) and in chunks. *)
+     drain, one item per round, without stack overflow. *)
   let n = 1_000_000 in
   let rec build i acc = if i = 0 then acc else build (i - 1) (i :: acc) in
   let init = build n [] in
-  let consume (_ : Saturation.ctx) batch =
+  let consume ~round:_ _ =
     {
       Saturation.next = [];
-      tally = tally ~expanded:(Array.length batch) ();
+      tally = tally ~expanded:1 ();
       stop = false;
       commit = true;
     }
   in
-  let v1, s1 =
-    Saturation.run ~record_rounds:false ~init ~step:consume ()
-  in
-  check_verdict "one big round" Saturation.Saturated v1;
-  Alcotest.(check int) "single round" 1 s1.Saturation.Stats.rounds;
+  let v, s = Saturation.run ~init ~step:consume () in
+  check_verdict "drained" Saturation.Saturated v;
+  Alcotest.(check int) "one round per item" n s.Saturation.Stats.rounds;
   Alcotest.(check int) "all expanded" n
-    s1.Saturation.Stats.totals.Saturation.Stats.expanded;
-  let v2, s2 =
-    Saturation.run
-      ~drain:(Saturation.At_most (fun () -> 100_000))
-      ~record_rounds:false ~init ~step:consume ()
-  in
-  check_verdict "chunked" Saturation.Saturated v2;
-  Alcotest.(check int) "ten chunks" 10 s2.Saturation.Stats.rounds;
-  Alcotest.(check int) "all expanded in chunks" n
-    s2.Saturation.Stats.totals.Saturation.Stats.expanded
+    s.Saturation.Stats.totals.Saturation.Stats.expanded
 
 (* ------------------------------------------------------------------ *)
 (* Chase integration                                                   *)
@@ -441,8 +435,8 @@ let () =
           Alcotest.test_case "saturation fixpoint + stats" `Quick
             test_kernel_saturates;
           Alcotest.test_case "client stops" `Quick test_kernel_stops;
+          Alcotest.test_case "budget decline" `Quick test_kernel_decline;
           Alcotest.test_case "guard trips" `Quick test_kernel_trips;
-          Alcotest.test_case "outcome packaging" `Quick test_kernel_outcome;
           Alcotest.test_case "one-at-a-time drain is FIFO" `Quick
             test_kernel_fifo;
           Alcotest.test_case "1M-item frontier drains" `Quick

@@ -303,6 +303,14 @@ let same_derivations run_a run_b atom =
   names (Chase.Engine.derivations run_a atom)
   = names (Chase.Engine.derivations run_b atom)
 
+(* Per-stage records agree in everything but their wall times. *)
+let same_stage_stats run_a run_b =
+  let key (r : Saturation.Stats.round) =
+    (r.Saturation.Stats.index, r.Saturation.Stats.tally)
+  in
+  Array.map key (Chase.Engine.stage_stats run_a)
+  = Array.map key (Chase.Engine.stage_stats run_b)
+
 let prop_parallel_chase_deterministic =
   QCheck.Test.make ~count
     ~name:"chase at -j1/-j2/-j4: identical stages, flags, provenance"
@@ -325,7 +333,8 @@ let prop_parallel_chase_deterministic =
                    (Chase.Engine.stage par i))
                (List.init (Chase.Engine.depth seq + 1) Fun.id)
           && List.for_all (same_derivations seq par)
-               (Fact_set.atoms (Chase.Engine.result seq)))
+               (Fact_set.atoms (Chase.Engine.result seq))
+          && same_stage_stats seq par)
         [ pool2; pool4 ])
 
 let prop_parallel_oblivious_deterministic =
