@@ -427,31 +427,37 @@ let iso_key q =
    variables corresponding by position, ground terms literal. Interned,
    it names each isomorphism class by one process-wide int.
 
-   Each atom flattens to ints: its relation's id (which fixes its
-   arity), then one token per term, the kind folded into the low two
-   bits: a ground term is [4 * id], an answer variable
-   [4 * position + 1], a bound variable [4 * label + 2], and a
-   non-ground application [4 * fn + 3] (fn numbers the symbol with its
-   arity) followed by its arguments' tokens. Tokens are self-delimiting,
-   so the atoms, sorted and written as varints one after another,
-   determine the query up to the labelling of its bound variables.
+   Two parts make it. A front end flattens each atom to an int
+   template: its relation's id (which fixes its arity), then one token
+   per term, the kind folded into the low two bits: a ground term is
+   [4 * id], an answer variable [4 * position + 1], a bound variable a
+   vertex, written [4 * label + 2] once labelled, and a non-ground
+   application [4 * fn + 3] (fn numbers the symbol with its arity)
+   followed by its arguments' tokens. Tokens are self-delimiting, so the
+   templates, sorted and written as varints one after another, determine
+   the query up to the labelling of its vertices. [canon_key] below is
+   the CQ front end; the marked process's class key
+   ([Marked_query.class_key]) is another.
 
-   The labelling comes from individualisation-refinement (McKay and
-   Piperno, "Practical graph isomorphism, II", arXiv 1301.1493). The
-   bound variables form an ordered partition, refined by 1-WL colour
-   refinement until it is stable: a cell splits by the multiset of its
-   members' occurrences (the atom's shape, the position, the cells of
-   the co-arguments), and the parts keep the cell's place in the order,
-   so refinement commutes with renaming. A discrete partition labels
-   each variable by its place: a leaf. Otherwise each member of the
-   first non-singleton cell is individualised in turn (put first in its
-   cell, the rest one place later) and the search recurses. The code is
-   the least leaf code; the leaves of isomorphic queries correspond, so
-   their least codes agree. Two leaves with equal codes reveal an
-   automorphism, which maps the path of one onto the other. A child in
-   the orbit of an explored sibling under the automorphisms fixing its
-   path spans the same codes and is skipped, or abandoned as soon as an
-   automorphism puts it there. *)
+   The search ([canon_code]) finds the labelling by
+   individualisation-refinement (McKay and Piperno, "Practical graph
+   isomorphism, II", arXiv 1301.1493). The vertices start as the
+   front end's ordered partition (one cell for a CQ; marked, then
+   unmarked variables for a marked query), whose cell sizes head the
+   code, and are refined by 1-WL colour refinement until stable: a cell
+   splits by the multiset of its members' occurrences (the atom's shape,
+   the position, the cells of the co-arguments), and the parts keep the
+   cell's place in the order, so refinement commutes with renaming. A
+   discrete partition labels each vertex by its place: a leaf.
+   Otherwise each member of the first non-singleton cell is
+   individualised in turn (put first in its cell, the rest one place
+   later) and the search recurses. The code is the least leaf code; the
+   leaves of isomorphic queries correspond, so their least codes agree.
+   Two leaves with equal codes reveal an automorphism, which maps the
+   path of one onto the other. A child in the orbit of an explored
+   sibling under the automorphisms fixing its path spans the same codes
+   and is skipped, or abandoned as soon as an automorphism puts it
+   there. *)
 
 (* Function symbols of non-ground applications, numbered process-wide
    with their arity so that codes of distinct queries are comparable.
@@ -481,50 +487,13 @@ let rec put_varint b x =
     put_varint b (x lsr 7)
   end
 
-let canon_key q =
-  let free = Array.of_list q.free in
-  let vertex_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
-  (* The token of a variable or constant. *)
-  let simple (t : Term.t) =
-    match t.Term.view with
-    | Term.Const _ | Term.App _ -> 4 * t.Term.id
-    | Term.Var _ -> (
-        let i = ref 0 in
-        while !i < Array.length free && free.(!i).Term.id <> t.Term.id do
-          incr i
-        done;
-        if !i < Array.length free then (4 * !i) + 1
-        else
-          match Hashtbl.find vertex_of t.Term.id with
-          | v -> -v - 1
-          | exception Not_found ->
-              let v = Hashtbl.length vertex_of in
-              Hashtbl.add vertex_of t.Term.id v;
-              -v - 1)
-  in
-  (* Atom templates: tokens as above, bound variable [v] as [-v - 1]. *)
-  let rec tokens (t : Term.t) acc =
-    match t.Term.view with
-    | Term.App { fn; args } when Term.vars t <> [] ->
-        ((4 * fn_code fn (List.length args)) + 3)
-        :: List.fold_right tokens args acc
-    | _ -> simple t :: acc
-  in
-  let template (a : Atom.t) =
-    let args = a.Atom.args in
-    if Array.exists Term.is_functional args then
-      Array.of_list (Symbol.id a.Atom.rel :: Array.fold_right tokens args [])
-    else
-      let toks = Array.make (Array.length args + 1) (Symbol.id a.Atom.rel) in
-      for i = 0 to Array.length args - 1 do
-        toks.(i + 1) <- simple args.(i)
-      done;
-      toks
-  in
-  let atoms = Array.of_list (List.map template q.atoms) in
-  let k = Hashtbl.length vertex_of in
-  (* Per atom, the positions of its bound variables and a hash of the
-     rest of it. *)
+(* The search, over distinct atom templates whose tokens [x >= 0] are
+   literal and [x < 0] name the vertex [-x - 1]. [partition] lists the
+   vertices [0 .. k-1] cell by cell. *)
+let canon_code atoms ~partition =
+  let k = Array.fold_left (fun n cell -> n + Array.length cell) 0 partition in
+  (* Per atom, the positions of its vertices and a hash of the rest of
+     it. *)
   let var_pos =
     Array.map
       (fun toks ->
@@ -549,7 +518,8 @@ let canon_key q =
          0x811c9dc5)
       atoms
   in
-  (* The atoms under [label], sorted, as varints. *)
+  (* The cell sizes, then the atoms under [label], sorted, as
+     varints. *)
   let leaf_code label =
     let token x = if x >= 0 then x else (4 * label.(-x - 1)) + 2 in
     let by_tokens a b =
@@ -564,7 +534,8 @@ let canon_key q =
     in
     let sorted = Array.init (Array.length atoms) Fun.id in
     Array.sort by_tokens sorted;
-    let b = Buffer.create (8 * Array.length atoms) in
+    let b = Buffer.create (8 * (Array.length atoms + 1)) in
+    Array.iter (fun cell -> put_varint b (Array.length cell)) partition;
     Array.iter
       (fun a ->
         let toks = atoms.(a) in
@@ -717,8 +688,64 @@ let canon_key q =
           end
         done
   in
-  search 0 (Array.make k 0) (Array.init k Fun.id);
+  let colour = Array.make k 0 and order = Array.make k 0 in
+  let start = ref 0 in
+  Array.iter
+    (fun cell ->
+      Array.iteri
+        (fun i v ->
+          colour.(v) <- !start;
+          order.(!start + i) <- v)
+        cell;
+      start := !start + Array.length cell)
+    partition;
+  search 0 colour order;
   match !best with Some (code, _) -> code | None -> assert false
+
+(* The CQ front end: bound variables are the vertices, all in one
+   cell. *)
+let canon_key q =
+  let free = Array.of_list q.free in
+  let vertex_of : (int, int) Hashtbl.t = Hashtbl.create 16 in
+  (* The token of a variable or constant. *)
+  let simple (t : Term.t) =
+    match t.Term.view with
+    | Term.Const _ | Term.App _ -> 4 * t.Term.id
+    | Term.Var _ -> (
+        let i = ref 0 in
+        while !i < Array.length free && free.(!i).Term.id <> t.Term.id do
+          incr i
+        done;
+        if !i < Array.length free then (4 * !i) + 1
+        else
+          match Hashtbl.find vertex_of t.Term.id with
+          | v -> -v - 1
+          | exception Not_found ->
+              let v = Hashtbl.length vertex_of in
+              Hashtbl.add vertex_of t.Term.id v;
+              -v - 1)
+  in
+  (* Atom templates: tokens as above, bound variable [v] as [-v - 1]. *)
+  let rec tokens (t : Term.t) acc =
+    match t.Term.view with
+    | Term.App { fn; args } when Term.vars t <> [] ->
+        ((4 * fn_code fn (List.length args)) + 3)
+        :: List.fold_right tokens args acc
+    | _ -> simple t :: acc
+  in
+  let template (a : Atom.t) =
+    let args = a.Atom.args in
+    if Array.exists Term.is_functional args then
+      Array.of_list (Symbol.id a.Atom.rel :: Array.fold_right tokens args [])
+    else
+      let toks = Array.make (Array.length args + 1) (Symbol.id a.Atom.rel) in
+      for i = 0 to Array.length args - 1 do
+        toks.(i + 1) <- simple args.(i)
+      done;
+      toks
+  in
+  let atoms = Array.of_list (List.map template q.atoms) in
+  canon_code atoms ~partition:[| Array.init (Hashtbl.length vertex_of) Fun.id |]
 
 (* Interning canonical codes gives each isomorphism class a process-wide
    integer identity. The codes are strings, which the stdlib

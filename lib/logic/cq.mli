@@ -128,15 +128,31 @@ val canon_id : t -> int
     [canon_id q1 = canon_id q2] holds exactly when [q1] and [q2] are
     isomorphic — equal up to renaming of bound variables, with answer
     variables corresponding by position and constants and ground terms
-    kept. Every isomorphism decision in the library is this comparison:
-    {!Containment.isomorphic}, the rewriting's dedup, the marked
-    process's store and the normalisation's nullary predicates.
+    kept. Every CQ isomorphism decision in the library is this
+    comparison: {!Containment.isomorphic}, the rewriting's dedup and the
+    normalisation's nullary predicates. (The marked process's store
+    compares marked queries by {!canon_code} through its own front end,
+    [Marked_query.class_key], and interns nothing.)
 
     The code comes from a canonical labelling of the bound variables by
     individualisation-refinement with automorphism pruning; on queries
     whose colour refinement already separates every bound variable it
     is one refinement and one sort. Computed lazily and cached on the
     query; ids are process-wide and never reused. *)
+
+val canon_code : int array array -> partition:int array array -> string
+(** [canon_code templates ~partition]: the search behind {!canon_id},
+    for other front ends. Each template is one atom as ints: a token
+    [x >= 0] is literal, [x < 0] names the vertex [-x - 1]. [partition]
+    is the initial ordered partition of the vertices [0 .. k-1], cell by
+    cell. The code starts with the cell sizes, then lists the templates
+    under a canonical labelling, vertex [v] written [4 * label(v) + 2].
+    Two inputs share a code exactly when a bijection of their vertices
+    that keeps each vertex in its cell carries one template set onto
+    the other, provided the templates are distinct and their written
+    form decodes: both front ends put the relation's id first and never
+    write a literal argument token that is [2 mod 4]. The code is not
+    interned. *)
 
 val canon_table_stats : unit -> Hashtbl.statistics
 (** Bucket statistics of the process-wide table that interns canonical

@@ -21,8 +21,6 @@ type t = {
   analysis : analysis;  (* shared by the markings of one body *)
 }
 
-let marked_tag = Symbol.make "MARKED?" ~arity:1
-
 let level_index levels rel =
   let rec go i =
     if i >= Array.length levels then None
@@ -267,19 +265,42 @@ let alias_pattern q =
 
 let aliased q = List.exists2 (fun i j -> i <> j) (alias_pattern q) (List.mapi (fun i _ -> i) q.free)
 
-(* Built for the one lookup and dropped: the seen-store keeps a query per
-   class, so a cached encoding would double what it holds. *)
+(* The marked front end of [Cq.canon_code], built for the one lookup
+   and dropped: the seen-store keeps a query per class, so a cached
+   encoding would double what it holds. An atom is [level id; src; dst];
+   a representative is the token [4 * pos + 1], [pos] its place among
+   the deduplicated representatives; every other variable is a vertex,
+   numbered in one pass over the atoms, and the initial partition puts
+   the marked vertices before the unmarked ones. *)
 let class_key q =
-  ( alias_pattern q,
-    if q.atoms = [] then -1
+  let reps = Array.of_list (Term.dedup (List.map snd q.free)) in
+  let vertex_of : (int, int) Hashtbl.t = Hashtbl.create 32 in
+  let marked = ref [] and unmarked = ref [] in
+  let token (t : Term.t) =
+    let i = ref 0 in
+    while !i < Array.length reps && reps.(!i).Term.id <> t.Term.id do
+      incr i
+    done;
+    if !i < Array.length reps then (4 * !i) + 1
     else
-      let tags =
-        List.map
-          (fun v -> Atom.make marked_tag [ v ])
-          (Term.Set.elements q.marked)
-      in
-      Cq.canon_id
-        (Cq.make ~free:(Term.dedup (List.map snd q.free)) (q.atoms @ tags)) )
+      match Hashtbl.find vertex_of t.Term.id with
+      | v -> -v - 1
+      | exception Not_found ->
+          let v = Hashtbl.length vertex_of in
+          Hashtbl.add vertex_of t.Term.id v;
+          if Term.Set.mem t q.marked then marked := v :: !marked
+          else unmarked := v :: !unmarked;
+          -v - 1
+  in
+  let template a =
+    let src = token (Atom.arg a 0) in
+    let dst = token (Atom.arg a 1) in
+    [| Symbol.id (Atom.rel a); src; dst |]
+  in
+  let atoms = Array.of_list (List.map template q.atoms) in
+  ( alias_pattern q,
+    Cq.canon_code atoms
+      ~partition:[| Array.of_list !marked; Array.of_list !unmarked |] )
 
 let tuple_admissible q tuple =
   if List.length tuple <> List.length q.free then None

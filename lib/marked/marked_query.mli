@@ -30,7 +30,7 @@ type t = private {
   analysis : analysis;
 }
 (** A stored query holds its body, its marking and the body's analysis,
-    and no other derived state: variable sets and the tagged CQ of
+    and no other derived state: variable sets and the code of
     {!class_key} are rebuilt by the call that needs them and dropped
     after it. The marked process keeps one query per isomorphism class
     for the whole run, so anything cached here is paid per class. *)
@@ -81,14 +81,19 @@ val to_cq : t -> Cq.t option
 (** The underlying CQ with the representatives as answer variables;
     [None] when trivial (no atoms). *)
 
-val class_key : t -> int list * int
-(** The isomorphism class: for each answer position the first position
-    sharing its representative, and the {!Cq.canon_id} of the query's CQ
-    extended with a unary [MARKED?] atom per marked variable ([-1] when
-    trivial); that CQ is built for the call and dropped. Two marked
+val class_key : t -> int list * string
+(** The isomorphism class, as a code and not an interned id: for each
+    answer position the first position sharing its representative (the
+    alias pattern), and the {!Cq.canon_code} of the body. That code
+    writes each atom as its level's symbol id and its two arguments; a
+    representative is its position among the distinct representatives,
+    every other variable a vertex; the initial partition is the marked
+    vertices, then the unmarked ones, and its two cell sizes head the
+    code. A trivial query's code is just the two sizes. Two marked
     queries over the same levels share the key exactly when they are
     equal up to renaming of variables, markings and answer aliasing
-    included. *)
+    included. Nothing is built but the code, and nothing enters the
+    process-wide table behind {!Cq.canon_id}. *)
 
 val aliased : t -> bool
 (** Two answer variables share a representative. *)

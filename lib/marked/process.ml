@@ -21,20 +21,33 @@ type result = {
 }
 
 (* The seen-store: one entry per isomorphism class of marked query,
-   keyed by [Marked_query.class_key] (alias pattern and the complete
-   canonical id of the tagged CQ). Equal keys are isomorphism, so
-   membership is one hash lookup and no pairwise test runs. *)
+   keyed by [Marked_query.class_key] (alias pattern and the canonical
+   code of the marked body) with its stdlib polymorphic hash, taken
+   once per insertion and kept in the key. Equal keys are isomorphism,
+   so membership is one hash lookup and no pairwise test runs. *)
 module Store = struct
-  type t = (int list * int, Marked_query.t) Hashtbl.t
+  module Key = struct
+    type t = { hash : int; alias : int list; code : string }
 
-  let create () : t = Hashtbl.create 64
+    let equal a b =
+      a.hash = b.hash && String.equal a.code b.code && a.alias = b.alias
+
+    let hash k = k.hash
+  end
+
+  module Tbl = Hashtbl.Make (Key)
+
+  type t = Marked_query.t Tbl.t
+
+  let create () : t = Tbl.create 64
 
   (* Insert [q] unless its class is present; [true] when inserted. *)
   let add_if_absent (store : t) q =
-    let k = Marked_query.class_key q in
-    if Hashtbl.mem store k then false
+    let alias, code = Marked_query.class_key q in
+    let k = { Key.hash = Hashtbl.hash (alias, code); alias; code } in
+    if Tbl.mem store k then false
     else begin
-      Hashtbl.add store k q;
+      Tbl.add store k q;
       true
     end
 end
@@ -43,9 +56,9 @@ let checkpoint_kind = "marked"
 
 (* One marked query per snapshot line: the free (original, representative)
    pairs, the marked set, and the atoms — [Marked_query.make] revalidates
-   on decode. Canonical ids are process-local and never serialized; the
-   resumed store is rebuilt by re-inserting every saved query, which
-   recomputes their keys. *)
+   on decode. Class keys are never serialized; the resumed store is
+   rebuilt by re-inserting every saved query, which recomputes their
+   keys. *)
 let mq_to_string w mq =
   let module Codec = Checkpoint.Codec in
   Codec.line w (fun w ->
@@ -96,14 +109,14 @@ let encode_state ~round ~levels ~q ~max_steps ~stats ~seen ~lines ~finished
   let w = Codec.writer () in
   let mq_to_string = mq_to_string w in
   let line k mq =
-    match Hashtbl.find_opt lines k with
+    match Store.Tbl.find_opt lines k with
     | Some l -> l
     | None ->
         let l = mq_to_string mq in
-        Hashtbl.add lines k l;
+        Store.Tbl.add lines k l;
         l
   in
-  let seen_lines = Hashtbl.fold (fun k mq acc -> line k mq :: acc) seen [] in
+  let seen_lines = Store.Tbl.fold (fun k mq acc -> line k mq :: acc) seen [] in
   {
     Checkpoint.Snapshot.kind = checkpoint_kind;
     round;
@@ -283,7 +296,7 @@ let run_from ?guard ?(max_steps = 200_000) ?(record_ranks = false)
   let checkpoint =
     Option.map
       (fun sink ->
-        let lines = Hashtbl.create 64 in
+        let lines = Store.Tbl.create 64 in
         ( sink,
           fun ~round frontier ->
             encode_state ~round ~levels ~q ~max_steps ~stats:!stats ~seen

@@ -709,6 +709,84 @@ let test_lemma53_per_operation () =
   Alcotest.(check bool) "complete" true res.Marked.Process.complete;
   Alcotest.(check bool) "exercised many steps" true (!checks >= 10)
 
+(* A reference class key through the CQ front end instead of the
+   marked one: the alias pattern, and the interned [Cq.canon_id] of the
+   body plus a unary [MARKED?] atom per marked variable, as a CQ over
+   the distinct representatives ([-1] when trivial). *)
+let marked_tag = Symbol.make "MARKED?" ~arity:1
+
+let tagged_cq_key (q : Marked.Marked_query.t) =
+  ( List.map
+      (fun (_, rep) ->
+        let rec first j = function
+          | (_, r) :: _ when Term.equal r rep -> j
+          | _ :: rest -> first (j + 1) rest
+          | [] -> assert false
+        in
+        first 0 q.free)
+      q.free,
+    if q.atoms = [] then -1
+    else
+      Cq.canon_id
+        (Cq.make
+           ~free:(Term.dedup (List.map snd q.free))
+           (q.atoms
+           @ List.map
+               (fun v -> atom marked_tag [ v ])
+               (Term.Set.elements q.marked))) )
+
+(* [q] over fresh variables: new term ids reorder its body. *)
+let renamed (q : Marked.Marked_query.t) =
+  let m =
+    List.fold_left
+      (fun m x -> Term.Map.add x (Cq.fresh_var ~prefix:"ck" ()) m)
+      Term.Map.empty (Marked.Marked_query.vars q)
+  in
+  let r x = Term.Map.find x m in
+  Marked.Marked_query.make ~levels:q.levels
+    ~free:(List.map (fun (o, x) -> (o, r x)) q.free)
+    ~marked:(Term.Set.map r q.marked)
+    (List.map (Atom.map_args r) q.atoms)
+
+(* Every properly marked query rew(phi_R^4) generates, each with a
+   renamed copy (the process itself meets few isomorphic queries there):
+   the class key and the tagged-CQ reference split them into the same
+   classes. *)
+let test_class_key_matches_tagged_cq () =
+  let queries = ref [] in
+  let on_step ~before:_ ~classification:_ ~results =
+    List.iter
+      (fun q ->
+        if Marked.Marked_query.is_properly_marked q then
+          queries := q :: renamed q :: !queries)
+      results
+  in
+  let _, _, phi = Theories.Zoo.phi_r 4 in
+  ignore (Marked.Process.rewrite_td ~on_step phi : Marked.Process.result);
+  let by_key = Hashtbl.create 1024 and by_ref = Hashtbl.create 1024 in
+  List.iter
+    (fun q ->
+      let k = Marked.Marked_query.class_key q and r = tagged_cq_key q in
+      (match Hashtbl.find_opt by_key k with
+      | Some r' when r' <> r ->
+          Alcotest.failf "one class key, two reference classes: %a"
+            Marked.Marked_query.pp q
+      | Some _ -> ()
+      | None -> Hashtbl.add by_key k r);
+      match Hashtbl.find_opt by_ref r with
+      | Some k' when k' <> k ->
+          Alcotest.failf "one reference class, two class keys: %a"
+            Marked.Marked_query.pp q
+      | Some _ -> ()
+      | None -> Hashtbl.add by_ref r k)
+    !queries;
+  Alcotest.(check bool)
+    (Printf.sprintf "%d queries in %d classes" (List.length !queries)
+       (Hashtbl.length by_key))
+    true
+    (List.length !queries > 2000
+    && 2 * Hashtbl.length by_key = List.length !queries)
+
 (* Pinned counts that depend on term-id order are taken in a fresh child
    process: the test binary re-runs itself with [FRONTIER_PIN] set, the
    child prints one line after the module's own initialisation and
@@ -770,6 +848,15 @@ let path_pin_counts n =
     s.reduce_steps s.dropped_improper k.generated k.admitted
     (List.length (Ucq.disjuncts res.Marked.Process.rewriting))
 
+(* The table behind [Cq.canon_id] before and after a marked run on
+   phi_R^3, in a process that has interned nothing of it yet. *)
+let intern_pin_counts () =
+  let _, _, phi = Theories.Zoo.phi_r 3 in
+  let before = (Cq.canon_table_stats ()).Hashtbl.num_bindings in
+  let res = Marked.Process.rewrite_td phi in
+  Printf.sprintf "%b %d %d" res.Marked.Process.complete before
+    (Cq.canon_table_stats ()).Hashtbl.num_bindings
+
 let () =
   match Sys.getenv_opt pin_env with
   | None -> ()
@@ -779,6 +866,7 @@ let () =
         | "containment" -> containment_pin_counts ()
         | "path 3" -> path_pin_counts 3
         | "path 4" -> path_pin_counts 4
+        | "interns" -> intern_pin_counts ()
         | _ -> "unknown pin " ^ pin);
       exit 0
 
@@ -805,6 +893,15 @@ let test_process_path_pinned () =
       (3, [ 144; 22; 28; 94; 270; 426; 132; 25 ]);
       (4, [ 1_182; 126; 196; 860; 2_495; 3_762; 1_162; 106 ]);
     ]
+
+(* The store keys classes by code and interns nothing: the process-wide
+   table behind [Cq.canon_id] does not grow during a marked run. *)
+let test_marked_run_interns_nothing () =
+  let complete, before, after =
+    Scanf.sscanf (pin_line "interns") "%B %d %d" (fun a b c -> (a, b, c))
+  in
+  Alcotest.(check bool) "complete" true complete;
+  Alcotest.(check int) "canonical codes interned" before after
 
 let () =
   Alcotest.run "marked"
@@ -854,6 +951,10 @@ let () =
             test_containment_search_pinned;
           Alcotest.test_case "process path on phi_R^3 and phi_R^4" `Quick
             test_process_path_pinned;
+          Alcotest.test_case "class key = tagged-CQ reference on phi_R^4"
+            `Quick test_class_key_matches_tagged_cq;
+          Alcotest.test_case "a marked run interns no canonical code" `Quick
+            test_marked_run_interns_nothing;
         ] );
       ( "properties",
         [

@@ -17,9 +17,10 @@
      UCQ-equivalent);
    - rewriting-based answering against chase-based answering (the
      Theorem 1 contract), on random theories and on zoo-seeded instances.
-   - table-free reference versions of the term and atom primitives, and
-     a hash-table analysis of marked-query bodies against
-     [Marked_query.is_properly_marked].
+   - table-free reference versions of the term and atom primitives, a
+     hash-table analysis of marked-query bodies against
+     [Marked_query.is_properly_marked], and a bijection search against
+     [Marked_query.class_key].
 
    FRONTIER_QCHECK_COUNT scales the number of cases per property (default
    100; CI sets a smaller value to keep the suite fast). *)
@@ -1723,6 +1724,162 @@ let test_marking_oracle seed () =
     true
     (cov.cycles > 0 && cov.loops > 0 && cov.fan_in > 0 && cov.non_adjacent > 0)
 
+(* A naive oracle for [Marked_query.class_key]: marked isomorphism as a
+   bijection search. Two marked queries are isomorphic when their alias
+   patterns agree and an injective variable map, representatives mapped
+   by answer position, carries the body onto the other body (levels to
+   themselves) and marked variables exactly onto marked ones. *)
+let naive_alias_pattern (q : Marked.Marked_query.t) =
+  let reps = List.map snd q.free in
+  List.map
+    (fun r ->
+      let rec first j = function
+        | r' :: _ when Term.equal r r' -> j
+        | _ :: rest -> first (j + 1) rest
+        | [] -> assert false
+      in
+      first 0 reps)
+    reps
+
+let naive_marked_isomorphic (q1 : Marked.Marked_query.t)
+    (q2 : Marked.Marked_query.t) =
+  naive_alias_pattern q1 = naive_alias_pattern q2
+  && List.length q1.atoms = List.length q2.atoms
+  &&
+  let init =
+    List.fold_left2
+      (fun m (_, r1) (_, r2) -> Term.Map.add r1 r2 m)
+      Term.Map.empty q1.free q2.free
+  in
+  (* Injective on variables and as many atoms on both sides: the image
+     is all of [q2]'s body. *)
+  List.exists
+    (Term.Map.for_all (fun v w ->
+         Bool.equal (Term.Set.mem v q1.marked) (Term.Set.mem w q2.marked)))
+    (naive_homs ~init ~injective:true q1.atoms q2.atoms)
+
+(* A marked query from a body draw and [(mask, a0, a1)]: two answer
+   positions whose representatives are body variables [a0] and [a1]
+   (equal when aliased), marked together with the body variables whose
+   bit is set in [mask]. *)
+let decode_marked levels ((_, edges), (mask, a0, a1)) =
+  let kk = Array.length levels in
+  let var i = Term.var (Printf.sprintf "m%d" (i mod 6)) in
+  let atoms =
+    List.map
+      (fun (l, s, d) -> Atom.make levels.(l mod kk) [ var s; var d ])
+      edges
+  in
+  let body_vars = Term.dedup (List.concat_map Atom.vars atoms) in
+  let n = List.length body_vars in
+  let r0 = List.nth body_vars (a0 mod n) and r1 = List.nth body_vars (a1 mod n) in
+  let marked =
+    List.fold_left Term.Set.union
+      (Term.Set.of_list [ r0; r1 ])
+      (List.mapi
+         (fun i v ->
+           if mask land (1 lsl i) <> 0 then Term.Set.singleton v
+           else Term.Set.empty)
+         body_vars)
+  in
+  Marked.Marked_query.make ~levels
+    ~free:[ (Term.var "ans0", r0); (Term.var "ans1", r1) ]
+    ~marked atoms
+
+(* [q] with every variable renamed to a fresh one and its atoms
+   shuffled: new term ids reorder the body [Marked_query.make] sorts. *)
+let renamed_marked seed (q : Marked.Marked_query.t) =
+  let m =
+    List.fold_left
+      (fun m v -> Term.Map.add v (Cq.fresh_var ~prefix:"mk" ()) m)
+      Term.Map.empty (Marked.Marked_query.vars q)
+  in
+  let r v = Term.Map.find v m in
+  Marked.Marked_query.make ~levels:q.levels
+    ~free:(List.map (fun (o, v) -> (o, r v)) q.free)
+    ~marked:(Term.Set.map r q.marked)
+    (shuffle seed (List.map (Atom.map_args r) q.atoms))
+
+(* What the draws of one seed covered: isomorphic pairs (random, or one
+   body under two markings), aliased answer tuples, reduces whose four
+   markings were compared. *)
+type key_coverage = {
+  mutable iso_pairs : int;
+  mutable aliased : int;
+  mutable reduces : int;
+}
+
+let marked_query_arb =
+  QCheck.(
+    pair marked_body_arb (triple (int_bound 63) (int_bound 5) (int_bound 5)))
+
+let prop_class_key_matches_oracle seed cov =
+  QCheck.Test.make ~count
+    ~name:
+      (Printf.sprintf
+         "Marked_query.class_key equality = marked bijection search, K = \
+          2..4 (seed %d)"
+         seed)
+    QCheck.(triple marked_query_arb marked_query_arb small_nat)
+    (fun (((k_enc, edges1), x1), ((_, edges2), x2), shuffle_seed) ->
+      QCheck.assume (edges1 <> [] && edges2 <> []);
+      let kk = 2 + k_enc in
+      let levels =
+        Array.init kk (fun i -> Symbol.make (Printf.sprintf "L%d" i) ~arity:2)
+      in
+      let key = Marked.Marked_query.class_key in
+      let agree a b =
+        Bool.equal (key a = key b) (naive_marked_isomorphic a b)
+      in
+      let q1 = decode_marked levels ((k_enc, edges1), x1) in
+      let q2 = decode_marked levels ((k_enc, edges2), x2) in
+      (* [q1]'s body under [q2]'s marking and answer tuple. *)
+      let remarked = decode_marked levels ((k_enc, edges1), x2) in
+      if naive_marked_isomorphic q1 q2 || naive_marked_isomorphic q1 remarked
+      then cov.iso_pairs <- cov.iso_pairs + 1;
+      if Marked.Marked_query.aliased q1 then cov.aliased <- cov.aliased + 1;
+      let copy = renamed_marked shuffle_seed q1 in
+      (* The first live marking of [q1]'s body whose maximal variable is
+         reduced: its four markings of one body, pairwise. *)
+      let reduce_markings =
+        let _, a0, a1 = x1 in
+        let rec find mask =
+          if mask > 63 then []
+          else
+            let q = decode_marked levels ((k_enc, edges1), (mask, a0, a1)) in
+            match
+              if Marked.Marked_query.is_live q then
+                Marked.Operations.maximal_var q
+              else None
+            with
+            | Some (x, (Marked.Operations.Reduce _ as c)) ->
+                Marked.Operations.apply q x c
+            | _ -> find (mask + 1)
+        in
+        find 0
+      in
+      if reduce_markings <> [] then cov.reduces <- cov.reduces + 1;
+      agree q1 q2 && agree q1 remarked
+      && key q1 = key copy
+      && naive_marked_isomorphic q1 copy
+      && List.for_all
+           (fun a ->
+             List.for_all (agree a) reduce_markings
+             && key a = key (renamed_marked shuffle_seed a))
+           reduce_markings)
+
+let test_class_key_oracle seed () =
+  let cov = { iso_pairs = 0; aliased = 0; reduces = 0 } in
+  QCheck.Test.check_exn
+    ~rand:(Random.State.make [| seed |])
+    (prop_class_key_matches_oracle seed cov);
+  Alcotest.(check bool)
+    (Printf.sprintf
+       "draws cover isomorphic pairs (%d), aliased tuples (%d), reduces (%d)"
+       cov.iso_pairs cov.aliased cov.reduces)
+    true
+    (cov.iso_pairs > 0 && cov.aliased > 0 && cov.reduces > 0)
+
 let () =
   if Sys.getenv_opt "FRONTIER_FAULTS" <> None then
     Printf.printf "FRONTIER_FAULTS=%d base schedule: %s\n%!" fault_seed_base
@@ -1785,6 +1942,13 @@ let () =
                 (Printf.sprintf "proper marking = hash-table oracle (seed %d)"
                    seed)
                 `Quick (test_marking_oracle seed))
+            [ 1; 7; 42 ]
+        @ List.map
+            (fun seed ->
+              Alcotest.test_case
+                (Printf.sprintf
+                   "marked class key = bijection-search oracle (seed %d)" seed)
+                `Quick (test_class_key_oracle seed))
             [ 1; 7; 42 ] );
       ( "generators",
         [
